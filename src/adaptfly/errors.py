@@ -37,6 +37,14 @@ class EmptyPoolError(AdaptflyError):
     """Query issued against a pool with no entries."""
 
 
+class PoolFormatError(AdaptflyError):
+    """A pool snapshot line is malformed. Carries its 1-based line number."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message)
+        self.line = line
+
+
 class DeferredNotResolvedError(AdaptflyError):
     """A deferred pool entry was used where a concrete prompt is required."""
 

@@ -111,12 +111,16 @@ class LimitedAgent:
         self._adopted_ids: tuple[int, ...] = ()
         self._request_id = 0
 
-    def _improves(self, frame: np.ndarray, candidate: TokenPrompt) -> bool:
+    def _try_adopt(self, frame: np.ndarray, candidate: TokenPrompt) -> tuple[bool, float]:
+        """Whether ``candidate`` lowers entropy on ``frame``, and the entropy
+        the frame gets afterwards: prompted if adopted, unprompted if not."""
         baseline = mean_entropy(self.oracle.predict(frame))
         adapted = mean_entropy(
             self.oracle.predict(frame, candidate if candidate.rows else None)
         )
-        return adapted < baseline - 1e-9 * (1.0 + baseline)
+        if adapted < baseline - 1e-9 * (1.0 + baseline):
+            return True, adapted
+        return False, baseline
 
     def step(
         self, t: int, frame: np.ndarray, motion=(0, 0), domain_tag: str | None = None
@@ -125,6 +129,7 @@ class LimitedAgent:
         stats = compute_stats(self.oracle.stem_features(frame))
         shift, score, _ = detect(self.tracker, stats)
         event, retrieved, degraded = "none", 0, False
+        entropy = None  # set when the retrieval check already predicted the frame
 
         if shift:
             event = "retrieve"
@@ -137,7 +142,8 @@ class LimitedAgent:
                 entries = [PoolEntry.from_dict(d) for d in response.entries]
                 relevant = entries and float(q @ entries[0].key) >= self.ADOPT_SIMILARITY_FLOOR
                 candidate = assemble(entries)
-                if relevant and self._improves(frame, candidate):
+                adopt, entropy = self._try_adopt(frame, candidate) if relevant else (False, None)
+                if adopt:
                     self.cached = candidate
                     retrieved = len(entries)
                     ids = tuple(e.entry_id for e in entries)
@@ -158,8 +164,9 @@ class LimitedAgent:
             except TransportFailure:
                 degraded = True  # previous assembly stays in use
 
-        prompt = self.cached if self.cached.rows else None
-        entropy = mean_entropy(self.oracle.predict(frame, prompt))
+        if entropy is None:
+            prompt = self.cached if self.cached.rows else None
+            entropy = mean_entropy(self.oracle.predict(frame, prompt))
         sent, recv = window.deltas()
         return StepRecord(
             step=t,

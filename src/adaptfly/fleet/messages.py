@@ -11,10 +11,8 @@ import json
 import struct
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..errors import ProtocolError
-from ..prompts import TokenPrompt
+from ..errors import AdaptflyError, ProtocolError
+from ..prompts import TokenPrompt, number_vector
 
 __all__ = [
     "UploadPrompt",
@@ -77,10 +75,6 @@ class RefineTick:
 FleetMessage = UploadPrompt | RegisterDeferred | Query | QueryResponse | RefineTick
 
 
-def _floats(xs) -> tuple[float, ...]:
-    return tuple(float(x) for x in np.asarray(xs, dtype=np.float64).ravel())
-
-
 def _payload(msg: FleetMessage) -> dict:
     if isinstance(msg, UploadPrompt):
         return {
@@ -123,27 +117,63 @@ def encode_message(msg: FleetMessage) -> bytes:
     return struct.pack(">I", len(payload)) + payload
 
 
+_INT64 = range(-(2**63), 2**63)
+
+
+def _fail(message: str):
+    raise ProtocolError(message, offset=HEADER_SIZE)
+
+
+def _int(d: dict, name: str) -> int:
+    x = d.get(name)
+    if type(x) is not int or x not in _INT64:
+        _fail(f"field {name!r} must be a 64-bit integer")
+    return x
+
+
+def _str(d: dict, name: str, optional: bool = False) -> str | None:
+    x = d.get(name)
+    if not (isinstance(x, str) or (optional and x is None)):
+        _fail(f"field {name!r} must be a string" + (" or null" if optional else ""))
+    return x
+
+
+def _vector(d: dict, name: str) -> tuple[float, ...]:
+    try:
+        return tuple(number_vector(d.get(name), f"field {name!r}").tolist())
+    except AdaptflyError as exc:
+        raise ProtocolError(str(exc), offset=HEADER_SIZE) from exc
+
+
 def _from_payload(d: dict) -> FleetMessage:
+    """Build a message from a decoded payload, checking every field."""
     kind = d.get("type")
     if kind == "upload_prompt":
+        try:
+            value = TokenPrompt.from_dict(d.get("value"))
+        except AdaptflyError as exc:
+            raise ProtocolError(f"field 'value': {exc}", offset=HEADER_SIZE) from exc
         return UploadPrompt(
-            key=_floats(d["key"]),
-            value=TokenPrompt.from_dict(d["value"]),
-            timestamp=int(d["timestamp"]),
-            agent_id=d["agent_id"],
-            domain_tag=d.get("domain_tag"),
+            key=_vector(d, "key"),
+            value=value,
+            timestamp=_int(d, "timestamp"),
+            agent_id=_str(d, "agent_id"),
+            domain_tag=_str(d, "domain_tag", optional=True),
         )
     if kind == "register_deferred":
         return RegisterDeferred(
-            query=_floats(d["query"]),
-            agent_id=d["agent_id"],
-            timestamp=int(d["timestamp"]),
-            domain_tag=d.get("domain_tag"),
+            query=_vector(d, "query"),
+            agent_id=_str(d, "agent_id"),
+            timestamp=_int(d, "timestamp"),
+            domain_tag=_str(d, "domain_tag", optional=True),
         )
     if kind == "query":
-        return Query(query=_floats(d["query"]), n=int(d["n"]), request_id=int(d["request_id"]))
+        return Query(query=_vector(d, "query"), n=_int(d, "n"), request_id=_int(d, "request_id"))
     if kind == "query_response":
-        return QueryResponse(request_id=int(d["request_id"]), entries=tuple(d["entries"]))
+        entries = d.get("entries")
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            _fail("field 'entries' must be a list of objects")
+        return QueryResponse(request_id=_int(d, "request_id"), entries=tuple(entries))
     if kind == "refine_tick":
         return RefineTick()
     raise ProtocolError(f"unknown message type {kind!r}", offset=HEADER_SIZE)

@@ -18,14 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AdaptflyError,
     CompositionError,
     ConfigError,
     DeferredNotResolvedError,
     DegenerateKeyError,
     EmptyPoolError,
+    PoolFormatError,
     ResolutionError,
 )
-from .prompts import TokenPrompt
+from .prompts import TokenPrompt, number_vector
 
 __all__ = [
     "PoolConfig",
@@ -34,6 +36,9 @@ __all__ = [
     "PromptPool",
     "assemble",
 ]
+
+
+_INT64 = range(-(2**63), 2**63)
 
 
 def _unit(key: np.ndarray) -> np.ndarray:
@@ -112,20 +117,38 @@ class PoolEntry:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PoolEntry":
+        """Parse ``to_dict`` output; PoolFormatError names the first bad field."""
+        if not isinstance(d, dict):
+            raise PoolFormatError("pool entry must be an object")
+        for name in ("entry_id", "timestamp"):
+            if type(d.get(name)) is not int or d[name] not in _INT64:
+                raise PoolFormatError(f"pool entry {name} must be a 64-bit integer")
+        if d["entry_id"] < 0:
+            raise PoolFormatError("pool entry entry_id must be non-negative")
+        if not isinstance(d.get("agent_id"), str):
+            raise PoolFormatError("pool entry agent_id must be a string")
+        if not isinstance(d.get("domain_tag"), (str, type(None))):
+            raise PoolFormatError("pool entry domain_tag must be a string or null")
+        key = number_vector(d.get("key"), "pool entry key")
         if "deferred" in d:
+            marker = d["deferred"]
+            if not isinstance(marker, dict) or not isinstance(marker.get("agent_id"), str):
+                raise PoolFormatError("pool entry deferred must hold a query and an agent_id")
             value = DeferredMarker(
-                np.asarray(d["deferred"]["query"]), d["deferred"]["agent_id"]
+                number_vector(marker.get("query"), "deferred query"), marker["agent_id"]
             )
-        else:
+        elif "value" in d:
             value = TokenPrompt.from_dict(d["value"])
+        else:
+            raise PoolFormatError("pool entry needs a value or a deferred marker")
         return cls(
-            entry_id=int(d["entry_id"]),
-            key=_unit(np.asarray(d["key"])),
+            entry_id=d["entry_id"],
+            key=_unit(key),
             value=value,
-            timestamp=int(d["timestamp"]),
+            timestamp=d["timestamp"],
             agent_id=d["agent_id"],
             domain_tag=d.get("domain_tag"),
-            last_retrieved=int(d["timestamp"]),
+            last_retrieved=d["timestamp"],
         )
 
 
@@ -155,13 +178,22 @@ def assemble(entries: list[PoolEntry]) -> TokenPrompt:
 
 
 class PromptPool:
-    """Grow-and-refine prompt memory. One writer at a time; readers free."""
+    """Grow-and-refine prompt memory. One writer at a time; readers free.
+
+    The refined keys are mirrored, in list order, in one (R, d) matrix with
+    a matching entry-id vector, so ranking is one matrix-vector product.
+    Every change to the refined set updates the mirror in place.
+    """
 
     def __init__(self, config: PoolConfig | None = None):
         self.config = config or PoolConfig()
         self._refined: list[PoolEntry] = []
         self._pending: list[PoolEntry] = []
         self._next_id = 0
+        # Rows [0, refined_size) mirror the refined entries; the rest is
+        # growth room, doubled when full. The first key fixes the width.
+        self._keys = np.empty((0, 0))
+        self._ids = np.empty(0, dtype=np.int64)
 
     # -- sizes ----------------------------------------------------------
 
@@ -178,13 +210,60 @@ class PromptPool:
         return len(self._pending)
 
     def entries(self) -> list[PoolEntry]:
-        return list(self._refined) + list(self._pending)
+        return self._refined + self._pending
 
     def get(self, entry_id: int) -> PoolEntry | None:
-        for e in self._refined + self._pending:
-            if e.entry_id == entry_id:
-                return e
-        return None
+        hit = np.flatnonzero(self._ids[: len(self._refined)] == entry_id)
+        if hit.size:
+            return self._refined[hit[0]]
+        return next((e for e in self._pending if e.entry_id == entry_id), None)
+
+    # -- key matrix -------------------------------------------------------
+
+    def _check_dim(self, key: np.ndarray, what: str) -> None:
+        dim = self._keys.shape[1]
+        if dim == 0:
+            self._keys = np.empty((0, key.size))
+        elif key.size != dim:
+            raise CompositionError(
+                f"{what} has dimension {key.size}, pool keys have dimension {dim}"
+            )
+
+    def _append_refined(self, entry: PoolEntry) -> None:
+        n = len(self._refined)
+        if n == len(self._ids):
+            keys = np.empty((max(2 * n, 16), self._keys.shape[1]))
+            keys[:n] = self._keys[:n]
+            ids = np.empty(len(keys), dtype=np.int64)
+            ids[:n] = self._ids[:n]
+            self._keys, self._ids = keys, ids
+        self._keys[n] = entry.key
+        self._ids[n] = entry.entry_id
+        self._refined.append(entry)
+
+    def _keep_refined(self, keep: np.ndarray) -> None:
+        """Drop the refined entries where ``keep`` is False, keeping order."""
+        n, m = len(self._refined), int(keep.sum())
+        self._keys[:m] = self._keys[:n][keep]
+        self._ids[:m] = self._ids[:n][keep]
+        self._refined = [e for e, k in zip(self._refined, keep) if k]
+
+    def _near_best(self, key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows that can rank among the top n by ``float(key @ e.key)``.
+
+        A BLAS matrix-vector product rounds differently from a per-row dot
+        product, even for two identical rows, so it only screens. For unit
+        vectors the two differ by at most d * eps, so a row of the true top
+        n lies within 2 * d * eps of the screened n-th largest value; rows
+        within twice that are rescored with the per-row dot. Exact ties stay
+        exact and every ranking matches the per-entry definition. Returns
+        the row indices (ascending) and their per-row scores.
+        """
+        count = len(self._refined)
+        sims = self._keys[:count] @ key
+        floor = np.partition(sims, count - n)[count - n] if n < count else sims.min()
+        rows = np.flatnonzero(sims >= floor - 4.0 * key.size * np.finfo(np.float64).eps)
+        return rows, np.array([float(key @ self._refined[i].key) for i in rows])
 
     # -- grow -----------------------------------------------------------
 
@@ -206,6 +285,7 @@ class PromptPool:
             domain_tag=domain_tag,
             last_retrieved=int(timestamp),
         )
+        self._check_dim(entry.key, "key")
         self._next_id += 1
         self._pending.append(entry)
         return entry
@@ -221,11 +301,14 @@ class PromptPool:
         """
         if self.size == 0:
             raise EmptyPoolError("query against an empty pool")
-        entries = self._refined
         qn = _unit(q)
-        sims = [float(qn @ e.key) for e in entries]
-        order = sorted(range(len(entries)), key=lambda i: (-sims[i], entries[i].entry_id))
-        hits = [entries[i] for i in order[: max(0, n)]]
+        self._check_dim(qn, "query")
+        n = min(max(0, n), len(self._refined))
+        if n == 0:
+            return []
+        rows, sims = self._near_best(qn, n)
+        order = rows[np.lexsort((self._ids[rows], -sims))[:n]]
+        hits = [self._refined[i] for i in order]
         for e in hits:
             e.last_retrieved = max(e.last_retrieved, int(step))
         return hits
@@ -235,9 +318,9 @@ class PromptPool:
     def _merge_target(self, entry: PoolEntry) -> tuple[int, float] | None:
         if not self._refined:
             return None
-        sims = np.array([float(entry.key @ e.key) for e in self._refined])
-        idx = int(np.argmax(sims))  # first max: lowest entry id wins ties
-        return idx, float(sims[idx])
+        rows, sims = self._near_best(entry.key, 1)
+        best = int(np.argmax(sims))  # first max: earliest refined entry wins ties
+        return int(rows[best]), float(sims[best])
 
     @staticmethod
     def _mergeable(old: PoolEntry, new: PoolEntry) -> bool:
@@ -251,6 +334,8 @@ class PromptPool:
 
         Pending entries fold in serialized (timestamp, entry_id) order so
         any interleaving of inserts and refine calls yields the same pool.
+        Capacity evicts the least recently retrieved entries, ties broken
+        by (timestamp, entry_id).
         """
         eta = self.config.merge_weight
         pending = sorted(self._pending, key=lambda e: (e.timestamp, e.entry_id))
@@ -266,6 +351,7 @@ class PromptPool:
                     ) + eta * np.asarray(entry.value.values, dtype=np.float64)
                     old.value = TokenPrompt(merged_values, dtype=old.value.dtype)
                     old.key = _unit((1.0 - eta) * old.key + eta * entry.key)
+                    self._keys[idx] = old.key
                     old.timestamp = max(old.timestamp, entry.timestamp)
                     old.last_retrieved = max(old.last_retrieved, entry.last_retrieved)
                     contributors = set(old.agent_id.split(",")) | set(
@@ -275,13 +361,16 @@ class PromptPool:
                     if old.domain_tag is None:
                         old.domain_tag = entry.domain_tag
                     continue
-            self._refined.append(entry)
-        while len(self._refined) > self.config.capacity:
-            victim = min(
-                self._refined,
-                key=lambda e: (e.last_retrieved, e.timestamp, e.entry_id),
+            self._append_refined(entry)
+        excess = len(self._refined) - self.config.capacity
+        if excess > 0:
+            stamps = np.array(
+                [(e.last_retrieved, e.timestamp) for e in self._refined], dtype=np.int64
             )
-            self._refined.remove(victim)
+            ids = self._ids[: len(self._refined)]
+            keep = np.ones(len(self._refined), dtype=bool)
+            keep[np.lexsort((ids, stamps[:, 1], stamps[:, 0]))[:excess]] = False
+            self._keep_refined(keep)
 
     # -- deferred resolution ----------------------------------------------
 
@@ -308,7 +397,7 @@ class PromptPool:
         return entry
 
     def drop(self, entry_id: int) -> None:
-        self._refined = [e for e in self._refined if e.entry_id != entry_id]
+        self._keep_refined(self._ids[: len(self._refined)] != entry_id)
         self._pending = [e for e in self._pending if e.entry_id != entry_id]
 
     # -- persistence --------------------------------------------------------
@@ -322,14 +411,21 @@ class PromptPool:
 
     @classmethod
     def load(cls, path, config: PoolConfig | None = None) -> "PromptPool":
+        """Restore a ``save`` snapshot; PoolFormatError names a malformed line."""
         pool = cls(config)
+        entries = []
         with open(path, "r", encoding="utf-8") as f:
-            for line in f:
+            for lineno, line in enumerate(f, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                entry = PoolEntry.from_dict(json.loads(line))
-                pool._refined.append(entry)
+                try:
+                    entry = PoolEntry.from_dict(json.loads(line))
+                    pool._check_dim(entry.key, "key")
+                except (json.JSONDecodeError, AdaptflyError) as exc:
+                    raise PoolFormatError(f"{path} line {lineno}: {exc}", line=lineno) from exc
+                entries.append(entry)
                 pool._next_id = max(pool._next_id, entry.entry_id + 1)
-        pool._refined.sort(key=lambda e: e.entry_id)
+        for entry in sorted(entries, key=lambda e: e.entry_id):
+            pool._append_refined(entry)
         return pool

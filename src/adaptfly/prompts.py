@@ -23,6 +23,7 @@ __all__ = [
     "sparsity_budget",
     "place_mask",
     "warp_svp",
+    "number_vector",
 ]
 
 # Fraction of coordinates that may leave the frame during a warp before a
@@ -30,6 +31,22 @@ __all__ = [
 DEFAULT_DROP_THRESHOLD = 0.25
 
 _DTYPES = {"f32": np.float32, "f16": np.float16}
+_NUMBER_TYPES = {int, float}  # exact types: bool is excluded
+
+
+def number_vector(xs, what: str) -> np.ndarray:
+    """A JSON list of numbers as a float64 vector.
+
+    Raises CompositionError naming ``what`` for anything else: a non-list,
+    nested lists, strings, booleans, nulls, or integers beyond float range.
+    Finiteness is left to the consumer (token prompts and unit keys check it).
+    """
+    if not isinstance(xs, (list, tuple)) or not set(map(type, xs)) <= _NUMBER_TYPES:
+        raise CompositionError(f"{what} must be a list of numbers")
+    try:
+        return np.array(xs, dtype=np.float64)
+    except OverflowError:
+        raise CompositionError(f"{what} holds an integer beyond float range") from None
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -95,8 +112,20 @@ class TokenPrompt:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TokenPrompt":
-        values = np.asarray(d["values"], dtype=np.float64).reshape(d["rows"], d["dim"])
-        return cls(values, dtype=d["dtype"])
+        if not isinstance(d, dict):
+            raise CompositionError("token prompt must be an object")
+        rows, dim = d.get("rows"), d.get("dim")
+        if not all(type(x) is int and 0 <= x < 2**31 for x in (rows, dim)):
+            raise CompositionError("token prompt rows and dim must be integers in [0, 2**31)")
+        values = number_vector(d.get("values"), "token prompt values")
+        if values.size != rows * dim:
+            raise CompositionError(
+                f"token prompt holds {values.size} values, rows x dim is {rows} x {dim}"
+            )
+        dtype = d.get("dtype")
+        if not isinstance(dtype, str):
+            raise ConfigError("token prompt dtype must be a string")
+        return cls(values.reshape(rows, dim), dtype=dtype)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,7 @@ import pytest
 
 from adaptfly.distill import DistillConfig, entry_size_bytes
 from adaptfly.drift import DriftTracker
-from adaptfly.errors import ConfigError
+from adaptfly.errors import CompositionError, ConfigError
 from adaptfly.fleet import (
     InprocClient,
     MecServer,
@@ -158,6 +158,15 @@ class TestServer:
         assert len(hit.entries) == 1
         assert hit.entries[0]["agent_id"] == "uav-h1"
 
+    def test_query_of_wrong_dimension_is_typed(self, server_setup):
+        oracle, _, _, server = server_setup
+        server.handle(UploadPrompt(key=tuple(np.eye(oracle.token_dim)[0]),
+                                   value=TokenPrompt(np.ones((2, 4))), timestamp=1,
+                                   agent_id="uav-h1"))
+        server.handle(RefineTick())
+        with pytest.raises(CompositionError):
+            server.handle(Query(query=(1.0, 0.0), n=2, request_id=1))
+
     def test_deferred_entry_resolved_on_query(self, server_setup):
         oracle, pool, provenance, server = server_setup
         client = InprocClient(server)
@@ -305,6 +314,46 @@ class TestLimitedAgentPaths:
         rec = agent.step(0, frame)
         assert rec.adaptation_event == "none"
         assert rec.mean_entropy == pytest.approx(mean_entropy(oracle.predict(frame)))
+
+
+    @pytest.mark.parametrize("sign, adopted", [(1.0, True), (0.0, False)])
+    def test_retrieval_step_predicts_twice(self, monkeypatch, sign, adopted):
+        # The adoption check predicts the frame unprompted and prompted; the
+        # step's entropy reuses whichever matches the resulting assembly.
+        import adaptfly.fleet.agents as agents_mod
+        from adaptfly.cmaes import CmaConfig, optimize_svp
+        from adaptfly.distill import closed_form_solution
+        from adaptfly.oracle import ToyOracle, mean_entropy
+        from adaptfly.prompts import place_mask, sparsity_budget
+
+        oracle = make_toy_oracle(seed=7)
+        domain = DomainSpec(id="dusk", gain=(0.75, 0.8, 0.72), bias=(-0.15, 0.12, -0.1),
+                            noise_scale=0.01, seed=4)
+        frame = render_frame(oracle, domain, 0)
+        coords = place_mask(oracle.uncertainty_map(frame, 1, 0.0, 0),
+                            sparsity_budget(0.05, *oracle.frame_shape))
+        search = optimize_svp(oracle, frame, coords, CmaConfig(
+            dimension=3 * len(coords), population=8, elite=2, generations=5, sigma0=0.3,
+            seed=1))
+        values = sign * closed_form_solution(oracle, [frame], search.prompt, 4)
+        pool = PromptPool(PoolConfig())
+        pool.insert(oracle.query_embedding(frame), TokenPrompt(values), timestamp=0,
+                    agent_id="uav-h1")
+        pool.refine()
+        server = MecServer(pool, oracle, DistillConfig(rows=4), ProvenanceLog())
+        tracker = DriftTracker(smoothing=0.1, threshold=1e9, warmup=1)
+        agent = LimitedAgent("uav-l1", oracle, InprocClient(server), tracker)
+        monkeypatch.setattr(agents_mod, "detect", lambda tracker, stats: (True, 1.0, None))
+        calls = []
+        predict = ToyOracle.predict
+        monkeypatch.setattr(ToyOracle, "predict",
+                            lambda self, *a, **k: calls.append(1) or predict(self, *a, **k))
+        rec = agent.step(1, frame)
+        assert rec.adaptation_event == "retrieve"
+        assert (rec.retrieved > 0) == adopted
+        assert len(calls) == 2
+        prompt = agent.cached if agent.cached.rows else None
+        assert rec.mean_entropy == mean_entropy(predict(oracle, frame, prompt))
 
 
 class TestSummary:

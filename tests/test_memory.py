@@ -1,11 +1,17 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptfly.errors import (
+    AdaptflyError,
     CompositionError,
     DeferredNotResolvedError,
     DegenerateKeyError,
     EmptyPoolError,
+    PoolFormatError,
     ResolutionError,
 )
 from adaptfly.memory import DeferredMarker, PoolConfig, PoolEntry, PromptPool, assemble
@@ -41,6 +47,13 @@ class TestInsert:
         pool = make_pool()
         with pytest.raises(DegenerateKeyError):
             pool.insert(np.zeros(3), prompt(), timestamp=0, agent_id="a")
+
+    def test_key_dimension_mismatch_is_typed(self):
+        pool = make_pool()
+        pool.insert(np.array([1.0, 0.0, 0.0]), prompt(), timestamp=0, agent_id="a")
+        with pytest.raises(CompositionError, match="dimension 2.*dimension 3"):
+            pool.insert(np.array([1.0, 0.0]), prompt(), timestamp=1, agent_id="a")
+        assert pool.size == 1
 
     def test_entry_ids_unique(self):
         pool = make_pool()
@@ -109,6 +122,30 @@ class TestQuery:
                 for e in sorted(entries, key=lambda e: (-float(qn @ e.key), e.entry_id))
             ][: min(n, len(entries))]
             assert got == expected
+
+    def test_query_dimension_mismatch_is_typed(self):
+        pool = make_pool()
+        pool.insert(np.array([1.0, 0.0]), prompt(), timestamp=0, agent_id="a")
+        pool.refine()
+        with pytest.raises(CompositionError, match="dimension 3.*dimension 2"):
+            pool.query_topn(np.ones(3), n=1)
+
+    def test_duplicate_keys_tie_by_entry_id_at_any_pool_size(self):
+        # Matrix-vector products may round identical rows differently; the
+        # ranking must not. Rows are filled in reverse id order.
+        rng = np.random.default_rng(5)
+        for dim in (3, 16, 48):
+            for size in range(2, 40):
+                pool = make_pool(capacity=64)
+                dup = rng.normal(size=dim)
+                for i in range(size):
+                    key = dup if i % 3 == 0 else rng.normal(size=dim)
+                    pool.insert(key, DeferredMarker(key, "a"), timestamp=size - i, agent_id="a")
+                pool.refine()
+                dup_ids = [i for i in range(size) if i % 3 == 0]
+                for n in range(1, len(dup_ids) + 1):
+                    got = [e.entry_id for e in pool.query_topn(dup, n)]
+                    assert got == dup_ids[:n], (dim, size, n)
 
     def test_query_updates_last_retrieved(self):
         pool = make_pool()
@@ -325,8 +362,6 @@ class TestPersistence:
             assert a.domain_tag == b.domain_tag
 
     def test_snapshot_is_one_json_object_per_line(self, tmp_path):
-        import json
-
         pool = make_pool()
         pool.insert(np.array([1.0, 0.0]), prompt(), timestamp=3, agent_id="a")
         path = tmp_path / "pool.jsonl"
@@ -335,3 +370,183 @@ class TestPersistence:
         assert len(lines) == 1
         obj = json.loads(lines[0])
         assert set(obj) == {"entry_id", "key", "value", "timestamp", "agent_id", "domain_tag"}
+
+    @pytest.mark.parametrize("bad_line", [
+        '{"entry_id": 1}',
+        "not json",
+        json.dumps({"entry_id": 1, "key": [1.0, 0.0], "timestamp": 0, "agent_id": "a",
+                    "value": {"rows": 2, "dim": 4, "values": [1.0] * 7, "dtype": "f32"}}),
+    ])
+    def test_malformed_line_names_its_number(self, tmp_path, bad_line):
+        pool = make_pool()
+        pool.insert(np.array([1.0, 0.0]), prompt(), timestamp=0, agent_id="a")
+        path = tmp_path / "pool.jsonl"
+        pool.save(path)
+        path.write_text(path.read_text() + bad_line + "\n")
+        with pytest.raises(PoolFormatError, match="line 2") as err:
+            PromptPool.load(path)
+        assert err.value.line == 2
+        assert isinstance(err.value, AdaptflyError)
+
+    def test_key_dimension_mismatch_across_lines(self, tmp_path):
+        lines = [
+            json.dumps(PoolEntry(i, unit(np.ones(d)), prompt(), 0, "a").to_dict())
+            for i, d in enumerate((2, 3))
+        ]
+        path = tmp_path / "pool.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PoolFormatError, match="line 2.*dimension 3.*dimension 2"):
+            PromptPool.load(path)
+
+
+# -- equivalence with the per-entry loops ---------------------------------------
+
+
+class ReferencePool:
+    """The pool as plain loops over its entries: the definition the key matrix
+    must reproduce (ranking, merge target, eviction order, snapshot reload)."""
+
+    def __init__(self, config: PoolConfig):
+        self.config = config
+        self.refined: list[PoolEntry] = []
+        self.pending: list[PoolEntry] = []
+        self.next_id = 0
+
+    @staticmethod
+    def unit(key):
+        key = np.asarray(key, dtype=np.float64).ravel()
+        return key / float(np.linalg.norm(key))
+
+    def insert(self, key, value, timestamp, agent_id):
+        self.pending.append(PoolEntry(self.next_id, self.unit(key), value, timestamp,
+                                      agent_id, last_retrieved=timestamp))
+        self.next_id += 1
+
+    def query_topn(self, q, n, step):
+        qn = self.unit(q)
+        sims = [float(qn @ e.key) for e in self.refined]
+        order = sorted(range(len(self.refined)),
+                       key=lambda i: (-sims[i], self.refined[i].entry_id))
+        hits = [self.refined[i] for i in order[: max(0, n)]]
+        for e in hits:
+            e.last_retrieved = max(e.last_retrieved, step)
+        return [e.entry_id for e in hits]
+
+    def refine(self):
+        eta = self.config.merge_weight
+        pending = sorted(self.pending, key=lambda e: (e.timestamp, e.entry_id))
+        self.pending = []
+        for entry in pending:
+            if self.refined:
+                sims = [float(entry.key @ e.key) for e in self.refined]
+                idx = int(np.argmax(sims))
+                old = self.refined[idx]
+                if (sims[idx] >= self.config.merge_threshold
+                        and not old.is_deferred and not entry.is_deferred
+                        and old.value.values.shape == entry.value.values.shape):
+                    old.value = TokenPrompt(
+                        (1.0 - eta) * np.asarray(old.value.values, dtype=np.float64)
+                        + eta * np.asarray(entry.value.values, dtype=np.float64),
+                        dtype=old.value.dtype)
+                    old.key = self.unit((1.0 - eta) * old.key + eta * entry.key)
+                    old.timestamp = max(old.timestamp, entry.timestamp)
+                    old.last_retrieved = max(old.last_retrieved, entry.last_retrieved)
+                    old.agent_id = ",".join(sorted(set(old.agent_id.split(","))
+                                                   | set(entry.agent_id.split(","))))
+                    continue
+            self.refined.append(entry)
+        while len(self.refined) > self.config.capacity:
+            victim = min(self.refined,
+                         key=lambda e: (e.last_retrieved, e.timestamp, e.entry_id))
+            self.refined.remove(victim)
+
+    def drop(self, entry_id):
+        self.refined = [e for e in self.refined if e.entry_id != entry_id]
+        self.pending = [e for e in self.pending if e.entry_id != entry_id]
+
+    def reload(self):
+        """save() then load(): refine, sort by id, reset stamps to timestamps;
+        fresh ids continue after the largest surviving one."""
+        self.refine()
+        self.refined.sort(key=lambda e: e.entry_id)
+        self.next_id = max((e.entry_id + 1 for e in self.refined), default=0)
+        for e in self.refined:
+            e.key = self.unit([float(x) for x in e.key])
+            e.last_retrieved = e.timestamp
+
+
+def assert_same_pool(pool: PromptPool, ref: ReferencePool):
+    got = pool.entries()
+    want = ref.refined + ref.pending
+    assert [e.entry_id for e in got] == [e.entry_id for e in want]
+    assert pool.refined_size == len(ref.refined)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a.key - b.key)) <= 1e-12
+        assert a.last_retrieved == b.last_retrieved
+        assert a.timestamp == b.timestamp and a.agent_id == b.agent_id
+        assert a.is_deferred == b.is_deferred
+        if not a.is_deferred:
+            assert a.value == b.value
+
+
+OPS = ("insert",) * 6 + ("refine", "query", "query", "drop", "reload")
+
+
+class TestMatrixEquivalence:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 80),
+        capacity=st.integers(1, 24),
+        threshold=st.sampled_from([0.5, 0.9, 0.999, 1.0]),
+        dim=st.sampled_from([2, 3, 5, 16, 48]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_loops(self, tmp_path_factory, seed, steps, capacity, threshold,
+                                     dim):
+        rng = np.random.default_rng(seed)
+        ops = rng.choice(OPS, size=steps)
+        # A small palette of directions: repeats are exact ties, rescaled
+        # repeats differ from them in the last bits.
+        palette = rng.normal(size=(6, dim))
+        config = PoolConfig(capacity=capacity, merge_threshold=threshold, merge_weight=0.3)
+        pool, ref = PromptPool(config), ReferencePool(config)
+        path = tmp_path_factory.mktemp("pool") / "pool.jsonl"
+        for t, op in enumerate(ops):
+            if op == "insert":
+                key = palette[rng.integers(6)] * rng.choice([1.0, 1.0, 3.0, 1e-3])
+                if rng.random() < 0.3:
+                    key = key + rng.normal(scale=1e-3, size=dim)
+                if rng.random() < 0.3:
+                    value = DeferredMarker(key, "d")
+                else:
+                    value = prompt(rows=int(rng.integers(1, 4)), dim=2,
+                                   fill=float(rng.integers(0, 4)))
+                stamp = int(rng.integers(0, 8))
+                agent = f"a{rng.integers(3)}"
+                pool.insert(key, value, timestamp=stamp, agent_id=agent)
+                ref.insert(key, value, stamp, agent)
+            elif op == "refine":
+                pool.refine()
+                ref.refine()
+            elif op == "query":
+                if not pool.size:
+                    continue
+                q = palette[rng.integers(6)] + rng.normal(scale=rng.choice([0.0, 0.5]),
+                                                         size=dim)
+                n, step = int(rng.integers(0, 5)), t + 8
+                got = [e.entry_id for e in pool.query_topn(q, n, step=step)]
+                assert got == ref.query_topn(q, n, step)
+            elif op == "drop":
+                victim = int(rng.integers(0, max(ref.next_id, 1)))
+                pool.drop(victim)
+                ref.drop(victim)
+            else:
+                pool.save(path)
+                pool = PromptPool.load(path, config)
+                ref.reload()
+            assert_same_pool(pool, ref)
+            assert all(pool.get(e.entry_id) is e for e in pool.entries())
+            # The key matrix mirrors the refined entries row for row.
+            refined = pool.entries()[: pool.refined_size]
+            assert np.array_equal(pool._keys[: len(refined)].reshape(-1, dim),
+                                  np.array([e.key for e in refined]).reshape(-1, dim))

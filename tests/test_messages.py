@@ -107,6 +107,72 @@ class TestFraming:
             decode_message(frame)
 
 
+def frame_of(payload) -> bytes:
+    body = json.dumps(payload).encode()
+    return struct.pack(">I", len(body)) + body
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=6), inner,
+                                                               max_size=4),
+    max_leaves=8,
+)
+MESSAGE_FIELDS = ("key", "value", "timestamp", "agent_id", "domain_tag", "query", "n",
+                  "request_id", "entries")
+MESSAGE_TYPES = ("upload_prompt", "register_deferred", "query", "query_response",
+                 "refine_tick")
+# Mostly well-named fields with arbitrary values, so the per-field checks run.
+json_payloads = st.fixed_dictionaries(
+    {"type": st.sampled_from(MESSAGE_TYPES) | json_values},
+    optional={name: json_values for name in MESSAGE_FIELDS},
+)
+token_prompt_dicts = st.fixed_dictionaries({
+    "rows": st.integers(-1, 3), "dim": st.integers(-1, 3), "dtype": st.sampled_from(["f32", "x"]),
+    "values": st.lists(st.floats() | st.integers(), max_size=9),
+})
+
+
+class TestPayloadFields:
+    @pytest.mark.parametrize("payload", [
+        {"type": "query"},
+        {"type": "query", "query": ["a"], "n": 2, "request_id": 1},
+        {"type": "query", "query": [[1.0], [2.0, 3.0]], "n": 2, "request_id": 1},
+        {"type": "query", "query": [1.0, 2.0], "n": 2.5, "request_id": 1},
+        {"type": "query", "query": [1.0, 2.0], "n": 2, "request_id": 2**70},
+        {"type": "upload_prompt", "key": [1.0], "timestamp": 0, "agent_id": "a",
+         "value": {"rows": 2, "dim": 3, "values": [1.0] * 5, "dtype": "f32"}},
+        {"type": "register_deferred", "query": [1.0], "agent_id": 7, "timestamp": 0},
+        {"type": "query_response", "request_id": 1, "entries": "ab"},
+    ])
+    def test_malformed_fields_raise_protocol_error(self, payload):
+        with pytest.raises(ProtocolError) as err:
+            decode_message(frame_of(payload))
+        assert err.value.offset == 4
+
+    @given(json_payloads)
+    @settings(max_examples=120, deadline=None)
+    def test_arbitrary_json_object_decodes_or_raises_protocol_error(self, payload):
+        try:
+            msg = decode_message(frame_of(payload))
+        except ProtocolError:
+            return
+        frame = encode_message(msg)  # bytes compare: entries may hold NaN
+        assert encode_message(decode_message(frame)) == frame
+
+    @given(st.fixed_dictionaries({
+        "type": st.just("upload_prompt"), "key": st.lists(st.floats(), min_size=1, max_size=3),
+        "timestamp": st.integers(), "agent_id": st.text(max_size=3),
+        "value": token_prompt_dicts,
+    }))
+    @settings(max_examples=120, deadline=None)
+    def test_arbitrary_upload_decodes_or_raises_protocol_error(self, payload):
+        try:
+            decode_message(frame_of(payload))
+        except ProtocolError:
+            pass
+
+
 class TestReadFrame:
     def test_reads_multiple_frames_in_sequence(self):
         pipe = BytePipe()
