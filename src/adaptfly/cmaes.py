@@ -9,8 +9,10 @@ Two update modes share one ask/tell interface:
   for: mean and covariance re-estimated from the elite samples each
   generation, no step-size path.
 
-The optimizer loop owns its state; fitness evaluations are pure and may be
-fanned out to any worker pool via the ``evaluator`` hook.
+The optimizer loop owns its state. ``optimize_svp`` evaluates each
+generation as one population: in a single array pass when the oracle is
+pixelwise (it exposes ``svp_entropies``), otherwise one ``predict`` per
+candidate.
 """
 
 from __future__ import annotations
@@ -322,22 +324,41 @@ class OptimizeResult:
     evaluations: int
 
 
+def _population_fitness(oracle, x: np.ndarray, coords: np.ndarray):
+    """Fitness of a (P, 3K) population: each prompted frame's mean entropy.
+
+    Oracles exposing ``svp_entropies`` evaluate the whole population in one
+    array pass; any other oracle is asked to ``predict`` each candidate's
+    prompted frame in turn. ``coords`` must already be validated.
+    """
+    batched = getattr(oracle, "svp_entropies", None)
+    if batched is not None:
+        return lambda pop: batched(x, coords, pop.reshape(pop.shape[0], -1, 3))
+
+    def one_by_one(pop: np.ndarray) -> np.ndarray:
+        return np.array([
+            mean_entropy(oracle.predict(apply_svp(x, project_mask(v, coords, x.shape[:2]))))
+            for v in pop
+        ])
+
+    return one_by_one
+
+
 def optimize_svp(
     oracle,
     x: np.ndarray,
     coords: np.ndarray,
     config: CmaConfig,
-    evaluator=map,
 ) -> OptimizeResult:
     """Search sparse-prompt offsets minimizing mean prediction entropy.
 
     Runs ask/evaluate/tell for at most ``config.generations`` generations,
     stopping early once the best-so-far fitness stalls. The zero vector
     (no adaptation) is evaluated alongside generation one, so the returned
-    argmin prompt is never worse than no prompt. ``evaluator`` maps the
-    fitness function over candidate vectors and may run them concurrently;
-    evaluations within a generation are independent.
+    argmin prompt is never worse than no prompt. Each generation is
+    evaluated as one population (see ``_population_fitness``).
     """
+    x = np.asarray(x, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
     if coords.shape[0] == 0:
         raise ConfigError("mask must contain at least one coordinate")
@@ -346,29 +367,27 @@ def optimize_svp(
         raise ConfigError(
             f"config dimension {config.dimension} != 3 x {coords.shape[0]} masked pixels"
         )
+    coords = SparseVisualPrompt.zeros(coords, frame_shape).coords  # validated once
+    population_fitness = _population_fitness(oracle, x, coords)
 
-    def fitness(vec: np.ndarray) -> float:
-        out = oracle.predict(apply_svp(x, project_mask(vec, coords, frame_shape)))
-        value = mean_entropy(out)
-        if not math.isfinite(value):
+    def fitness(pop: np.ndarray) -> np.ndarray:
+        values = population_fitness(pop)
+        if not np.all(np.isfinite(values)):
             raise FitnessError("entropy fitness is non-finite")
-        return value
+        return values
 
     state = cma_init(config)
     rng = np.random.default_rng(config.seed)
-    evaluations = 0
 
     baseline_vec = np.zeros(config.dimension)
-    baseline = fitness(baseline_vec)
-    evaluations += 1
+    baseline = float(fitness(baseline_vec[None, :])[0])
+    evaluations = 1
     best_vec, best_fit = baseline_vec, baseline
 
     history: list[float] = []
     for _ in range(config.generations):
         candidates = cma_ask(state, rng)
-        fitnesses = np.fromiter(
-            evaluator(fitness, candidates), dtype=np.float64, count=config.population
-        )
+        fitnesses = fitness(candidates)
         evaluations += config.population
         state = cma_tell(state, candidates, fitnesses)
         if state.best_fitness < best_fit:

@@ -292,6 +292,20 @@ class TestOptimizeSvp:
         for img in recorder.images:
             np.testing.assert_array_equal(img[~mask], frame[~mask])
 
+    def test_opaque_oracle_takes_per_candidate_path(self, shifted_problem):
+        # An oracle with only predict is asked once per candidate; the toy
+        # oracle's batched path reaches the identical search outcome.
+        oracle, frame, coords = shifted_problem
+        recorder = RecordingOracle(oracle)
+        cfg = CmaConfig(dimension=3 * coords.shape[0], population=6, elite=2,
+                        generations=4, sigma0=0.3, seed=4)
+        generic = optimize_svp(recorder, frame, coords, cfg)
+        assert len(recorder.images) == generic.evaluations == 1 + 4 * 6
+        batched = optimize_svp(oracle, frame, coords, cfg)
+        assert batched.history == generic.history
+        assert batched.baseline_fitness == generic.baseline_fitness
+        assert batched.prompt == generic.prompt
+
     def test_empty_mask_rejected(self, shifted_problem):
         oracle, frame, _ = shifted_problem
         cfg = CmaConfig(dimension=3, population=4, elite=2, seed=0)

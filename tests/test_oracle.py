@@ -14,7 +14,13 @@ from adaptfly.oracle import (
     random_domain_spec,
     render_frame,
 )
-from adaptfly.prompts import TokenPrompt, apply_svp, compose_tokens, place_mask
+from adaptfly.prompts import (
+    SparseVisualPrompt,
+    TokenPrompt,
+    apply_svp,
+    compose_tokens,
+    place_mask,
+)
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +106,37 @@ class TestMeanEntropy:
             x = rng.random((oracle.height, oracle.width, 3))
             h = mean_entropy(oracle.predict(x))
             assert 0.0 <= h <= math.log(oracle.classes) + 1e-12
+
+
+class TestSvpEntropies:
+    """The batched fitness equals the per-candidate predict path exactly."""
+
+    @pytest.mark.parametrize("shape", [(32, 32), (16, 24)])
+    @pytest.mark.parametrize("population", [1, 2, 7, 16, 32])
+    def test_equals_per_candidate_path(self, shape, population):
+        h, w = shape
+        oracle = make_toy_oracle(seed=3, height=h, width=w)
+        rng = np.random.default_rng([population, h, w])
+        domain = random_domain_spec(rng, "d", noise_scale=0.02)
+        x = render_frame(oracle, domain, population)
+        k = int(rng.integers(1, h * w // 4))
+        coords = place_mask(rng.random(shape), k)
+        # Offsets up to about +-2 push many prompted pixels past [0, 1].
+        offsets = rng.normal(0.0, 0.7, size=(population, k, 3))
+        batched = oracle.svp_entropies(x, coords, offsets)
+        reference = np.array([
+            mean_entropy(oracle.predict(apply_svp(x, SparseVisualPrompt(coords, o, shape))))
+            for o in offsets
+        ])
+        assert batched.shape == (population,)
+        assert np.all(batched == reference)
+
+    def test_offsets_shape_checked(self, oracle, source):
+        coords = np.array([[0, 0], [1, 1]])
+        with pytest.raises(OracleError):
+            oracle.svp_entropies(source, coords, np.zeros((4, 3, 3)))
+        with pytest.raises(OracleError):
+            oracle.svp_entropies(source, coords, np.zeros((2, 3)))
 
 
 class TestPlantedShiftMonotonicity:
