@@ -115,6 +115,7 @@ class CmaState:
     _sample_basis: np.ndarray | None = field(default=None, repr=False)
     _sample_scale: np.ndarray | None = field(default=None, repr=False)
     _inv_sqrt: np.ndarray | None = field(default=None, repr=False)
+    _factored_at: int = field(default=0, repr=False)  # generation of the cached factors
 
     def covariance(self) -> np.ndarray:
         """Dense covariance representation (the normalized C in full-cma)."""
@@ -126,6 +127,7 @@ class CmaState:
 def _factor(state: CmaState) -> None:
     """Cache a sampling factorization and C^-1/2 of the covariance."""
     cfg = state.config
+    state._factored_at = state.generation
     if cfg.diagonal:
         d = np.maximum(state.cov, cfg.cov_floor)
         state.cov = d
@@ -208,10 +210,12 @@ def cma_tell(state: CmaState, candidates: np.ndarray, fitnesses: np.ndarray) -> 
 
     if cfg.mode == "elite-eda":
         _tell_elite_eda(state, candidates[order[: cfg.elite]])
+        factor_gap = 0.0
     else:
-        _tell_full_cma(state, candidates[order[: cfg.elite]])
+        factor_gap = _tell_full_cma(state, candidates[order[: cfg.elite]])
     state.generation += 1
-    _factor(state)
+    if cfg.diagonal or state.generation - state._factored_at >= factor_gap:
+        _factor(state)
     return state
 
 
@@ -228,7 +232,15 @@ def _tell_elite_eda(state: CmaState, elites: np.ndarray) -> None:
     state.sigma = 1.0
 
 
-def _tell_full_cma(state: CmaState, elites: np.ndarray) -> None:
+def _tell_full_cma(state: CmaState, elites: np.ndarray) -> float:
+    """Rank-mu / rank-one update; returns the generations between factorizations.
+
+    The covariance is updated every generation, but its eigendecomposition
+    is refreshed only every population / ((c_1 + c_mu) n 10) generations
+    (Hansen, "The CMA Evolution Strategy: A Tutorial", B/D update
+    schedule). In between, sampling and the step-size path use the last
+    factors; each generation's change to C is O(c_1 + c_mu) small.
+    """
     cfg = state.config
     n, mu = cfg.dimension, cfg.elite
 
@@ -289,6 +301,7 @@ def _tell_full_cma(state: CmaState, elites: np.ndarray) -> None:
 
     state.mean = state.mean + state.sigma * y_w
     state.sigma = state.sigma * math.exp((c_sigma / d_sigma) * (ps_norm / chi_n - 1.0))
+    return cfg.population / ((c_1 + c_mu) * n * 10.0)
 
 
 def project_mask(

@@ -171,6 +171,26 @@ class TestTell:
             assert np.allclose(c, c.T)
             assert np.linalg.eigvalsh(c).min() >= cfg.cov_floor
 
+    @pytest.mark.parametrize("mode, diagonal, allowed", [
+        ("full-cma", False, (1, 2)),  # cma_init, then about every 31 generations
+        ("full-cma", True, (31,)),    # cma_init, then every generation
+        ("elite-eda", False, (31,)),
+    ])
+    def test_factorizations_per_search(self, monkeypatch, mode, diagonal, allowed):
+        import adaptfly.cmaes as cmaes_mod
+
+        calls = []
+        factor = cmaes_mod._factor
+        monkeypatch.setattr(cmaes_mod, "_factor", lambda s: calls.append(1) or factor(s))
+        cfg = CmaConfig(dimension=153, population=16, elite=8, mode=mode,
+                        diagonal=diagonal, seed=0)
+        state = cma_init(cfg)
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            cands = cma_ask(state, rng)
+            state = cma_tell(state, cands, sphere(cands))
+        assert len(calls) in allowed
+
     @pytest.mark.parametrize("mode", ["full-cma", "elite-eda"])
     def test_best_so_far_non_increasing(self, mode):
         cfg = CmaConfig(dimension=5, population=12, elite=4, mode=mode, seed=5)
