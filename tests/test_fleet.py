@@ -320,10 +320,12 @@ class TestLimitedAgentPaths:
     def test_retrieval_step_predicts_twice(self, monkeypatch, sign, adopted):
         # The adoption check predicts the frame unprompted and prompted; the
         # step's entropy reuses whichever matches the resulting assembly.
+        # The planted correction, distilled, lowers the frame's entropy
+        # without a search, so the adoption outcome does not hang on a CMA
+        # trajectory or on BLAS rounding.
         import adaptfly.fleet.agents as agents_mod
-        from adaptfly.cmaes import CmaConfig, optimize_svp
         from adaptfly.distill import closed_form_solution
-        from adaptfly.oracle import ToyOracle, mean_entropy
+        from adaptfly.oracle import ToyOracle, mean_entropy, planted_correction
         from adaptfly.prompts import place_mask, sparsity_budget
 
         oracle = make_toy_oracle(seed=7)
@@ -332,10 +334,8 @@ class TestLimitedAgentPaths:
         frame = render_frame(oracle, domain, 0)
         coords = place_mask(oracle.uncertainty_map(frame, 1, 0.0, 0),
                             sparsity_budget(0.05, *oracle.frame_shape))
-        search = optimize_svp(oracle, frame, coords, CmaConfig(
-            dimension=3 * len(coords), population=8, elite=2, generations=5, sigma0=0.3,
-            seed=1))
-        values = sign * closed_form_solution(oracle, [frame], search.prompt, 4)
+        correction = planted_correction(oracle, domain, 0, coords)
+        values = sign * closed_form_solution(oracle, [frame], correction, 4)
         pool = PromptPool(PoolConfig())
         pool.insert(oracle.query_embedding(frame), TokenPrompt(values), timestamp=0,
                     agent_id="uav-h1")
