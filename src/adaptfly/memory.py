@@ -117,10 +117,15 @@ class PoolEntry:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PoolEntry":
-        """Parse ``to_dict`` output; PoolFormatError names the first bad field."""
+        """Parse ``to_dict`` output; PoolFormatError names the first bad field.
+
+        An optional ``last_retrieved`` (written by ``PromptPool.save``, never
+        sent on the wire) defaults to ``timestamp``.
+        """
         if not isinstance(d, dict):
             raise PoolFormatError("pool entry must be an object")
-        for name in ("entry_id", "timestamp"):
+        d = {"last_retrieved": d.get("timestamp"), **d}
+        for name in ("entry_id", "timestamp", "last_retrieved"):
             if type(d.get(name)) is not int or d[name] not in _INT64:
                 raise PoolFormatError(f"pool entry {name} must be a 64-bit integer")
         if d["entry_id"] < 0:
@@ -148,7 +153,7 @@ class PoolEntry:
             timestamp=d["timestamp"],
             agent_id=d["agent_id"],
             domain_tag=d.get("domain_tag"),
-            last_retrieved=d["timestamp"],
+            last_retrieved=d["last_retrieved"],
         )
 
 
@@ -403,11 +408,16 @@ class PromptPool:
     # -- persistence --------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write one JSON object per refined entry (pending flushes first)."""
+        """Write one JSON object per refined entry (pending flushes first).
+
+        Each line is the entry's ``to_dict`` plus its ``last_retrieved``
+        stamp, so a reload keeps the eviction order.
+        """
         self.refine()
         with open(path, "w", encoding="utf-8") as f:
             for e in sorted(self._refined, key=lambda e: e.entry_id):
-                f.write(json.dumps(e.to_dict(), separators=(",", ":")) + "\n")
+                line = {**e.to_dict(), "last_retrieved": e.last_retrieved}
+                f.write(json.dumps(line, separators=(",", ":")) + "\n")
 
     @classmethod
     def load(cls, path, config: PoolConfig | None = None) -> "PromptPool":

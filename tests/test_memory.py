@@ -349,15 +349,19 @@ class TestPersistence:
                 agent_id=f"agent-{i}",
                 domain_tag="dom" if i % 2 else None,
             )
+        pool.refine()
+        pool.query_topn(rng.normal(size=6), 2, step=40)
         path = tmp_path / "pool.jsonl"
         pool.save(path)
         loaded = PromptPool.load(path)
         assert loaded.size == pool.size
+        assert sum(e.last_retrieved == 40 for e in loaded.entries()) == 2
         for a, b in zip(pool.entries(), loaded.entries()):
             assert a.entry_id == b.entry_id
             np.testing.assert_allclose(a.key, b.key, atol=1e-15)
             assert a.value == b.value
             assert a.timestamp == b.timestamp
+            assert a.last_retrieved == b.last_retrieved
             assert a.agent_id == b.agent_id
             assert a.domain_tag == b.domain_tag
 
@@ -369,13 +373,25 @@ class TestPersistence:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1
         obj = json.loads(lines[0])
-        assert set(obj) == {"entry_id", "key", "value", "timestamp", "agent_id", "domain_tag"}
+        assert set(obj) == {"entry_id", "key", "value", "timestamp", "agent_id", "domain_tag",
+                            "last_retrieved"}
+
+    def test_snapshot_without_recency_falls_back_to_timestamp(self, tmp_path):
+        # Snapshots written before last_retrieved was persisted, and wire
+        # entries, carry only the insertion timestamp.
+        path = tmp_path / "pool.jsonl"
+        path.write_text(json.dumps(PoolEntry(0, unit(np.ones(2)), prompt(), 7, "a").to_dict())
+                        + "\n")
+        assert PromptPool.load(path).get(0).last_retrieved == 7
 
     @pytest.mark.parametrize("bad_line", [
         '{"entry_id": 1}',
         "not json",
         json.dumps({"entry_id": 1, "key": [1.0, 0.0], "timestamp": 0, "agent_id": "a",
                     "value": {"rows": 2, "dim": 4, "values": [1.0] * 7, "dtype": "f32"}}),
+        json.dumps({"entry_id": 1, "key": [1.0, 0.0], "timestamp": 0, "agent_id": "a",
+                    "last_retrieved": 2.5,
+                    "value": {"rows": 1, "dim": 4, "values": [1.0] * 4, "dtype": "f32"}}),
     ])
     def test_malformed_line_names_its_number(self, tmp_path, bad_line):
         pool = make_pool()
@@ -465,14 +481,13 @@ class ReferencePool:
         self.pending = [e for e in self.pending if e.entry_id != entry_id]
 
     def reload(self):
-        """save() then load(): refine, sort by id, reset stamps to timestamps;
+        """save() then load(): refine, sort by id, keep retrieval stamps;
         fresh ids continue after the largest surviving one."""
         self.refine()
         self.refined.sort(key=lambda e: e.entry_id)
         self.next_id = max((e.entry_id + 1 for e in self.refined), default=0)
         for e in self.refined:
             e.key = self.unit([float(x) for x in e.key])
-            e.last_retrieved = e.timestamp
 
 
 def assert_same_pool(pool: PromptPool, ref: ReferencePool):
