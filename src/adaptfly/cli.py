@@ -59,9 +59,12 @@ def _load_config(path: str) -> dict:
     if not p.is_file():
         raise CliError(f"config not found: {path}")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        config = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CliError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise CliError(f"config {path} must hold a JSON object")
+    return config
 
 
 def _parse_value(raw: str):

@@ -2,11 +2,15 @@
 
 Configs are plain JSON-compatible dicts with a strictly validated key set;
 unknown keys are rejected so typos fail fast instead of silently using
-defaults. See README for the full schema.
+defaults, and every value is checked for type, length and range, so a
+malformed config raises ConfigError naming the field. See README for the
+full schema.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 from ..cmaes import CmaConfig
@@ -28,10 +32,99 @@ TRANSPORTS = ("inproc", "stream")
 KINDS = ("limited", "massive")
 
 
+_REQUIRED = object()
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
 def _take(d: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def _check(value, name: str, kind: type, lo=None, hi=None, positive=False):
+    """One value of the given JSON kind, within [lo, hi] (and > 0 if positive).
+
+    ``float`` accepts any finite JSON number and returns a float; ``int``
+    accepts integers only. Booleans are never numbers.
+    """
+    ok = type(value) is kind
+    if kind is float and type(value) in (int, float):
+        number = float(value) if abs(value) <= sys.float_info.max else math.inf  # and NaN
+        ok = math.isfinite(number)
+    if not ok:
+        raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if kind is float:
+        value = number
+    if (lo is not None and value < lo) or (hi is not None and value > hi) or (
+        positive and value <= 0
+    ):
+        if positive:
+            bounds = "positive" if hi is None else f"in (0, {hi}]"
+        else:
+            bounds = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{name} must be {bounds}, got {value!r}")
+    return value
+
+
+def _field(d: dict, key: str, where: str, kind: type, default=_REQUIRED, *,
+           lo=None, hi=None, positive=False, length=None):
+    """``d[key]`` (or ``default`` when absent) checked by ``_check``.
+
+    With ``length`` the value must be a list of that many such values and
+    is returned as a tuple.
+    """
+    name = f"{where}.{key}"
+    if key not in d:
+        if default is _REQUIRED:
+            raise ConfigError(f"{name} is required")
+        return default
+    value = d[key]
+    if length is None:
+        return _check(value, name, kind, lo, hi, positive)
+    if not isinstance(value, list) or len(value) != length:
+        raise ConfigError(f"{name} must be a list of {length} values, got {value!r}")
+    return tuple(_check(v, f"{name}[{i}]", kind, lo, hi, positive) for i, v in enumerate(value))
+
+
+def _objects(d: dict, key: str, where: str) -> list:
+    value = d.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}.{key} must be a list")
+    return value
+
+
+# Value checks of the optional agent cma and scenario distill objects.
+_CMA_FIELDS = {
+    "population": dict(kind=int, lo=1), "elite": dict(kind=int, lo=1),
+    "generations": dict(kind=int, lo=1), "sigma0": dict(kind=float, positive=True),
+    "mode": dict(kind=str), "cov_floor": dict(kind=float, positive=True, hi=1.0),
+    "diagonal": dict(kind=bool), "tol_f": dict(kind=float),
+}
+_DISTILL_FIELDS = {
+    "rows": dict(kind=int, lo=1), "steps": dict(kind=int, lo=1),
+    "frames": dict(kind=int, lo=1), "precision": dict(kind=str),
+    "step_size": dict(kind=float, positive=True),
+}
+
+
+def _options(d: dict, fields: dict, where: str) -> dict:
+    """A checked copy of an options object; a null value keeps the default."""
+    _take(d, set(fields), where)
+    return {k: None if v is None else _field(d, k, where, **fields[k]) for k, v in d.items()}
+
+
+def _domain(d: dict, where: str) -> DomainSpec:
+    _take(d, {"id", "gain", "bias", "noise_scale", "seed"}, where)
+    return DomainSpec(
+        id=_field(d, "id", where, str),
+        gain=_field(d, "gain", where, float, (1.0, 1.0, 1.0), positive=True, length=3),
+        bias=_field(d, "bias", where, float, (0.0, 0.0, 0.0), length=3),
+        noise_scale=_field(d, "noise_scale", where, float, 0.0, lo=0.0),
+        seed=_field(d, "seed", where, int, 0, lo=0),
+    )
 
 
 @dataclass(frozen=True)
@@ -49,10 +142,11 @@ class SegmentSpec:
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "SegmentSpec":
         _take(d, {"domain", "frames", "motion"}, where)
-        motion = tuple(int(m) for m in d.get("motion", (0, 0)))
-        if len(motion) != 2:
-            raise ConfigError(f"motion must be (dy, dx) in {where}")
-        return cls(domain=d["domain"], frames=int(d["frames"]), motion=motion)
+        return cls(
+            domain=_field(d, "domain", where, str),
+            frames=_field(d, "frames", where, int, lo=1),
+            motion=_field(d, "motion", where, int, (0, 0), lo=-(2**31), hi=2**31, length=2),
+        )
 
 
 @dataclass(frozen=True)
@@ -88,17 +182,14 @@ class AgentSpec:
         return sum(s.frames for s in self.schedule)
 
     def cma_options(self) -> dict:
-        allowed = {
-            "population", "elite", "generations", "sigma0", "mode",
-            "cov_floor", "diagonal", "tol_f",
-        }
-        _take(self.cma, allowed, f"agents[{self.id}].cma")
-        CmaConfig(dimension=3, **self.cma)  # validate values eagerly
-        return dict(self.cma)
+        options = _options(self.cma, _CMA_FIELDS, f"agents[{self.id}].cma")
+        options = {k: v for k, v in options.items() if v is not None}
+        CmaConfig(dimension=3, **options)  # validate values eagerly
+        return options
 
     @classmethod
     def from_dict(cls, d: dict) -> "AgentSpec":
-        where = f"agents[{d.get('id', '?')}]"
+        where = f"agents[{d.get('id', '?')}]" if isinstance(d, dict) else "agents[]"
         _take(
             d,
             {
@@ -108,22 +199,26 @@ class AgentSpec:
             where,
         )
         schedule = tuple(
-            SegmentSpec.from_dict(s, f"{where}.schedule") for s in d.get("schedule", ())
+            SegmentSpec.from_dict(s, f"{where}.schedule[{i}]")
+            for i, s in enumerate(_objects(d, "schedule", where))
         )
+        threshold = d.get("z", "auto")
+        if threshold != "auto":
+            threshold = _field(d, "z", where, float, positive=True)
         return cls(
-            id=d["id"],
-            kind=d["kind"],
+            id=_field(d, "id", where, str),
+            kind=_field(d, "kind", where, str),
             schedule=schedule,
-            smoothing=float(d.get("lambda", 0.1)),
-            threshold=d.get("z", "auto"),
-            warmup=int(d.get("warmup", 10)),
-            retrieval_n=int(d.get("n", 2)),
-            rho=float(d.get("rho", 0.05)),
-            mc_passes=int(d.get("mc_passes", 4)),
-            dropout_rate=float(d.get("dropout_rate", 0.1)),
-            delta_refresh=float(d.get("delta_refresh", 0.1)),
-            defer_distill=bool(d.get("defer_distill", False)),
-            cma=dict(d.get("cma", {})),
+            smoothing=_field(d, "lambda", where, float, 0.1, lo=0.0, hi=1.0),
+            threshold=threshold,
+            warmup=_field(d, "warmup", where, int, 10, lo=0),
+            retrieval_n=_field(d, "n", where, int, 2, lo=1),
+            rho=_field(d, "rho", where, float, 0.05, lo=0.0, hi=1.0),
+            mc_passes=_field(d, "mc_passes", where, int, 4, lo=1),
+            dropout_rate=_field(d, "dropout_rate", where, float, 0.1, lo=0.0, hi=1.0),
+            delta_refresh=_field(d, "delta_refresh", where, float, 0.1, lo=0.0),
+            defer_distill=_field(d, "defer_distill", where, bool, False),
+            cma=_options(d.get("cma", {}), _CMA_FIELDS, f"{where}.cma"),
         )
 
 
@@ -144,7 +239,11 @@ class OracleSettings:
             {"seed", "classes", "height", "width", "stem_channels", "patch", "temperature"},
             "oracle",
         )
-        return cls(**{k: d[k] for k in d})
+        ints = {"seed": 0, "classes": 2, "height": 1, "width": 1, "stem_channels": 1, "patch": 1}
+        values = {k: _field(d, k, "oracle", int, lo=lo) for k, lo in ints.items() if k in d}
+        if "temperature" in d:
+            values["temperature"] = _field(d, "temperature", "oracle", float, positive=True)
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -161,7 +260,12 @@ class PoolSettings:
     @classmethod
     def from_dict(cls, d: dict) -> "PoolSettings":
         _take(d, {"capacity", "tau_merge", "eta", "refine_period"}, "pool")
-        return cls(**{k: d[k] for k in d})
+        return cls(
+            capacity=_field(d, "capacity", "pool", int, 256, lo=1),
+            tau_merge=_field(d, "tau_merge", "pool", float, 0.95, lo=-1.0, hi=1.0),
+            eta=_field(d, "eta", "pool", float, 0.3, lo=0.0, hi=1.0),
+            refine_period=_field(d, "refine_period", "pool", int, 2, lo=1),
+        )
 
 
 @dataclass(frozen=True)
@@ -197,6 +301,8 @@ class ScenarioConfig:
                 f"all agents must stream the same number of frames, got {sorted(lengths)}"
             )
         known = {d.id for d in self.domains}
+        if len(known) != len(self.domains):
+            raise ConfigError("domain ids must be unique")
         for a in self.agents:
             for seg in a.schedule:
                 if seg.domain not in known:
@@ -207,12 +313,10 @@ class ScenarioConfig:
         return self.agents[0].total_frames
 
     def distill_config(self, default_rows: int) -> DistillConfig:
-        _take(self.distill, {"rows", "steps", "frames", "precision", "step_size"}, "distill")
-        d = dict(self.distill)
-        d.setdefault("rows", default_rows)
-        if d["rows"] is None:
+        d = _options(self.distill, _DISTILL_FIELDS, "distill")
+        if d.get("rows") is None:
             d["rows"] = default_rows
-        return DistillConfig(**d)
+        return DistillConfig(**{k: v for k, v in d.items() if v is not None})
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -224,24 +328,28 @@ class ScenarioConfig:
             },
             "scenario",
         )
-        calibration = dict(d.get("calibration", {}))
+        calibration = d.get("calibration", {})
         _take(calibration, {"frames", "quantile"}, "calibration")
         faults = []
-        for f in d.get("faults", ()):
+        for f in _objects(d, "faults", "scenario"):
             _take(f, {"agent", "step"}, "faults[]")
-            faults.append((f["agent"], int(f["step"])))
+            faults.append((_field(f, "agent", "faults[]", str),
+                           _field(f, "step", "faults[]", int)))
         return cls(
-            seed=int(d.get("seed", 0)),
+            seed=_field(d, "seed", "scenario", int, 0),
             oracle=OracleSettings.from_dict(d.get("oracle", {})),
-            domains=tuple(DomainSpec.from_dict(x) for x in d.get("domains", ())),
-            agents=tuple(AgentSpec.from_dict(x) for x in d.get("agents", ())),
+            domains=tuple(
+                _domain(x, f"domains[{i}]") for i, x in enumerate(_objects(d, "domains", "scenario"))
+            ),
+            agents=tuple(AgentSpec.from_dict(x) for x in _objects(d, "agents", "scenario")),
             pool=PoolSettings.from_dict(d.get("pool", {})),
-            transport=d.get("transport", "inproc"),
-            kl_variant=d.get("kl_variant", "standard"),
-            distill=dict(d.get("distill", {})),
-            calibration_frames=int(calibration.get("frames", 120)),
-            calibration_quantile=float(calibration.get("quantile", 0.99)),
-            provenance_window=int(d.get("provenance_window", 64)),
+            transport=_field(d, "transport", "scenario", str, "inproc"),
+            kl_variant=_field(d, "kl_variant", "scenario", str, "standard"),
+            distill=_options(d.get("distill", {}), _DISTILL_FIELDS, "distill"),
+            calibration_frames=_field(calibration, "frames", "calibration", int, 120, lo=1),
+            calibration_quantile=_field(calibration, "quantile", "calibration", float, 0.99,
+                                        lo=0.0, hi=1.0),
+            provenance_window=_field(d, "provenance_window", "scenario", int, 64, lo=1),
             faults=tuple(faults),
         )
 

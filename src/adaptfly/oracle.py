@@ -76,16 +76,6 @@ class DomainSpec:
             "seed": int(self.seed),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DomainSpec":
-        return cls(
-            id=d["id"],
-            gain=tuple(d.get("gain", (1.0, 1.0, 1.0))),
-            bias=tuple(d.get("bias", (0.0, 0.0, 0.0))),
-            noise_scale=float(d.get("noise_scale", 0.0)),
-            seed=int(d.get("seed", 0)),
-        )
-
 
 @runtime_checkable
 class Oracle(Protocol):

@@ -1,6 +1,10 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from adaptfly.cli import main
 from adaptfly.fleet import clean_config, reference_config
@@ -175,3 +179,77 @@ class TestShippedConfigs:
         from pathlib import Path
         path = Path(__file__).resolve().parent.parent / "configs" / "clean_base.json"
         assert json.loads(path.read_text()) == clean_config(seed=0, frames=60)
+
+
+# -- malformed configs ---------------------------------------------------------
+SHIPPED = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _run_exit_code(tmp_path, config) -> int:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config))
+    return main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+def _leaf_paths(node, prefix=()):
+    """Paths of every value in a config, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _leaf_paths(value, prefix + (key,))
+
+
+MINI_PATHS = sorted(_leaf_paths(mini_config()), key=repr)
+
+# Wrong types, wrong lengths, out-of-range and non-finite numbers, and small
+# in-range values (large in-range sizes are valid and merely slow).
+BAD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.just(-(2**70)),
+    st.floats(-2.0, 2.0), st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300]),
+    st.text(max_size=4), st.lists(st.integers(-2, 3), max_size=4),
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), st.just({}), st.just("auto"),
+)
+
+
+class TestMalformedConfigs:
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c["domains"][1].update(gian=c["domains"][1].pop("gain")), "gian"),
+        (lambda c: c["domains"][1].update(gain=[0.8, 0.7]), "gain"),
+        (lambda c: c["oracle"].update(height="32"), "oracle.height"),
+        (lambda c: c["agents"][0].update(rho=[0.05]), "rho"),
+        (lambda c: c["agents"][0]["cma"].update(population="16"), "population"),
+        (lambda c: c.update(domains={"base": {}}), "domains"),
+        (lambda c: c["domains"].append(dict(c["domains"][0])), "unique"),
+    ])
+    def test_shipped_config_typos_exit_2(self, tmp_path, capsys, edit, message):
+        config = json.loads((SHIPPED / "three_domain.json").read_text())
+        edit(config)
+        assert _run_exit_code(tmp_path, config) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        assert _run_exit_code(tmp_path, [mini_config()]) == 2
+
+    @given(
+        path=st.sampled_from(MINI_PATHS),
+        action=st.sampled_from(["replace", "replace", "delete", "add"]),
+        value=BAD_VALUES,
+    )
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_config_exits_0_or_2(self, tmp_path, path, action, value):
+        config = mini_config()
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        if action == "replace":
+            node[path[-1]] = value
+        elif action == "delete":
+            del node[path[-1]]
+        elif isinstance(node, dict):
+            node["flavor"] = value
+        else:
+            node.append(value)
+        assert _run_exit_code(tmp_path, config) in (0, 2)
