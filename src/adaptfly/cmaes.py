@@ -371,7 +371,6 @@ def optimize_svp(
     argmin prompt is never worse than no prompt. Each generation is
     evaluated as one population (see ``_population_fitness``).
     """
-    x = np.asarray(x, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
     if coords.shape[0] == 0:
         raise ConfigError("mask must contain at least one coordinate")

@@ -111,9 +111,9 @@ _DISTILL_FIELDS = {
 
 
 def _options(d: dict, fields: dict, where: str) -> dict:
-    """A checked copy of an options object; a null value keeps the default."""
+    """A checked copy of an options object; null values are left out (defaults)."""
     _take(d, set(fields), where)
-    return {k: None if v is None else _field(d, k, where, **fields[k]) for k, v in d.items()}
+    return {k: _field(d, k, where, **fields[k]) for k, v in d.items() if v is not None}
 
 
 def _domain(d: dict, where: str) -> DomainSpec:
@@ -183,7 +183,6 @@ class AgentSpec:
 
     def cma_options(self) -> dict:
         options = _options(self.cma, _CMA_FIELDS, f"agents[{self.id}].cma")
-        options = {k: v for k, v in options.items() if v is not None}
         CmaConfig(dimension=3, **options)  # validate values eagerly
         return options
 
@@ -314,9 +313,8 @@ class ScenarioConfig:
 
     def distill_config(self, default_rows: int) -> DistillConfig:
         d = _options(self.distill, _DISTILL_FIELDS, "distill")
-        if d.get("rows") is None:
-            d["rows"] = default_rows
-        return DistillConfig(**{k: v for k, v in d.items() if v is not None})
+        d.setdefault("rows", default_rows)
+        return DistillConfig(**d)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -339,7 +337,8 @@ class ScenarioConfig:
             seed=_field(d, "seed", "scenario", int, 0),
             oracle=OracleSettings.from_dict(d.get("oracle", {})),
             domains=tuple(
-                _domain(x, f"domains[{i}]") for i, x in enumerate(_objects(d, "domains", "scenario"))
+                _domain(x, f"domains[{i}]")
+                for i, x in enumerate(_objects(d, "domains", "scenario"))
             ),
             agents=tuple(AgentSpec.from_dict(x) for x in _objects(d, "agents", "scenario")),
             pool=PoolSettings.from_dict(d.get("pool", {})),
