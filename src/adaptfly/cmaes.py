@@ -4,7 +4,9 @@ Two update modes share one ask/tell interface:
 
 * ``full-cma`` — rank-mu covariance matrix adaptation with log-rank
   weights, cumulative step-size adaptation and a rank-one evolution path,
-  following the standard tutorial parameterization. Default.
+  following the standard tutorial parameterization; the eigendecomposition
+  of a dense covariance is refreshed on the tutorial's lazy schedule
+  (``_refresh_gap``). Default.
 * ``elite-eda`` — the literal loop this library's fleet pseudocode calls
   for: mean and covariance re-estimated from the elite samples each
   generation, no step-size path.
@@ -112,10 +114,10 @@ class CmaState:
     generation: int = 0
     best_vector: np.ndarray | None = None
     best_fitness: float = math.inf
-    _sample_basis: np.ndarray | None = field(default=None, repr=False)
-    _sample_scale: np.ndarray | None = field(default=None, repr=False)
-    _inv_sqrt: np.ndarray | None = field(default=None, repr=False)
+    _sample_basis: np.ndarray | None = field(default=None, repr=False)  # eigenvectors B
+    _sample_scale: np.ndarray | None = field(default=None, repr=False)  # sqrt eigenvalues D
     _factored_at: int = field(default=0, repr=False)  # generation of the cached factors
+    _refresh_gap: float = field(default=0.0, repr=False)  # see _refresh_gap()
 
     def covariance(self) -> np.ndarray:
         """Dense covariance representation (the normalized C in full-cma)."""
@@ -125,7 +127,7 @@ class CmaState:
 
 
 def _factor(state: CmaState) -> None:
-    """Cache a sampling factorization and C^-1/2 of the covariance."""
+    """Cache the eigendecomposition C = B diag(D^2) B^T of the covariance."""
     cfg = state.config
     state._factored_at = state.generation
     if cfg.diagonal:
@@ -133,7 +135,6 @@ def _factor(state: CmaState) -> None:
         state.cov = d
         state._sample_basis = None
         state._sample_scale = np.sqrt(d)
-        state._inv_sqrt = 1.0 / np.sqrt(d)
         return
     c = (state.cov + state.cov.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(c)
@@ -146,7 +147,49 @@ def _factor(state: CmaState) -> None:
     state.cov = (state.cov + state.cov.T) / 2.0
     state._sample_basis = eigvecs
     state._sample_scale = np.sqrt(eigvals)
-    state._inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+
+
+def _full_cma_rates(cfg: CmaConfig) -> tuple:
+    """Recombination weights and learning rates of the full-cma update.
+
+    Returns (weights, mu_eff, c_sigma, d_sigma, c_c, c_1, c_mu, chi_n).
+    """
+    n, mu = cfg.dimension, cfg.elite
+    raw = math.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
+    weights = raw / raw.sum()
+    mu_eff = 1.0 / np.sum(weights**2)
+
+    c_sigma = (mu_eff + 2.0) / (n + mu_eff + 5.0)
+    d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (n + 1.0)) - 1.0) + c_sigma
+    c_c = (4.0 + mu_eff / n) / (n + 4.0 + 2.0 * mu_eff / n)
+    c_1 = 2.0 / ((n + 1.3) ** 2 + mu_eff)
+    c_mu = min(
+        1.0 - c_1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((n + 2.0) ** 2 + mu_eff)
+    )
+    if cfg.diagonal:
+        # Separable update may learn coordinate scales faster.
+        boost = (n + 2.0) / 3.0
+        c_1 = min(c_1 * boost, 1.0 - c_mu)
+        c_mu = min(c_mu * boost, 1.0 - c_1)
+    chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n**2))
+    return weights, mu_eff, c_sigma, d_sigma, c_c, c_1, c_mu, chi_n
+
+
+def _refresh_gap(cfg: CmaConfig) -> float:
+    """Generations the cached factors may age before cma_tell refreshes them.
+
+    Dense full-cma follows the B/D update schedule of Hansen's tutorial
+    ("The CMA Evolution Strategy: A Tutorial", purecmaes): re-factor once
+    more than population / ((c_1 + c_mu) n 10) evaluations, that is
+    1 / ((c_1 + c_mu) n 10) generations, have passed since the last
+    factorization. That is about 1.9 at n = 153 and elite 8, so every
+    second generation. The change to C per generation is O(c_1 + c_mu)
+    small. elite-eda and diagonal factor after every generation.
+    """
+    if cfg.mode == "elite-eda" or cfg.diagonal:
+        return 0.0
+    c_1, c_mu = _full_cma_rates(cfg)[5:7]
+    return 1.0 / ((c_1 + c_mu) * cfg.dimension * 10.0)
 
 
 def cma_init(config: CmaConfig) -> CmaState:
@@ -166,6 +209,7 @@ def cma_init(config: CmaConfig) -> CmaState:
         sigma=sigma,
         path_sigma=np.zeros(n),
         path_cov=np.zeros(n),
+        _refresh_gap=_refresh_gap(config),
     )
     _factor(state)
     return state
@@ -210,11 +254,10 @@ def cma_tell(state: CmaState, candidates: np.ndarray, fitnesses: np.ndarray) -> 
 
     if cfg.mode == "elite-eda":
         _tell_elite_eda(state, candidates[order[: cfg.elite]])
-        factor_gap = 0.0
     else:
-        factor_gap = _tell_full_cma(state, candidates[order[: cfg.elite]])
+        _tell_full_cma(state, candidates[order[: cfg.elite]])
     state.generation += 1
-    if cfg.diagonal or state.generation - state._factored_at >= factor_gap:
+    if state.generation - state._factored_at > state._refresh_gap:
         _factor(state)
     return state
 
@@ -232,43 +275,24 @@ def _tell_elite_eda(state: CmaState, elites: np.ndarray) -> None:
     state.sigma = 1.0
 
 
-def _tell_full_cma(state: CmaState, elites: np.ndarray) -> float:
-    """Rank-mu / rank-one update; returns the generations between factorizations.
+def _tell_full_cma(state: CmaState, elites: np.ndarray) -> None:
+    """Rank-mu / rank-one update of mean, step size, paths and covariance.
 
-    The covariance is updated every generation, but its eigendecomposition
-    is refreshed only every population / ((c_1 + c_mu) n 10) generations
-    (Hansen, "The CMA Evolution Strategy: A Tutorial", B/D update
-    schedule). In between, sampling and the step-size path use the last
-    factors; each generation's change to C is O(c_1 + c_mu) small.
+    The step-size path whitens with the cached factors, which may lag the
+    covariance by up to ``_refresh_gap`` generations.
     """
     cfg = state.config
-    n, mu = cfg.dimension, cfg.elite
-
-    raw = math.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
-    weights = raw / raw.sum()
-    mu_eff = 1.0 / np.sum(weights**2)
-
-    c_sigma = (mu_eff + 2.0) / (n + mu_eff + 5.0)
-    d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (n + 1.0)) - 1.0) + c_sigma
-    c_c = (4.0 + mu_eff / n) / (n + 4.0 + 2.0 * mu_eff / n)
-    c_1 = 2.0 / ((n + 1.3) ** 2 + mu_eff)
-    c_mu = min(
-        1.0 - c_1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((n + 2.0) ** 2 + mu_eff)
-    )
-    if cfg.diagonal:
-        # Separable update may learn coordinate scales faster.
-        boost = (n + 2.0) / 3.0
-        c_1 = min(c_1 * boost, 1.0 - c_mu)
-        c_mu = min(c_mu * boost, 1.0 - c_1)
-    chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n**2))
+    n = cfg.dimension
+    weights, mu_eff, c_sigma, d_sigma, c_c, c_1, c_mu, chi_n = _full_cma_rates(cfg)
 
     ys = (elites - state.mean[None, :]) / state.sigma
     y_w = weights @ ys
 
     if cfg.diagonal:
-        inv_sqrt_yw = state._inv_sqrt * y_w
+        inv_sqrt_yw = y_w / state._sample_scale
     else:
-        inv_sqrt_yw = state._inv_sqrt @ y_w
+        basis = state._sample_basis
+        inv_sqrt_yw = basis @ ((basis.T @ y_w) / state._sample_scale)
     state.path_sigma = (1.0 - c_sigma) * state.path_sigma + math.sqrt(
         c_sigma * (2.0 - c_sigma) * mu_eff
     ) * inv_sqrt_yw
@@ -301,7 +325,6 @@ def _tell_full_cma(state: CmaState, elites: np.ndarray) -> float:
 
     state.mean = state.mean + state.sigma * y_w
     state.sigma = state.sigma * math.exp((c_sigma / d_sigma) * (ps_norm / chi_n - 1.0))
-    return cfg.population / ((c_1 + c_mu) * n * 10.0)
 
 
 def project_mask(

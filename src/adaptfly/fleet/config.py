@@ -172,17 +172,13 @@ class AgentSpec:
             raise ConfigError(f"agent kind must be one of {KINDS}, got {self.kind!r}")
         if not self.schedule:
             raise ConfigError(f"agent {self.id} needs a schedule")
-        if isinstance(self.threshold, str) and self.threshold != "auto":
-            raise ConfigError(f"threshold must be a number or 'auto', got {self.threshold!r}")
-        if not isinstance(self.threshold, str) and self.threshold <= 0:
-            raise ConfigError("threshold must be positive")
 
     @property
     def total_frames(self) -> int:
         return sum(s.frames for s in self.schedule)
 
     def cma_options(self) -> dict:
-        options = _options(self.cma, _CMA_FIELDS, f"agents[{self.id}].cma")
+        options = dict(self.cma)
         CmaConfig(dimension=3, **options)  # validate values eagerly
         return options
 
@@ -312,7 +308,7 @@ class ScenarioConfig:
         return self.agents[0].total_frames
 
     def distill_config(self, default_rows: int) -> DistillConfig:
-        d = _options(self.distill, _DISTILL_FIELDS, "distill")
+        d = dict(self.distill)
         d.setdefault("rows", default_rows)
         return DistillConfig(**d)
 
