@@ -13,7 +13,7 @@ Two update modes share one ask/tell interface:
 
 The optimizer loop owns its state. ``optimize_svp`` evaluates each
 generation as one population: in a single array pass when the oracle is
-pixelwise (it exposes ``svp_entropies``), otherwise one ``predict`` per
+pixelwise (it exposes ``svp_scorer``), otherwise one ``predict`` per
 candidate.
 """
 
@@ -363,13 +363,15 @@ class OptimizeResult:
 def _population_fitness(oracle, x: np.ndarray, coords: np.ndarray):
     """Fitness of a (P, 3K) population: each prompted frame's mean entropy.
 
-    Oracles exposing ``svp_entropies`` evaluate the whole population in one
+    Oracles exposing ``svp_scorer`` are bound to (x, coords) once, so the
+    unprompted pass runs once per search, and score each population in one
     array pass; any other oracle is asked to ``predict`` each candidate's
     prompted frame in turn. ``coords`` must already be validated.
     """
-    batched = getattr(oracle, "svp_entropies", None)
-    if batched is not None:
-        return lambda pop: batched(x, coords, pop.reshape(pop.shape[0], -1, 3))
+    scorer = getattr(oracle, "svp_scorer", None)
+    if scorer is not None:
+        score = scorer(x, coords)
+        return lambda pop: score(pop.reshape(pop.shape[0], -1, 3))
 
     def one_by_one(pop: np.ndarray) -> np.ndarray:
         return np.array([

@@ -115,7 +115,11 @@ class MecServer:
         raise ProtocolError(f"server cannot handle {type(msg).__name__}")
 
     def _query(self, msg: Query) -> list[dict]:
-        """Top-N retrieval; deferred hits are distilled on demand or dropped."""
+        """Top-N retrieval; deferred hits are distilled on demand or dropped.
+
+        Entries are ``PoolEntry.wire_dict``s: the pool's own prompts, which
+        the codec writes at their stored precision.
+        """
         q = np.asarray(msg.query)
         while True:
             try:
@@ -124,7 +128,7 @@ class MecServer:
                 return []
             deferred = [e for e in hits if e.is_deferred]
             if not deferred:
-                return [e.to_dict() for e in hits]
+                return [e.wire_dict() for e in hits]
             entry = deferred[0]
             try:
                 self.pool.resolve_deferred(entry.entry_id, self._distiller(entry))

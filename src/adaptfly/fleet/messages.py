@@ -2,7 +2,15 @@
 
 Every message travels as a frame: a 4-byte big-endian unsigned payload
 length followed by a UTF-8 JSON payload carrying a "type" discriminator.
-decode_message(encode_message(m)) == m for every variant.
+``compact_json`` writes the payload: token-prompt values at their stored
+precision (9 significant digits for f32, 5 for f16), keys, queries and
+everything else as ``json.dumps`` writes them (floats in full float64).
+
+A decoded message re-encodes to the same bytes, and every prompt value
+decodes to the stored-precision array it was encoded from, bit for bit.
+So decode_message(encode_message(m)) == m for every variant whose reply
+entries are plain JSON data; a server reply's entries carry the pool's
+TokenPrompts and decode to the entries' ``PoolEntry.to_dict()``.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ import struct
 from dataclasses import dataclass
 
 from ..errors import AdaptflyError, ProtocolError
-from ..prompts import TokenPrompt, number_vector
+from ..prompts import TokenPrompt, compact_json, number_vector
 
 __all__ = [
     "UploadPrompt",
@@ -61,7 +69,11 @@ class Query:
 
 @dataclass(frozen=True)
 class QueryResponse:
-    """Ordered retrieval results as serialized pool entries."""
+    """Ordered retrieval results as serialized pool entries.
+
+    The server sends ``PoolEntry.wire_dict``s; a decoded reply holds the
+    same entries as plain ``to_dict`` data.
+    """
 
     request_id: int
     entries: tuple[dict, ...]
@@ -80,7 +92,7 @@ def _payload(msg: FleetMessage) -> dict:
         return {
             "type": "upload_prompt",
             "key": list(msg.key),
-            "value": msg.value.to_dict(),
+            "value": msg.value,
             "timestamp": msg.timestamp,
             "agent_id": msg.agent_id,
             "domain_tag": msg.domain_tag,
@@ -113,7 +125,7 @@ def _payload(msg: FleetMessage) -> dict:
 
 def encode_message(msg: FleetMessage) -> bytes:
     """Frame a message: length header plus compact JSON payload."""
-    payload = json.dumps(_payload(msg), separators=(",", ":")).encode("utf-8")
+    payload = compact_json(_payload(msg)).encode("utf-8")
     return struct.pack(">I", len(payload)) + payload
 
 

@@ -27,7 +27,7 @@ from .errors import (
     PoolFormatError,
     ResolutionError,
 )
-from .prompts import TokenPrompt, number_vector
+from .prompts import TokenPrompt, compact_json, number_vector
 
 __all__ = [
     "PoolConfig",
@@ -98,20 +98,30 @@ class PoolEntry:
     def is_deferred(self) -> bool:
         return isinstance(self.value, DeferredMarker)
 
-    def to_dict(self) -> dict:
+    def wire_dict(self) -> dict:
+        """``to_dict`` with a concrete value left as its TokenPrompt.
+
+        ``compact_json`` writes it as the text of ``to_dict()``, formatting
+        the prompt values directly; server replies and ``PromptPool.save``
+        use it. Keys and deferred queries carry full float64 values.
+        """
         d = {
             "entry_id": self.entry_id,
-            "key": [float(x) for x in self.key],
+            "key": self.key.tolist(),
             "timestamp": self.timestamp,
             "agent_id": self.agent_id,
             "domain_tag": self.domain_tag,
         }
         if self.is_deferred:
-            d["deferred"] = {
-                "query": [float(x) for x in self.value.query],
-                "agent_id": self.value.agent_id,
-            }
+            d["deferred"] = {"query": self.value.query.tolist(), "agent_id": self.value.agent_id}
         else:
+            d["value"] = self.value
+        return d
+
+    def to_dict(self) -> dict:
+        """Plain JSON types; prompt values at their stored precision."""
+        d = self.wire_dict()
+        if not self.is_deferred:
             d["value"] = self.value.to_dict()
         return d
 
@@ -411,13 +421,14 @@ class PromptPool:
         """Write one JSON object per refined entry (pending flushes first).
 
         Each line is the entry's ``to_dict`` plus its ``last_retrieved``
-        stamp, so a reload keeps the eviction order.
+        stamp, so a reload keeps the eviction order, written by
+        ``compact_json``: prompt values at their stored precision.
         """
         self.refine()
         with open(path, "w", encoding="utf-8") as f:
             for e in sorted(self._refined, key=lambda e: e.entry_id):
-                line = {**e.to_dict(), "last_retrieved": e.last_retrieved}
-                f.write(json.dumps(line, separators=(",", ":")) + "\n")
+                line = {**e.wire_dict(), "last_retrieved": e.last_retrieved}
+                f.write(compact_json(line) + "\n")
 
     @classmethod
     def load(cls, path, config: PoolConfig | None = None) -> "PromptPool":

@@ -252,30 +252,36 @@ class ToyOracle:
         """Per-pixel class probabilities, shape (C, H, W)."""
         return self._softmax(self._logits(self.effective_image(x, tp)))
 
-    def svp_entropies(
-        self, x: np.ndarray, coords: np.ndarray, offsets: np.ndarray
-    ) -> np.ndarray:
-        """Mean prediction entropy of x under each of P sparse prompts.
+    def svp_scorer(self, x: np.ndarray, coords: np.ndarray):
+        """Scorer of sparse prompts at ``coords`` on frame x.
 
-        Entry i equals ``mean_entropy(self.predict(apply_svp(x, p_i)))``
-        bit for bit, where p_i carries ``offsets[i]`` (shape (K, 3)) at
-        ``coords``. ``coords`` must already be valid prompt coordinates:
-        K unique in-frame (row, col) pairs. Without a token prompt the
-        model is pixelwise, so only the K prompted pixels are re-evaluated;
-        every other pixel keeps its entropy from one unprompted pass.
+        Returns ``score(offsets) -> (P,)`` whose entry i equals
+        ``mean_entropy(self.predict(apply_svp(x, p_i)))`` bit for bit,
+        where p_i carries ``offsets[i]`` (shape (K, 3)) at ``coords``.
+        ``coords`` must already be valid prompt coordinates: K unique
+        in-frame (row, col) pairs. Without a token prompt the model is
+        pixelwise, so the unprompted pass runs once, here, and each score
+        re-evaluates only the K prompted pixels of each candidate.
         """
         x = self._check_image(x)
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
-        offsets = np.asarray(offsets, dtype=np.float64)
-        if offsets.ndim != 3 or offsets.shape[1:] != (coords.shape[0], 3):
-            raise OracleError(
-                f"offsets must be (P, {coords.shape[0]}, 3), got {offsets.shape}"
-            )
         r, c = coords[:, 0], coords[:, 1]
-        pixels = np.clip(x[r, c, :] + offsets, 0.0, 1.0)  # (P, K, 3)
-        tile = np.tile(pixel_entropy(self.predict(x)).ravel(), (offsets.shape[0], 1))
-        tile[:, r * self.width + c] = pixel_entropy(self._softmax(self._logits(pixels)))
-        return tile.mean(axis=1)
+        flat = r * self.width + c
+        base = pixel_entropy(self.predict(x)).ravel()
+        pixels = x[r, c, :]
+
+        def score(offsets: np.ndarray) -> np.ndarray:
+            offsets = np.asarray(offsets, dtype=np.float64)
+            if offsets.ndim != 3 or offsets.shape[1:] != pixels.shape:
+                raise OracleError(
+                    f"offsets must be (P, {coords.shape[0]}, 3), got {offsets.shape}"
+                )
+            prompted = np.clip(pixels + offsets, 0.0, 1.0)  # (P, K, 3)
+            tile = np.tile(base, (offsets.shape[0], 1))
+            tile[:, flat] = pixel_entropy(self._softmax(self._logits(prompted)))
+            return tile.mean(axis=1)
+
+        return score
 
     def stochastic_forward(self, x: np.ndarray, dropout_rate: float, seed: int) -> np.ndarray:
         """Forward pass with multiplicative channel dropout on pixel values.

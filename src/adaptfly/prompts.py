@@ -8,6 +8,7 @@ operation here is a pure function and safe to call concurrently.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ __all__ = [
     "place_mask",
     "warp_svp",
     "number_vector",
+    "compact_json",
 ]
 
 # Fraction of coordinates that may leave the frame during a warp before a
@@ -31,6 +33,8 @@ __all__ = [
 DEFAULT_DROP_THRESHOLD = 0.25
 
 _DTYPES = {"f32": np.float32, "f16": np.float16}
+# Significant digits that round-trip every value of each stored precision.
+_FORMATS = {"f32": "%.9g", "f16": "%.5g"}
 _NUMBER_TYPES = {int, float}  # exact types: bool is excluded
 
 
@@ -101,12 +105,40 @@ class TokenPrompt:
     def astype(self, dtype: str) -> "TokenPrompt":
         return TokenPrompt(self.values, dtype=dtype)
 
+    def _values_text(self) -> str:
+        """The values, row-major and comma-separated, at stored precision.
+
+        Each value is written with the 9 (f32) or 5 (f16) significant
+        digits that round-trip its precision, as Python writes the float
+        those digits denote (``0.0123456789``, ``1.0``, ``-0.0``,
+        ``9.99999975e-06``), so parsing the text and casting back to
+        ``dtype`` gives the stored bits again, signed zeros included.
+        """
+        flat = self.values.ravel()
+        text = ",".join([_FORMATS[self.dtype]] * flat.size) % tuple(flat.tolist())
+        whole = np.flatnonzero(flat == np.trunc(flat))
+        if whole.size:
+            # %g drops the ".0" of whole numbers, and "%.9g" writes exponents
+            # from 1e9 on where Python waits until 1e16. Only whole numbers
+            # are affected: every float32 from 2**23 and float16 from 2**10
+            # on is one.
+            tokens = text.split(",")
+            for i in whole.tolist():
+                tokens[i] = repr(float(tokens[i]))
+            text = ",".join(tokens)
+        return text
+
     def to_dict(self) -> dict:
-        """Serialize as {"rows", "dim", "values" (row-major), "dtype"}."""
+        """Serialize as {"rows", "dim", "values" (row-major), "dtype"}.
+
+        The values are the numbers ``_values_text`` writes, so
+        ``json.dumps`` of this dict is the text ``compact_json`` writes for
+        the prompt itself.
+        """
         return {
             "rows": self.rows,
             "dim": self.dim,
-            "values": [float(x) for x in self.values.ravel()],
+            "values": json.loads(f"[{self._values_text()}]"),
             "dtype": self.dtype,
         }
 
@@ -126,6 +158,37 @@ class TokenPrompt:
         if not isinstance(dtype, str):
             raise ConfigError("token prompt dtype must be a string")
         return cls(values.reshape(rows, dim), dtype=dtype)
+
+
+def _prompt_dict(obj) -> dict:
+    if isinstance(obj, TokenPrompt):
+        return obj.to_dict()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+_encode = json.JSONEncoder(separators=(",", ":"), default=_prompt_dict).encode
+
+
+def compact_json(obj) -> str:
+    """``json.dumps(obj, separators=(",", ":"))``, TokenPrompts written directly.
+
+    A TokenPrompt anywhere in ``obj`` is written as the JSON of its
+    ``to_dict()``, its values straight from ``_values_text``, without the
+    detour through float64 shortest-repr formatting. Objects with string
+    keys and lists of objects are walked; every other value goes to
+    ``json``'s encoder, so strings, keys and non-prompt numbers (NaN
+    included) keep the bytes ``json.dumps`` gives them.
+    """
+    if isinstance(obj, TokenPrompt):
+        return (
+            f'{{"rows":{obj.rows},"dim":{obj.dim},"values":[{obj._values_text()}],'
+            f'"dtype":{_encode(obj.dtype)}}}'
+        )
+    if type(obj) is dict and all(type(k) is str for k in obj):
+        return "{" + ",".join(f"{_encode(k)}:{compact_json(v)}" for k, v in obj.items()) + "}"
+    if type(obj) in (list, tuple) and obj and type(obj[0]) is dict:
+        return "[" + ",".join(map(compact_json, obj)) + "]"
+    return _encode(obj)
 
 
 @dataclass(frozen=True, eq=False)

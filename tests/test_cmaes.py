@@ -326,6 +326,20 @@ class TestOptimizeSvp:
         assert batched.baseline_fitness == generic.baseline_fitness
         assert batched.prompt == generic.prompt
 
+    def test_batched_path_predicts_once_per_search(self, shifted_problem, monkeypatch):
+        # The scorer is bound to the frame and mask once: one unprompted
+        # pass scores the baseline and every generation.
+        oracle, frame, coords = shifted_problem
+        calls = []
+        predict = type(oracle).predict
+        monkeypatch.setattr(type(oracle), "predict",
+                            lambda self, *a, **k: calls.append(1) or predict(self, *a, **k))
+        cfg = CmaConfig(dimension=3 * coords.shape[0], population=6, elite=2,
+                        generations=4, sigma0=0.3, seed=4)
+        result = optimize_svp(oracle, frame, coords, cfg)
+        assert result.evaluations == 1 + 4 * 6
+        assert len(calls) == 1
+
     def test_empty_mask_rejected(self, shifted_problem):
         oracle, frame, _ = shifted_problem
         cfg = CmaConfig(dimension=3, population=4, elite=2, seed=0)

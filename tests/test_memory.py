@@ -384,6 +384,32 @@ class TestPersistence:
                         + "\n")
         assert PromptPool.load(path).get(0).last_retrieved == 7
 
+    def test_snapshot_line_is_json_of_to_dict(self, tmp_path):
+        # One number format: prompt values at stored precision, keys in full.
+        pool = make_pool()
+        rng = np.random.default_rng(11)
+        for i, dtype in enumerate(("f32", "f16")):
+            pool.insert(rng.normal(size=4), TokenPrompt(rng.normal(size=(2, 4)), dtype=dtype),
+                        timestamp=i, agent_id="a")
+        path = tmp_path / "pool.jsonl"
+        pool.save(path)
+        expected = [json.dumps({**e.to_dict(), "last_retrieved": e.last_retrieved},
+                               separators=(",", ":")) for e in pool.entries()]
+        assert path.read_text().splitlines() == expected
+
+    def test_legacy_17_digit_snapshot_loads_identical_prompts(self, tmp_path):
+        rng = np.random.default_rng(12)
+        entry = PoolEntry(0, unit(rng.normal(size=6)),
+                          TokenPrompt(rng.normal(scale=0.05, size=(4, 6))), 5, "a")
+        legacy = {**entry.to_dict(), "value": {
+            "rows": 4, "dim": 6, "values": [float(x) for x in entry.value.values.ravel()],
+            "dtype": "f32"}}
+        assert legacy["value"] != entry.to_dict()["value"]  # the old text is longer
+        path = tmp_path / "pool.jsonl"
+        path.write_text(json.dumps(legacy, separators=(",", ":")) + "\n")
+        loaded = PromptPool.load(path).get(0)
+        assert loaded.value == entry.value
+
     @pytest.mark.parametrize("bad_line", [
         '{"entry_id": 1}',
         "not json",

@@ -17,8 +17,10 @@ from adaptfly.fleet.messages import (
     encode_message,
     read_frame,
 )
+from adaptfly.fleet.mec import MecServer
 from adaptfly.fleet.transport import BytePipe, InprocClient, StreamClient, TransportFailure
-from adaptfly.prompts import TokenPrompt
+from adaptfly.memory import PromptPool
+from adaptfly.prompts import TokenPrompt, compact_json
 
 
 def random_message(rng: np.random.Generator):
@@ -242,3 +244,142 @@ class TestTransports:
         with pytest.raises(TransportFailure):
             client.send(RefineTick())
         assert client.bytes_sent == 0
+
+
+# -- number format ------------------------------------------------------------
+
+
+def upload_of(prompt: TokenPrompt, key=(0.6, 0.8)) -> UploadPrompt:
+    return UploadPrompt(key=tuple(key), value=prompt, timestamp=1, agent_id="uav-1")
+
+
+def round_trip(values: np.ndarray, dtype: str) -> np.ndarray:
+    """Stored values after TokenPrompt -> encode -> decode."""
+    frame = encode_message(upload_of(TokenPrompt(values, dtype=dtype)))
+    back = decode_message(frame).value
+    assert back.dtype == dtype
+    return np.asarray(back.values)
+
+
+F32_EDGES = np.array([
+    np.uint32(1).view(np.float32),            # smallest subnormal
+    np.uint32(0x007FFFFF).view(np.float32),   # largest subnormal
+    np.finfo(np.float32).tiny,
+    np.finfo(np.float32).max, -np.finfo(np.float32).max,
+    1.0, -1.0, 0.0, -0.0, 2.0**23, 2.0**24 + 2, 1e9, 123456792.0,
+    1e-05, -1.5e-05, 9.99999975e-06, 0.1, 1.0 / 3.0,
+], dtype=np.float32)
+
+
+class TestNumberFormat:
+    """Prompt values travel at stored precision and come back bit for bit."""
+
+    def test_every_finite_float16_round_trips(self):
+        values = np.arange(2**16, dtype=np.uint32).astype(np.uint16).view(np.float16)
+        values = values[np.isfinite(values)]
+        assert values.size == 63488
+        back = round_trip(values.reshape(62, 1024), "f16").ravel()
+        assert np.array_equal(back.view(np.uint16), values.view(np.uint16))
+
+    def test_random_float32_patterns_and_edges_round_trip(self):
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2**32, size=1_010_000, dtype=np.uint64).astype(np.uint32)
+        values = bits.view(np.float32)
+        values = values[np.isfinite(values)][: 10**6 - F32_EDGES.size]
+        values = np.concatenate([values, F32_EDGES]).reshape(1000, 1000)
+        back = round_trip(values, "f32")
+        assert np.array_equal(back.view(np.uint32), values.view(np.uint32))
+
+    def test_edge_values_text(self):
+        text = compact_json(TokenPrompt(F32_EDGES[None, :]))
+        values = json.loads(text)["values"]
+        assert "1.40129846e-45" in text and "3.40282347e+38" in text
+        # Whole numbers read as Python writes the float: 1.0, -0.0, 1000000000.0.
+        assert values[5:9] == [1.0, -1.0, 0.0, -0.0] and ",1.0," in text
+        assert ",-0.0," in text and ",1000000000.0," in text
+        assert ",9.99999975e-06,-1.49999996e-05," in text  # float32(1e-05), -1.5e-05
+
+    @pytest.mark.parametrize("dtype", ["f32", "f16"])
+    def test_text_is_json_of_to_dict(self, dtype):
+        # One number format: the writer's text is what json.dumps writes for
+        # to_dict(), whole numbers and huge values included.
+        rng = np.random.default_rng(6)
+        width = 32 if dtype == "f32" else 16
+        bits = rng.integers(0, 2**width, size=4000, dtype=np.uint64)
+        values = bits.astype(np.uint32 if dtype == "f32" else np.uint16).view(
+            np.float32 if dtype == "f32" else np.float16)
+        values = values[np.isfinite(values)][:3000].reshape(30, -1)
+        prompt = TokenPrompt(values, dtype=dtype)
+        assert compact_json(prompt) == json.dumps(prompt.to_dict(), separators=(",", ":"))
+        assert TokenPrompt.from_dict(prompt.to_dict()) == prompt
+
+    def test_decoded_messages_re_encode_to_the_same_bytes(self):
+        rng = np.random.default_rng(7)
+        values = rng.integers(0, 2**32, size=4096, dtype=np.uint64).astype(np.uint32)
+        values = values.view(np.float32)
+        prompt = TokenPrompt(values[np.isfinite(values)][:4000].reshape(40, 100))
+        reply = QueryResponse(request_id=3, entries=(
+            {"entry_id": 1, "key": [0.6, 0.8], "value": prompt, "agent_id": "a"},))
+        for msg in (upload_of(prompt), reply):
+            frame = encode_message(msg)
+            assert encode_message(decode_message(frame)) == frame
+        assert decode_message(encode_message(reply)).entries[0]["value"] == prompt.to_dict()
+
+    def test_legacy_17_digit_frame_decodes_to_the_same_prompt(self):
+        rng = np.random.default_rng(8)
+        msg = upload_of(TokenPrompt(rng.normal(scale=0.05, size=(4, 48))))
+        # As written before prompt values kept their stored precision.
+        legacy = frame_of({"type": "upload_prompt", "key": list(msg.key),
+                           "value": {"rows": 4, "dim": 48, "dtype": "f32",
+                                     "values": [float(x) for x in msg.value.values.ravel()]},
+                           "timestamp": 1, "agent_id": "uav-1"})
+        assert len(legacy) > len(encode_message(msg))
+        assert decode_message(legacy) == decode_message(encode_message(msg)) == msg
+
+    def test_server_reply_decodes_to_entry_dicts(self):
+        rng = np.random.default_rng(9)
+        pool = PromptPool()
+        for i in range(6):
+            pool.insert(rng.normal(size=8), TokenPrompt(rng.normal(scale=0.05, size=(2, 8))),
+                        timestamp=i, agent_id=f"uav-{i}")
+        pool.refine()
+        server = MecServer(pool, oracle=None, distill_config=None)
+        query = Query(query=tuple(rng.normal(size=8)), n=3, request_id=1)
+        hits = pool.query_topn(np.asarray(query.query), 3)
+        for client in (InprocClient(server), StreamClient(server)):
+            response = client.request(query)
+            assert list(response.entries) == [e.to_dict() for e in hits]
+
+    def test_float32_upload_costs_at_most_15_bytes_per_value(self):
+        rng = np.random.default_rng(10)
+        key = rng.normal(size=48)
+        msg = upload_of(TokenPrompt(rng.normal(scale=0.05, size=(64, 48))),
+                        key=key / np.linalg.norm(key))
+        assert len(encode_message(msg)) / (64 * 48) <= 15.0
+
+
+prompt_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.builds(lambda v, dtype: TokenPrompt(np.array(v).reshape(1, -1), dtype=dtype),
+                st.lists(st.floats(-6e4, 6e4), max_size=5), st.sampled_from(["f32", "f16"])),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4) | st.integers(), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def plain(obj):
+    if isinstance(obj, TokenPrompt):
+        return obj.to_dict()
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [plain(v) for v in obj]
+    return obj
+
+
+class TestCompactJson:
+    @given(prompt_json_values)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_json_dumps_of_plain_data(self, obj):
+        assert compact_json(obj) == json.dumps(plain(obj), separators=(",", ":"))

@@ -123,7 +123,7 @@ class TestSvpEntropies:
         coords = place_mask(rng.random(shape), k)
         # Offsets up to about +-2 push many prompted pixels past [0, 1].
         offsets = rng.normal(0.0, 0.7, size=(population, k, 3))
-        batched = oracle.svp_entropies(x, coords, offsets)
+        batched = oracle.svp_scorer(x, coords)(offsets)
         reference = np.array([
             mean_entropy(oracle.predict(apply_svp(x, SparseVisualPrompt(coords, o, shape))))
             for o in offsets
@@ -132,11 +132,11 @@ class TestSvpEntropies:
         assert np.all(batched == reference)
 
     def test_offsets_shape_checked(self, oracle, source):
-        coords = np.array([[0, 0], [1, 1]])
+        score = oracle.svp_scorer(source, np.array([[0, 0], [1, 1]]))
         with pytest.raises(OracleError):
-            oracle.svp_entropies(source, coords, np.zeros((4, 3, 3)))
+            score(np.zeros((4, 3, 3)))
         with pytest.raises(OracleError):
-            oracle.svp_entropies(source, coords, np.zeros((2, 3)))
+            score(np.zeros((2, 3)))
 
 
 class TestPlantedShiftMonotonicity:
