@@ -7,7 +7,8 @@ Subcommands:
 * bench     — optimizer regression harness on standard test functions,
               emitting one CSV row per seed.
 * calibrate — derive a drift threshold from a clean (shift-free) scenario.
-* report    — per-agent, per-domain entropy summary from a metrics file.
+* report    — per-agent, per-domain entropy before and after the first
+              adaptation, as in summary.json, from a metrics file.
 
 ``--set key=value`` applies dotted-path overrides to the loaded config
 (e.g. ``--set pool.capacity=128`` or ``--set agents.0.rho=0.1``); values
@@ -26,8 +27,13 @@ from pathlib import Path
 
 from .cmaes import BENCH_FUNCTIONS, run_benchmark
 from .errors import AdaptflyError
-from .fleet import calibrate_scenario, metrics_csv, run_scenario
-from .fleet.agents import RECORD_COLUMNS
+from .fleet import (
+    adaptation_summary,
+    calibrate_scenario,
+    metrics_csv,
+    parse_metrics_csv,
+    run_scenario,
+)
 
 log = logging.getLogger("adaptfly")
 
@@ -162,75 +168,26 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _read_metrics(path: str) -> list[dict]:
-    p = Path(path)
-    if not p.is_file():
-        raise CliError(f"metrics file not found: {path}")
-    lines = p.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].split(",") != list(RECORD_COLUMNS):
-        raise CliError(f"{path} does not start with the metrics header")
-    if len(lines) < 2:
-        raise CliError(f"{path} contains no data rows")
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(RECORD_COLUMNS):
-            raise CliError(f"{path} line {i}: expected {len(RECORD_COLUMNS)} fields")
-        try:
-            rows.append(
-                {
-                    "step": int(parts[0]),
-                    "agent_id": parts[1],
-                    "domain": parts[2],
-                    "drift_score": float(parts[3]),
-                    "shift_flag": bool(int(parts[4])),
-                    "mean_entropy": float(parts[5]),
-                    "adaptation_event": parts[6],
-                    "bytes_sent": int(parts[7]),
-                    "bytes_received": int(parts[8]),
-                    "pool_size": int(parts[9]),
-                    "retrieved": int(parts[10]),
-                    "degraded": bool(int(parts[11])),
-                }
-            )
-        except ValueError as exc:
-            raise CliError(f"{path} line {i}: {exc}") from exc
-    return rows
+def _cell(value: float | None) -> str:
+    return f"{'-':>9s}" if value is None else f"{value:9.4f}"
 
 
 def _cmd_report(args) -> int:
-    rows = _read_metrics(args.metrics)
-    agents = sorted({r["agent_id"] for r in rows})
+    path = Path(args.metrics)
+    if not path.is_file():
+        raise CliError(f"metrics file not found: {path}")
+    records = parse_metrics_csv(path.read_text(encoding="utf-8"), source=str(path))
+    if not records:
+        raise CliError(f"{path} contains no data rows")
     out = sys.stdout
     out.write(f"{'agent':10s} {'domain':8s} {'frames':>6s} {'pre_H':>9s} {'post_H':>9s} {'reduction':>9s}\n")
-    for agent in agents:
-        arows = [r for r in rows if r["agent_id"] == agent]
-        domains = []
-        for r in arows:  # preserve first-seen order
-            if r["domain"] not in domains:
-                domains.append(r["domain"])
-        for dom in domains:
-            drows = [r for r in arows if r["domain"] == dom]
-            first = next(
-                (r["step"] for r in drows
-                 if r["adaptation_event"] in ("retrieve", "optimize") and
-                 (r["adaptation_event"] == "optimize" or r["retrieved"] > 0)),
-                None,
-            )
-            pre = [r["mean_entropy"] for r in drows if first is None or r["step"] < first]
-            post = [r["mean_entropy"] for r in drows if first is not None and r["step"] >= first]
-
-            def cell(xs):
-                return f"{sum(xs) / len(xs):9.4f}" if xs else f"{'-':>9s}"
-
-            red = (
-                f"{(sum(pre) / len(pre) - sum(post) / len(post)):9.4f}"
-                if pre and post
-                else f"{'-':>9s}"
-            )
-            out.write(
-                f"{agent:10s} {dom or '-':8s} {len(drows):6d} {cell(pre)} {cell(post)} {red}\n"
-            )
+    for agent, domains in sorted(adaptation_summary(records).items()):
+        for dom, d in domains.items():
+            pre = d["pre_adaptation_mean_entropy"]
+            post = d["post_adaptation_mean_entropy"]
+            reduction = None if pre is None or post is None else pre - post
+            out.write(f"{agent:10s} {dom or '-':8s} {d['frames']:6d} "
+                      f"{_cell(pre)} {_cell(post)} {_cell(reduction)}\n")
     return 0
 
 

@@ -45,6 +45,10 @@ class PoolFormatError(AdaptflyError):
         self.line = line
 
 
+class MetricsFormatError(AdaptflyError):
+    """A metrics.csv table is malformed; the message names the line."""
+
+
 class DeferredNotResolvedError(AdaptflyError):
     """A deferred pool entry was used where a concrete prompt is required."""
 

@@ -21,7 +21,14 @@ from .messages import (
     decode_message,
     encode_message,
 )
-from .scenario import ScenarioResult, calibrate_scenario, metrics_csv, run_scenario
+from .scenario import (
+    ScenarioResult,
+    adaptation_summary,
+    calibrate_scenario,
+    metrics_csv,
+    parse_metrics_csv,
+    run_scenario,
+)
 from .transport import BytePipe, InprocClient, StreamClient, TransportFailure
 
 __all__ = [
@@ -47,8 +54,10 @@ __all__ = [
     "decode_message",
     "encode_message",
     "ScenarioResult",
+    "adaptation_summary",
     "calibrate_scenario",
     "metrics_csv",
+    "parse_metrics_csv",
     "run_scenario",
     "BytePipe",
     "InprocClient",

@@ -13,7 +13,7 @@ map moves materially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,25 +36,13 @@ from .transport import TransportFailure
 
 __all__ = ["StepRecord", "LimitedAgent", "MassiveAgent", "RECORD_COLUMNS"]
 
-RECORD_COLUMNS = (
-    "step",
-    "agent_id",
-    "domain",
-    "drift_score",
-    "shift_flag",
-    "mean_entropy",
-    "adaptation_event",
-    "bytes_sent",
-    "bytes_received",
-    "pool_size",
-    "retrieved",
-    "degraded",
-)
-
 
 @dataclass
 class StepRecord:
-    """One row of the metrics table: what one agent did at one step."""
+    """One row of the metrics table: what one agent did at one step.
+
+    The fields, in order, are the table's columns (``RECORD_COLUMNS``).
+    """
 
     step: int
     agent_id: str
@@ -71,6 +59,9 @@ class StepRecord:
 
     def as_row(self) -> list:
         return [getattr(self, c) for c in RECORD_COLUMNS]
+
+
+RECORD_COLUMNS = tuple(f.name for f in fields(StepRecord))
 
 
 class _ByteWindow:

@@ -10,12 +10,13 @@ function of (config, seed) regardless of the transport.
 from __future__ import annotations
 
 import io
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..drift import DriftTracker, calibrate_threshold, compute_stats, detect
-from ..errors import ConfigError
+from ..errors import ConfigError, MetricsFormatError
 from ..memory import PoolConfig, PromptPool
 from ..oracle import ToyOracle, make_toy_oracle, render_frame
 from .agents import RECORD_COLUMNS, LimitedAgent, MassiveAgent, StepRecord
@@ -24,7 +25,14 @@ from .mec import MecServer, ProvenanceLog
 from .messages import RefineTick
 from .transport import InprocClient, StreamClient
 
-__all__ = ["ScenarioResult", "run_scenario", "metrics_csv", "calibrate_scenario"]
+__all__ = [
+    "ScenarioResult",
+    "run_scenario",
+    "adaptation_summary",
+    "metrics_csv",
+    "parse_metrics_csv",
+    "calibrate_scenario",
+]
 
 
 @dataclass
@@ -33,16 +41,6 @@ class ScenarioResult:
     records: list[StepRecord]
     pool: PromptPool
     summary: dict
-
-
-def _segment_at(spec: AgentSpec, t: int):
-    """(segment, domain_id) active at step t."""
-    acc = 0
-    for seg in spec.schedule:
-        if t < acc + seg.frames:
-            return seg
-        acc += seg.frames
-    raise ConfigError(f"step {t} beyond agent {spec.id} schedule")
 
 
 def _make_oracle(cfg: ScenarioConfig) -> ToyOracle:
@@ -58,6 +56,39 @@ def _make_oracle(cfg: ScenarioConfig) -> ToyOracle:
     )
 
 
+def _tracker(cfg: ScenarioConfig, spec: AgentSpec, threshold: float = 1.0) -> DriftTracker:
+    return DriftTracker(
+        smoothing=spec.smoothing, threshold=threshold, warmup=spec.warmup,
+        kl_variant=cfg.kl_variant,
+    )
+
+
+def _frame_stream(oracle: ToyOracle, domains: dict, spec: AgentSpec, agent_index: int):
+    """(segment, frame) for each step of an agent's schedule.
+
+    From the second step on, the camera offset accumulates the motion of
+    the segment the step falls in.
+    """
+    t, dx, dy = 0, 0, 0
+    for seg in spec.schedule:
+        for _ in range(seg.frames):
+            if t > 0:
+                dx, dy = dx + seg.motion[0], dy + seg.motion[1]
+            frame = render_frame(
+                oracle, domains[seg.domain],
+                frame_index=agent_index * 1_000_003 + t, offset=(dx, dy),
+            )
+            yield seg, frame
+            t += 1
+
+
+def _clean_scores(cfg: ScenarioConfig, spec: AgentSpec, oracle: ToyOracle, frames) -> list[float]:
+    """Drift scores of a frame stream against a fresh tracker, after warmup."""
+    tracker = _tracker(cfg, spec)
+    scores = [detect(tracker, compute_stats(oracle.stem_features(f)))[1] for f in frames]
+    return scores[spec.warmup :]
+
+
 def _calibrated_threshold(
     cfg: ScenarioConfig, spec: AgentSpec, oracle: ToyOracle, domains: dict, agent_index: int
 ) -> float:
@@ -69,18 +100,13 @@ def _calibrated_threshold(
             f"calibration needs warmup + 30 frames, got {cfg.calibration_frames}"
         )
     domain = domains[spec.schedule[0].domain]
-    tracker = DriftTracker(
-        smoothing=spec.smoothing, threshold=1.0, warmup=spec.warmup,
-        kl_variant=cfg.kl_variant,
+    # Negative frame indices keep the calibration stream disjoint from the
+    # scenario's own frames.
+    frames = (
+        render_frame(oracle, domain, frame_index=-(agent_index * 100_003 + i + 1))
+        for i in range(cfg.calibration_frames)
     )
-    scores = []
-    for i in range(cfg.calibration_frames):
-        # Negative frame indices keep the calibration stream disjoint from
-        # the scenario's own frames.
-        frame = render_frame(oracle, domain, frame_index=-(agent_index * 100_003 + i + 1))
-        _, score, _ = detect(tracker, compute_stats(oracle.stem_features(frame)))
-        scores.append(score)
-    return calibrate_threshold(scores[spec.warmup :], cfg.calibration_quantile)
+    return calibrate_threshold(_clean_scores(cfg, spec, oracle, frames), cfg.calibration_quantile)
 
 
 def run_scenario(config: dict | ScenarioConfig) -> ScenarioResult:
@@ -115,10 +141,7 @@ def run_scenario(config: dict | ScenarioConfig) -> ScenarioResult:
     agents = []
     for idx, spec in enumerate(cfg.agents):
         threshold = _calibrated_threshold(cfg, spec, oracle, domains, idx)
-        tracker = DriftTracker(
-            smoothing=spec.smoothing, threshold=threshold, warmup=spec.warmup,
-            kl_variant=cfg.kl_variant,
-        )
+        tracker = _tracker(cfg, spec, threshold)
         client = client_for(spec.id)
         if spec.kind == "limited":
             agent = LimitedAgent(spec.id, oracle, client, tracker, spec.retrieval_n)
@@ -138,22 +161,13 @@ def run_scenario(config: dict | ScenarioConfig) -> ScenarioResult:
                 defer_distill=spec.defer_distill,
                 seed=cfg.seed * 10_007 + idx + 1,
             )
-        agents.append((idx, spec, agent, [0, 0]))  # last item: cumulative offset
+        agents.append((agent, _frame_stream(oracle, domains, spec, idx)))
 
     records: list[StepRecord] = []
     for t in range(cfg.total_frames):
         clock["t"] = t
-        for idx, spec, agent, offset in agents:
-            seg = _segment_at(spec, t)
-            if t > 0:
-                offset[0] += seg.motion[0]
-                offset[1] += seg.motion[1]
-            frame = render_frame(
-                oracle,
-                domains[seg.domain],
-                frame_index=idx * 1_000_003 + t,
-                offset=(offset[0], offset[1]),
-            )
+        for agent, frames in agents:
+            seg, frame = next(frames)
             record = agent.step(t, frame, motion=seg.motion, domain_tag=seg.domain)
             record.pool_size = pool.size
             records.append(record)
@@ -166,49 +180,50 @@ def run_scenario(config: dict | ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(config=cfg, records=records, pool=pool, summary=summary)
 
 
-def _summarize(cfg: ScenarioConfig, records: list[StepRecord], pool: PromptPool) -> dict:
-    by_agent: dict[str, list[StepRecord]] = {}
+def adaptation_summary(records: list[StepRecord]) -> dict[str, dict[str, dict]]:
+    """Per agent and domain: frames, mean entropy, and its split at the first
+    adaptation, in first-seen order.
+
+    The first adaptation is the first ``optimize`` step, or the first
+    ``retrieve`` step that adopted entries (``retrieved > 0``). Steps before
+    it are "pre", the rest "post"; an empty side is None.
+    """
+    steps: dict[str, dict[str, list[StepRecord]]] = {}
     for r in records:
-        by_agent.setdefault(r.agent_id, []).append(r)
-
-    agents = {}
-    for spec in cfg.agents:
-        rows = by_agent.get(spec.id, [])
-        counts: dict[str, int] = {}
-        for r in rows:
-            counts[r.adaptation_event] = counts.get(r.adaptation_event, 0) + 1
-
-        domain_steps: dict[str, list[StepRecord]] = {}
-        for r in rows:
-            domain_steps.setdefault(_segment_at(spec, r.step).domain, []).append(r)
-
-        success_event = "retrieve" if spec.kind == "limited" else "optimize"
-        domains = {}
-        for dom, drows in domain_steps.items():
-            first = None
-            for r in drows:
-                hit = r.adaptation_event == success_event and (
-                    spec.kind == "massive" or r.retrieved > 0
-                )
-                if hit:
-                    first = r.step
-                    break
-            pre = [r.mean_entropy for r in drows if first is None or r.step < first]
-            post = [r.mean_entropy for r in drows if first is not None and r.step >= first]
-            domains[dom] = {
-                "frames": len(drows),
-                "mean_entropy": float(np.mean([r.mean_entropy for r in drows])),
+        steps.setdefault(r.agent_id, {}).setdefault(r.domain, []).append(r)
+    out: dict[str, dict[str, dict]] = {}
+    for agent_id, domains in steps.items():
+        out[agent_id] = {}
+        for dom, rows in domains.items():
+            first = next((r.step for r in rows if r.adaptation_event == "optimize"
+                          or (r.adaptation_event == "retrieve" and r.retrieved > 0)), None)
+            pre = [r.mean_entropy for r in rows if first is None or r.step < first]
+            post = [r.mean_entropy for r in rows if first is not None and r.step >= first]
+            out[agent_id][dom] = {
+                "frames": len(rows),
+                "mean_entropy": float(np.mean([r.mean_entropy for r in rows])),
                 "first_adaptation_step": first,
                 "pre_adaptation_mean_entropy": float(np.mean(pre)) if pre else None,
                 "post_adaptation_mean_entropy": float(np.mean(post)) if post else None,
             }
+    return out
+
+
+def _summarize(cfg: ScenarioConfig, records: list[StepRecord], pool: PromptPool) -> dict:
+    split = adaptation_summary(records)
+    agents = {}
+    for spec in cfg.agents:
+        rows = [r for r in records if r.agent_id == spec.id]
+        counts: dict[str, int] = {}
+        for r in rows:
+            counts[r.adaptation_event] = counts.get(r.adaptation_event, 0) + 1
         agents[spec.id] = {
             "kind": spec.kind,
             "adaptation_counts": counts,
             "bytes_sent": int(sum(r.bytes_sent for r in rows)),
             "bytes_received": int(sum(r.bytes_received for r in rows)),
             "degraded_steps": int(sum(r.degraded for r in rows)),
-            "domains": domains,
+            "domains": split.get(spec.id, {}),
         }
     return {
         "seed": cfg.seed,
@@ -219,21 +234,52 @@ def _summarize(cfg: ScenarioConfig, records: list[StepRecord], pool: PromptPool)
     }
 
 
+def _csv_field(v) -> str:
+    if isinstance(v, bool):
+        return str(int(v))
+    return repr(v) if isinstance(v, float) else str(v)
+
+
 def metrics_csv(records: list[StepRecord]) -> str:
     """Render records as CSV, one row per (step, agent)."""
     out = io.StringIO()
     out.write(",".join(RECORD_COLUMNS) + "\n")
     for r in records:
-        row = []
-        for col, v in zip(RECORD_COLUMNS, r.as_row()):
-            if isinstance(v, bool):
-                row.append(str(int(v)))
-            elif isinstance(v, float):
-                row.append(repr(v))
-            else:
-                row.append(str(v))
-        out.write(",".join(row) + "\n")
+        out.write(",".join(map(_csv_field, r.as_row())) + "\n")
     return out.getvalue()
+
+
+def _parse_bool(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return text == "1"
+
+
+_COLUMN_PARSERS = tuple(
+    _parse_bool if t is bool else t
+    for t in map(typing.get_type_hints(StepRecord).get, RECORD_COLUMNS)
+)
+
+
+def parse_metrics_csv(text: str, source: str = "metrics.csv") -> list[StepRecord]:
+    """Inverse of ``metrics_csv``: one StepRecord per data row.
+
+    Each column is parsed as its StepRecord field's type, booleans as 0 or
+    1 only. MetricsFormatError names ``source`` and the 1-based line.
+    """
+    lines = text.splitlines()
+    if not lines or lines[0].split(",") != list(RECORD_COLUMNS):
+        raise MetricsFormatError(f"{source} does not start with the metrics header")
+    records = []
+    for i, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != len(RECORD_COLUMNS):
+            raise MetricsFormatError(f"{source} line {i}: expected {len(RECORD_COLUMNS)} fields")
+        try:
+            records.append(StepRecord(*(parse(p) for parse, p in zip(_COLUMN_PARSERS, parts))))
+        except ValueError as exc:
+            raise MetricsFormatError(f"{source} line {i}: {exc}") from exc
+    return records
 
 
 def calibrate_scenario(config: dict | ScenarioConfig, quantile: float = 0.99) -> dict:
@@ -247,23 +293,8 @@ def calibrate_scenario(config: dict | ScenarioConfig, quantile: float = 0.99) ->
     domains = {d.id: d for d in cfg.domains}
     scores: list[float] = []
     for idx, spec in enumerate(cfg.agents):
-        tracker = DriftTracker(
-            smoothing=spec.smoothing, threshold=1.0, warmup=spec.warmup,
-            kl_variant=cfg.kl_variant,
-        )
-        offset = [0, 0]
-        for t in range(spec.total_frames):
-            seg = _segment_at(spec, t)
-            if t > 0:
-                offset[0] += seg.motion[0]
-                offset[1] += seg.motion[1]
-            frame = render_frame(
-                oracle, domains[seg.domain],
-                frame_index=idx * 1_000_003 + t, offset=(offset[0], offset[1]),
-            )
-            _, score, _ = detect(tracker, compute_stats(oracle.stem_features(frame)))
-            if t >= spec.warmup:
-                scores.append(score)
+        frames = (frame for _, frame in _frame_stream(oracle, domains, spec, idx))
+        scores += _clean_scores(cfg, spec, oracle, frames)
     return {
         "z": calibrate_threshold(scores, quantile),
         "variant": cfg.kl_variant,

@@ -1,15 +1,19 @@
 """Client transports linking agents to the consolidation server.
 
-Both transports serialize every message through the framed codec so the
-byte accounting (and therefore the metrics table) is identical:
+One client, two wires. ``InprocClient`` encodes every message through the
+framed codec, applies the fault hook, counts bytes and enforces the reply
+rule, so the byte accounting (and therefore the metrics table) is the same
+for both transports. Only the wire differs:
 
-* inproc — encode, decode, dispatch to the server in memory.
-* stream — the same frames travel over a pair of reliable in-process byte
-  pipes; the server consumes its inbound stream frame by frame.
+* inproc — the frame is decoded and dispatched to the server in memory.
+* stream — ``StreamClient`` carries each frame, and the server's reply,
+  through a pair of reliable in-process byte pipes.
 
-A fault hook may drop outgoing messages to model transport failure; the
-affected call raises TransportFailure and the agent applies its degraded-
-mode contract.
+Reply rule: ``request`` expects exactly one reply and ``send`` none; either
+mismatch raises ProtocolError after the reply (if any) has been read off
+the wire, so no frame is left in a pipe. A fault hook may drop outgoing
+messages to model transport failure; the affected call raises
+TransportFailure and the agent applies its degraded-mode contract.
 """
 
 from __future__ import annotations
@@ -42,69 +46,54 @@ class BytePipe:
         return len(self._buf)
 
 
-class _BaseClient:
-    """Shared fault handling and byte accounting."""
+class InprocClient:
+    """Framed client; its wire dispatches each frame to the server in memory."""
 
-    def __init__(self, fault_hook=None):
+    def __init__(self, server, fault_hook=None):
+        self._server = server
         self._fault_hook = fault_hook
         self.bytes_sent = 0
         self.bytes_received = 0
 
-    def _outgoing(self, msg: FleetMessage) -> bytes:
+    def send(self, msg: FleetMessage) -> None:
+        if self._exchange(msg) is not None:
+            raise ProtocolError(f"{type(msg).__name__} got an unexpected response")
+
+    def request(self, msg: FleetMessage) -> FleetMessage:
+        response = self._exchange(msg)
+        if response is None:
+            raise ProtocolError(f"{type(msg).__name__} expected a response")
+        return response
+
+    def _exchange(self, msg: FleetMessage) -> FleetMessage | None:
         frame = encode_message(msg)
         if self._fault_hook is not None and self._fault_hook(msg):
             raise TransportFailure(f"dropped {type(msg).__name__}")
         self.bytes_sent += len(frame)
-        return frame
-
-
-class InprocClient(_BaseClient):
-    """Direct dispatch; messages still round-trip the codec."""
-
-    def __init__(self, server, fault_hook=None):
-        super().__init__(fault_hook)
-        self._server = server
-
-    def send(self, msg: FleetMessage) -> None:
-        frame = self._outgoing(msg)
-        self._server.handle(decode_message(frame))
-
-    def request(self, msg: FleetMessage) -> FleetMessage:
-        frame = self._outgoing(msg)
-        response = self._server.handle(decode_message(frame))
-        if response is None:
-            raise ProtocolError(f"{type(msg).__name__} expected a response")
-        reply = encode_message(response)
+        reply = self._carry(frame)
+        if reply is None:
+            return None
         self.bytes_received += len(reply)
         return decode_message(reply)
 
+    def _carry(self, frame: bytes) -> bytes | None:
+        """The wire: deliver one frame and return the reply frame, if any."""
+        response = self._server.handle(decode_message(frame))
+        return None if response is None else encode_message(response)
 
-class StreamClient(_BaseClient):
-    """Framed protocol over two byte pipes, pumped in lockstep."""
+
+class StreamClient(InprocClient):
+    """The same client over two byte pipes, pumped in lockstep."""
 
     def __init__(self, server, fault_hook=None):
-        super().__init__(fault_hook)
-        self._server = server
+        super().__init__(server, fault_hook)
         self.to_server = BytePipe()
         self.from_server = BytePipe()
 
-    def _pump_server(self) -> None:
-        # Lockstep: the server drains everything we just wrote.
-        while len(self.to_server):
-            frame = read_frame(self.to_server.read)
-            response = self._server.handle(decode_message(frame))
-            if response is not None:
-                self.from_server.write(encode_message(response))
-
-    def send(self, msg: FleetMessage) -> None:
-        self.to_server.write(self._outgoing(msg))
-        self._pump_server()
-
-    def request(self, msg: FleetMessage) -> FleetMessage:
-        self.to_server.write(self._outgoing(msg))
-        self._pump_server()
-        if not len(self.from_server):
-            raise ProtocolError(f"{type(msg).__name__} expected a response")
-        frame = read_frame(self.from_server.read)
-        self.bytes_received += len(frame)
-        return decode_message(frame)
+    def _carry(self, frame: bytes) -> bytes | None:
+        self.to_server.write(frame)
+        response = self._server.handle(decode_message(read_frame(self.to_server.read)))
+        if response is None:
+            return None
+        self.from_server.write(encode_message(response))
+        return read_frame(self.from_server.read)

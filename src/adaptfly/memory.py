@@ -40,6 +40,10 @@ __all__ = [
 
 _INT64 = range(-(2**63), 2**63)
 
+# A stored key is a unit vector up to rounding; snapshots and replies carry
+# it at full float64 precision, so a reload keeps it bit for bit.
+_KEY_NORM_TOLERANCE = 1e-9
+
 
 def _unit(key: np.ndarray) -> np.ndarray:
     key = np.asarray(key, dtype=np.float64).ravel()
@@ -130,7 +134,8 @@ class PoolEntry:
         """Parse ``to_dict`` output; PoolFormatError names the first bad field.
 
         An optional ``last_retrieved`` (written by ``PromptPool.save``, never
-        sent on the wire) defaults to ``timestamp``.
+        sent on the wire) defaults to ``timestamp``. The key is kept bit for
+        bit: it must already be a unit vector, to ``_KEY_NORM_TOLERANCE``.
         """
         if not isinstance(d, dict):
             raise PoolFormatError("pool entry must be an object")
@@ -145,6 +150,13 @@ class PoolEntry:
         if not isinstance(d.get("domain_tag"), (str, type(None))):
             raise PoolFormatError("pool entry domain_tag must be a string or null")
         key = number_vector(d.get("key"), "pool entry key")
+        norm = float(np.linalg.norm(key))
+        if not abs(norm - 1.0) <= _KEY_NORM_TOLERANCE:  # also rejects NaN and inf
+            raise PoolFormatError(
+                f"pool entry key must be a finite unit vector (norm within "
+                f"{_KEY_NORM_TOLERANCE:g} of 1), got norm {norm!r}"
+            )
+        key.setflags(write=False)
         if "deferred" in d:
             marker = d["deferred"]
             if not isinstance(marker, dict) or not isinstance(marker.get("agent_id"), str):
@@ -158,7 +170,7 @@ class PoolEntry:
             raise PoolFormatError("pool entry needs a value or a deferred marker")
         return cls(
             entry_id=d["entry_id"],
-            key=_unit(key),
+            key=key,
             value=value,
             timestamp=d["timestamp"],
             agent_id=d["agent_id"],

@@ -27,7 +27,6 @@ called from any number of concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -75,23 +74,6 @@ class DomainSpec:
             "noise_scale": float(self.noise_scale),
             "seed": int(self.seed),
         }
-
-
-@runtime_checkable
-class Oracle(Protocol):
-    """Contract required of any frozen model used by the adaptation loops."""
-
-    def predict(self, x: np.ndarray, tp: TokenPrompt | None = None) -> np.ndarray: ...
-
-    def stochastic_forward(self, x: np.ndarray, dropout_rate: float, seed: int) -> np.ndarray: ...
-
-    def stem_features(self, x: np.ndarray) -> np.ndarray: ...
-
-    def tokenize(self, x: np.ndarray) -> np.ndarray: ...
-
-    def encode_tokens(self, z: np.ndarray) -> np.ndarray: ...
-
-    def encode_image(self, x: np.ndarray) -> np.ndarray: ...
 
 
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -150,8 +150,53 @@ class TestReport:
         assert main(["report", "--metrics", str(bad)]) == 2
         assert "line 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column, value", [("shift_flag", "2"), ("degraded", "7")])
+    def test_malformed_boolean_names_line_number(self, tmp_path, config_path, capsys,
+                                                 column, value):
+        from adaptfly.fleet.agents import RECORD_COLUMNS
+        metrics = self._metrics(tmp_path, config_path)
+        text = metrics.read_text().splitlines()
+        row = text[3].split(",")
+        row[RECORD_COLUMNS.index(column)] = value
+        text[3] = ",".join(row)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(text) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--metrics", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "line 4" in err and repr(value) in err and err.count("\n") == 1
+
     def test_missing_metrics_exits_2(self, tmp_path):
         assert main(["report", "--metrics", str(tmp_path / "none.csv")]) == 2
+
+
+def _report_cell(value):
+    return f"{'-':>9s}" if value is None else f"{value:9.4f}"
+
+
+class TestReportMatchesSummary:
+    """``report`` prints summary.json's pre/post split, not a copy of its own."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reference_seed(self, tmp_path, capsys, seed):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(reference_config(seed=seed)))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        capsys.readouterr()
+        assert main(["report", "--metrics", str(out / "metrics.csv")]) == 0
+        printed = capsys.readouterr().out.splitlines()[1:]
+        expected = []
+        for agent, a in summary["agents"].items():
+            for dom, d in a["domains"].items():
+                pre = d["pre_adaptation_mean_entropy"]
+                post = d["post_adaptation_mean_entropy"]
+                reduction = None if pre is None or post is None else pre - post
+                expected.append(f"{agent:10s} {dom:8s} {d['frames']:6d} {_report_cell(pre)} "
+                                f"{_report_cell(post)} {_report_cell(reduction)}")
+        assert len(expected) == 12
+        assert sorted(printed) == sorted(expected)
 
 
 class TestEnvironment:

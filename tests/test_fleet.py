@@ -5,7 +5,7 @@ import pytest
 
 from adaptfly.distill import DistillConfig, entry_size_bytes
 from adaptfly.drift import DriftTracker
-from adaptfly.errors import CompositionError, ConfigError
+from adaptfly.errors import CompositionError, ConfigError, ProtocolError
 from adaptfly.fleet import (
     InprocClient,
     MecServer,
@@ -14,6 +14,7 @@ from adaptfly.fleet import (
     RefineTick,
     RegisterDeferred,
     ScenarioConfig,
+    StreamClient,
     UploadPrompt,
     clean_config,
     metrics_csv,
@@ -197,6 +198,39 @@ class TestServer:
         response = client.request(Query(query=q, n=1, request_id=1))
         assert response.entries == ()
         assert pool.size == 0
+
+
+@pytest.mark.parametrize("client_cls", [InprocClient, StreamClient])
+class TestReplyRule:
+    """One rule for both transports: a request gets exactly its own reply, a
+    send none, and a mismatch leaves no frame behind."""
+
+    def test_reply_to_send_raises_and_is_not_returned_later(self, server_setup, client_cls):
+        oracle, _, _, server = server_setup
+        client = client_cls(server)
+        key = tuple(np.eye(oracle.token_dim)[0])
+        with pytest.raises(ProtocolError, match="unexpected response"):
+            client.send(Query(query=key, n=2, request_id=1))
+        assert client.request(Query(query=key, n=2, request_id=2)).request_id == 2
+        if isinstance(client, StreamClient):
+            assert len(client.to_server) == len(client.from_server) == 0
+
+    def test_request_without_reply_raises(self, server_setup, client_cls):
+        _, _, _, server = server_setup
+        client = client_cls(server)
+        with pytest.raises(ProtocolError, match="expected a response"):
+            client.request(RefineTick())
+        if isinstance(client, StreamClient):
+            assert len(client.to_server) == len(client.from_server) == 0
+
+    def test_bytes_counted_on_both_sides(self, server_setup, client_cls):
+        oracle, _, _, server = server_setup
+        client = client_cls(server)
+        from adaptfly.fleet.messages import encode_message
+        query = Query(query=tuple(np.eye(oracle.token_dim)[0]), n=2, request_id=1)
+        reply = client.request(query)
+        assert client.bytes_sent == len(encode_message(query))
+        assert client.bytes_received == len(encode_message(reply))
 
 
 class TestFaultInjection:

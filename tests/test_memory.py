@@ -358,12 +358,38 @@ class TestPersistence:
         assert sum(e.last_retrieved == 40 for e in loaded.entries()) == 2
         for a, b in zip(pool.entries(), loaded.entries()):
             assert a.entry_id == b.entry_id
-            np.testing.assert_allclose(a.key, b.key, atol=1e-15)
+            assert np.array_equal(a.key, b.key)
             assert a.value == b.value
             assert a.timestamp == b.timestamp
             assert a.last_retrieved == b.last_retrieved
             assert a.agent_id == b.agent_id
             assert a.domain_tag == b.domain_tag
+
+    def test_reload_keeps_keys_bit_for_bit(self, tmp_path):
+        # Normalizing an already unit key again moves its last bits for
+        # about a third of 48-d keys; a reload must not.
+        pool = make_pool(capacity=64, merge_threshold=1.0)
+        rng = np.random.default_rng(5)
+        for i in range(64):
+            pool.insert(rng.normal(size=48), prompt(), timestamp=i, agent_id="a")
+        path = tmp_path / "pool.jsonl"
+        pool.save(path)
+        loaded = PromptPool.load(path)
+        assert [e.entry_id for e in loaded.entries()] == [e.entry_id for e in pool.entries()]
+        for a, b in zip(pool.entries(), loaded.entries()):
+            assert np.array_equal(a.key, b.key)
+
+    @pytest.mark.parametrize("key", [[2.0, 0.0], [0.6, 0.6], [0.0, 0.0], [1.0, np.nan],
+                                     [np.inf, 0.0], [1.0 + 1e-6, 0.0]])
+    def test_stored_key_must_be_finite_and_unit(self, key):
+        d = {**PoolEntry(0, unit([1.0, 0.0]), prompt(), 0, "a").to_dict(), "key": key}
+        with pytest.raises(PoolFormatError, match="unit vector"):
+            PoolEntry.from_dict(d)
+
+    def test_stored_key_within_tolerance_kept_as_is(self):
+        key = [0.6, 0.8 + 1e-12]
+        d = {**PoolEntry(0, unit([1.0, 0.0]), prompt(), 0, "a").to_dict(), "key": key}
+        assert PoolEntry.from_dict(d).key.tolist() == key
 
     def test_snapshot_is_one_json_object_per_line(self, tmp_path):
         pool = make_pool()
@@ -507,13 +533,11 @@ class ReferencePool:
         self.pending = [e for e in self.pending if e.entry_id != entry_id]
 
     def reload(self):
-        """save() then load(): refine, sort by id, keep retrieval stamps;
-        fresh ids continue after the largest surviving one."""
+        """save() then load(): refine, sort by id, keep retrieval stamps and
+        keys; fresh ids continue after the largest surviving one."""
         self.refine()
         self.refined.sort(key=lambda e: e.entry_id)
         self.next_id = max((e.entry_id + 1 for e in self.refined), default=0)
-        for e in self.refined:
-            e.key = self.unit([float(x) for x in e.key])
 
 
 def assert_same_pool(pool: PromptPool, ref: ReferencePool):
