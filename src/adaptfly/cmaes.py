@@ -4,9 +4,10 @@ Two update modes share one ask/tell interface:
 
 * ``full-cma`` — rank-mu covariance matrix adaptation with log-rank
   weights, cumulative step-size adaptation and a rank-one evolution path,
-  following the standard tutorial parameterization; the eigendecomposition
-  of a dense covariance is refreshed on the tutorial's lazy schedule
-  (``_refresh_gap``). Default.
+  following the standard tutorial parameterization. A dense covariance is
+  Cholesky-factored after every generation (any A with A A^T = C samples
+  correctly), and the step-size path is whitened with the population's own
+  standard-normal draws. Default.
 * ``elite-eda`` — the literal loop this library's fleet pseudocode calls
   for: mean and covariance re-estimated from the elite samples each
   generation, no step-size path.
@@ -114,10 +115,12 @@ class CmaState:
     generation: int = 0
     best_vector: np.ndarray | None = None
     best_fitness: float = math.inf
-    _sample_basis: np.ndarray | None = field(default=None, repr=False)  # eigenvectors B
-    _sample_scale: np.ndarray | None = field(default=None, repr=False)  # sqrt eigenvalues D
-    _factored_at: int = field(default=0, repr=False)  # generation of the cached factors
-    _refresh_gap: float = field(default=0.0, repr=False)  # see _refresh_gap()
+    # A with A A^T = C (dense), or the root of the diagonal.
+    _sample_factor: np.ndarray | None = field(default=None, repr=False)
+    _rates: tuple | None = field(default=None, repr=False)  # full-cma only
+    # The population cma_ask last returned and the standard normals behind it.
+    _asked: np.ndarray | None = field(default=None, repr=False)
+    _z: np.ndarray | None = field(default=None, repr=False)
 
     def covariance(self) -> np.ndarray:
         """Dense covariance representation (the normalized C in full-cma)."""
@@ -127,15 +130,26 @@ class CmaState:
 
 
 def _factor(state: CmaState) -> None:
-    """Cache the eigendecomposition C = B diag(D^2) B^T of the covariance."""
+    """Cache a sampling factor A with A A^T = C.
+
+    Dense full-cma takes the Cholesky factor. elite-eda, and full-cma when
+    Cholesky fails (a covariance that is not numerically positive
+    definite), take B diag(D) from the eigendecomposition C = B diag(D^2)
+    B^T with the spectrum clipped to ``cov_floor``; the clipped covariance
+    replaces C.
+    """
     cfg = state.config
-    state._factored_at = state.generation
     if cfg.diagonal:
         d = np.maximum(state.cov, cfg.cov_floor)
         state.cov = d
-        state._sample_basis = None
-        state._sample_scale = np.sqrt(d)
+        state._sample_factor = np.sqrt(d)
         return
+    if cfg.mode == "full-cma":
+        try:
+            state._sample_factor = np.linalg.cholesky(state.cov)
+            return
+        except np.linalg.LinAlgError:
+            pass
     c = (state.cov + state.cov.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(c)
     # Reconstruction perturbs eigenvalues by O(n eps ||C||); lift the clip
@@ -145,8 +159,7 @@ def _factor(state: CmaState) -> None:
     eigvals = np.maximum(eigvals, lift)
     state.cov = (eigvecs * eigvals) @ eigvecs.T
     state.cov = (state.cov + state.cov.T) / 2.0
-    state._sample_basis = eigvecs
-    state._sample_scale = np.sqrt(eigvals)
+    state._sample_factor = eigvecs * np.sqrt(eigvals)
 
 
 def _full_cma_rates(cfg: CmaConfig) -> tuple:
@@ -175,23 +188,6 @@ def _full_cma_rates(cfg: CmaConfig) -> tuple:
     return weights, mu_eff, c_sigma, d_sigma, c_c, c_1, c_mu, chi_n
 
 
-def _refresh_gap(cfg: CmaConfig) -> float:
-    """Generations the cached factors may age before cma_tell refreshes them.
-
-    Dense full-cma follows the B/D update schedule of Hansen's tutorial
-    ("The CMA Evolution Strategy: A Tutorial", purecmaes): re-factor once
-    more than population / ((c_1 + c_mu) n 10) evaluations, that is
-    1 / ((c_1 + c_mu) n 10) generations, have passed since the last
-    factorization. That is about 1.9 at n = 153 and elite 8, so every
-    second generation. The change to C per generation is O(c_1 + c_mu)
-    small. elite-eda and diagonal factor after every generation.
-    """
-    if cfg.mode == "elite-eda" or cfg.diagonal:
-        return 0.0
-    c_1, c_mu = _full_cma_rates(cfg)[5:7]
-    return 1.0 / ((c_1 + c_mu) * cfg.dimension * 10.0)
-
-
 def cma_init(config: CmaConfig) -> CmaState:
     """Fresh state: mean at the origin, covariance sigma0^2 * I."""
     n = config.dimension
@@ -209,7 +205,7 @@ def cma_init(config: CmaConfig) -> CmaState:
         sigma=sigma,
         path_sigma=np.zeros(n),
         path_cov=np.zeros(n),
-        _refresh_gap=_refresh_gap(config),
+        _rates=_full_cma_rates(config) if config.mode == "full-cma" else None,
     )
     _factor(state)
     return state
@@ -219,15 +215,16 @@ def cma_ask(state: CmaState, rng: np.random.Generator) -> np.ndarray:
     """Sample one population from the current search distribution.
 
     Returns a (population, n) array; deterministic given the rng stream.
-    Does not mutate the state.
+    The distribution is left unchanged; the state keeps this population and
+    its standard-normal draws, which a full-cma ``cma_tell`` needs.
     """
     cfg = state.config
     z = rng.standard_normal((cfg.population, cfg.dimension))
-    if cfg.diagonal:
-        y = z * state._sample_scale[None, :]
-    else:
-        y = (z * state._sample_scale[None, :]) @ state._sample_basis.T
-    return state.mean[None, :] + state.sigma * y
+    factor = state._sample_factor
+    y = z * factor if cfg.diagonal else z @ factor.T
+    state._z = z
+    state._asked = state.mean[None, :] + state.sigma * y
+    return state._asked.copy()
 
 
 def cma_tell(state: CmaState, candidates: np.ndarray, fitnesses: np.ndarray) -> CmaState:
@@ -235,7 +232,9 @@ def cma_tell(state: CmaState, candidates: np.ndarray, fitnesses: np.ndarray) -> 
 
     Mutates and returns the state. Candidates are ranked ascending by
     fitness (lower is better); the best-so-far record is updated from this
-    population.
+    population. In full-cma mode the candidates must be the population
+    ``cma_ask`` last returned (ConfigError otherwise), since the step-size
+    path is whitened with the draws behind them.
     """
     cfg = state.config
     candidates = np.asarray(candidates, dtype=np.float64)
@@ -246,19 +245,21 @@ def cma_tell(state: CmaState, candidates: np.ndarray, fitnesses: np.ndarray) -> 
         )
     if not np.all(np.isfinite(fitnesses)):
         raise FitnessError("non-finite fitness in population")
+    if cfg.mode == "full-cma" and not np.array_equal(candidates, state._asked):
+        raise ConfigError("full-cma tell needs the population cma_ask last returned")
 
     order = np.argsort(fitnesses, kind="stable")
     if fitnesses[order[0]] < state.best_fitness:
         state.best_fitness = float(fitnesses[order[0]])
         state.best_vector = candidates[order[0]].copy()
 
+    elite = order[: cfg.elite]
     if cfg.mode == "elite-eda":
-        _tell_elite_eda(state, candidates[order[: cfg.elite]])
+        _tell_elite_eda(state, candidates[elite])
     else:
-        _tell_full_cma(state, candidates[order[: cfg.elite]])
+        _tell_full_cma(state, candidates[elite], state._z[elite])
     state.generation += 1
-    if state.generation - state._factored_at > state._refresh_gap:
-        _factor(state)
+    _factor(state)
     return state
 
 
@@ -275,27 +276,22 @@ def _tell_elite_eda(state: CmaState, elites: np.ndarray) -> None:
     state.sigma = 1.0
 
 
-def _tell_full_cma(state: CmaState, elites: np.ndarray) -> None:
+def _tell_full_cma(state: CmaState, elites: np.ndarray, elite_z: np.ndarray) -> None:
     """Rank-mu / rank-one update of mean, step size, paths and covariance.
 
-    The step-size path whitens with the cached factors, which may lag the
-    covariance by up to ``_refresh_gap`` generations.
+    The step-size path takes A^-1 y_w for the factor A that sampled the
+    population, which is the weighted mean of the elites' draws ``elite_z``.
     """
     cfg = state.config
     n = cfg.dimension
-    weights, mu_eff, c_sigma, d_sigma, c_c, c_1, c_mu, chi_n = _full_cma_rates(cfg)
+    weights, mu_eff, c_sigma, d_sigma, c_c, c_1, c_mu, chi_n = state._rates
 
     ys = (elites - state.mean[None, :]) / state.sigma
     y_w = weights @ ys
 
-    if cfg.diagonal:
-        inv_sqrt_yw = y_w / state._sample_scale
-    else:
-        basis = state._sample_basis
-        inv_sqrt_yw = basis @ ((basis.T @ y_w) / state._sample_scale)
     state.path_sigma = (1.0 - c_sigma) * state.path_sigma + math.sqrt(
         c_sigma * (2.0 - c_sigma) * mu_eff
-    ) * inv_sqrt_yw
+    ) * (weights @ elite_z)
 
     t = state.generation + 1
     ps_norm = float(np.linalg.norm(state.path_sigma))

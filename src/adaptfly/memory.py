@@ -13,7 +13,7 @@ only appends to the pending list, refine runs as an exclusive batch.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -40,8 +40,9 @@ __all__ = [
 
 _INT64 = range(-(2**63), 2**63)
 
-# A stored key is a unit vector up to rounding; snapshots and replies carry
-# it at full float64 precision, so a reload keeps it bit for bit.
+# A stored key or deferred query is a unit vector up to rounding; snapshots
+# and replies carry it at full float64 precision, so a reload keeps it bit
+# for bit.
 _KEY_NORM_TOLERANCE = 1e-9
 
 
@@ -53,6 +54,19 @@ def _unit(key: np.ndarray) -> np.ndarray:
     out = key / norm
     out.setflags(write=False)
     return out
+
+
+def _stored_unit(values, what: str) -> np.ndarray:
+    """A unit vector read from a snapshot or reply, kept bit for bit."""
+    vec = number_vector(values, what)
+    norm = float(np.linalg.norm(vec))
+    if not abs(norm - 1.0) <= _KEY_NORM_TOLERANCE:  # also rejects NaN and inf
+        raise PoolFormatError(
+            f"{what} must be a finite unit vector (norm within "
+            f"{_KEY_NORM_TOLERANCE:g} of 1), got norm {norm!r}"
+        )
+    vec.setflags(write=False)
+    return vec
 
 
 @dataclass(frozen=True)
@@ -77,13 +91,19 @@ class PoolConfig:
 
 @dataclass(frozen=True)
 class DeferredMarker:
-    """Placeholder value: a domain query embedding awaiting distillation."""
+    """Placeholder value: a domain query embedding awaiting distillation.
+
+    The query is normalized unless ``normalize=False``, which keeps a query
+    that is already unit (one read back by ``PoolEntry.from_dict``) as is.
+    """
 
     query: np.ndarray
     agent_id: str
+    normalize: InitVar[bool] = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "query", _unit(self.query))
+    def __post_init__(self, normalize: bool):
+        if normalize:
+            object.__setattr__(self, "query", _unit(self.query))
 
 
 @dataclass
@@ -134,8 +154,9 @@ class PoolEntry:
         """Parse ``to_dict`` output; PoolFormatError names the first bad field.
 
         An optional ``last_retrieved`` (written by ``PromptPool.save``, never
-        sent on the wire) defaults to ``timestamp``. The key is kept bit for
-        bit: it must already be a unit vector, to ``_KEY_NORM_TOLERANCE``.
+        sent on the wire) defaults to ``timestamp``. The key and a deferred
+        query are kept bit for bit: each must already be a unit vector, to
+        ``_KEY_NORM_TOLERANCE``.
         """
         if not isinstance(d, dict):
             raise PoolFormatError("pool entry must be an object")
@@ -149,21 +170,13 @@ class PoolEntry:
             raise PoolFormatError("pool entry agent_id must be a string")
         if not isinstance(d.get("domain_tag"), (str, type(None))):
             raise PoolFormatError("pool entry domain_tag must be a string or null")
-        key = number_vector(d.get("key"), "pool entry key")
-        norm = float(np.linalg.norm(key))
-        if not abs(norm - 1.0) <= _KEY_NORM_TOLERANCE:  # also rejects NaN and inf
-            raise PoolFormatError(
-                f"pool entry key must be a finite unit vector (norm within "
-                f"{_KEY_NORM_TOLERANCE:g} of 1), got norm {norm!r}"
-            )
-        key.setflags(write=False)
+        key = _stored_unit(d.get("key"), "pool entry key")
         if "deferred" in d:
             marker = d["deferred"]
             if not isinstance(marker, dict) or not isinstance(marker.get("agent_id"), str):
                 raise PoolFormatError("pool entry deferred must hold a query and an agent_id")
-            value = DeferredMarker(
-                number_vector(marker.get("query"), "deferred query"), marker["agent_id"]
-            )
+            query = _stored_unit(marker.get("query"), "deferred query")
+            value = DeferredMarker(query, marker["agent_id"], normalize=False)
         elif "value" in d:
             value = TokenPrompt.from_dict(d["value"])
         else:

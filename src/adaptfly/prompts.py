@@ -115,15 +115,23 @@ class TokenPrompt:
         ``dtype`` gives the stored bits again, signed zeros included.
         """
         flat = self.values.ravel()
-        text = ",".join([_FORMATS[self.dtype]] * flat.size) % tuple(flat.tolist())
-        whole = np.flatnonzero(flat == np.trunc(flat))
-        if whole.size:
+        fmt = _FORMATS[self.dtype]
+        whole = flat == np.trunc(flat)
+        if not whole.any():
+            return ",".join([fmt] * flat.size) % tuple(flat.tolist())
+        # Zeros, common in distilled prompts, go into the format string as
+        # Python writes them, so they are not formatted one by one.
+        zero = flat == 0
+        formats = np.where(zero, np.where(np.signbit(flat), "-0.0", "0.0"), fmt).tolist()
+        text = ",".join(formats) % tuple(flat[~zero].tolist())
+        others = np.flatnonzero(whole & ~zero)
+        if others.size:
             # %g drops the ".0" of whole numbers, and "%.9g" writes exponents
             # from 1e9 on where Python waits until 1e16. Only whole numbers
             # are affected: every float32 from 2**23 and float16 from 2**10
             # on is one.
             tokens = text.split(",")
-            for i in whole.tolist():
+            for i in others.tolist():
                 tokens[i] = repr(float(tokens[i]))
             text = ",".join(tokens)
         return text

@@ -103,6 +103,58 @@ class TestAsk:
         assert np.max(np.abs(samples - state.mean)) < 1e-4
 
 
+def dense_full_cma_run(generations=30, n=153, seed=0):
+    """Yield (state, candidates, fitnesses) for each generation before its tell."""
+    state = cma_init(CmaConfig(dimension=n, population=16, elite=8, seed=seed))
+    rng = np.random.default_rng(seed)
+    for _ in range(generations):
+        cands = cma_ask(state, rng)
+        fits = rosenbrock(cands)
+        yield state, cands, fits
+        state = cma_tell(state, cands, fits)
+
+
+class TestCholeskyFactor:
+    """Dense full-cma samples and whitens with the Cholesky factor of C."""
+
+    def test_factor_reproduces_covariance(self):
+        for state, _, _ in dense_full_cma_run():
+            factor = state._sample_factor
+            assert np.array_equal(factor, np.tril(factor))
+            err = np.linalg.norm(factor @ factor.T - state.cov) / np.linalg.norm(state.cov)
+            assert err <= 1e-12
+
+    def test_elite_draws_equal_triangular_solve(self):
+        # weights @ z[elites] is L^-1 y_w, the whitened mean step.
+        checked = 0
+        for state, cands, fits in dense_full_cma_run():
+            elite = np.argsort(fits, kind="stable")[: state.config.elite]
+            weights = state._rates[0]
+            y_w = weights @ ((cands[elite] - state.mean) / state.sigma)
+            solved = np.linalg.solve(state._sample_factor, y_w)
+            whitened = weights @ state._z[elite]
+            assert np.linalg.norm(whitened - solved) <= 1e-10 * np.linalg.norm(solved)
+            checked += 1
+        assert checked == 30
+
+    @pytest.mark.parametrize("cov", [np.zeros((4, 4)), np.diag([1.0, -1.0, 1.0, -1.0])])
+    def test_zero_or_indefinite_covariance_falls_back_to_eigh(self, cov):
+        from adaptfly.cmaes import _factor
+
+        cfg = CmaConfig(dimension=4, population=64, sigma0=1.0, cov_floor=1e-12, seed=0)
+        state = cma_init(cfg)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cov)
+        state.cov = cov
+        _factor(state)
+        # The clipped spectrum replaced C, as only the eigh path does.
+        assert np.linalg.eigvalsh(state.covariance()).min() >= cfg.cov_floor
+        degenerate = np.linalg.eigvalsh(cov) <= 0
+        basis = np.linalg.eigh(cov)[1][:, degenerate]
+        samples = cma_ask(state, np.random.default_rng(0))
+        assert np.max(np.abs((samples - state.mean) @ basis)) < 1e-4
+
+
 class TestProjectMask:
     def test_zero_candidate(self):
         coords = np.array([[0, 0], [1, 1]])
@@ -172,8 +224,8 @@ class TestTell:
             assert np.linalg.eigvalsh(c).min() >= cfg.cov_floor
 
     @pytest.mark.parametrize("mode, diagonal, expected", [
-        ("full-cma", False, 16),  # cma_init, then every second generation
-        ("full-cma", True, 31),   # cma_init, then every generation
+        ("full-cma", False, 31),  # cma_init, then every generation
+        ("full-cma", True, 31),
         ("elite-eda", False, 31),
     ])
     def test_factorizations_per_search(self, monkeypatch, mode, diagonal, expected):
@@ -190,6 +242,24 @@ class TestTell:
             cands = cma_ask(state, rng)
             state = cma_tell(state, cands, sphere(cands))
         assert len(calls) == expected
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_full_cma_rejects_foreign_candidates(self, diagonal):
+        # The step-size path is whitened with the draws behind the asked
+        # population, so only that population may be told.
+        cfg = CmaConfig(dimension=4, population=6, elite=3, diagonal=diagonal, seed=0)
+        state = cma_init(cfg)
+        with pytest.raises(ConfigError):
+            cma_tell(state, np.zeros((6, 4)), np.zeros(6))  # nothing asked yet
+        rng = np.random.default_rng(0)
+        cands = cma_ask(state, rng)
+        with pytest.raises(ConfigError):
+            cma_tell(state, cands + 1e-3, sphere(cands))
+        cma_ask(state, rng)
+        with pytest.raises(ConfigError):
+            cma_tell(state, cands, sphere(cands))  # an earlier population
+        cands = cma_ask(state, rng)
+        cma_tell(state, cands, sphere(cands))
 
     @pytest.mark.parametrize("mode", ["full-cma", "elite-eda"])
     def test_best_so_far_non_increasing(self, mode):

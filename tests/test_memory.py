@@ -391,6 +391,32 @@ class TestPersistence:
         d = {**PoolEntry(0, unit([1.0, 0.0]), prompt(), 0, "a").to_dict(), "key": key}
         assert PoolEntry.from_dict(d).key.tolist() == key
 
+    def test_deferred_snapshot_save_load_save_is_byte_identical(self, tmp_path):
+        # Normalizing an already unit query again moves its last bits for
+        # about a third of 48-d queries; a reload must keep them.
+        pool = make_pool(capacity=100, merge_threshold=1.0)
+        rng = np.random.default_rng(6)
+        for i in range(100):
+            pool.insert(rng.normal(size=48), DeferredMarker(rng.normal(size=48), f"uav-{i}"),
+                        timestamp=i, agent_id=f"uav-{i}")
+        pool.refine()
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        pool.save(first)
+        loaded = PromptPool.load(first)
+        loaded.save(second)
+        assert first.read_bytes() == second.read_bytes()
+        for a, b in zip(pool.entries(), loaded.entries()):
+            assert np.array_equal(a.value.query, b.value.query)
+
+    @pytest.mark.parametrize("query", [[2.0, 0.0], [0.0, 0.0], [1.0, np.nan],
+                                       [1.0 + 1e-6, 0.0]])
+    def test_stored_deferred_query_must_be_finite_and_unit(self, query):
+        entry = PoolEntry(0, unit([1.0, 0.0]), DeferredMarker(np.ones(2), "a"), 0, "a")
+        d = entry.to_dict()
+        d["deferred"]["query"] = query
+        with pytest.raises(PoolFormatError, match="deferred query must be a finite unit"):
+            PoolEntry.from_dict(d)
+
     def test_snapshot_is_one_json_object_per_line(self, tmp_path):
         pool = make_pool()
         pool.insert(np.array([1.0, 0.0]), prompt(), timestamp=3, agent_id="a")

@@ -299,6 +299,26 @@ class TestNumberFormat:
         assert ",-0.0," in text and ",1000000000.0," in text
         assert ",9.99999975e-06,-1.49999996e-05," in text  # float32(1e-05), -1.5e-05
 
+    def test_mostly_signed_zeros_with_huge_whole_numbers(self):
+        # Zeros of either sign are written without formatting each one;
+        # whole numbers from 1e9 on still read as Python writes the float
+        # that "%.9g" denotes.
+        small = TokenPrompt(np.array([[0.0, -0.0, 1e9, -0.0, 123456789012.0, 0.0, -3e9, 0.5]],
+                                     dtype=np.float32))
+        assert small._values_text() == (
+            "0.0,-0.0,1000000000.0,-0.0,123456791000.0,0.0,-3000000000.0,0.5")
+        rng = np.random.default_rng(11)
+        values = np.where(rng.random(4096) < 0.5, 0.0, -0.0).astype(np.float32)
+        spots = rng.choice(values.size, 40, replace=False)
+        values[spots[:20]] = rng.integers(10**9, 10**12, size=20)
+        values[spots[20:]] = -rng.integers(10**9, 10**12, size=20)
+        prompt = TokenPrompt(values.reshape(64, 64))
+        # Reference: format every value, then rewrite each whole number.
+        tokens = [repr(float("%.9g" % v)) for v in values.tolist()]
+        assert prompt._values_text() == ",".join(tokens)
+        back = round_trip(prompt.values, "f32")
+        assert np.array_equal(back.view(np.uint32), prompt.values.view(np.uint32))
+
     @pytest.mark.parametrize("dtype", ["f32", "f16"])
     def test_text_is_json_of_to_dict(self, dtype):
         # One number format: the writer's text is what json.dumps writes for
