@@ -80,24 +80,32 @@ def _parse_value(raw: str):
         return raw
 
 
+def _slot(node, key: str, assignment: str):
+    """The index ``key`` names in an object or list node of an override path."""
+    if isinstance(node, dict):
+        return key
+    if isinstance(node, list):
+        try:
+            i = int(key)
+            node[i]
+            return i
+        except (ValueError, IndexError):
+            raise CliError(
+                f"{key!r} is not an index of a {len(node)}-item list in override {assignment!r}"
+            ) from None
+    raise CliError(f"cannot descend into {key!r} of override {assignment!r}")
+
+
 def _apply_override(config: dict, assignment: str) -> None:
     if "=" not in assignment:
         raise CliError(f"override must look like key=value, got {assignment!r}")
     dotted, raw = assignment.split("=", 1)
-    keys = dotted.split(".")
+    *path, leaf = dotted.split(".")
     node = config
-    for key in keys[:-1]:
-        if isinstance(node, list):
-            node = node[int(key)]
-        elif isinstance(node, dict):
-            node = node.setdefault(key, {})
-        else:
-            raise CliError(f"cannot descend into {key!r} of override {assignment!r}")
-    leaf = keys[-1]
-    if isinstance(node, list):
-        node[int(leaf)] = _parse_value(raw)
-    else:
-        node[leaf] = _parse_value(raw)
+    for key in path:
+        i = _slot(node, key, assignment)
+        node = node.setdefault(i, {}) if isinstance(node, dict) else node[i]
+    node[_slot(node, leaf, assignment)] = _parse_value(raw)
 
 
 def _cmd_run(args) -> int:
@@ -124,7 +132,14 @@ def _cmd_bench(args) -> int:
         raise CliError(
             f"unknown function {args.function!r}, expected one of {sorted(BENCH_FUNCTIONS)}"
         )
-    seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+        if any(s < 0 for s in seeds):
+            raise ValueError
+    except ValueError:
+        raise CliError(
+            f"--seeds must be comma-separated non-negative integers, got {args.seeds!r}"
+        ) from None
     if not seeds:
         raise CliError("no seeds given")
     target, budget = _BENCH_DEFAULTS[args.function]

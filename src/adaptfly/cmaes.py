@@ -4,7 +4,7 @@ Two update modes share one ask/tell interface:
 
 * ``full-cma`` — rank-mu covariance matrix adaptation with log-rank
   weights, cumulative step-size adaptation and a rank-one evolution path,
-  following the standard tutorial parameterization. A dense covariance is
+  following the standard tutorial parameterization. The covariance is
   Cholesky-factored after every generation (any A with A A^T = C samples
   correctly), and the step-size path is whitened with the population's own
   standard-normal draws. Default.
@@ -12,10 +12,9 @@ Two update modes share one ask/tell interface:
   for: mean and covariance re-estimated from the elite samples each
   generation, no step-size path.
 
-The optimizer loop owns its state. ``optimize_svp`` evaluates each
-generation as one population: in a single array pass when the oracle is
-pixelwise (it exposes ``svp_scorer``), otherwise one ``predict`` per
-candidate.
+The optimizer loop owns its state. ``optimize_svp`` scores each
+generation as one population in a single array pass of the oracle's
+``svp_scorer``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FitnessError
-from .oracle import mean_entropy, pixel_entropy
+from .oracle import pixel_entropy
 from .prompts import SparseVisualPrompt, apply_svp
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "cma_ask",
     "cma_tell",
     "project_mask",
-    "offsets_vector",
     "optimize_svp",
     "OptimizeResult",
     "sphere",
@@ -47,10 +45,10 @@ __all__ = [
 
 MODES = ("full-cma", "elite-eda")
 
-# Early-stopping defaults for optimize_svp: stop when the best-so-far
-# fitness improves by less than tol_f over a 5-generation window.
+# Early stopping for optimize_svp: stop when the best-so-far fitness
+# improves by less than TOL_F over a 5-generation window.
 STALL_WINDOW = 5
-DEFAULT_TOL_F = 1e-6
+TOL_F = 1e-6
 
 
 @dataclass(frozen=True)
@@ -61,8 +59,7 @@ class CmaConfig:
     population in full-cma mode, the customary choices. The elite-eda mode
     re-estimates its covariance from the elites alone each generation, so
     its defaults are far larger (max(128, 24 n) and a quarter of that) to
-    avoid premature collapse. ``diagonal`` restricts the covariance
-    representation to its diagonal (separable search).
+    avoid premature collapse.
     """
 
     dimension: int
@@ -73,8 +70,6 @@ class CmaConfig:
     mode: str = "full-cma"
     cov_floor: float = 1e-12
     seed: int = 0
-    diagonal: bool = False
-    tol_f: float = DEFAULT_TOL_F
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -108,42 +103,31 @@ class CmaState:
 
     config: CmaConfig
     mean: np.ndarray
-    cov: np.ndarray            # matrix, or its diagonal when config.diagonal
+    cov: np.ndarray
     sigma: float
     path_sigma: np.ndarray     # full-cma only
     path_cov: np.ndarray       # full-cma only
     generation: int = 0
     best_vector: np.ndarray | None = None
     best_fitness: float = math.inf
-    # A with A A^T = C (dense), or the root of the diagonal.
+    # A with A A^T = C.
     _sample_factor: np.ndarray | None = field(default=None, repr=False)
     _rates: tuple | None = field(default=None, repr=False)  # full-cma only
     # The population cma_ask last returned and the standard normals behind it.
     _asked: np.ndarray | None = field(default=None, repr=False)
     _z: np.ndarray | None = field(default=None, repr=False)
 
-    def covariance(self) -> np.ndarray:
-        """Dense covariance representation (the normalized C in full-cma)."""
-        if self.config.diagonal:
-            return np.diag(self.cov)
-        return self.cov.copy()
-
 
 def _factor(state: CmaState) -> None:
     """Cache a sampling factor A with A A^T = C.
 
-    Dense full-cma takes the Cholesky factor. elite-eda, and full-cma when
+    full-cma takes the Cholesky factor. elite-eda, and full-cma when
     Cholesky fails (a covariance that is not numerically positive
     definite), take B diag(D) from the eigendecomposition C = B diag(D^2)
     B^T with the spectrum clipped to ``cov_floor``; the clipped covariance
     replaces C.
     """
     cfg = state.config
-    if cfg.diagonal:
-        d = np.maximum(state.cov, cfg.cov_floor)
-        state.cov = d
-        state._sample_factor = np.sqrt(d)
-        return
     if cfg.mode == "full-cma":
         try:
             state._sample_factor = np.linalg.cholesky(state.cov)
@@ -179,11 +163,6 @@ def _full_cma_rates(cfg: CmaConfig) -> tuple:
     c_mu = min(
         1.0 - c_1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((n + 2.0) ** 2 + mu_eff)
     )
-    if cfg.diagonal:
-        # Separable update may learn coordinate scales faster.
-        boost = (n + 2.0) / 3.0
-        c_1 = min(c_1 * boost, 1.0 - c_mu)
-        c_mu = min(c_mu * boost, 1.0 - c_1)
     chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n**2))
     return weights, mu_eff, c_sigma, d_sigma, c_c, c_1, c_mu, chi_n
 
@@ -193,10 +172,10 @@ def cma_init(config: CmaConfig) -> CmaState:
     n = config.dimension
     if config.mode == "elite-eda":
         # The covariance itself carries the scale; sigma stays 1.
-        cov = np.full(n, config.sigma0**2) if config.diagonal else np.eye(n) * config.sigma0**2
+        cov = np.eye(n) * config.sigma0**2
         sigma = 1.0
     else:
-        cov = np.ones(n) if config.diagonal else np.eye(n)
+        cov = np.eye(n)
         sigma = config.sigma0
     state = CmaState(
         config=config,
@@ -220,10 +199,8 @@ def cma_ask(state: CmaState, rng: np.random.Generator) -> np.ndarray:
     """
     cfg = state.config
     z = rng.standard_normal((cfg.population, cfg.dimension))
-    factor = state._sample_factor
-    y = z * factor if cfg.diagonal else z @ factor.T
     state._z = z
-    state._asked = state.mean[None, :] + state.sigma * y
+    state._asked = state.mean[None, :] + state.sigma * (z @ state._sample_factor.T)
     return state._asked.copy()
 
 
@@ -267,12 +244,9 @@ def _tell_elite_eda(state: CmaState, elites: np.ndarray) -> None:
     cfg = state.config
     state.mean = elites.mean(axis=0)
     centered = elites - state.mean[None, :]
-    if cfg.diagonal:
-        state.cov = (centered**2).mean(axis=0) + cfg.cov_floor
-    else:
-        state.cov = (centered.T @ centered) / elites.shape[0] + cfg.cov_floor * np.eye(
-            cfg.dimension
-        )
+    state.cov = (centered.T @ centered) / elites.shape[0] + cfg.cov_floor * np.eye(
+        cfg.dimension
+    )
     state.sigma = 1.0
 
 
@@ -304,20 +278,12 @@ def _tell_full_cma(state: CmaState, elites: np.ndarray, elite_z: np.ndarray) -> 
 
     decay = 1.0 - c_1 - c_mu
     rank_one_adj = (1.0 - h_sigma) * c_c * (2.0 - c_c)
-    if cfg.diagonal:
-        rank_mu = weights @ (ys**2)
-        state.cov = (
-            (decay + c_1 * rank_one_adj) * state.cov
-            + c_1 * state.path_cov**2
-            + c_mu * rank_mu
-        )
-    else:
-        rank_mu = (ys.T * weights) @ ys
-        state.cov = (
-            (decay + c_1 * rank_one_adj) * state.cov
-            + c_1 * np.outer(state.path_cov, state.path_cov)
-            + c_mu * rank_mu
-        )
+    rank_mu = (ys.T * weights) @ ys
+    state.cov = (
+        (decay + c_1 * rank_one_adj) * state.cov
+        + c_1 * np.outer(state.path_cov, state.path_cov)
+        + c_mu * rank_mu
+    )
 
     state.mean = state.mean + state.sigma * y_w
     state.sigma = state.sigma * math.exp((c_sigma / d_sigma) * (ps_norm / chi_n - 1.0))
@@ -340,11 +306,6 @@ def project_mask(
     return SparseVisualPrompt(coords, candidate.reshape(-1, 3), frame_shape)
 
 
-def offsets_vector(p: SparseVisualPrompt) -> np.ndarray:
-    """Inverse of project_mask: flatten prompt offsets to a 3K vector."""
-    return p.offsets.reshape(-1).copy()
-
-
 @dataclass(frozen=True)
 class OptimizeResult:
     """Outcome of one sparse-prompt search."""
@@ -354,28 +315,6 @@ class OptimizeResult:
     baseline_fitness: float
     history: tuple[float, ...]   # best-so-far after each generation
     evaluations: int
-
-
-def _population_fitness(oracle, x: np.ndarray, coords: np.ndarray):
-    """Fitness of a (P, 3K) population: each prompted frame's mean entropy.
-
-    Oracles exposing ``svp_scorer`` are bound to (x, coords) once, so the
-    unprompted pass runs once per search, and score each population in one
-    array pass; any other oracle is asked to ``predict`` each candidate's
-    prompted frame in turn. ``coords`` must already be validated.
-    """
-    scorer = getattr(oracle, "svp_scorer", None)
-    if scorer is not None:
-        score = scorer(x, coords)
-        return lambda pop: score(pop.reshape(pop.shape[0], -1, 3))
-
-    def one_by_one(pop: np.ndarray) -> np.ndarray:
-        return np.array([
-            mean_entropy(oracle.predict(apply_svp(x, project_mask(v, coords, x.shape[:2]))))
-            for v in pop
-        ])
-
-    return one_by_one
 
 
 def optimize_svp(
@@ -389,8 +328,8 @@ def optimize_svp(
     Runs ask/evaluate/tell for at most ``config.generations`` generations,
     stopping early once the best-so-far fitness stalls. The zero vector
     (no adaptation) is evaluated alongside generation one, so the returned
-    argmin prompt is never worse than no prompt. Each generation is
-    evaluated as one population (see ``_population_fitness``).
+    argmin prompt is never worse than no prompt. The oracle's scorer is
+    bound to (x, coords) once, so the unprompted pass runs once per search.
     """
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
     if coords.shape[0] == 0:
@@ -401,10 +340,10 @@ def optimize_svp(
             f"config dimension {config.dimension} != 3 x {coords.shape[0]} masked pixels"
         )
     coords = SparseVisualPrompt.zeros(coords, frame_shape).coords  # validated once
-    population_fitness = _population_fitness(oracle, x, coords)
+    score = oracle.svp_scorer(x, coords)
 
     def fitness(pop: np.ndarray) -> np.ndarray:
-        values = population_fitness(pop)
+        values = score(pop.reshape(pop.shape[0], -1, 3))
         if not np.all(np.isfinite(values)):
             raise FitnessError("entropy fitness is non-finite")
         return values
@@ -429,7 +368,7 @@ def optimize_svp(
         history.append(best_fit)
         if (
             len(history) > STALL_WINDOW
-            and history[-STALL_WINDOW - 1] - history[-1] < config.tol_f
+            and history[-STALL_WINDOW - 1] - history[-1] < TOL_F
         ):
             break
 
@@ -487,7 +426,6 @@ def run_benchmark(
     sigma0: float = 0.3,
     population: int | None = None,
     elite: int | None = None,
-    diagonal: bool = False,
 ) -> BenchResult:
     """Minimize one benchmark function until target fitness or budget."""
     if function not in BENCH_FUNCTIONS:
@@ -503,7 +441,6 @@ def run_benchmark(
         sigma0=sigma0,
         mode=mode,
         seed=seed,
-        diagonal=diagonal,
     )
     state = cma_init(config)
     rng = np.random.default_rng(seed)

@@ -6,10 +6,10 @@ features of the prompt-prefixed token sequence (student) and features of
 the pixel-corrected image (teacher), averaged over a handful of frames
 from the same domain window.
 
-On the affine toy encoder the objective is an exact least-squares problem:
-a closed-form minimizer computed from the normal equations serves as the
-verification oracle for the iterative minimizer. Opaque oracles fall back
-to central finite differences.
+The oracle's prompt path is affine (``prompt_mix`` and
+``feature_projection``), so the objective is an exact least-squares
+problem: a closed-form minimizer computed from the normal equations serves
+as the verification oracle for the iterative minimizer.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 TIKHONOV_DAMPING = 1e-8
-FD_STEP = 1e-4
 
 # Fixed serialized-entry overhead besides the raw prompt matrix: entry id,
 # timestamp and last-retrieved step (8 bytes each), rows, dim, dtype code
@@ -49,15 +48,12 @@ _BYTES_PER_VALUE = {"f32": 4, "f16": 2}
 class DistillConfig:
     """Distillation knobs.
 
-    ``step_size`` of None selects an exact line search on the analytic
-    path (the objective there is quadratic) and a backtracking search with
-    initial step 1e-4 on the finite-difference path. ``frames`` caps how
-    many frames of the domain window contribute to the averaged objective.
+    ``frames`` caps how many frames of the domain window contribute to the
+    averaged objective.
     """
 
     rows: int = 8
     steps: int = 8
-    step_size: float | None = None
     frames: int = 5
     precision: str = "f16"
 
@@ -70,8 +66,6 @@ class DistillConfig:
             raise ConfigError("distillation needs at least one frame")
         if self.precision not in _BYTES_PER_VALUE:
             raise ConfigError(f"precision must be one of {sorted(_BYTES_PER_VALUE)}")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ConfigError("step size must be positive")
 
 
 def teacher_features(oracle, x: np.ndarray, svp: SparseVisualPrompt) -> np.ndarray:
@@ -97,13 +91,6 @@ def distill_objective(
     return value
 
 
-def _affine_maps(oracle, rows: int):
-    """(mix, projection) when the oracle exposes its affine prompt path."""
-    if hasattr(oracle, "prompt_mix") and hasattr(oracle, "feature_projection"):
-        return oracle.prompt_mix(rows), np.asarray(oracle.feature_projection)
-    return None
-
-
 def _mean_gap(oracle, frames, svp, projection) -> np.ndarray:
     """Mean of (teacher - unprompted student) feature gaps across frames."""
     gaps = [
@@ -119,57 +106,25 @@ def distill_iterative(
     """Gradient-descent distillation starting from the all-zero prompt.
 
     Runs ``config.steps`` descent iterations on the frame-averaged
-    objective. The gradient is analytic when the oracle exposes its affine
-    prompt maps and central finite differences otherwise; in both cases
-    the objective is non-increasing per step. Returns the prompt in the
-    configured storage precision.
+    objective with the analytic gradient and an exact line search (the
+    objective is quadratic), so it is non-increasing per step. Returns the
+    prompt in the configured storage precision.
     """
     frames = list(frames)[: config.frames]
     if not frames:
         raise ConfigError("distillation needs at least one frame")
     dim = oracle.tokenize(frames[0]).shape[1]
     values = np.zeros((config.rows, dim))
-
-    maps = _affine_maps(oracle, config.rows)
-    if maps is not None:
-        mix, projection = maps
-        gap = _mean_gap(oracle, frames, svp, projection)
-        for _ in range(config.steps):
-            residual = mix @ values @ projection - gap
-            grad = 2.0 * mix.T @ residual @ projection.T
-            curv = 2.0 * float(np.sum((mix @ grad @ projection) ** 2))
-            if curv <= 0.0:
-                break
-            if config.step_size is None:
-                step = float(np.sum(grad**2)) / curv
-            else:
-                step = config.step_size
-            values = values - step * grad
-        distill_objective(oracle, frames, svp, values)  # finiteness check
-        return TokenPrompt(values, dtype=config.precision)
-
-    # Opaque path: numerical gradient, backtracking keeps descent monotone.
-    current = distill_objective(oracle, frames, svp, values)
-    step0 = config.step_size if config.step_size is not None else FD_STEP
+    mix, projection = oracle.prompt_mix(config.rows), oracle.feature_projection
+    gap = _mean_gap(oracle, frames, svp, projection)
     for _ in range(config.steps):
-        grad = np.zeros_like(values)
-        for idx in np.ndindex(values.shape):
-            probe = values.copy()
-            probe[idx] += FD_STEP
-            hi = distill_objective(oracle, frames, svp, probe)
-            probe[idx] -= 2 * FD_STEP
-            lo = distill_objective(oracle, frames, svp, probe)
-            grad[idx] = (hi - lo) / (2 * FD_STEP)
-        step = step0
-        for _ in range(30):
-            trial = values - step * grad
-            candidate = distill_objective(oracle, frames, svp, trial)
-            if candidate <= current:
-                values, current = trial, candidate
-                break
-            step /= 2.0
-        else:
+        residual = mix @ values @ projection - gap
+        grad = 2.0 * mix.T @ residual @ projection.T
+        curv = 2.0 * float(np.sum((mix @ grad @ projection) ** 2))
+        if curv <= 0.0:
             break
+        values = values - (float(np.sum(grad**2)) / curv) * grad
+    distill_objective(oracle, frames, svp, values)  # finiteness check
     return TokenPrompt(values, dtype=config.precision)
 
 
@@ -182,10 +137,7 @@ def closed_form_solution(
     damping, so rank deficiency never fails. Full float64 precision.
     """
     frames = list(frames)
-    maps = _affine_maps(oracle, rows)
-    if maps is None:
-        raise ConfigError("closed-form distillation needs an affine oracle")
-    mix, projection = maps
+    mix, projection = oracle.prompt_mix(rows), oracle.feature_projection
     gap = _mean_gap(oracle, frames, svp, projection)
     lhs_rows = mix.T @ mix + TIKHONOV_DAMPING * np.eye(rows)
     lhs_cols = projection @ projection.T + TIKHONOV_DAMPING * np.eye(projection.shape[0])

@@ -101,12 +101,10 @@ _CMA_FIELDS = {
     "population": dict(kind=int, lo=1), "elite": dict(kind=int, lo=1),
     "generations": dict(kind=int, lo=1), "sigma0": dict(kind=float, positive=True),
     "mode": dict(kind=str), "cov_floor": dict(kind=float, positive=True, hi=1.0),
-    "diagonal": dict(kind=bool), "tol_f": dict(kind=float),
 }
 _DISTILL_FIELDS = {
     "rows": dict(kind=int, lo=1), "steps": dict(kind=int, lo=1),
     "frames": dict(kind=int, lo=1), "precision": dict(kind=str),
-    "step_size": dict(kind=float, positive=True),
 }
 
 

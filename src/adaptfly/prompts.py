@@ -251,21 +251,6 @@ class SparseVisualPrompt:
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
         return cls(coords, np.zeros((coords.shape[0], 3)), frame_shape)
 
-    def to_dict(self) -> dict:
-        """Serialize as {"shape", "coords", "offsets"}."""
-        return {
-            "shape": [int(s) for s in self.frame_shape],
-            "coords": [[int(r), int(c)] for r, c in self.coords],
-            "offsets": [[float(a) for a in row] for row in self.offsets],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SparseVisualPrompt":
-        h, w = d["shape"]
-        coords = np.asarray(d["coords"], dtype=np.int64).reshape(-1, 2)
-        offsets = np.asarray(d["offsets"], dtype=np.float64).reshape(-1, 3)
-        return cls(coords, offsets, (h, w))
-
 
 def compose_tokens(prompt: TokenPrompt, seq: np.ndarray) -> np.ndarray:
     """Prepend prompt rows to a token sequence.

@@ -79,6 +79,23 @@ class TestRun:
         assert code == 2
 
 
+class TestMalformedArguments:
+    @pytest.mark.parametrize("args, named", [
+        (["--set", "agents.x.rho=0.1"], "agents.x.rho=0.1"),
+        (["--set", "agents.9.rho=0.1"], "agents.9.rho=0.1"),
+        (["--set", "pool.capacity.x=1"], "pool.capacity.x=1"),
+        (["--set", "oracle.seed.x=1"], "oracle.seed.x=1"),
+        (["bench", "--function", "sphere", "--n", "4", "--seeds", "0,a"], "0,a"),
+        (["bench", "--function", "sphere", "--n", "4", "--seeds", "0,-1"], "0,-1"),
+    ])
+    def test_exit_2_with_one_line(self, tmp_path, config_path, capsys, args, named):
+        if args[0] == "--set":
+            args = ["run", "--config", str(config_path), "--out", str(tmp_path / "o"), *args]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("adaptfly: ") and named in err and err.count("\n") == 1
+
+
 class TestBench:
     def test_sphere_rows(self, capsys):
         code = main(["bench", "--function", "sphere", "--n", "6", "--mode", "full-cma",
@@ -266,6 +283,9 @@ class TestMalformedConfigs:
         (lambda c: c["agents"][0]["cma"].update(population="16"), "population"),
         (lambda c: c.update(domains={"base": {}}), "domains"),
         (lambda c: c["domains"].append(dict(c["domains"][0])), "unique"),
+        (lambda c: c["agents"][0]["cma"].update(diagonal=True), "diagonal"),
+        (lambda c: c["agents"][0]["cma"].update(tol_f=1e-6), "tol_f"),
+        (lambda c: c["distill"].update(step_size=0.1), "step_size"),
     ])
     def test_shipped_config_typos_exit_2(self, tmp_path, capsys, edit, message):
         config = json.loads((SHIPPED / "three_domain.json").read_text())

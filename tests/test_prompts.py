@@ -207,15 +207,6 @@ class TestValidationAndSerialization:
         with pytest.raises(CompositionError):
             TokenPrompt(np.array([[np.nan, 0.0]]))
 
-    def test_svp_json_round_trip(self):
-        rng = np.random.default_rng(7)
-        p = SparseVisualPrompt(
-            np.array([[0, 1], [3, 2]]), rng.normal(size=(2, 3)), (5, 5)
-        )
-        d = p.to_dict()
-        assert set(d) == {"shape", "coords", "offsets"}
-        assert SparseVisualPrompt.from_dict(d) == p
-
     def test_token_prompt_json_round_trip_f32_bit_exact(self):
         values = np.random.default_rng(8).normal(size=(4, 6)).astype(np.float32)
         p = TokenPrompt(values, dtype="f32")
