@@ -427,7 +427,10 @@ def run_benchmark(
     population: int | None = None,
     elite: int | None = None,
 ) -> BenchResult:
-    """Minimize one benchmark function until target fitness or budget."""
+    """Minimize one benchmark function until target fitness or budget.
+
+    A budget below one population evaluates nothing and raises ConfigError.
+    """
     if function not in BENCH_FUNCTIONS:
         raise ConfigError(
             f"unknown benchmark {function!r}, expected one of {sorted(BENCH_FUNCTIONS)}"
@@ -442,6 +445,11 @@ def run_benchmark(
         mode=mode,
         seed=seed,
     )
+    if max_evaluations < config.population:
+        raise ConfigError(
+            f"evaluation budget {max_evaluations} is below one population "
+            f"({config.population} evaluations)"
+        )
     state = cma_init(config)
     rng = np.random.default_rng(seed)
     evaluations = 0

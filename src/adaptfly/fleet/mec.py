@@ -5,6 +5,11 @@ append to the pending set; refine ticks consolidate; queries are served
 from the whole pool, materializing deferred entries on demand through the
 shared frozen oracle. Entries whose provenance has expired are removed so
 queries stop serving them.
+
+Many agents pull the same few entries, so the server encodes each served
+entry once and sends that text until the entry changes: reply entries are
+read-only ``EncodedDict``s. The texts belong to the server, not the pool,
+and those of entries that left the pool are pruned at each refine tick.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ import numpy as np
 
 from ..distill import DistillConfig, distill_iterative
 from ..errors import EmptyPoolError, ProtocolError, ResolutionError
-from ..memory import DeferredMarker, PromptPool
-from ..prompts import SparseVisualPrompt
+from ..memory import DeferredMarker, PoolEntry, PromptPool
+from ..prompts import EncodedDict, SparseVisualPrompt
 from .messages import (
     FleetMessage,
     Query,
@@ -84,6 +89,8 @@ class MecServer:
         self.distill_config = distill_config
         self.provenance = provenance or ProvenanceLog()
         self._ops = 0  # server-local clock for retrieval recency
+        # entry_id -> (key, value, (timestamp, agent_id, domain_tag), text)
+        self._texts: dict[int, tuple] = {}
 
     def handle(self, msg: FleetMessage) -> FleetMessage | None:
         self._ops += 1
@@ -111,14 +118,17 @@ class MecServer:
             )
         if isinstance(msg, RefineTick):
             self.pool.refine()
+            live = {e.entry_id for e in self.pool.entries()}
+            self._texts = {i: t for i, t in self._texts.items() if i in live}
             return None
         raise ProtocolError(f"server cannot handle {type(msg).__name__}")
 
     def _query(self, msg: Query) -> list[dict]:
         """Top-N retrieval; deferred hits are distilled on demand or dropped.
 
-        Entries are ``PoolEntry.wire_dict``s: the pool's own prompts, which
-        the codec writes at their stored precision.
+        Entries are the hits' ``PoolEntry.wire_dict``s, each encoded once
+        (``_encoded``): the pool's own prompts, which the codec writes at
+        their stored precision.
         """
         q = np.asarray(msg.query)
         while True:
@@ -128,12 +138,28 @@ class MecServer:
                 return []
             deferred = [e for e in hits if e.is_deferred]
             if not deferred:
-                return [e.wire_dict() for e in hits]
+                return [self._encoded(e) for e in hits]
             entry = deferred[0]
             try:
                 self.pool.resolve_deferred(entry.entry_id, self._distiller(entry))
             except ResolutionError:
                 pass  # resolve_deferred already dropped the entry; re-rank
+
+    def _encoded(self, entry: PoolEntry) -> EncodedDict:
+        """The entry's ``wire_dict`` with its text, re-encoded only on change.
+
+        The text stays valid while every field ``wire_dict`` writes does: a
+        merge or a resolution assigns a new key or value object (keys are
+        read-only arrays and TokenPrompts frozen), so those compare by
+        identity. ``last_retrieved`` is not on the wire.
+        """
+        fields = (entry.timestamp, entry.agent_id, entry.domain_tag)
+        cached = self._texts.get(entry.entry_id)
+        if (cached is None or cached[0] is not entry.key or cached[1] is not entry.value
+                or cached[2] != fields):
+            cached = (entry.key, entry.value, fields, EncodedDict(entry.wire_dict()))
+            self._texts[entry.entry_id] = cached
+        return cached[3]
 
     def _distiller(self, entry):
         def distiller(marker: DeferredMarker):

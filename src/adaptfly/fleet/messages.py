@@ -10,7 +10,9 @@ A decoded message re-encodes to the same bytes, and every prompt value
 decodes to the stored-precision array it was encoded from, bit for bit.
 So decode_message(encode_message(m)) == m for every variant whose reply
 entries are plain JSON data; a server reply's entries carry the pool's
-TokenPrompts and decode to the entries' ``PoolEntry.to_dict()``.
+TokenPrompts and decode to the entries' ``PoolEntry.to_dict()``. The
+server sends each reply entry pre-encoded (a read-only ``EncodedDict``,
+written verbatim), in the same bytes the entry's ``wire_dict`` encodes to.
 """
 
 from __future__ import annotations
@@ -71,8 +73,9 @@ class Query:
 class QueryResponse:
     """Ordered retrieval results as serialized pool entries.
 
-    The server sends ``PoolEntry.wire_dict``s; a decoded reply holds the
-    same entries as plain ``to_dict`` data.
+    The server sends ``PoolEntry.wire_dict``s, pre-encoded as read-only
+    ``EncodedDict``s that it may send again in later replies; a decoded
+    reply holds the same entries as plain ``to_dict`` data.
     """
 
     request_id: int

@@ -127,7 +127,9 @@ class PoolEntry:
 
         ``compact_json`` writes it as the text of ``to_dict()``, formatting
         the prompt values directly; server replies and ``PromptPool.save``
-        use it. Keys and deferred queries carry full float64 values.
+        use it. Keys and deferred queries carry full float64 values. The
+        server encodes it once per change of the entry (``MecServer``), so
+        a served one is read-only.
         """
         d = {
             "entry_id": self.entry_id,
@@ -443,35 +445,56 @@ class PromptPool:
     # -- persistence --------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write one JSON object per refined entry (pending flushes first).
+        """Write the id high-water mark, then one line per refined entry.
 
-        Each line is the entry's ``to_dict`` plus its ``last_retrieved``
-        stamp, so a reload keeps the eviction order, written by
-        ``compact_json``: prompt values at their stored precision.
+        Pending entries flush first. The first line is ``{"next_id": N}``,
+        the id the next insert gets, so a reload never reissues the id of
+        an entry evicted or dropped before the save. Each further line is
+        an entry's ``to_dict`` plus its ``last_retrieved`` stamp, so a
+        reload keeps the eviction order, written by ``compact_json``:
+        prompt values at their stored precision.
         """
         self.refine()
         with open(path, "w", encoding="utf-8") as f:
+            f.write(compact_json({"next_id": self._next_id}) + "\n")
             for e in sorted(self._refined, key=lambda e: e.entry_id):
                 line = {**e.wire_dict(), "last_retrieved": e.last_retrieved}
                 f.write(compact_json(line) + "\n")
 
     @classmethod
     def load(cls, path, config: PoolConfig | None = None) -> "PromptPool":
-        """Restore a ``save`` snapshot; PoolFormatError names a malformed line."""
+        """Restore a ``save`` snapshot; PoolFormatError names a malformed line.
+
+        A snapshot without the ``next_id`` line (one written before it
+        existed, or plain ``to_dict`` lines) continues ids after the largest
+        stored one. A mark at or below a stored id is malformed.
+        """
         pool = cls(config)
         entries = []
+        mark = None
         with open(path, "r", encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    entry = PoolEntry.from_dict(json.loads(line))
+                    obj = json.loads(line)
+                    if lineno == 1 and isinstance(obj, dict) and set(obj) == {"next_id"}:
+                        mark = obj["next_id"]
+                        if type(mark) is not int or not 0 <= mark < 2**63:
+                            raise PoolFormatError("next_id must be a non-negative 64-bit integer")
+                        continue
+                    entry = PoolEntry.from_dict(obj)
                     pool._check_dim(entry.key, "key")
+                    if mark is not None and entry.entry_id >= mark:
+                        raise PoolFormatError(
+                            f"entry_id {entry.entry_id} is not below next_id {mark}"
+                        )
                 except (json.JSONDecodeError, AdaptflyError) as exc:
                     raise PoolFormatError(f"{path} line {lineno}: {exc}", line=lineno) from exc
                 entries.append(entry)
                 pool._next_id = max(pool._next_id, entry.entry_id + 1)
+        pool._next_id = max(pool._next_id, mark or 0)
         for entry in sorted(entries, key=lambda e: e.entry_id):
             pool._append_refined(entry)
         return pool

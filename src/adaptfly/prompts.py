@@ -26,6 +26,7 @@ __all__ = [
     "warp_svp",
     "number_vector",
     "compact_json",
+    "EncodedDict",
 ]
 
 # Fraction of coordinates that may leave the frame during a warp before a
@@ -177,16 +178,34 @@ def _prompt_dict(obj) -> dict:
 _encode = json.JSONEncoder(separators=(",", ":"), default=_prompt_dict).encode
 
 
+class EncodedDict(dict):
+    """A dict encoded once: ``compact_json`` writes its ``text`` verbatim.
+
+    ``text`` is ``compact_json`` of the items it was built from. It is not
+    updated, so an EncodedDict is read-only by contract: changing its items
+    would leave the text describing the old ones.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, items: dict):
+        super().__init__(items)
+        self.text = compact_json(items)
+
+
 def compact_json(obj) -> str:
     """``json.dumps(obj, separators=(",", ":"))``, TokenPrompts written directly.
 
     A TokenPrompt anywhere in ``obj`` is written as the JSON of its
     ``to_dict()``, its values straight from ``_values_text``, without the
-    detour through float64 shortest-repr formatting. Objects with string
-    keys and lists of objects are walked; every other value goes to
-    ``json``'s encoder, so strings, keys and non-prompt numbers (NaN
-    included) keep the bytes ``json.dumps`` gives them.
+    detour through float64 shortest-repr formatting, and an EncodedDict as
+    its stored text. Objects with string keys and lists of objects are
+    walked; every other value goes to ``json``'s encoder, so strings, keys
+    and non-prompt numbers (NaN included) keep the bytes ``json.dumps``
+    gives them.
     """
+    if type(obj) is EncodedDict:
+        return obj.text
     if isinstance(obj, TokenPrompt):
         return (
             f'{{"rows":{obj.rows},"dim":{obj.dim},"values":[{obj._values_text()}],'
@@ -194,7 +213,7 @@ def compact_json(obj) -> str:
         )
     if type(obj) is dict and all(type(k) is str for k in obj):
         return "{" + ",".join(f"{_encode(k)}:{compact_json(v)}" for k, v in obj.items()) + "}"
-    if type(obj) in (list, tuple) and obj and type(obj[0]) is dict:
+    if type(obj) in (list, tuple) and obj and isinstance(obj[0], dict):
         return "[" + ",".join(map(compact_json, obj)) + "]"
     return _encode(obj)
 

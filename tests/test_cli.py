@@ -87,6 +87,7 @@ class TestMalformedArguments:
         (["--set", "oracle.seed.x=1"], "oracle.seed.x=1"),
         (["bench", "--function", "sphere", "--n", "4", "--seeds", "0,a"], "0,a"),
         (["bench", "--function", "sphere", "--n", "4", "--seeds", "0,-1"], "0,-1"),
+        (["bench", "--function", "sphere", "--n", "4", "--max-evals", "5"], "budget 5"),
     ])
     def test_exit_2_with_one_line(self, tmp_path, config_path, capsys, args, named):
         if args[0] == "--set":

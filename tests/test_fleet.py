@@ -11,6 +11,7 @@ from adaptfly.fleet import (
     MecServer,
     ProvenanceLog,
     Query,
+    QueryResponse,
     RefineTick,
     RegisterDeferred,
     ScenarioConfig,
@@ -22,9 +23,10 @@ from adaptfly.fleet import (
     run_scenario,
 )
 from adaptfly.fleet.agents import RECORD_COLUMNS, LimitedAgent, MassiveAgent
+from adaptfly.fleet.messages import decode_message, encode_message
 from adaptfly.memory import PoolConfig, PromptPool
-from adaptfly.oracle import DomainSpec, make_toy_oracle, render_frame
-from adaptfly.prompts import TokenPrompt
+from adaptfly.oracle import DomainSpec, make_toy_oracle, planted_correction, render_frame
+from adaptfly.prompts import TokenPrompt, place_mask
 
 
 def mini_config(seed=0, transport="inproc", frames=10):
@@ -198,6 +200,89 @@ class TestServer:
         response = client.request(Query(query=q, n=1, request_id=1))
         assert response.entries == ()
         assert pool.size == 0
+
+
+def uncached_frame(server, reply) -> bytes:
+    """The reply frame re-encoded from the pool's entries, as if never cached."""
+    hits = [server.pool.get(d["entry_id"]) for d in reply.entries]
+    return encode_message(QueryResponse(reply.request_id, tuple(e.wire_dict() for e in hits)))
+
+
+class TestReplyCache:
+    """The server encodes each served entry once; every reply frame must be
+    the one the uncached path builds from the pool at that moment."""
+
+    def test_merge_into_served_entry_is_resent(self, server_setup):
+        oracle, pool, _, server = server_setup
+        key = tuple(np.eye(oracle.token_dim)[0])
+        server.handle(UploadPrompt(key=key, value=TokenPrompt(np.ones((2, 4))), timestamp=5,
+                                   agent_id="uav-h1"))
+        server.handle(RefineTick())
+        first = server.handle(Query(query=key, n=1, request_id=1))
+        # Same agent, older timestamp: only the key and the value change.
+        near = tuple(np.eye(oracle.token_dim)[0] + 0.1 * np.eye(oracle.token_dim)[1])
+        server.handle(UploadPrompt(key=near, value=TokenPrompt(np.zeros((2, 4))), timestamp=1,
+                                   agent_id="uav-h1"))
+        server.handle(RefineTick())
+        second = server.handle(Query(query=key, n=1, request_id=2))
+        (entry,) = pool.entries()
+        assert second.entries[0]["entry_id"] == first.entries[0]["entry_id"] == entry.entry_id
+        assert encode_message(second) == uncached_frame(server, second)
+        sent = decode_message(encode_message(second)).entries[0]
+        assert sent["key"] == entry.key.tolist() != first.entries[0]["key"]
+        assert TokenPrompt.from_dict(sent["value"]) == entry.value != TokenPrompt(np.ones((2, 4)))
+
+    def test_seeded_mix_matches_uncached_frames(self):
+        oracle = make_toy_oracle(seed=7)
+        dim = oracle.token_dim
+        pool = PromptPool(PoolConfig(capacity=6, merge_threshold=0.95, merge_weight=0.3))
+        provenance = ProvenanceLog(window=64)
+        server = MecServer(pool, oracle, DistillConfig(rows=oracle.num_patches,
+                                                       precision="f32"), provenance)
+        domain = DomainSpec(id="d", gain=(0.8, 0.78, 0.85), bias=(-0.2, 0.15, 0.1),
+                            noise_scale=0.01, seed=3)
+        frame = render_frame(oracle, domain, 0)
+        svp = planted_correction(oracle, domain, 0,
+                                 place_mask(oracle.uncertainty_map(frame, 2, 0.1, 1), 20))
+        rng = np.random.default_rng(0)
+        ops = ["query"] * 5 + ["merge", "fresh", "defer", "defer", "tick"]
+        served: list[int] = []
+        seen = {"merged": 0, "evicted": 0, "resolved": 0, "expired": 0, "replies": 0}
+        for step in range(160):
+            op = ops[rng.integers(len(ops))]
+            deferred = {e.entry_id for e in pool.entries() if e.is_deferred}
+            keys = {e.entry_id: e.key for e in pool.entries()}
+            if op == "merge" and served and pool.get(served[-1]) is not None:
+                target = pool.get(served[-1])
+                server.handle(UploadPrompt(
+                    key=tuple(target.key + rng.normal(scale=0.01, size=dim)),
+                    value=TokenPrompt(rng.normal(size=target.value.values.shape)),
+                    timestamp=int(rng.integers(step + 1)), agent_id=f"uav-h{rng.integers(2)}"))
+            elif op in ("merge", "fresh"):
+                server.handle(UploadPrompt(key=tuple(rng.normal(size=dim)),
+                                           value=TokenPrompt(rng.normal(size=(2, dim))),
+                                           timestamp=step, agent_id="uav-h1"))
+            elif op == "defer":
+                if rng.random() < 0.5:  # otherwise no provenance: it expires when hit
+                    provenance.record("uav-h2", step, [frame], svp)
+                server.handle(RegisterDeferred(query=tuple(rng.normal(size=dim)),
+                                               agent_id="uav-h2", timestamp=step))
+            elif op == "tick":
+                server.handle(RefineTick())
+                after = {e.entry_id: e for e in pool.entries()}
+                seen["evicted"] += sum(i not in after for i in keys if i in served)
+                seen["merged"] += sum(after[i].key is not k for i, k in keys.items()
+                                      if i in after and i in served)
+            elif pool.size:
+                reply = server.handle(Query(query=tuple(rng.normal(size=dim)), n=2,
+                                            request_id=step))
+                assert encode_message(reply) == uncached_frame(server, reply)
+                served += [d["entry_id"] for d in reply.entries]
+                seen["replies"] += 1
+                seen["resolved"] += sum(pool.get(i) is not None and not pool.get(i).is_deferred
+                                        for i in deferred)
+                seen["expired"] += sum(pool.get(i) is None for i in deferred)
+        assert min(seen.values()) > 0, seen
 
 
 @pytest.mark.parametrize("client_cls", [InprocClient, StreamClient])

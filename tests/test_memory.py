@@ -423,10 +423,42 @@ class TestPersistence:
         path = tmp_path / "pool.jsonl"
         pool.save(path)
         lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1
-        obj = json.loads(lines[0])
+        assert len(lines) == 2
+        assert json.loads(lines[0]) == {"next_id": 1}
+        obj = json.loads(lines[1])
         assert set(obj) == {"entry_id", "key", "value", "timestamp", "agent_id", "domain_tag",
                             "last_retrieved"}
+
+    def test_reload_does_not_reissue_evicted_ids(self, tmp_path):
+        pool = make_pool(capacity=1, merge_threshold=1.0)
+        for i in range(2):
+            pool.insert(unit([1.0, i]), prompt(), timestamp=1 - i, agent_id="a")
+        path = tmp_path / "pool.jsonl"
+        pool.save(path)  # capacity 1: id 1, the older upload, is evicted
+        loaded = PromptPool.load(path)
+        assert [e.entry_id for e in loaded.entries()] == [0]
+        assert loaded.insert(unit([0.0, 1.0]), prompt(), timestamp=2, agent_id="a").entry_id == 2
+
+    def test_empty_snapshot_keeps_the_mark(self, tmp_path):
+        pool = make_pool()
+        pool.insert(unit([1.0, 0.0]), prompt(), timestamp=0, agent_id="a")
+        pool.drop(0)
+        path = tmp_path / "pool.jsonl"
+        pool.save(path)
+        assert PromptPool.load(path).insert(unit([1.0, 0.0]), prompt(), 1, "a").entry_id == 1
+
+    @pytest.mark.parametrize("mark, message", [
+        ('{"next_id":0}', "not below next_id 0"),
+        ('{"next_id":-1}', "non-negative"),
+        ('{"next_id":1.5}', "non-negative"),
+    ])
+    def test_malformed_mark_is_typed(self, tmp_path, mark, message):
+        path = tmp_path / "pool.jsonl"
+        entry = json.dumps(PoolEntry(0, unit(np.ones(2)), prompt(), 0, "a").to_dict())
+        path.write_text(f"{mark}\n{entry}\n")
+        with pytest.raises(PoolFormatError, match=message) as err:
+            PromptPool.load(path)
+        assert err.value.line == (2 if "below" in message else 1)
 
     def test_snapshot_without_recency_falls_back_to_timestamp(self, tmp_path):
         # Snapshots written before last_retrieved was persisted, and wire
@@ -434,7 +466,10 @@ class TestPersistence:
         path = tmp_path / "pool.jsonl"
         path.write_text(json.dumps(PoolEntry(0, unit(np.ones(2)), prompt(), 7, "a").to_dict())
                         + "\n")
-        assert PromptPool.load(path).get(0).last_retrieved == 7
+        loaded = PromptPool.load(path)
+        assert loaded.get(0).last_retrieved == 7
+        # Without a next_id line, ids continue after the largest stored one.
+        assert loaded.insert(unit([1.0, 0.0]), prompt(), 8, "a").entry_id == 1
 
     def test_snapshot_line_is_json_of_to_dict(self, tmp_path):
         # One number format: prompt values at stored precision, keys in full.
@@ -445,8 +480,9 @@ class TestPersistence:
                         timestamp=i, agent_id="a")
         path = tmp_path / "pool.jsonl"
         pool.save(path)
-        expected = [json.dumps({**e.to_dict(), "last_retrieved": e.last_retrieved},
-                               separators=(",", ":")) for e in pool.entries()]
+        expected = ['{"next_id":2}'] + [
+            json.dumps({**e.to_dict(), "last_retrieved": e.last_retrieved},
+                       separators=(",", ":")) for e in pool.entries()]
         assert path.read_text().splitlines() == expected
 
     def test_legacy_17_digit_snapshot_loads_identical_prompts(self, tmp_path):
@@ -476,10 +512,10 @@ class TestPersistence:
         pool.insert(np.array([1.0, 0.0]), prompt(), timestamp=0, agent_id="a")
         path = tmp_path / "pool.jsonl"
         pool.save(path)
-        path.write_text(path.read_text() + bad_line + "\n")
-        with pytest.raises(PoolFormatError, match="line 2") as err:
+        path.write_text(path.read_text() + bad_line + "\n")  # after the mark and the entry
+        with pytest.raises(PoolFormatError, match="line 3") as err:
             PromptPool.load(path)
-        assert err.value.line == 2
+        assert err.value.line == 3
         assert isinstance(err.value, AdaptflyError)
 
     def test_key_dimension_mismatch_across_lines(self, tmp_path):
@@ -559,11 +595,10 @@ class ReferencePool:
         self.pending = [e for e in self.pending if e.entry_id != entry_id]
 
     def reload(self):
-        """save() then load(): refine, sort by id, keep retrieval stamps and
-        keys; fresh ids continue after the largest surviving one."""
+        """save() then load(): refine, sort by id, keep retrieval stamps,
+        keys and the next id, so no id is handed out twice."""
         self.refine()
         self.refined.sort(key=lambda e: e.entry_id)
-        self.next_id = max((e.entry_id + 1 for e in self.refined), default=0)
 
 
 def assert_same_pool(pool: PromptPool, ref: ReferencePool):
