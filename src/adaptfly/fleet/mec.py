@@ -118,8 +118,9 @@ class MecServer:
             )
         if isinstance(msg, RefineTick):
             self.pool.refine()
-            live = {e.entry_id for e in self.pool.entries()}
-            self._texts = {i: t for i, t in self._texts.items() if i in live}
+            cached = np.fromiter(self._texts, np.int64, len(self._texts))
+            live = cached[np.isin(cached, self.pool.entry_ids())]
+            self._texts = {i: self._texts[i] for i in live.tolist()}
             return None
         raise ProtocolError(f"server cannot handle {type(msg).__name__}")
 

@@ -13,12 +13,23 @@ entries are plain JSON data; a server reply's entries carry the pool's
 TokenPrompts and decode to the entries' ``PoolEntry.to_dict()``. The
 server sends each reply entry pre-encoded (a read-only ``EncodedDict``,
 written verbatim), in the same bytes the entry's ``wire_dict`` encodes to.
+
+A client decodes each served entry once: ``decode_message(frame,
+entries=cache)`` keeps every reply entry's exact text and the dict it
+parsed to in the client's ``cache`` (an LRU of ``REPLY_CACHE_ENTRIES``
+entry ids), and a later reply in ``compact_json``'s exact layout that holds
+the same text at an entry's place reuses that dict. Any other frame is
+parsed in full, so the message or ProtocolError does not depend on the
+cache. Cached dicts are shared by every reply holding them: read-only by
+contract, like the server's ``EncodedDict``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..errors import AdaptflyError, ProtocolError
@@ -34,9 +45,15 @@ __all__ = [
     "encode_message",
     "decode_message",
     "read_frame",
+    "REPLY_CACHE_ENTRIES",
 ]
 
 HEADER_SIZE = 4
+# Reply entries a client keeps decoded. A served entry with a 4 x 48
+# prompt costs about 12 kB (text plus parsed dict), so a full cache holds
+# about 3 MB; the reference fleet and the benchmark's pool service each
+# serve far fewer distinct entries per client.
+REPLY_CACHE_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -194,8 +211,64 @@ def _from_payload(d: dict) -> FleetMessage:
     raise ProtocolError(f"unknown message type {kind!r}", offset=HEADER_SIZE)
 
 
-def decode_message(frame: bytes) -> FleetMessage:
-    """Parse a single complete frame back into a message."""
+_REPLY_HEAD = '{"type":"query_response","request_id":'
+_ENTRIES_HEAD = ',"entries":['
+_ENTRY_ID = re.compile(r'\{"entry_id":(0|[1-9][0-9]{0,18}),')
+_scan = json.JSONDecoder().raw_decode
+
+
+def _reply_payload(text: str, cache: OrderedDict) -> dict | None:
+    """The payload of a reply in ``compact_json``'s layout, entries via ``cache``.
+
+    Only ``{"type":"query_response","request_id":N,"entries":[E,...]}``
+    with no whitespace between those parts is read here; any other text
+    gives None. An entry whose text at its place equals the text cached
+    under its id is the cached dict. Any other entry is parsed with the
+    ``json`` scanner and, if it starts with its id, cached under that id.
+    Both give what ``json.loads`` gives for the text, so a payload
+    returned equals ``json.loads(text)``.
+    """
+    if not text.startswith(_REPLY_HEAD):
+        return None
+    try:
+        request_id, pos = _scan(text, len(_REPLY_HEAD))
+        if not text.startswith(_ENTRIES_HEAD, pos):
+            return None
+        pos += len(_ENTRIES_HEAD)
+        entries = []
+        while not text.startswith("]", pos):
+            if entries:
+                if not text.startswith(",", pos):
+                    return None
+                pos += 1
+            match = _ENTRY_ID.match(text, pos)
+            entry_id = match and int(match[1])
+            cached = cache.get(entry_id)
+            if cached is not None and text.startswith(cached[0], pos):
+                cache.move_to_end(entry_id)
+                entry, end = cached[1], pos + len(cached[0])
+            else:
+                entry, end = _scan(text, pos)
+                if match:
+                    cache[entry_id] = (text[pos:end], entry)
+                    cache.move_to_end(entry_id)
+                    if len(cache) > REPLY_CACHE_ENTRIES:
+                        cache.popitem(last=False)
+            entries.append(entry)
+            pos = end
+    except (ValueError, RecursionError):  # malformed: json.loads reports it
+        return None
+    if text[pos:] != "]}":
+        return None
+    return {"type": "query_response", "request_id": request_id, "entries": entries}
+
+
+def decode_message(frame: bytes, entries: OrderedDict | None = None) -> FleetMessage:
+    """Parse a single complete frame back into a message.
+
+    ``entries`` is a client's reply-entry cache (see the module
+    docstring); the result is the same with or without it.
+    """
     if len(frame) < HEADER_SIZE:
         raise ProtocolError("frame shorter than length header", offset=len(frame))
     (declared,) = struct.unpack(">I", frame[:HEADER_SIZE])
@@ -208,8 +281,11 @@ def decode_message(frame: bytes) -> FleetMessage:
     if len(body) > declared:
         raise ProtocolError("trailing bytes after payload", offset=HEADER_SIZE + declared)
     try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        text = body.decode("utf-8")
+        payload = None if entries is None else _reply_payload(text, entries)
+        if payload is None:
+            payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, huge ints, deep nesting
         raise ProtocolError(f"invalid JSON payload: {exc}", offset=HEADER_SIZE) from exc
     if not isinstance(payload, dict):
         raise ProtocolError("payload must be a JSON object", offset=HEADER_SIZE)

@@ -3,7 +3,10 @@
 One client, two wires. ``InprocClient`` encodes every message through the
 framed codec, applies the fault hook, counts bytes and enforces the reply
 rule, so the byte accounting (and therefore the metrics table) is the same
-for both transports. Only the wire differs:
+for both transports. It decodes each served pool entry once: replies are
+decoded through the client's reply-entry cache (``decode_message``), which
+hands back the dict parsed earlier for an entry whose text has not changed.
+Only the wire differs:
 
 * inproc — the frame is decoded and dispatched to the server in memory.
 * stream — ``StreamClient`` carries each frame, and the server's reply,
@@ -17,6 +20,8 @@ TransportFailure and the agent applies its degraded-mode contract.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 from ..errors import AdaptflyError, ProtocolError
 from .messages import FleetMessage, decode_message, encode_message, read_frame
@@ -54,6 +59,8 @@ class InprocClient:
         self._fault_hook = fault_hook
         self.bytes_sent = 0
         self.bytes_received = 0
+        # entry_id -> (text, dict) of served entries; see decode_message.
+        self.reply_entries: OrderedDict = OrderedDict()
 
     def send(self, msg: FleetMessage) -> None:
         if self._exchange(msg) is not None:
@@ -74,7 +81,7 @@ class InprocClient:
         if reply is None:
             return None
         self.bytes_received += len(reply)
-        return decode_message(reply)
+        return decode_message(reply, entries=self.reply_entries)
 
     def _carry(self, frame: bytes) -> bytes | None:
         """The wire: deliver one frame and return the reply frame, if any."""

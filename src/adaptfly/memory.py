@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import InitVar, dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -223,8 +224,10 @@ class PromptPool:
     """Grow-and-refine prompt memory. One writer at a time; readers free.
 
     The refined keys are mirrored, in list order, in one (R, d) matrix with
-    a matching entry-id vector, so ranking is one matrix-vector product.
-    Every change to the refined set updates the mirror in place.
+    matching int64 vectors of entry ids, ``last_retrieved`` and
+    ``timestamp`` stamps, so ranking is one matrix-vector product and
+    eviction one sort. Every change to the refined set updates the mirror
+    in place.
     """
 
     def __init__(self, config: PoolConfig | None = None):
@@ -236,6 +239,8 @@ class PromptPool:
         # growth room, doubled when full. The first key fixes the width.
         self._keys = np.empty((0, 0))
         self._ids = np.empty(0, dtype=np.int64)
+        self._last = np.empty(0, dtype=np.int64)
+        self._times = np.empty(0, dtype=np.int64)
 
     # -- sizes ----------------------------------------------------------
 
@@ -253,6 +258,11 @@ class PromptPool:
 
     def entries(self) -> list[PoolEntry]:
         return self._refined + self._pending
+
+    def entry_ids(self) -> np.ndarray:
+        """Ids of ``entries()``, in the same order, as an int64 vector."""
+        pending = np.fromiter((e.entry_id for e in self._pending), np.int64, len(self._pending))
+        return np.concatenate([self._ids[: len(self._refined)], pending])
 
     def get(self, entry_id: int) -> PoolEntry | None:
         hit = np.flatnonzero(self._ids[: len(self._refined)] == entry_id)
@@ -274,21 +284,25 @@ class PromptPool:
     def _append_refined(self, entry: PoolEntry) -> None:
         n = len(self._refined)
         if n == len(self._ids):
-            keys = np.empty((max(2 * n, 16), self._keys.shape[1]))
+            size = max(2 * n, 16)
+            keys = np.empty((size, self._keys.shape[1]))
             keys[:n] = self._keys[:n]
-            ids = np.empty(len(keys), dtype=np.int64)
-            ids[:n] = self._ids[:n]
-            self._keys, self._ids = keys, ids
+            stamps = np.empty((3, size), dtype=np.int64)
+            stamps[:, :n] = self._ids[:n], self._last[:n], self._times[:n]
+            self._keys = keys
+            self._ids, self._last, self._times = stamps
         self._keys[n] = entry.key
         self._ids[n] = entry.entry_id
+        self._last[n] = entry.last_retrieved
+        self._times[n] = entry.timestamp
         self._refined.append(entry)
 
     def _keep_refined(self, keep: np.ndarray) -> None:
         """Drop the refined entries where ``keep`` is False, keeping order."""
         n, m = len(self._refined), int(keep.sum())
-        self._keys[:m] = self._keys[:n][keep]
-        self._ids[:m] = self._ids[:n][keep]
-        self._refined = [e for e, k in zip(self._refined, keep) if k]
+        for mirror in (self._keys, self._ids, self._last, self._times):
+            mirror[:m] = mirror[:n][keep]
+        self._refined = list(compress(self._refined, keep.tolist()))
 
     def _near_best(self, key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows that can rank among the top n by ``float(key @ e.key)``.
@@ -350,9 +364,12 @@ class PromptPool:
             return []
         rows, sims = self._near_best(qn, n)
         order = rows[np.lexsort((self._ids[rows], -sims))[:n]]
-        hits = [self._refined[i] for i in order]
-        for e in hits:
+        hits = []
+        for i in order.tolist():
+            e = self._refined[i]
             e.last_retrieved = max(e.last_retrieved, int(step))
+            self._last[i] = e.last_retrieved
+            hits.append(e)
         return hits
 
     # -- refine -----------------------------------------------------------
@@ -396,6 +413,7 @@ class PromptPool:
                     self._keys[idx] = old.key
                     old.timestamp = max(old.timestamp, entry.timestamp)
                     old.last_retrieved = max(old.last_retrieved, entry.last_retrieved)
+                    self._times[idx], self._last[idx] = old.timestamp, old.last_retrieved
                     contributors = set(old.agent_id.split(",")) | set(
                         entry.agent_id.split(",")
                     )
@@ -404,14 +422,11 @@ class PromptPool:
                         old.domain_tag = entry.domain_tag
                     continue
             self._append_refined(entry)
-        excess = len(self._refined) - self.config.capacity
+        n = len(self._refined)
+        excess = n - self.config.capacity
         if excess > 0:
-            stamps = np.array(
-                [(e.last_retrieved, e.timestamp) for e in self._refined], dtype=np.int64
-            )
-            ids = self._ids[: len(self._refined)]
-            keep = np.ones(len(self._refined), dtype=bool)
-            keep[np.lexsort((ids, stamps[:, 1], stamps[:, 0]))[:excess]] = False
+            keep = np.ones(n, dtype=bool)
+            keep[np.lexsort((self._ids[:n], self._times[:n], self._last[:n]))[:excess]] = False
             self._keep_refined(keep)
 
     # -- deferred resolution ----------------------------------------------

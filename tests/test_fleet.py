@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -23,10 +24,11 @@ from adaptfly.fleet import (
     run_scenario,
 )
 from adaptfly.fleet.agents import RECORD_COLUMNS, LimitedAgent, MassiveAgent
-from adaptfly.fleet.messages import decode_message, encode_message
+from adaptfly.fleet import transport as transport_mod
+from adaptfly.fleet.messages import REPLY_CACHE_ENTRIES, decode_message, encode_message
 from adaptfly.memory import PoolConfig, PromptPool
 from adaptfly.oracle import DomainSpec, make_toy_oracle, planted_correction, render_frame
-from adaptfly.prompts import TokenPrompt, place_mask
+from adaptfly.prompts import TokenPrompt, compact_json, place_mask
 
 
 def mini_config(seed=0, transport="inproc", frames=10):
@@ -283,6 +285,92 @@ class TestReplyCache:
                                         for i in deferred)
                 seen["expired"] += sum(pool.get(i) is None for i in deferred)
         assert min(seen.values()) > 0, seen
+
+
+class TestReplyEntryCache:
+    """Each client decodes a served entry once; the cache changes no result."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "stream"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reference_replies_equal_uncached_and_stay_unmutated(self, monkeypatch, seed,
+                                                                 transport):
+        first_seen = {}  # id(dict) -> (cached dict, deep copy taken when first decoded)
+        counts = {"entries": 0, "hits": 0}
+
+        def checked(frame, entries=None):
+            msg = decode_message(frame, entries=entries)
+            if entries is not None:
+                assert msg == decode_message(frame)
+                assert len(entries) <= REPLY_CACHE_ENTRIES
+                counts["entries"] += len(msg.entries)
+                counts["hits"] += sum(id(d) in first_seen for d in msg.entries)
+                for _, d in entries.values():
+                    first_seen.setdefault(id(d), (d, copy.deepcopy(d)))
+            return msg
+
+        monkeypatch.setattr(transport_mod, "decode_message", checked)
+        run_scenario(reference_config(seed, transport))
+        assert 0 < counts["hits"] < counts["entries"], counts
+        assert all(d == snapshot for d, snapshot in first_seen.values())
+
+    def test_bound_holds_over_a_pool_service_shaped_run(self):
+        rng = np.random.default_rng(4)
+        dim, stale = 16, REPLY_CACHE_ENTRIES + 100
+        pool = PromptPool(PoolConfig(capacity=stale))
+        for i in range(stale):
+            pool.insert(rng.normal(size=dim), TokenPrompt(rng.normal(scale=0.05, size=(4, dim))),
+                        timestamp=i, agent_id="uav-old")
+        pool.refine()
+        server = MecServer(pool, oracle=None, distill_config=None)  # deferred hits expire
+        client = StreamClient(server)
+        served = set()
+        for t in range(stale, stale + 40 * 20):
+            op = t % 20
+            if op < 15:
+                query = Query(query=tuple(rng.normal(size=dim)), n=2, request_id=t)
+                reply = client.request(query)
+                assert reply == decode_message(encode_message(server.handle(query)))
+                assert len(client.reply_entries) <= REPLY_CACHE_ENTRIES
+                served.update(d["entry_id"] for d in reply.entries)
+            elif op == 15 and served:  # merges into an entry that was served
+                target = pool.get(max(served)) or pool.entries()[0]
+                client.send(UploadPrompt(key=tuple(target.key + rng.normal(scale=0.01, size=dim)),
+                                         value=TokenPrompt(rng.normal(size=(4, dim))),
+                                         timestamp=t, agent_id="uav-up"))
+            elif op == 16:
+                client.send(UploadPrompt(key=tuple(rng.normal(size=dim)),
+                                         value=TokenPrompt(rng.normal(size=(4, dim))),
+                                         timestamp=t, agent_id="uav-new"))
+            elif op == 17:
+                client.send(RegisterDeferred(query=tuple(rng.normal(size=dim)),
+                                             agent_id="uav-def", timestamp=t))
+            else:
+                client.send(RefineTick())
+        assert len(served) > REPLY_CACHE_ENTRIES
+        assert len(client.reply_entries) == REPLY_CACHE_ENTRIES
+
+    def test_merge_replaces_the_cached_text_of_its_id(self, server_setup):
+        oracle, pool, _, server = server_setup
+        client = InprocClient(server)
+        key = tuple(np.eye(oracle.token_dim)[0])
+        client.send(UploadPrompt(key=key, value=TokenPrompt(np.ones((2, 4))), timestamp=5,
+                                 agent_id="uav-h1"))
+        client.send(RefineTick())
+        first = client.request(Query(query=key, n=1, request_id=1)).entries[0]
+        before = copy.deepcopy(first)
+        ((entry_id, (old_text, cached)),) = client.reply_entries.items()
+        assert cached is first
+        near = tuple(np.eye(oracle.token_dim)[0] + 0.1 * np.eye(oracle.token_dim)[1])
+        client.send(UploadPrompt(key=near, value=TokenPrompt(np.zeros((2, 4))), timestamp=1,
+                                 agent_id="uav-h1"))
+        client.send(RefineTick())
+        second = client.request(Query(query=key, n=1, request_id=2)).entries[0]
+        (entry,) = pool.entries()
+        assert list(client.reply_entries) == [entry_id] == [entry.entry_id]
+        text, cached = client.reply_entries[entry_id]
+        assert cached is second == entry.to_dict()
+        assert text == compact_json(entry.wire_dict()) != old_text
+        assert first == before != second
 
 
 @pytest.mark.parametrize("client_cls", [InprocClient, StreamClient])

@@ -676,3 +676,40 @@ class TestMatrixEquivalence:
             refined = pool.entries()[: pool.refined_size]
             assert np.array_equal(pool._keys[: len(refined)].reshape(-1, dim),
                                   np.array([e.key for e in refined]).reshape(-1, dim))
+
+
+class TestStampMirrors:
+    """The eviction stamps and ``entry_ids()`` follow every change to the pool."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mirrors_match_the_entries(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        config = PoolConfig(capacity=5, merge_threshold=0.9, merge_weight=0.3)
+        pool = PromptPool(config)
+        palette = rng.normal(size=(4, 3))
+        seen = {"merges": 0, "evictions": 0}
+        for t in range(200):
+            op = rng.choice(OPS)
+            if op == "insert":
+                key = palette[rng.integers(4)] + rng.normal(scale=0.05, size=3)
+                value = DeferredMarker(key, "d") if rng.random() < 0.2 else prompt(dim=2)
+                pool.insert(key, value, timestamp=int(rng.integers(0, 50)), agent_id="a")
+            elif op == "refine":
+                before = pool.size
+                pool.refine()
+                seen["evictions"] += before > config.capacity
+                seen["merges"] += pool.size < min(before, config.capacity)
+            elif op == "query" and pool.size:
+                pool.query_topn(palette[rng.integers(4)], int(rng.integers(1, 4)), step=t)
+            elif op == "drop":
+                pool.drop(int(rng.choice(pool.entry_ids())) if pool.size else 0)
+            elif op == "reload":
+                pool.save(tmp_path / "pool.jsonl")
+                pool = PromptPool.load(tmp_path / "pool.jsonl", config)
+            refined = pool.entries()[: pool.refined_size]
+            n = len(refined)
+            assert pool.entry_ids().dtype == np.int64
+            assert pool.entry_ids().tolist() == [e.entry_id for e in pool.entries()]
+            assert pool._last[:n].tolist() == [e.last_retrieved for e in refined]
+            assert pool._times[:n].tolist() == [e.timestamp for e in refined]
+        assert min(seen.values()) > 0, seen

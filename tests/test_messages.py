@@ -1,5 +1,6 @@
 import json
 import struct
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptfly.errors import ProtocolError
+from adaptfly.fleet import messages
 from adaptfly.fleet.messages import (
     Query,
     QueryResponse,
@@ -403,3 +405,158 @@ class TestCompactJson:
     @settings(max_examples=200, deadline=None)
     def test_equals_json_dumps_of_plain_data(self, obj):
         assert compact_json(obj) == json.dumps(plain(obj), separators=(",", ":"))
+
+
+# -- cached reply decode -------------------------------------------------------
+
+
+def outcome(frame: bytes, entries=None):
+    """What decoding gives: the message's repr or the ProtocolError's text and offset.
+
+    repr tells 1 from 1.0 and True, -0.0 from 0.0, and shows key order; NaN
+    entries compare by text.
+    """
+    try:
+        return repr(decode_message(frame, entries=entries))
+    except ProtocolError as exc:
+        return ("ProtocolError", str(exc), exc.offset)
+
+
+def compact_frame(payload) -> bytes:
+    body = json.dumps(payload, separators=(",", ":")).encode()
+    return struct.pack(">I", len(body)) + body
+
+
+def raw_frame(text: str | bytes) -> bytes:
+    body = text.encode() if isinstance(text, str) else text
+    return struct.pack(">I", len(body)) + body
+
+
+def served_reply() -> QueryResponse:
+    rng = np.random.default_rng(12)
+    pool = PromptPool()
+    for i in range(3):
+        pool.insert(rng.normal(size=8), TokenPrompt(rng.normal(scale=0.05, size=(2, 8))),
+                    timestamp=i, agent_id=f"uav-{i}")
+    pool.refine()
+    server = MecServer(pool, oracle=None, distill_config=None)
+    return server.handle(Query(query=tuple(rng.normal(size=8)), n=3, request_id=7))
+
+
+entry_dicts = st.fixed_dictionaries(
+    {"entry_id": st.integers(0, 4) | st.integers(-2, 2**64) | json_values},
+    optional={name: json_values for name in ("key", "value", "agent_id")},
+)
+reply_payloads = st.fixed_dictionaries({
+    "type": st.just("query_response"),
+    "request_id": st.integers(0, 9) | st.integers(-2**64, 2**64) | json_values,
+    "entries": st.lists(entry_dicts | json_values, max_size=4) | json_values,
+})
+
+
+class TestCachedDecode:
+    """A client's reply-entry cache changes neither messages nor errors."""
+
+    def test_repeated_entries_come_from_the_cache(self):
+        reply = served_reply()
+        frame = encode_message(reply)
+        cache = OrderedDict()
+        first = decode_message(frame, entries=cache)
+        assert list(cache) == [d["entry_id"] for d in reply.entries]
+        again = decode_message(frame, entries=cache)
+        assert again == first == decode_message(frame)
+        assert all(a is b for a, b in zip(again.entries, first.entries))
+        assert [text for text, _ in cache.values()] == [d.text for d in reply.entries]
+
+    def test_cache_is_an_lru_bounded_by_the_constant(self, monkeypatch):
+        monkeypatch.setattr(messages, "REPLY_CACHE_ENTRIES", 2)
+        reply = served_reply()
+        a, b, c = reply.entries
+        cache = OrderedDict()
+        for entries, held in [((a, b), [0, 1]), ((a,), [1, 0]), ((c,), [0, 2])]:
+            frame = encode_message(QueryResponse(1, entries))
+            assert outcome(frame, cache) == outcome(frame)
+            assert [reply.entries[i]["entry_id"] for i in held] == list(cache)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda t: t.replace(',"entries":[', ', "entries": ['), id="whitespace"),
+        pytest.param(lambda t: t.replace('},{', '}, {', 1), id="space-between-entries"),
+        pytest.param(lambda t: t.replace('},{', '}{', 1), id="missing-comma"),
+        pytest.param(lambda t: t[:-1] + ' }', id="space-before-brace"),
+        pytest.param(lambda t: '{"request_id":7,"type":"query_response",'
+                     + t[t.index('"entries"'):], id="reordered-keys"),
+        pytest.param(lambda t: t[:-1] + ',"request_id":8}', id="duplicate-request-id"),
+        pytest.param(lambda t: t[:-1] + ',"entries":[]}', id="duplicate-entries"),
+        pytest.param(lambda t: t.replace('{"entry_id":', '{"entry_id":5,"entry_id":', 1),
+                     id="duplicate-entry-id"),
+        pytest.param(lambda t: t + '{}', id="trailing-json"),
+        pytest.param(lambda t: t[:-1] + ',]}', id="trailing-comma"),
+        pytest.param(lambda t: t[:-2], id="truncated-list"),
+        pytest.param(lambda t: t[: len(t) // 2], id="truncated-entry"),
+        pytest.param(lambda t: t.replace('"request_id":7', f'"request_id":{2**63}'),
+                     id="request-id-above-int64"),
+        pytest.param(lambda t: t.replace('"request_id":7', f'"request_id":{-2**63 - 1}'),
+                     id="request-id-below-int64"),
+        pytest.param(lambda t: t.replace('"request_id":7', '"request_id":7.0'),
+                     id="request-id-float"),
+        pytest.param(lambda t: t.replace('"request_id":7', '"request_id":' + "7" * 5000),
+                     id="request-id-beyond-int-digits"),
+        pytest.param(lambda t: t.replace('[{', '[[1],{', 1), id="non-object-entry"),
+        pytest.param(lambda t: t.replace('"agent_id":"uav-', '"agent_id":"UAV-'),
+                     id="cached-id-text-changed"),
+        pytest.param(lambda t: t.replace('"agent_id":"uav-', '"agent_id" : "uav-', 1),
+                     id="cached-id-whitespace-inside"),
+        pytest.param(lambda t: t.replace('"domain_tag":null', '"domain_tag":null,"x":1'),
+                     id="cached-id-extra-field"),
+        pytest.param(lambda t: t.replace('[{', '[' + '[' * 100000, 1), id="deep-nesting"),
+    ])
+    def test_non_canonical_frames_decode_as_without_cache(self, edit):
+        canonical = encode_message(served_reply())
+        frame = raw_frame(edit(canonical[4:].decode()))
+        assert frame != canonical
+        cache = OrderedDict()
+        decode_message(canonical, entries=cache)  # every entry id is cached
+        assert outcome(frame, cache) == outcome(frame)
+        assert outcome(frame, cache) == outcome(frame, OrderedDict())
+
+    @pytest.mark.parametrize("frame", [
+        pytest.param(raw_frame(b'{"type":"query_response","request_id":1,"entries":[\xff]}'),
+                     id="invalid-utf8"),
+        pytest.param(raw_frame('{"type":"query_response","request_id":1,"entries":[]}')[:-3],
+                     id="truncated-frame"),
+        pytest.param(raw_frame('{"type":"query_response","request_id":1,"entries":[]}') + b" ",
+                     id="trailing-bytes"),
+        pytest.param(raw_frame('{"type":"query_response","request_id":1,"entries":{}}'),
+                     id="entries-not-a-list"),
+    ])
+    def test_malformed_frames_raise_the_same_error(self, frame):
+        cache = OrderedDict()
+        decode_message(encode_message(served_reply()), entries=cache)
+        with pytest.raises(ProtocolError):
+            decode_message(frame)
+        assert outcome(frame, cache) == outcome(frame)
+
+    @pytest.mark.parametrize("text", ['{"type":"query","query":[' + "1" * 5000 + '],"n":1}',
+                                      '{"type":"query","query":' + "[" * 100000 + "}"])
+    def test_json_beyond_parser_limits_is_a_protocol_error(self, text):
+        with pytest.raises(ProtocolError) as err:
+            decode_message(raw_frame(text))
+        assert err.value.offset == 4
+
+    @given(st.lists(reply_payloads, min_size=1, max_size=4), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_replies_decode_as_without_cache(self, payloads, canonical):
+        cache = OrderedDict()
+        write = compact_frame if canonical else frame_of
+        for payload in payloads:
+            frame = write(payload)
+            assert outcome(frame, cache) == outcome(frame)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_random_messages_decode_as_without_cache(self, seed):
+        rng = np.random.default_rng(seed)
+        cache = OrderedDict()
+        for _ in range(4):
+            frame = encode_message(random_message(rng))
+            assert outcome(frame, cache) == outcome(frame)
