@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from .cmaes import BENCH_FUNCTIONS, run_benchmark
-from .errors import AdaptflyError
+from .errors import AdaptflyError, parse_json
 from .fleet import (
     adaptation_summary,
     calibrate_scenario,
@@ -64,20 +64,24 @@ def _load_config(path: str) -> dict:
     p = Path(path)
     if not p.is_file():
         raise CliError(f"config not found: {path}")
-    try:
-        config = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config {path} is not valid JSON: {exc}") from exc
+    config = parse_json(p.read_bytes(), CliError, f"config {path} is not valid JSON")
     if not isinstance(config, dict):
         raise CliError(f"config {path} must hold a JSON object")
     return config
 
 
-def _parse_value(raw: str):
+def _parse_value(dotted: str, raw: str):
+    """A ``--set`` value as JSON; text with a JSON syntax error stays a plain string.
+
+    Text JSON cannot read for any other reason (an integer past the digit
+    limit, nesting past the recursion limit) is a CliError naming the key.
+    """
     try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw
+        return parse_json(raw, CliError, f"--set {dotted} is not valid JSON")
+    except CliError as exc:
+        if type(exc.__cause__) is json.JSONDecodeError:
+            return raw
+        raise
 
 
 def _slot(node, key: str, assignment: str):
@@ -105,7 +109,7 @@ def _apply_override(config: dict, assignment: str) -> None:
     for key in path:
         i = _slot(node, key, assignment)
         node = node.setdefault(i, {}) if isinstance(node, dict) else node[i]
-    node[_slot(node, leaf, assignment)] = _parse_value(raw)
+    node[_slot(node, leaf, assignment)] = _parse_value(dotted, raw)
 
 
 def _cmd_run(args) -> int:

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all adaptfly modules."""
+"""Exception hierarchy shared by all adaptfly modules, and the JSON reader
+that raises it at every boundary."""
+
+import json
 
 
 class AdaptflyError(Exception):
@@ -67,3 +70,17 @@ class ProtocolError(AdaptflyError):
     def __init__(self, message: str, offset: int = 0):
         super().__init__(f"{message} (at byte {offset})")
         self.offset = offset
+
+
+def parse_json(text: str | bytes, error: type[AdaptflyError], where: str, **fields):
+    """``json.loads`` of ``text`` (bytes as UTF-8); any failure raises ``error``.
+
+    A syntax error, invalid UTF-8, an integer beyond Python's digit limit
+    and nesting beyond the recursion limit all become
+    ``error(f"{where}: {reason}", **fields)``, chained to the parser's
+    exception; ``where`` names the place the text came from.
+    """
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError too
+        raise error(f"{where}: {exc}", **fields) from exc

@@ -2,15 +2,19 @@
 
 Every message travels as a frame: a 4-byte big-endian unsigned payload
 length followed by a UTF-8 JSON payload carrying a "type" discriminator.
-``compact_json`` writes the payload: token-prompt values at their stored
-precision (9 significant digits for f32, 5 for f16), keys, queries and
-everything else as ``json.dumps`` writes them (floats in full float64).
+``compact_json`` writes the payload: every float64 vector (an upload's key,
+a query, the key and deferred query of a reply entry) as one JSON string,
+the standard base64 of its little-endian float64 bytes; token-prompt
+values as decimal numbers at their stored precision (9 significant digits
+for f32, 5 for f16); everything else as ``json.dumps`` writes it. A vector
+may also arrive as a JSON list of numbers, as frames carried it before.
 
-A decoded message re-encodes to the same bytes, and every prompt value
-decodes to the stored-precision array it was encoded from, bit for bit.
-So decode_message(encode_message(m)) == m for every variant whose reply
+Every vector and prompt value decodes to the array it was encoded from,
+bit for bit, and a decoded request re-encodes to the same bytes. So
+decode_message(encode_message(m)) == m for every variant whose reply
 entries are plain JSON data; a server reply's entries carry the pool's
-TokenPrompts and decode to the entries' ``PoolEntry.to_dict()``. The
+arrays and TokenPrompts and decode to the entries' ``PoolEntry.to_dict()``
+(vectors as number lists, prompts as dicts). The
 server sends each reply entry pre-encoded (a read-only ``EncodedDict``,
 written verbatim), in the same bytes the entry's ``wire_dict`` encodes to.
 
@@ -32,7 +36,9 @@ import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from ..errors import AdaptflyError, ProtocolError
+import numpy as np
+
+from ..errors import AdaptflyError, ProtocolError, parse_json
 from ..prompts import TokenPrompt, compact_json, number_vector
 
 __all__ = [
@@ -107,11 +113,16 @@ class RefineTick:
 FleetMessage = UploadPrompt | RegisterDeferred | Query | QueryResponse | RefineTick
 
 
+def _array(xs: tuple[float, ...]) -> np.ndarray:
+    """A vector field as the float64 array ``compact_json`` writes as base64."""
+    return np.fromiter(xs, np.float64, len(xs))
+
+
 def _payload(msg: FleetMessage) -> dict:
     if isinstance(msg, UploadPrompt):
         return {
             "type": "upload_prompt",
-            "key": list(msg.key),
+            "key": _array(msg.key),
             "value": msg.value,
             "timestamp": msg.timestamp,
             "agent_id": msg.agent_id,
@@ -120,7 +131,7 @@ def _payload(msg: FleetMessage) -> dict:
     if isinstance(msg, RegisterDeferred):
         return {
             "type": "register_deferred",
-            "query": list(msg.query),
+            "query": _array(msg.query),
             "agent_id": msg.agent_id,
             "timestamp": msg.timestamp,
             "domain_tag": msg.domain_tag,
@@ -128,7 +139,7 @@ def _payload(msg: FleetMessage) -> dict:
     if isinstance(msg, Query):
         return {
             "type": "query",
-            "query": list(msg.query),
+            "query": _array(msg.query),
             "n": msg.n,
             "request_id": msg.request_id,
         }
@@ -170,11 +181,26 @@ def _str(d: dict, name: str, optional: bool = False) -> str | None:
     return x
 
 
-def _vector(d: dict, name: str) -> tuple[float, ...]:
+def _vector(d: dict, name: str) -> list[float]:
     try:
-        return tuple(number_vector(d.get(name), f"field {name!r}").tolist())
+        return number_vector(d.get(name), f"field {name!r}").tolist()
     except AdaptflyError as exc:
         raise ProtocolError(str(exc), offset=HEADER_SIZE) from exc
+
+
+def _plain_entry(entry: dict) -> None:
+    """Give a reply entry the number lists ``PoolEntry.to_dict`` holds, in place.
+
+    Only a key or deferred query sent as vector text is touched, so an
+    entry read once (and kept in a client's cache) is left as it is. Any
+    other value is left for ``PoolEntry.from_dict`` to check, like every
+    other field of an entry.
+    """
+    if type(entry.get("key")) is str:
+        entry["key"] = _vector(entry, "key")
+    deferred = entry.get("deferred")
+    if type(deferred) is dict and type(deferred.get("query")) is str:
+        deferred["query"] = _vector(deferred, "query")
 
 
 def _from_payload(d: dict) -> FleetMessage:
@@ -186,7 +212,7 @@ def _from_payload(d: dict) -> FleetMessage:
         except AdaptflyError as exc:
             raise ProtocolError(f"field 'value': {exc}", offset=HEADER_SIZE) from exc
         return UploadPrompt(
-            key=_vector(d, "key"),
+            key=tuple(_vector(d, "key")),
             value=value,
             timestamp=_int(d, "timestamp"),
             agent_id=_str(d, "agent_id"),
@@ -194,17 +220,21 @@ def _from_payload(d: dict) -> FleetMessage:
         )
     if kind == "register_deferred":
         return RegisterDeferred(
-            query=_vector(d, "query"),
+            query=tuple(_vector(d, "query")),
             agent_id=_str(d, "agent_id"),
             timestamp=_int(d, "timestamp"),
             domain_tag=_str(d, "domain_tag", optional=True),
         )
     if kind == "query":
-        return Query(query=_vector(d, "query"), n=_int(d, "n"), request_id=_int(d, "request_id"))
+        return Query(
+            query=tuple(_vector(d, "query")), n=_int(d, "n"), request_id=_int(d, "request_id")
+        )
     if kind == "query_response":
         entries = d.get("entries")
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             _fail("field 'entries' must be a list of objects")
+        for entry in entries:
+            _plain_entry(entry)
         return QueryResponse(request_id=_int(d, "request_id"), entries=tuple(entries))
     if kind == "refine_tick":
         return RefineTick()
@@ -280,13 +310,11 @@ def decode_message(frame: bytes, entries: OrderedDict | None = None) -> FleetMes
         )
     if len(body) > declared:
         raise ProtocolError("trailing bytes after payload", offset=HEADER_SIZE + declared)
-    try:
-        text = body.decode("utf-8")
-        payload = None if entries is None else _reply_payload(text, entries)
-        if payload is None:
-            payload = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, huge ints, deep nesting
-        raise ProtocolError(f"invalid JSON payload: {exc}", offset=HEADER_SIZE) from exc
+    payload = None
+    if entries is not None and body.isascii():  # compact_json writes only ASCII
+        payload = _reply_payload(body.decode("ascii"), entries)
+    if payload is None:
+        payload = parse_json(body, ProtocolError, "invalid JSON payload", offset=HEADER_SIZE)
     if not isinstance(payload, dict):
         raise ProtocolError("payload must be a JSON object", offset=HEADER_SIZE)
     return _from_payload(payload)

@@ -12,7 +12,6 @@ only appends to the pending list, refine runs as an exclusive batch.
 
 from __future__ import annotations
 
-import json
 from dataclasses import InitVar, dataclass
 from itertools import compress
 
@@ -27,6 +26,7 @@ from .errors import (
     EmptyPoolError,
     PoolFormatError,
     ResolutionError,
+    parse_json,
 )
 from .prompts import TokenPrompt, compact_json, number_vector
 
@@ -42,8 +42,9 @@ __all__ = [
 _INT64 = range(-(2**63), 2**63)
 
 # A stored key or deferred query is a unit vector up to rounding; snapshots
-# and replies carry it at full float64 precision, so a reload keeps it bit
-# for bit.
+# and replies carry its float64 bytes (``vector_text``, base64), and older
+# snapshots decimal numbers that round-trip float64, so a reload keeps it
+# bit for bit.
 _KEY_NORM_TOLERANCE = 1e-9
 
 
@@ -124,31 +125,36 @@ class PoolEntry:
         return isinstance(self.value, DeferredMarker)
 
     def wire_dict(self) -> dict:
-        """``to_dict`` with a concrete value left as its TokenPrompt.
+        """``to_dict`` with the key, a deferred query and a value left as objects.
 
-        ``compact_json`` writes it as the text of ``to_dict()``, formatting
-        the prompt values directly; server replies and ``PromptPool.save``
-        use it. Keys and deferred queries carry full float64 values. The
-        server encodes it once per change of the entry (``MecServer``), so
-        a served one is read-only.
+        ``compact_json`` writes the key and a deferred query (the pool's
+        read-only float64 arrays) as the base64 of their bytes, and a
+        prompt's values directly at their stored precision; server replies
+        and ``PromptPool.save`` use it, and ``decode_message`` reads a
+        reply entry back as its ``to_dict()``. The server encodes it once
+        per change of the entry (``MecServer``), so a served one is
+        read-only.
         """
         d = {
             "entry_id": self.entry_id,
-            "key": self.key.tolist(),
+            "key": self.key,
             "timestamp": self.timestamp,
             "agent_id": self.agent_id,
             "domain_tag": self.domain_tag,
         }
         if self.is_deferred:
-            d["deferred"] = {"query": self.value.query.tolist(), "agent_id": self.value.agent_id}
+            d["deferred"] = {"query": self.value.query, "agent_id": self.value.agent_id}
         else:
             d["value"] = self.value
         return d
 
     def to_dict(self) -> dict:
-        """Plain JSON types; prompt values at their stored precision."""
+        """Plain JSON types: vectors as number lists, prompt values at stored precision."""
         d = self.wire_dict()
-        if not self.is_deferred:
+        d["key"] = self.key.tolist()
+        if self.is_deferred:
+            d["deferred"]["query"] = self.value.query.tolist()
+        else:
             d["value"] = self.value.to_dict()
         return d
 
@@ -158,7 +164,8 @@ class PoolEntry:
 
         An optional ``last_retrieved`` (written by ``PromptPool.save``, never
         sent on the wire) defaults to ``timestamp``. The key and a deferred
-        query are kept bit for bit: each must already be a unit vector, to
+        query, number lists or the base64 text ``compact_json`` writes, are
+        kept bit for bit: each must already be a unit vector, to
         ``_KEY_NORM_TOLERANCE``.
         """
         if not isinstance(d, dict):
@@ -465,9 +472,10 @@ class PromptPool:
         Pending entries flush first. The first line is ``{"next_id": N}``,
         the id the next insert gets, so a reload never reissues the id of
         an entry evicted or dropped before the save. Each further line is
-        an entry's ``to_dict`` plus its ``last_retrieved`` stamp, so a
-        reload keeps the eviction order, written by ``compact_json``:
-        prompt values at their stored precision.
+        an entry's ``wire_dict`` plus its ``last_retrieved`` stamp, so a
+        reload keeps the eviction order, written by ``compact_json`` as on
+        the wire: keys and deferred queries as the base64 of their float64
+        bytes, prompt values at their stored precision.
         """
         self.refine()
         with open(path, "w", encoding="utf-8") as f:
@@ -482,18 +490,20 @@ class PromptPool:
 
         A snapshot without the ``next_id`` line (one written before it
         existed, or plain ``to_dict`` lines) continues ids after the largest
-        stored one. A mark at or below a stored id is malformed.
+        stored one. A mark at or below a stored id is malformed. Keys and
+        deferred queries written as decimal number lists, as before they
+        travelled as base64, load bit for bit too.
         """
         pool = cls(config)
         entries = []
         mark = None
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "rb") as f:
             for lineno, line in enumerate(f, start=1):
                 line = line.strip()
                 if not line:
                     continue
+                obj = parse_json(line, PoolFormatError, f"{path} line {lineno}", line=lineno)
                 try:
-                    obj = json.loads(line)
                     if lineno == 1 and isinstance(obj, dict) and set(obj) == {"next_id"}:
                         mark = obj["next_id"]
                         if type(mark) is not int or not 0 <= mark < 2**63:
@@ -505,7 +515,7 @@ class PromptPool:
                         raise PoolFormatError(
                             f"entry_id {entry.entry_id} is not below next_id {mark}"
                         )
-                except (json.JSONDecodeError, AdaptflyError) as exc:
+                except AdaptflyError as exc:
                     raise PoolFormatError(f"{path} line {lineno}: {exc}", line=lineno) from exc
                 entries.append(entry)
                 pool._next_id = max(pool._next_id, entry.entry_id + 1)

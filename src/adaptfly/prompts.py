@@ -8,6 +8,7 @@ operation here is a pure function and safe to call concurrently.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ __all__ = [
     "place_mask",
     "warp_svp",
     "number_vector",
+    "vector_text",
     "compact_json",
     "EncodedDict",
 ]
@@ -40,18 +42,34 @@ _NUMBER_TYPES = {int, float}  # exact types: bool is excluded
 
 
 def number_vector(xs, what: str) -> np.ndarray:
-    """A JSON list of numbers as a float64 vector.
+    """A float64 vector read from JSON: its ``vector_text`` or a list of numbers.
 
-    Raises CompositionError naming ``what`` for anything else: a non-list,
-    nested lists, strings, booleans, nulls, or integers beyond float range.
-    Finiteness is left to the consumer (token prompts and unit keys check it).
+    The string must be standard base64 (no whitespace, correct padding)
+    of a whole number of little-endian float64 values, which come back
+    bit for bit. Raises CompositionError naming ``what`` for anything
+    else: a malformed string, a non-list, nested lists, strings, booleans,
+    nulls, or integers beyond float range. Finiteness is left to the
+    consumer (token prompts and unit keys check it).
     """
+    if type(xs) is str:
+        try:
+            raw = base64.b64decode(xs, validate=True)
+        except ValueError:  # binascii.Error, or a non-ASCII character
+            raise CompositionError(f"{what} is not valid base64") from None
+        if len(raw) % 8:
+            raise CompositionError(f"{what} holds {len(raw)} bytes, not whole float64 values")
+        return np.frombuffer(raw, dtype="<f8")
     if not isinstance(xs, (list, tuple)) or not set(map(type, xs)) <= _NUMBER_TYPES:
-        raise CompositionError(f"{what} must be a list of numbers")
+        raise CompositionError(f"{what} must be a base64 string or a list of numbers")
     try:
         return np.array(xs, dtype=np.float64)
     except OverflowError:
         raise CompositionError(f"{what} holds an integer beyond float range") from None
+
+
+def vector_text(values: np.ndarray) -> str:
+    """The standard base64 of ``values`` as little-endian float64 bytes, row-major."""
+    return base64.b64encode(np.ascontiguousarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -169,13 +187,15 @@ class TokenPrompt:
         return cls(values.reshape(rows, dim), dtype=dtype)
 
 
-def _prompt_dict(obj) -> dict:
+def _wire_default(obj):
     if isinstance(obj, TokenPrompt):
         return obj.to_dict()
+    if type(obj) is np.ndarray and obj.dtype == np.float64:
+        return vector_text(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-_encode = json.JSONEncoder(separators=(",", ":"), default=_prompt_dict).encode
+_encode = json.JSONEncoder(separators=(",", ":"), default=_wire_default).encode
 
 
 class EncodedDict(dict):
@@ -198,11 +218,11 @@ def compact_json(obj) -> str:
 
     A TokenPrompt anywhere in ``obj`` is written as the JSON of its
     ``to_dict()``, its values straight from ``_values_text``, without the
-    detour through float64 shortest-repr formatting, and an EncodedDict as
-    its stored text. Objects with string keys and lists of objects are
-    walked; every other value goes to ``json``'s encoder, so strings, keys
-    and non-prompt numbers (NaN included) keep the bytes ``json.dumps``
-    gives them.
+    detour through float64 shortest-repr formatting; a float64 ndarray as
+    the JSON string of its ``vector_text``; and an EncodedDict as its
+    stored text. Objects with string keys and lists of objects are walked;
+    every other value goes to ``json``'s encoder, so strings, keys and plain
+    numbers (NaN included) keep the bytes ``json.dumps`` gives them.
     """
     if type(obj) is EncodedDict:
         return obj.text
@@ -215,6 +235,10 @@ def compact_json(obj) -> str:
         return "{" + ",".join(f"{_encode(k)}:{compact_json(v)}" for k, v in obj.items()) + "}"
     if type(obj) in (list, tuple) and obj and isinstance(obj[0], dict):
         return "[" + ",".join(map(compact_json, obj)) + "]"
+    if type(obj) is np.ndarray and obj.dtype == np.float64:  # as _encode writes it, sooner
+        return f'"{vector_text(obj)}"'
+    if type(obj) is int:
+        return int.__repr__(obj)  # what json writes, without its encoder's set-up
     return _encode(obj)
 
 

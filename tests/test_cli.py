@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adaptfly.cli import main
+from adaptfly.cli import _parse_value, main
 from adaptfly.fleet import clean_config, reference_config
 
 
@@ -294,6 +294,36 @@ class TestMalformedConfigs:
         assert _run_exit_code(tmp_path, config) == 2
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(b'{"seed": ' + b"1" * 5000 + b"}", id="beyond-int-digits"),
+        pytest.param(b"[" * 100000, id="deep-nesting"),
+        pytest.param(b'{"seed": "\xff"}', id="invalid-utf8"),
+    ])
+    def test_config_beyond_the_parser_exits_2_with_one_line(self, tmp_path, capsys, text):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"adaptfly: config {path} is not valid JSON: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["[" * 100000, "1" * 5000])
+    def test_override_beyond_the_parser_exits_2_with_one_line(self, tmp_path, capsys, value):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(mini_config()))
+        argv = ["run", "--config", str(path), "--set", f"seed={value}", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("adaptfly: --set seed is not valid JSON: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("raw, value", [
+        ("stream", "stream"), ("[1,2", "[1,2"), ("nan", "nan"), ("[1, 2]", [1, 2]),
+        ("0.5", 0.5), ("null", None), ('"7"', "7"),
+    ])
+    def test_override_values_not_json_stay_strings(self, raw, value):
+        assert _parse_value("key", raw) == value
 
     def test_top_level_must_be_an_object(self, tmp_path):
         assert _run_exit_code(tmp_path, [mini_config()]) == 2

@@ -28,7 +28,7 @@ from adaptfly.fleet import transport as transport_mod
 from adaptfly.fleet.messages import REPLY_CACHE_ENTRIES, decode_message, encode_message
 from adaptfly.memory import PoolConfig, PromptPool
 from adaptfly.oracle import DomainSpec, make_toy_oracle, planted_correction, render_frame
-from adaptfly.prompts import TokenPrompt, compact_json, place_mask
+from adaptfly.prompts import TokenPrompt, compact_json, number_vector, place_mask
 
 
 def mini_config(seed=0, transport="inproc", frames=10):
@@ -231,7 +231,8 @@ class TestReplyCache:
         assert second.entries[0]["entry_id"] == first.entries[0]["entry_id"] == entry.entry_id
         assert encode_message(second) == uncached_frame(server, second)
         sent = decode_message(encode_message(second)).entries[0]
-        assert sent["key"] == entry.key.tolist() != first.entries[0]["key"]
+        key_sent = number_vector(sent["key"], "reply key")
+        assert key_sent.tobytes() == entry.key.tobytes() != first.entries[0]["key"].tobytes()
         assert TokenPrompt.from_dict(sent["value"]) == entry.value != TokenPrompt(np.ones((2, 4)))
 
     def test_seeded_mix_matches_uncached_frames(self):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from adaptfly.errors import (
     ResolutionError,
 )
 from adaptfly.memory import DeferredMarker, PoolConfig, PoolEntry, PromptPool, assemble
-from adaptfly.prompts import TokenPrompt
+from adaptfly.prompts import TokenPrompt, vector_text
 
 
 def unit(v):
@@ -472,7 +473,8 @@ class TestPersistence:
         assert loaded.insert(unit([1.0, 0.0]), prompt(), 8, "a").entry_id == 1
 
     def test_snapshot_line_is_json_of_to_dict(self, tmp_path):
-        # One number format: prompt values at stored precision, keys in full.
+        # One number format: prompt values at stored precision, keys as the
+        # base64 of their float64 bytes, as on the wire.
         pool = make_pool()
         rng = np.random.default_rng(11)
         for i, dtype in enumerate(("f32", "f16")):
@@ -481,7 +483,8 @@ class TestPersistence:
         path = tmp_path / "pool.jsonl"
         pool.save(path)
         expected = ['{"next_id":2}'] + [
-            json.dumps({**e.to_dict(), "last_retrieved": e.last_retrieved},
+            json.dumps({**e.to_dict(), "key": vector_text(e.key),
+                        "last_retrieved": e.last_retrieved},
                        separators=(",", ":")) for e in pool.entries()]
         assert path.read_text().splitlines() == expected
 
@@ -518,6 +521,21 @@ class TestPersistence:
         assert err.value.line == 3
         assert isinstance(err.value, AdaptflyError)
 
+    @pytest.mark.parametrize("bad_line", [
+        pytest.param(b'{"entry_id": ' + b"1" * 5000 + b"}", id="beyond-int-digits"),
+        pytest.param(b"[" * 100000, id="deep-nesting"),
+        pytest.param(b'{"agent_id": "\xff"}', id="invalid-utf8"),
+    ])
+    def test_line_beyond_the_parser_names_its_number(self, tmp_path, bad_line):
+        pool = make_pool()
+        pool.insert(np.array([1.0, 0.0]), prompt(), timestamp=0, agent_id="a")
+        path = tmp_path / "pool.jsonl"
+        pool.save(path)
+        path.write_bytes(path.read_bytes() + bad_line + b"\n")
+        with pytest.raises(PoolFormatError, match=f"{path} line 3: ") as err:
+            PromptPool.load(path)
+        assert err.value.line == 3
+
     def test_key_dimension_mismatch_across_lines(self, tmp_path):
         lines = [
             json.dumps(PoolEntry(i, unit(np.ones(d)), prompt(), 0, "a").to_dict())
@@ -527,6 +545,50 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(PoolFormatError, match="line 2.*dimension 3.*dimension 2"):
             PromptPool.load(path)
+
+
+# -- snapshots written before vectors travelled as base64 ----------------------
+
+# Written by PromptPool.save when keys and deferred queries were decimal lists:
+# four entries over 8-d keys (f32 and f16 prompts, one deferred), id 0
+# evicted, so the next_id line (5) is what keeps ids from being reissued.
+LEGACY_SNAPSHOT = Path(__file__).resolve().parent / "data" / "pool_decimal_keys.jsonl"
+
+
+class TestLegacySnapshot:
+    def lines(self) -> list[dict]:
+        return [json.loads(line) for line in LEGACY_SNAPSHOT.read_text().splitlines()]
+
+    def test_decimal_vectors_load_bit_for_bit(self):
+        mark, *stored = self.lines()
+        pool = PromptPool.load(LEGACY_SNAPSHOT)
+        assert mark == {"next_id": 5} and pool._next_id == 5
+        assert [e.entry_id for e in pool.entries()] == [d["entry_id"] for d in stored]
+        assert sum("deferred" in d for d in stored) == 1
+        for d, e in zip(stored, pool.entries()):
+            assert e.key.tobytes() == np.array(d["key"]).tobytes()
+            if "deferred" in d:
+                assert e.value.query.tobytes() == np.array(d["deferred"]["query"]).tobytes()
+            else:
+                assert e.value == TokenPrompt.from_dict(d["value"])
+            assert e.last_retrieved == d["last_retrieved"]
+
+    def test_load_save_load_changes_no_entry_and_no_ranking(self, tmp_path):
+        first = PromptPool.load(LEGACY_SNAPSHOT)
+        path = tmp_path / "resaved.jsonl"
+        first.save(path)
+        assert "[" not in path.read_text().split('"key":')[1].split(",")[0]  # now base64
+        second = PromptPool.load(path)
+        assert [e.to_dict() for e in second.entries()] == [e.to_dict() for e in first.entries()]
+        assert [e.last_retrieved for e in second.entries()] == [
+            e.last_retrieved for e in first.entries()]
+        second.save(tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            q = rng.normal(size=8)
+            assert ([e.entry_id for e in first.query_topn(q, 3, step=9)]
+                    == [e.entry_id for e in second.query_topn(q, 3, step=9)])
 
 
 # -- equivalence with the per-entry loops ---------------------------------------

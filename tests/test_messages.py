@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptfly.errors import ProtocolError
+from adaptfly.errors import AdaptflyError, PoolFormatError, ProtocolError
 from adaptfly.fleet import messages
 from adaptfly.fleet.messages import (
     Query,
@@ -21,8 +21,8 @@ from adaptfly.fleet.messages import (
 )
 from adaptfly.fleet.mec import MecServer
 from adaptfly.fleet.transport import BytePipe, InprocClient, StreamClient, TransportFailure
-from adaptfly.memory import PromptPool
-from adaptfly.prompts import TokenPrompt, compact_json
+from adaptfly.memory import DeferredMarker, PoolEntry, PromptPool
+from adaptfly.prompts import TokenPrompt, compact_json, number_vector, vector_text
 
 
 def random_message(rng: np.random.Generator):
@@ -383,7 +383,8 @@ class TestNumberFormat:
 prompt_json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
     | st.builds(lambda v, dtype: TokenPrompt(np.array(v).reshape(1, -1), dtype=dtype),
-                st.lists(st.floats(-6e4, 6e4), max_size=5), st.sampled_from(["f32", "f16"])),
+                st.lists(st.floats(-6e4, 6e4), max_size=5), st.sampled_from(["f32", "f16"]))
+    | st.builds(lambda v: np.array(v, dtype=np.float64), st.lists(st.floats(), max_size=5)),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=4) | st.integers(), inner, max_size=4),
     max_leaves=8,
@@ -393,6 +394,8 @@ prompt_json_values = st.recursive(
 def plain(obj):
     if isinstance(obj, TokenPrompt):
         return obj.to_dict()
+    if isinstance(obj, np.ndarray):
+        return vector_text(obj)
     if isinstance(obj, dict):
         return {k: plain(v) for k, v in obj.items()}
     if isinstance(obj, list):
@@ -560,3 +563,141 @@ class TestCachedDecode:
         for _ in range(4):
             frame = encode_message(random_message(rng))
             assert outcome(frame, cache) == outcome(frame)
+
+
+# -- vector codec -----------------------------------------------------------------
+
+
+F64_EDGES = np.array([
+    0.0, -0.0, 5e-324, -5e-324,                       # smallest subnormals
+    np.uint64(0x000FFFFFFFFFFFFF).view(np.float64),  # largest subnormal
+    np.finfo(np.float64).tiny, np.finfo(np.float64).max, -np.finfo(np.float64).max,
+    1.0, -1.0, 0.1, 1.0 / 3.0,
+])
+
+
+def f64_patterns(seed: int, size: int) -> np.ndarray:
+    """Random finite float64 bit patterns, every edge value included."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=2 * size, dtype=np.uint64)
+    values = bits.view(np.float64)
+    return np.concatenate([F64_EDGES, values[np.isfinite(values)][: size - F64_EDGES.size]])
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def vector_messages(vec: np.ndarray) -> list:
+    prompt = TokenPrompt(np.ones((1, 2)))
+    return [
+        UploadPrompt(key=tuple(vec), value=prompt, timestamp=3, agent_id="uav-1"),
+        RegisterDeferred(query=tuple(vec), agent_id="uav-2", timestamp=4, domain_tag="fog"),
+        Query(query=tuple(vec), n=2, request_id=9),
+    ]
+
+
+def vector_of(msg) -> tuple:
+    return msg.key if isinstance(msg, UploadPrompt) else msg.query
+
+
+class TestVectorCodec:
+    """Keys and queries travel as base64 of their float64 bytes, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_request_vectors_round_trip_bit_for_bit(self, seed):
+        vec = f64_patterns(seed, 512)
+        for msg in vector_messages(vec):
+            frame = encode_message(msg)
+            back = decode_message(frame)
+            assert back == msg and encode_message(back) == frame
+            assert bits(vector_of(back)) == bits(vec)
+
+    def test_reply_vectors_round_trip_bit_for_bit(self):
+        vec = f64_patterns(4, 256)
+        concrete = PoolEntry(3, vec, TokenPrompt(np.ones((1, 2))), 1, "uav-1")
+        marker = DeferredMarker(vec[1:], "uav-2", normalize=False)
+        deferred = PoolEntry(4, vec[::-1].copy(), marker, 2, "uav-2", domain_tag="fog")
+        reply = QueryResponse(request_id=5, entries=(concrete.wire_dict(), deferred.wire_dict()))
+        frame = encode_message(reply)
+        for cache in (None, OrderedDict()):
+            got = decode_message(frame, entries=cache)
+            assert list(got.entries) == [concrete.to_dict(), deferred.to_dict()]
+            assert bits(got.entries[0]["key"]) == bits(vec)
+            assert bits(got.entries[1]["key"]) == bits(vec[::-1])
+            assert bits(got.entries[1]["deferred"]["query"]) == bits(vec[1:])
+
+    def test_served_reply_keys_are_the_pool_keys(self):
+        reply = served_reply()
+        for client_cache in (None, OrderedDict(), OrderedDict()):
+            got = decode_message(encode_message(reply), entries=client_cache)
+            for sent, entry in zip(got.entries, reply.entries):
+                assert bits(sent["key"]) == entry["key"].tobytes()
+
+    def test_query_frame_of_48_values_fits_600_bytes(self):
+        rng = np.random.default_rng(13)
+        q = rng.normal(size=48)
+        frame = encode_message(Query(query=tuple(q / np.linalg.norm(q)), n=2,
+                                     request_id=2**31))
+        assert len(frame) <= 600
+        assert json.loads(frame[4:])["query"] == vector_text(q / np.linalg.norm(q))
+
+    def test_decimal_list_frames_decode_to_the_same_messages(self):
+        vec = f64_patterns(5, 48)
+        for msg in vector_messages(vec):
+            payload = json.loads(encode_message(msg)[4:])
+            name = "key" if isinstance(msg, UploadPrompt) else "query"
+            payload[name] = vec.tolist()  # as frames carried vectors before
+            assert decode_message(frame_of(payload)) == msg
+        reply = served_reply()
+        decimal = {"type": "query_response", "request_id": 7,
+                   "entries": [json.loads(d.text) for d in reply.entries]}
+        for entry in decimal["entries"]:
+            entry["key"] = number_vector(entry["key"], "key").tolist()
+        for cache in (None, OrderedDict()):
+            assert (decode_message(frame_of(decimal), entries=cache)
+                    == decode_message(encode_message(reply)))
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(lambda t: t[:5] + "!" + t[6:], id="non-base64-character"),
+        pytest.param(lambda t: t[:-1], id="bad-padding"),
+        pytest.param(lambda t: t[:8] + " " + t[8:], id="embedded-space"),
+        pytest.param(lambda t: t[:8] + "\n" + t[8:], id="embedded-newline"),
+        pytest.param(lambda t: t[:-4], id="not-whole-float64-values"),
+        pytest.param(lambda t: "AAAAAA==", id="four-bytes"),
+        pytest.param(lambda t: t[:5] + "é" + t[6:], id="non-ascii"),
+        pytest.param(lambda t: 5, id="number"),
+        pytest.param(lambda t: {"v": t}, id="object"),
+        pytest.param(lambda t: None, id="null"),
+        pytest.param(lambda t: True, id="boolean"),
+    ])
+    def test_malformed_vectors_are_typed_errors(self, tmp_path, text):
+        good = vector_text(np.array([0.6, 0.8]))
+        bad = text(good)
+        for msg in vector_messages(np.array([0.6, 0.8])):
+            payload = json.loads(encode_message(msg)[4:])
+            payload["key" if isinstance(msg, UploadPrompt) else "query"] = bad
+            with pytest.raises(ProtocolError) as err:
+                decode_message(frame_of(payload))
+            assert err.value.offset == 4
+        entry = PoolEntry(0, np.array([0.6, 0.8]), TokenPrompt(np.ones((1, 2))), 0, "a")
+        marker = PoolEntry(1, np.array([0.6, 0.8]),
+                           DeferredMarker(np.array([0.8, 0.6]), "a"), 0, "a")
+        bad_key = {**entry.to_dict(), "key": bad}
+        bad_query = marker.to_dict()
+        bad_query["deferred"]["query"] = bad
+        for line in (bad_key, bad_query):
+            reply = {"type": "query_response", "request_id": 1, "entries": [line]}
+            for cache in (None, OrderedDict()):
+                if isinstance(bad, str):
+                    with pytest.raises(ProtocolError) as err:
+                        decode_message(compact_frame(reply), entries=cache)
+                    assert err.value.offset == 4
+                else:  # reply entries are checked where they are used, as before
+                    (sent,) = decode_message(compact_frame(reply), entries=cache).entries
+                    with pytest.raises(AdaptflyError):
+                        PoolEntry.from_dict(sent)
+            path = tmp_path / "pool.jsonl"
+            path.write_text('{"next_id":2}\n' + json.dumps(line) + "\n")
+            with pytest.raises(PoolFormatError) as err:
+                PromptPool.load(path)
+            assert err.value.line == 2
