@@ -28,6 +28,7 @@ from pathlib import Path
 from .cmaes import BENCH_FUNCTIONS, run_benchmark
 from .errors import AdaptflyError, parse_json
 from .fleet import (
+    ScenarioConfig,
     adaptation_summary,
     calibrate_scenario,
     metrics_csv,
@@ -118,10 +119,11 @@ def _cmd_run(args) -> int:
         _apply_override(config, assignment)
     if args.seed is not None:
         config["seed"] = args.seed
+    scenario = ScenarioConfig.from_dict(config)  # a rejected config leaves no directory
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    result = run_scenario(config)
+    result = run_scenario(scenario)
     (out / "metrics.csv").write_text(metrics_csv(result.records), encoding="utf-8")
     result.pool.save(out / "pool.jsonl")
     (out / "summary.json").write_text(

@@ -93,8 +93,8 @@ class CmaConfig:
             raise ConfigError("generations must be at least 1")
         if self.sigma0 <= 0:
             raise ConfigError("initial std must be positive")
-        if self.cov_floor <= 0:
-            raise ConfigError("covariance floor must be positive")
+        if not (0.0 < self.cov_floor <= 1.0):
+            raise ConfigError("covariance floor must lie in (0, 1]")
 
 
 @dataclass

@@ -24,6 +24,7 @@ from .errors import CalibrationError, StatsError
 __all__ = [
     "SIGMA_FLOOR",
     "KL_VARIANTS",
+    "MIN_CALIBRATION_SCORES",
     "ActivationStats",
     "DriftTracker",
     "compute_stats",
@@ -36,6 +37,7 @@ __all__ = [
 
 SIGMA_FLOOR = 1e-6
 KL_VARIANTS = ("standard", "simplified")
+MIN_CALIBRATION_SCORES = 30
 
 
 @dataclass(frozen=True)
@@ -185,9 +187,9 @@ def reset_reference(tracker: DriftTracker, stats: ActivationStats) -> DriftTrack
 def calibrate_threshold(scores, quantile: float = 0.99) -> float:
     """Empirical quantile of clean-stream scores (linear interpolation)."""
     scores = np.asarray(list(scores), dtype=np.float64)
-    if scores.size < 30:
+    if scores.size < MIN_CALIBRATION_SCORES:
         raise CalibrationError(
-            f"need at least 30 clean scores to calibrate, got {scores.size}"
+            f"need at least {MIN_CALIBRATION_SCORES} clean scores to calibrate, got {scores.size}"
         )
     if not (0.0 < quantile <= 1.0):
         raise CalibrationError("quantile must lie in (0, 1]")

@@ -3,8 +3,6 @@
 from .agents import RECORD_COLUMNS, LimitedAgent, MassiveAgent, StepRecord
 from .config import (
     AgentSpec,
-    OracleSettings,
-    PoolSettings,
     ScenarioConfig,
     SegmentSpec,
     clean_config,
@@ -37,8 +35,6 @@ __all__ = [
     "MassiveAgent",
     "StepRecord",
     "AgentSpec",
-    "OracleSettings",
-    "PoolSettings",
     "ScenarioConfig",
     "SegmentSpec",
     "clean_config",

@@ -2,27 +2,31 @@
 
 Configs are plain JSON-compatible dicts with a strictly validated key set;
 unknown keys are rejected so typos fail fast instead of silently using
-defaults, and every value is checked for type, length and range, so a
-malformed config raises ConfigError naming the field. See README for the
-full schema.
+defaults. Each JSON object has a field table that maps its keys to the
+fields of the type that owns them, with a type check: an absent or null
+key takes that type's default, and the type checks its own ranges (the
+tables hold the ranges of the scenario's own settings only). A malformed
+or out-of-range value raises ConfigError naming the field. See README for
+the full schema.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import sys
 from dataclasses import dataclass, field
 
 from ..cmaes import CmaConfig
 from ..distill import DistillConfig
+from ..drift import KL_VARIANTS, MIN_CALIBRATION_SCORES
 from ..errors import ConfigError
-from ..oracle import DomainSpec
+from ..memory import PoolConfig
+from ..oracle import DomainSpec, check_dropout_rate, check_toy_oracle, make_toy_oracle
 
 __all__ = [
     "SegmentSpec",
     "AgentSpec",
-    "OracleSettings",
-    "PoolSettings",
     "ScenarioConfig",
     "reference_config",
     "clean_config",
@@ -31,17 +35,8 @@ __all__ = [
 TRANSPORTS = ("inproc", "stream")
 KINDS = ("limited", "massive")
 
-
-_REQUIRED = object()
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
-
-
-def _take(d: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+_ORACLE_ARGUMENTS = inspect.signature(make_toy_oracle)
 
 
 def _check(value, name: str, kind: type, lo=None, hi=None, positive=False):
@@ -69,60 +64,60 @@ def _check(value, name: str, kind: type, lo=None, hi=None, positive=False):
     return value
 
 
-def _field(d: dict, key: str, where: str, kind: type, default=_REQUIRED, *,
-           lo=None, hi=None, positive=False, length=None):
-    """``d[key]`` (or ``default`` when absent) checked by ``_check``.
+def _build(where: str, make, **kwargs):
+    """``make(**kwargs)``, its ConfigError prefixed with the JSON path."""
+    try:
+        return make(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
-    With ``length`` the value must be a list of that many such values and
-    is returned as a tuple.
+
+def _read(d, table: dict, where: str, required=()) -> dict:
+    """The checked values of ``d``'s keys, under the field names of ``table``.
+
+    A table maps each key to its check, or to ``(field name, check)`` when
+    the field is named differently. A check is a JSON kind for ``_check``,
+    or ``check(value, name) -> value``. Absent and null keys are left out,
+    so the owning type's defaults apply; ``required`` keys must be present.
+    ``where`` is the object's JSON path, empty for the scenario itself.
     """
-    name = f"{where}.{key}"
-    if key not in d:
-        if default is _REQUIRED:
-            raise ConfigError(f"{name} is required")
-        return default
-    value = d[key]
-    if length is None:
-        return _check(value, name, kind, lo, hi, positive)
-    if not isinstance(value, list) or len(value) != length:
-        raise ConfigError(f"{name} must be a list of {length} values, got {value!r}")
-    return tuple(_check(v, f"{name}[{i}]", kind, lo, hi, positive) for i, v in enumerate(value))
+    what = where or "the scenario"
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be an object")
+    unknown = set(d) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {what}")
+    for key in required:
+        if d.get(key) is None:
+            raise ConfigError(f"{where}.{key} is required")
+    values = {}
+    for key, value in d.items():
+        if value is not None:
+            name, check = table[key] if isinstance(table[key], tuple) else (key, table[key])
+            if isinstance(check, type):
+                check = _is(check)
+            values[name] = check(value, f"{where}.{key}" if where else key)
+    return values
 
 
-def _objects(d: dict, key: str, where: str) -> list:
-    value = d.get(key, [])
-    if not isinstance(value, list):
-        raise ConfigError(f"{where}.{key} must be a list")
-    return value
+def _is(kind: type, lo=None, hi=None, positive=False):
+    """Check one value of a JSON kind within bounds, as ``_check``."""
+    return lambda value, name: _check(value, name, kind, lo, hi, positive)
 
 
-# Value checks of the optional agent cma and scenario distill objects.
-_CMA_FIELDS = {
-    "population": dict(kind=int, lo=1), "elite": dict(kind=int, lo=1),
-    "generations": dict(kind=int, lo=1), "sigma0": dict(kind=float, positive=True),
-    "mode": dict(kind=str), "cov_floor": dict(kind=float, positive=True, hi=1.0),
-}
-_DISTILL_FIELDS = {
-    "rows": dict(kind=int, lo=1), "steps": dict(kind=int, lo=1),
-    "frames": dict(kind=int, lo=1), "precision": dict(kind=str),
-}
+def _list_of(check, length: int | None = None):
+    """Check a list (of ``length`` items, if given) item by item; a tuple."""
+    def read(value, name):
+        if not isinstance(value, list) or length not in (None, len(value)):
+            size = "" if length is None else f" of {length} values"
+            raise ConfigError(f"{name} must be a list{size}, got {value!r}")
+        return tuple(check(v, f"{name}[{i}]") for i, v in enumerate(value))
+    return read
 
 
-def _options(d: dict, fields: dict, where: str) -> dict:
-    """A checked copy of an options object; null values are left out (defaults)."""
-    _take(d, set(fields), where)
-    return {k: _field(d, k, where, **fields[k]) for k, v in d.items() if v is not None}
-
-
-def _domain(d: dict, where: str) -> DomainSpec:
-    _take(d, {"id", "gain", "bias", "noise_scale", "seed"}, where)
-    return DomainSpec(
-        id=_field(d, "id", where, str),
-        gain=_field(d, "gain", where, float, (1.0, 1.0, 1.0), positive=True, length=3),
-        bias=_field(d, "bias", where, float, (0.0, 0.0, 0.0), length=3),
-        noise_scale=_field(d, "noise_scale", where, float, 0.0, lo=0.0),
-        seed=_field(d, "seed", where, int, 0, lo=0),
-    )
+def _object(table: dict, make=dict, *required: str):
+    """Check an object and build ``make`` from its values."""
+    return lambda value, name: _build(name, make, **_read(value, table, name, required))
 
 
 @dataclass(frozen=True)
@@ -133,23 +128,14 @@ class SegmentSpec:
     frames: int
     motion: tuple[int, int] = (0, 0)
 
-    def __post_init__(self):
-        if self.frames < 1:
-            raise ConfigError("segment frame count must be at least 1")
-
-    @classmethod
-    def from_dict(cls, d: dict, where: str) -> "SegmentSpec":
-        _take(d, {"domain", "frames", "motion"}, where)
-        return cls(
-            domain=_field(d, "domain", where, str),
-            frames=_field(d, "frames", where, int, lo=1),
-            motion=_field(d, "motion", where, int, (0, 0), lo=-(2**31), hi=2**31, length=2),
-        )
-
 
 @dataclass(frozen=True)
 class AgentSpec:
-    """Static description of one agent."""
+    """Static description of one agent.
+
+    ``cma`` holds CmaConfig options, checked at parse time against a
+    3-dimensional search; the search itself is sized by ``rho``.
+    """
 
     id: str
     kind: str
@@ -170,106 +156,31 @@ class AgentSpec:
             raise ConfigError(f"agent kind must be one of {KINDS}, got {self.kind!r}")
         if not self.schedule:
             raise ConfigError(f"agent {self.id} needs a schedule")
+        if self.kind == "massive" and self.rho <= 0:
+            raise ConfigError(f"a massive agent's rho must be positive, got {self.rho!r}")
+        check_dropout_rate(self.dropout_rate)
+        _build("cma", CmaConfig, dimension=3, **self.cma)
 
     @property
     def total_frames(self) -> int:
         return sum(s.frames for s in self.schedule)
 
-    def cma_options(self) -> dict:
-        options = dict(self.cma)
-        CmaConfig(dimension=3, **options)  # validate values eagerly
-        return options
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AgentSpec":
-        where = f"agents[{d.get('id', '?')}]" if isinstance(d, dict) else "agents[]"
-        _take(
-            d,
-            {
-                "id", "kind", "schedule", "lambda", "z", "warmup", "n", "rho",
-                "mc_passes", "dropout_rate", "delta_refresh", "defer_distill", "cma",
-            },
-            where,
-        )
-        schedule = tuple(
-            SegmentSpec.from_dict(s, f"{where}.schedule[{i}]")
-            for i, s in enumerate(_objects(d, "schedule", where))
-        )
-        threshold = d.get("z", "auto")
-        if threshold != "auto":
-            threshold = _field(d, "z", where, float, positive=True)
-        return cls(
-            id=_field(d, "id", where, str),
-            kind=_field(d, "kind", where, str),
-            schedule=schedule,
-            smoothing=_field(d, "lambda", where, float, 0.1, lo=0.0, hi=1.0),
-            threshold=threshold,
-            warmup=_field(d, "warmup", where, int, 10, lo=0),
-            retrieval_n=_field(d, "n", where, int, 2, lo=1),
-            rho=_field(d, "rho", where, float, 0.05, lo=0.0, hi=1.0),
-            mc_passes=_field(d, "mc_passes", where, int, 4, lo=1),
-            dropout_rate=_field(d, "dropout_rate", where, float, 0.1, lo=0.0, hi=1.0),
-            delta_refresh=_field(d, "delta_refresh", where, float, 0.1, lo=0.0),
-            defer_distill=_field(d, "defer_distill", where, bool, False),
-            cma=_options(d.get("cma", {}), _CMA_FIELDS, f"{where}.cma"),
-        )
-
-
-@dataclass(frozen=True)
-class OracleSettings:
-    seed: int = 7
-    classes: int = 5
-    height: int = 32
-    width: int = 32
-    stem_channels: int = 8
-    patch: int = 4
-    temperature: float = 0.08
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OracleSettings":
-        _take(
-            d,
-            {"seed", "classes", "height", "width", "stem_channels", "patch", "temperature"},
-            "oracle",
-        )
-        ints = {"seed": 0, "classes": 2, "height": 1, "width": 1, "stem_channels": 1, "patch": 1}
-        values = {k: _field(d, k, "oracle", int, lo=lo) for k, lo in ints.items() if k in d}
-        if "temperature" in d:
-            values["temperature"] = _field(d, "temperature", "oracle", float, positive=True)
-        return cls(**values)
-
-
-@dataclass(frozen=True)
-class PoolSettings:
-    capacity: int = 256
-    tau_merge: float = 0.95
-    eta: float = 0.3
-    refine_period: int = 2
-
-    def __post_init__(self):
-        if self.refine_period < 1:
-            raise ConfigError("refine period must be at least 1")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PoolSettings":
-        _take(d, {"capacity", "tau_merge", "eta", "refine_period"}, "pool")
-        return cls(
-            capacity=_field(d, "capacity", "pool", int, 256, lo=1),
-            tau_merge=_field(d, "tau_merge", "pool", float, 0.95, lo=-1.0, hi=1.0),
-            eta=_field(d, "eta", "pool", float, 0.3, lo=0.0, hi=1.0),
-            refine_period=_field(d, "refine_period", "pool", int, 2, lo=1),
-        )
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario description; run with fleet.run_scenario."""
+    """Validated scenario description; run with fleet.run_scenario.
 
-    seed: int
-    oracle: OracleSettings
-    domains: tuple[DomainSpec, ...]
-    agents: tuple[AgentSpec, ...]
-    pool: PoolSettings = PoolSettings()
+    ``oracle`` holds the arguments of ``make_toy_oracle``, all of them
+    once constructed; ``distill`` holds DistillConfig options, whose rows
+    default to one per patch token of the oracle.
+    """
+
+    agents: tuple[AgentSpec, ...] = ()
+    domains: tuple[DomainSpec, ...] = ()
+    seed: int = 0
+    oracle: dict = field(default_factory=dict)
+    pool: PoolConfig = PoolConfig()
+    refine_period: int = 2
     transport: str = "inproc"
     kl_variant: str = "standard"
     distill: dict = field(default_factory=dict)
@@ -279,10 +190,15 @@ class ScenarioConfig:
     faults: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
+        oracle = _ORACLE_ARGUMENTS.bind(**{"seed": 7, **self.oracle})
+        oracle.apply_defaults()
+        object.__setattr__(self, "oracle", dict(oracle.arguments))
+        _build("oracle", check_toy_oracle, **self.oracle)
+        _build("distill", DistillConfig, **self.distill)
         if self.transport not in TRANSPORTS:
             raise ConfigError(f"transport must be one of {TRANSPORTS}")
-        if self.kl_variant not in ("standard", "simplified"):
-            raise ConfigError("kl_variant must be 'standard' or 'simplified'")
+        if self.kl_variant not in KL_VARIANTS:
+            raise ConfigError(f"kl_variant must be one of {KL_VARIANTS}")
         ids = [a.id for a in self.agents]
         if len(set(ids)) != len(ids):
             raise ConfigError("agent ids must be unique")
@@ -300,51 +216,66 @@ class ScenarioConfig:
             for seg in a.schedule:
                 if seg.domain not in known:
                     raise ConfigError(f"agent {a.id} references unknown domain {seg.domain!r}")
+            needed = a.warmup + MIN_CALIBRATION_SCORES
+            if a.threshold == "auto" and self.calibration_frames < needed:
+                raise ConfigError(
+                    f"calibration.frames must be at least warmup + {MIN_CALIBRATION_SCORES}"
+                    f" = {needed} to calibrate agent {a.id}, got {self.calibration_frames}"
+                )
 
     @property
     def total_frames(self) -> int:
         return self.agents[0].total_frames
 
-    def distill_config(self, default_rows: int) -> DistillConfig:
-        d = dict(self.distill)
-        d.setdefault("rows", default_rows)
-        return DistillConfig(**d)
-
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        _take(
-            d,
-            {
-                "seed", "oracle", "domains", "agents", "pool", "transport",
-                "kl_variant", "distill", "calibration", "provenance_window", "faults",
-            },
-            "scenario",
-        )
-        calibration = d.get("calibration", {})
-        _take(calibration, {"frames", "quantile"}, "calibration")
-        faults = []
-        for f in _objects(d, "faults", "scenario"):
-            _take(f, {"agent", "step"}, "faults[]")
-            faults.append((_field(f, "agent", "faults[]", str),
-                           _field(f, "step", "faults[]", int)))
-        return cls(
-            seed=_field(d, "seed", "scenario", int, 0),
-            oracle=OracleSettings.from_dict(d.get("oracle", {})),
-            domains=tuple(
-                _domain(x, f"domains[{i}]")
-                for i, x in enumerate(_objects(d, "domains", "scenario"))
-            ),
-            agents=tuple(AgentSpec.from_dict(x) for x in _objects(d, "agents", "scenario")),
-            pool=PoolSettings.from_dict(d.get("pool", {})),
-            transport=_field(d, "transport", "scenario", str, "inproc"),
-            kl_variant=_field(d, "kl_variant", "scenario", str, "standard"),
-            distill=_options(d.get("distill", {}), _DISTILL_FIELDS, "distill"),
-            calibration_frames=_field(calibration, "frames", "calibration", int, 120, lo=1),
-            calibration_quantile=_field(calibration, "quantile", "calibration", float, 0.99,
-                                        lo=0.0, hi=1.0),
-            provenance_window=_field(d, "provenance_window", "scenario", int, 64, lo=1),
-            faults=tuple(faults),
-        )
+        """Parse a JSON scenario; ConfigError names the first bad field."""
+        values = _read(d, _SCENARIO, "")
+        values.update(values.pop("calibration", {}))
+        pool = values.pop("pool", {})
+        if "refine_period" in pool:
+            values["refine_period"] = pool.pop("refine_period")
+        values["pool"] = _build("pool", PoolConfig, **pool)
+        return cls(**values)
+
+
+def _threshold(value, name):
+    return value if value == "auto" else _check(value, name, float, positive=True)
+
+
+_SEGMENT = {"domain": str, "frames": _is(int, lo=1),
+            "motion": _list_of(_is(int, lo=-(2**31), hi=2**31), 2)}
+_AGENT = {
+    "id": str, "kind": str,
+    "schedule": _list_of(_object(_SEGMENT, SegmentSpec, "domain", "frames")),
+    "lambda": ("smoothing", _is(float, lo=0.0, hi=1.0)),
+    "z": ("threshold", _threshold),
+    "warmup": _is(int, lo=0), "n": ("retrieval_n", _is(int, lo=1)),
+    "rho": _is(float, lo=0.0, hi=1.0), "mc_passes": _is(int, lo=1), "dropout_rate": float,
+    "delta_refresh": _is(float, lo=0.0), "defer_distill": bool,
+    "cma": _object({"population": int, "elite": int, "generations": int, "sigma0": float,
+                    "mode": str, "cov_floor": float}),
+}
+_SCENARIO = {
+    "seed": int,
+    "oracle": _object({"seed": int, "classes": int, "height": int, "width": int,
+                       "stem_channels": int, "patch": int, "temperature": float}),
+    "domains": _list_of(_object({"id": str, "gain": _list_of(_is(float), 3),
+                                 "bias": _list_of(_is(float), 3), "noise_scale": float,
+                                 "seed": int}, DomainSpec, "id")),
+    "agents": _list_of(_object(_AGENT, AgentSpec, "id", "kind", "schedule")),
+    "pool": _object({"capacity": int, "tau_merge": ("merge_threshold", float),
+                     "eta": ("merge_weight", float), "refine_period": _is(int, lo=1)}),
+    "transport": str, "kl_variant": str,
+    "distill": _object({"rows": int, "steps": int, "frames": int, "precision": str}),
+    "calibration": _object({
+        "frames": ("calibration_frames", _is(int, lo=1)),
+        "quantile": ("calibration_quantile", _is(float, hi=1.0, positive=True)),
+    }),
+    "provenance_window": _is(int, lo=1),
+    "faults": _list_of(_object({"agent": str, "step": int}, lambda agent, step: (agent, step),
+                               "agent", "step")),
+}
 
 
 def reference_config(seed: int = 0, transport: str = "inproc") -> dict:

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..distill import DistillConfig
 from ..drift import DriftTracker, calibrate_threshold, compute_stats, detect
-from ..errors import ConfigError, MetricsFormatError
-from ..memory import PoolConfig, PromptPool
+from ..errors import MetricsFormatError
+from ..memory import PromptPool
 from ..oracle import ToyOracle, make_toy_oracle, render_frame
 from .agents import RECORD_COLUMNS, LimitedAgent, MassiveAgent, StepRecord
 from .config import AgentSpec, ScenarioConfig
@@ -41,19 +42,6 @@ class ScenarioResult:
     records: list[StepRecord]
     pool: PromptPool
     summary: dict
-
-
-def _make_oracle(cfg: ScenarioConfig) -> ToyOracle:
-    o = cfg.oracle
-    return make_toy_oracle(
-        seed=o.seed,
-        classes=o.classes,
-        height=o.height,
-        width=o.width,
-        stem_channels=o.stem_channels,
-        patch=o.patch,
-        temperature=o.temperature,
-    )
 
 
 def _tracker(cfg: ScenarioConfig, spec: AgentSpec, threshold: float = 1.0) -> DriftTracker:
@@ -95,10 +83,6 @@ def _calibrated_threshold(
     """Quantile threshold from a dedicated clean stream of the first domain."""
     if not isinstance(spec.threshold, str):
         return float(spec.threshold)
-    if cfg.calibration_frames - spec.warmup < 30:
-        raise ConfigError(
-            f"calibration needs warmup + 30 frames, got {cfg.calibration_frames}"
-        )
     domain = domains[spec.schedule[0].domain]
     # Negative frame indices keep the calibration stream disjoint from the
     # scenario's own frames.
@@ -112,17 +96,11 @@ def _calibrated_threshold(
 def run_scenario(config: dict | ScenarioConfig) -> ScenarioResult:
     """Run a scenario to completion; deterministic given the config."""
     cfg = ScenarioConfig.from_dict(config) if isinstance(config, dict) else config
-    oracle = _make_oracle(cfg)
+    oracle = make_toy_oracle(**cfg.oracle)
     domains = {d.id: d for d in cfg.domains}
-    pool = PromptPool(
-        PoolConfig(
-            capacity=cfg.pool.capacity,
-            merge_threshold=cfg.pool.tau_merge,
-            merge_weight=cfg.pool.eta,
-        )
-    )
+    pool = PromptPool(cfg.pool)
     provenance = ProvenanceLog(window=cfg.provenance_window)
-    distill_config = cfg.distill_config(default_rows=oracle.num_patches)
+    distill_config = DistillConfig(**{"rows": oracle.num_patches, **cfg.distill})
     server = MecServer(pool, oracle, distill_config, provenance)
 
     clock = {"t": -1}
@@ -151,7 +129,7 @@ def run_scenario(config: dict | ScenarioConfig) -> ScenarioResult:
                 oracle,
                 client,
                 tracker,
-                cma_options=spec.cma_options(),
+                cma_options=spec.cma,
                 distill_config=distill_config,
                 provenance=provenance,
                 rho=spec.rho,
@@ -172,7 +150,7 @@ def run_scenario(config: dict | ScenarioConfig) -> ScenarioResult:
             record.pool_size = pool.size
             records.append(record)
         provenance.advance(t)
-        if (t + 1) % cfg.pool.refine_period == 0:
+        if (t + 1) % cfg.refine_period == 0:
             controller.send(RefineTick())
     controller.send(RefineTick())  # final flush of pending entries
 
@@ -289,7 +267,7 @@ def calibrate_scenario(config: dict | ScenarioConfig, quantile: float = 0.99) ->
     empirical quantile, ready to paste into a scenario config as ``z``.
     """
     cfg = ScenarioConfig.from_dict(config) if isinstance(config, dict) else config
-    oracle = _make_oracle(cfg)
+    oracle = make_toy_oracle(**cfg.oracle)
     domains = {d.id: d for d in cfg.domains}
     scores: list[float] = []
     for idx, spec in enumerate(cfg.agents):

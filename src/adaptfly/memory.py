@@ -60,7 +60,10 @@ def _unit(key: np.ndarray) -> np.ndarray:
 
 def _stored_unit(values, what: str) -> np.ndarray:
     """A unit vector read from a snapshot or reply, kept bit for bit."""
-    vec = number_vector(values, what)
+    try:
+        vec = number_vector(values, what)
+    except CompositionError as exc:
+        raise PoolFormatError(str(exc)) from exc
     norm = float(np.linalg.norm(vec))
     if not abs(norm - 1.0) <= _KEY_NORM_TOLERANCE:  # also rejects NaN and inf
         raise PoolFormatError(
@@ -78,7 +81,6 @@ class PoolConfig:
     capacity: int = 256
     merge_threshold: float = 0.95
     merge_weight: float = 0.3
-    top_n: int = 2
 
     def __post_init__(self):
         if self.capacity < 1:
@@ -87,8 +89,6 @@ class PoolConfig:
             raise ConfigError("merge threshold must lie in (0, 1]")
         if not (0.0 < self.merge_weight <= 1.0):
             raise ConfigError("merge weight must lie in (0, 1]")
-        if self.top_n < 1:
-            raise ConfigError("top-N must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,10 @@ class PoolEntry:
             query = _stored_unit(marker.get("query"), "deferred query")
             value = DeferredMarker(query, marker["agent_id"], normalize=False)
         elif "value" in d:
-            value = TokenPrompt.from_dict(d["value"])
+            try:
+                value = TokenPrompt.from_dict(d["value"])
+            except AdaptflyError as exc:
+                raise PoolFormatError(f"pool entry value: {exc}") from exc
         else:
             raise PoolFormatError("pool entry needs a value or a deferred marker")
         return cls(

@@ -37,6 +37,8 @@ __all__ = [
     "DomainSpec",
     "ToyOracle",
     "make_toy_oracle",
+    "check_toy_oracle",
+    "check_dropout_rate",
     "render_frame",
     "planted_correction",
     "random_domain_spec",
@@ -65,15 +67,8 @@ class DomainSpec:
             raise ConfigError(f"domain gain must be positive, got {self.gain}")
         if self.noise_scale < 0:
             raise ConfigError("noise scale must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "gain": [float(g) for g in self.gain],
-            "bias": [float(b) for b in self.bias],
-            "noise_scale": float(self.noise_scale),
-            "seed": int(self.seed),
-        }
+        if self.seed < 0:
+            raise ConfigError(f"domain seed must be non-negative, got {self.seed}")
 
 
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -271,8 +266,7 @@ class ToyOracle:
         Deterministic given (x, dropout_rate, seed); rate 0 reproduces
         predict bit-exactly.
         """
-        if not (0.0 <= dropout_rate < 1.0):
-            raise ConfigError(f"dropout rate must lie in [0, 1), got {dropout_rate}")
+        check_dropout_rate(dropout_rate)
         e = self._check_image(x)
         if dropout_rate > 0.0:
             rng = np.random.default_rng([self.seed, int(seed) % (2**63)])
@@ -337,6 +331,29 @@ class ToyOracle:
         return base
 
 
+def check_dropout_rate(rate: float) -> None:
+    """Raise ConfigError unless ``rate`` is one ``stochastic_forward`` takes."""
+    if not (0.0 <= rate < 1.0):
+        raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
+
+
+def check_toy_oracle(seed: int, classes: int, height: int, width: int, stem_channels: int,
+                     patch: int, temperature: float, position_decay: float) -> None:
+    """The argument checks of ``make_toy_oracle``, without building anything."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    if classes < 2:
+        raise ConfigError("need at least two classes")
+    if min(height, width, stem_channels, patch) < 1:
+        raise ConfigError("height, width, stem_channels and patch must be at least 1")
+    if height % patch or width % patch:
+        raise ConfigError(f"frame {height}x{width} must tile into {patch}x{patch} patches")
+    if not temperature > 0.0:
+        raise ConfigError(f"temperature must be positive, got {temperature}")
+    if not (0.0 < position_decay <= 1.0):
+        raise ConfigError("position decay must lie in (0, 1]")
+
+
 def make_toy_oracle(
     seed: int,
     classes: int = 5,
@@ -352,12 +369,8 @@ def make_toy_oracle(
     The frame must tile exactly into `patch` x `patch` patches; the token
     dimension is 3 * patch**2 so the patch-token basis is invertible.
     """
-    if classes < 2:
-        raise ConfigError("need at least two classes")
-    if height % patch or width % patch:
-        raise ConfigError(f"frame {height}x{width} must tile into {patch}x{patch} patches")
-    if not (0.0 < position_decay <= 1.0):
-        raise ConfigError("position decay must lie in (0, 1]")
+    check_toy_oracle(seed, classes, height, width, stem_channels, patch, temperature,
+                     position_decay)
     rng = np.random.default_rng(seed)
 
     # Planted layout: Voronoi cells of one anchor pixel per class.

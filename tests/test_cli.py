@@ -295,6 +295,28 @@ class TestMalformedConfigs:
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("dotted, value, named", [
+        ("pool.eta", 0, "pool: "),
+        ("pool.tau_merge", -0.5, "pool: "),
+        ("agents.0.cma.elite", 40, "agents[0]: cma: "),
+        ("agents.0.cma.mode", "x", "agents[0]: cma: "),
+        ("distill.precision", "f64", "distill: "),
+        ("calibration.frames", 35, "calibration.frames "),
+        ("calibration.quantile", 0, "calibration.quantile "),
+        ("oracle.height", 30, "oracle: "),
+        ("agents.0.rho", 0, "agents[0]: "),
+        ("agents.0.dropout_rate", 1.0, "agents[0]: "),
+    ])
+    def test_out_of_range_value_exits_2_before_any_output(self, tmp_path, capsys, dotted,
+                                                           value, named):
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(SHIPPED / "three_domain.json"),
+                "--set", f"{dotted}={json.dumps(value)}", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"adaptfly: {named}") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [
         pytest.param(b'{"seed": ' + b"1" * 5000 + b"}", id="beyond-int-digits"),
         pytest.param(b"[" * 100000, id="deep-nesting"),

@@ -139,6 +139,60 @@ class TestConfigValidation:
             run_scenario(cfg)
 
 
+def set_path(config: dict, dotted: str, value) -> None:
+    *path, leaf = dotted.split(".")
+    node = config
+    for key in path:
+        node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
+    node[leaf] = value
+
+
+# Values that once parsed and then failed inside run_scenario, each with
+# the start of the message that must name its JSON object or field.
+OUT_OF_RANGE = [
+    ("pool.eta", 0, "pool: merge weight"),
+    ("pool.tau_merge", -0.5, "pool: merge threshold"),
+    ("agents.0.cma.elite", 40, "agents[0]: cma: elite"),
+    ("agents.0.cma.mode", "x", "agents[0]: cma: mode"),
+    ("distill.precision", "f64", "distill: precision"),
+    ("calibration.frames", 35, "calibration.frames"),
+    ("calibration.quantile", 0, "calibration.quantile"),
+    ("oracle.height", 30, "oracle: frame 30x32"),
+    ("agents.0.rho", 0, "agents[0]: a massive agent's rho"),
+    ("agents.0.dropout_rate", 1.0, "agents[0]: dropout rate"),
+]
+
+
+class TestRejectedAtParse:
+    @pytest.mark.parametrize("dotted, value, named", OUT_OF_RANGE)
+    def test_out_of_range_value_names_its_field(self, dotted, value, named):
+        cfg = reference_config(seed=0)
+        set_path(cfg, dotted, value)
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(cfg)
+        assert str(err.value).startswith(named)
+
+    def test_parsed_types_are_the_library_types(self):
+        cfg = ScenarioConfig.from_dict(reference_config(seed=0))
+        assert cfg.pool == PoolConfig(capacity=64, merge_threshold=0.95, merge_weight=0.3)
+        assert cfg.refine_period == 2
+        assert cfg.oracle == {"seed": 7, "classes": 5, "height": 32, "width": 32,
+                              "stem_channels": 8, "patch": 4, "temperature": 0.08,
+                              "position_decay": 0.25}
+        assert cfg.domains[1] == DomainSpec(id="dusk", gain=(0.834, 0.765, 0.798),
+                                            bias=(-0.248, 0.22, 0.202), noise_scale=0.01,
+                                            seed=202)
+
+    def test_absent_settings_take_the_owning_type_defaults(self):
+        cfg = reference_config(seed=0)
+        for key in ("oracle", "pool", "distill"):
+            del cfg[key]
+        parsed = ScenarioConfig.from_dict(cfg)
+        assert parsed.pool == PoolConfig()
+        assert repr(make_toy_oracle(**parsed.oracle)) == repr(make_toy_oracle(seed=7))
+        assert parsed.distill == {}
+
+
 @pytest.fixture()
 def server_setup():
     oracle = make_toy_oracle(seed=7)

@@ -387,6 +387,19 @@ class TestPersistence:
         with pytest.raises(PoolFormatError, match="unit vector"):
             PoolEntry.from_dict(d)
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("key", 5, "pool entry key must be a base64 string"),
+        ("key", "AAAA", "pool entry key holds 3 bytes"),
+        ("key", [True], "pool entry key must be a base64 string"),
+        ("rows", "1", "pool entry value: token prompt rows"),
+        ("dtype", "f64", "pool entry value: "),
+    ])
+    def test_malformed_field_is_a_pool_format_error(self, field, value, named):
+        d = PoolEntry(0, unit([1.0, 0.0]), prompt(), 0, "a").to_dict()
+        (d if field == "key" else d["value"])[field] = value
+        with pytest.raises(PoolFormatError, match=f"^{named}"):
+            PoolEntry.from_dict(d)
+
     def test_stored_key_within_tolerance_kept_as_is(self):
         key = [0.6, 0.8 + 1e-12]
         d = {**PoolEntry(0, unit([1.0, 0.0]), prompt(), 0, "a").to_dict(), "key": key}
