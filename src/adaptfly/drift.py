@@ -63,6 +63,22 @@ class ActivationStats:
     def __len__(self) -> int:
         return self.means.shape[0]
 
+    @classmethod
+    def _of_checked(cls, means: np.ndarray, stds: np.ndarray) -> "ActivationStats":
+        """Stats from fresh float64 vectors of equal length, known to be finite.
+
+        Skips the conversions and checks of the constructor and applies only
+        its floor, so a moving average of checked stats is built as the
+        constructor would build it.
+        """
+        stats = object.__new__(cls)
+        stds = np.maximum(stds, SIGMA_FLOOR)
+        means.setflags(write=False)
+        stds.setflags(write=False)
+        object.__setattr__(stats, "means", means)
+        object.__setattr__(stats, "stds", stds)
+        return stats
+
 
 def compute_stats(features: np.ndarray) -> ActivationStats:
     """Spatially pool a (channels, ...) feature tensor into per-channel stats.
@@ -108,7 +124,7 @@ def ema_update(tracker: DriftTracker, stats: ActivationStats) -> DriftTracker:
         tracker.ema = stats
         return tracker
     lam = tracker.smoothing
-    tracker.ema = ActivationStats(
+    tracker.ema = ActivationStats._of_checked(
         lam * stats.means + (1.0 - lam) * tracker.ema.means,
         lam * stats.stds + (1.0 - lam) * tracker.ema.stds,
     )
@@ -136,17 +152,30 @@ def kl_gaussian(
 
 
 def divergence(a: ActivationStats, b: ActivationStats, variant: str = "standard") -> float:
-    """Channel-averaged symmetric KL divergence between two stat summaries."""
+    """Channel-averaged symmetric KL divergence between two stat summaries.
+
+    In the standard variant the opposed log-ratio terms cancel and the two
+    -1/2 terms are folded in over a common denominator, per channel
+
+        ((sa^2 - sb^2)^2 + (ma - mb)^2 (sa^2 + sb^2)) / (2 sa^2 sb^2),
+
+    with sa^2 - sb^2 taken as (sa - sb)(sa + sb). Every term is then
+    non-negative, so a score of 1e-8 keeps all its digits instead of being
+    the small difference of two numbers near 1.
+    """
     if len(a) != len(b):
         raise StatsError(f"stat lengths differ: {len(a)} vs {len(b)}")
-    if variant not in KL_VARIANTS:
-        raise StatsError(f"kl variant must be one of {KL_VARIANTS}")
-    core_ab = (a.stds**2 + (a.means - b.means) ** 2) / (2.0 * b.stds**2)
-    core_ba = (b.stds**2 + (b.means - a.means) ** 2) / (2.0 * a.stds**2)
-    total = core_ab + core_ba
     if variant == "standard":
-        # The opposed log-ratio terms cancel; only the two -1/2 remain.
-        total = total - 1.0
+        va, vb = a.stds**2, b.stds**2
+        dv = (a.stds - b.stds) * (a.stds + b.stds)
+        dm = a.means - b.means
+        total = (dv * dv + dm * dm * (va + vb)) / (2.0 * va * vb)
+    elif variant == "simplified":
+        core_ab = (a.stds**2 + (a.means - b.means) ** 2) / (2.0 * b.stds**2)
+        core_ba = (b.stds**2 + (b.means - a.means) ** 2) / (2.0 * a.stds**2)
+        total = core_ab + core_ba
+    else:
+        raise StatsError(f"kl variant must be one of {KL_VARIANTS}")
     return float(total.mean())
 
 

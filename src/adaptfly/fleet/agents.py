@@ -19,7 +19,7 @@ import numpy as np
 
 from ..cmaes import CmaConfig, optimize_svp
 from ..distill import DistillConfig, distill_iterative
-from ..drift import DriftTracker, compute_stats, detect, reset_reference
+from ..drift import DriftTracker, detect, reset_reference
 from ..memory import PoolEntry, assemble
 from ..oracle import mean_entropy
 from ..prompts import (
@@ -117,7 +117,7 @@ class LimitedAgent:
         self, t: int, frame: np.ndarray, motion=(0, 0), domain_tag: str | None = None
     ) -> StepRecord:
         window = _ByteWindow(self.client)
-        stats = compute_stats(self.oracle.stem_features(frame))
+        stats = self.oracle.stem_stats(frame)
         shift, score, _ = detect(self.tracker, stats)
         event, retrieved, degraded = "none", 0, False
         entropy = None  # set when the retrieval check already predicted the frame
@@ -285,7 +285,7 @@ class MassiveAgent:
         self, t: int, frame: np.ndarray, motion=(0, 0), domain_tag: str | None = None
     ) -> StepRecord:
         window = _ByteWindow(self.client)
-        stats = compute_stats(self.oracle.stem_features(frame))
+        stats = self.oracle.stem_stats(frame)
         shift, score, _ = detect(self.tracker, stats)
         degraded = self._flush_retries()
 

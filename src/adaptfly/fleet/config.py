@@ -23,6 +23,7 @@ from ..drift import KL_VARIANTS, MIN_CALIBRATION_SCORES
 from ..errors import ConfigError
 from ..memory import PoolConfig
 from ..oracle import DomainSpec, check_dropout_rate, check_toy_oracle, make_toy_oracle
+from ..prompts import sparsity_budget
 
 __all__ = [
     "SegmentSpec",
@@ -133,8 +134,9 @@ class SegmentSpec:
 class AgentSpec:
     """Static description of one agent.
 
-    ``cma`` holds CmaConfig options, checked at parse time against a
-    3-dimensional search; the search itself is sized by ``rho``.
+    ``cma`` holds CmaConfig options. The search they configure has
+    dimension 3 x sparsity_budget(rho, H, W), so ScenarioConfig, which
+    knows the frame size, checks them at that dimension.
     """
 
     id: str
@@ -159,7 +161,6 @@ class AgentSpec:
         if self.kind == "massive" and self.rho <= 0:
             raise ConfigError(f"a massive agent's rho must be positive, got {self.rho!r}")
         check_dropout_rate(self.dropout_rate)
-        _build("cma", CmaConfig, dimension=3, **self.cma)
 
     @property
     def total_frames(self) -> int:
@@ -172,7 +173,8 @@ class ScenarioConfig:
 
     ``oracle`` holds the arguments of ``make_toy_oracle``, all of them
     once constructed; ``distill`` holds DistillConfig options, whose rows
-    default to one per patch token of the oracle.
+    default to one per patch token of the oracle. Each agent's ``cma``
+    options are checked here, at the dimension of its search.
     """
 
     agents: tuple[AgentSpec, ...] = ()
@@ -212,7 +214,11 @@ class ScenarioConfig:
         known = {d.id for d in self.domains}
         if len(known) != len(self.domains):
             raise ConfigError("domain ids must be unique")
-        for a in self.agents:
+        h, w = self.oracle["height"], self.oracle["width"]
+        for i, a in enumerate(self.agents):
+            dimension = 3 * sparsity_budget(a.rho, h, w)
+            if dimension:
+                _build(f"agents[{i}]: cma", CmaConfig, dimension=dimension, **a.cma)
             for seg in a.schedule:
                 if seg.domain not in known:
                     raise ConfigError(f"agent {a.id} references unknown domain {seg.domain!r}")

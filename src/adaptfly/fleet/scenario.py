@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..distill import DistillConfig
-from ..drift import DriftTracker, calibrate_threshold, compute_stats, detect
+from ..drift import DriftTracker, calibrate_threshold, detect
 from ..errors import MetricsFormatError
 from ..memory import PromptPool
 from ..oracle import ToyOracle, make_toy_oracle, render_frame
@@ -73,7 +73,7 @@ def _frame_stream(oracle: ToyOracle, domains: dict, spec: AgentSpec, agent_index
 def _clean_scores(cfg: ScenarioConfig, spec: AgentSpec, oracle: ToyOracle, frames) -> list[float]:
     """Drift scores of a frame stream against a fresh tracker, after warmup."""
     tracker = _tracker(cfg, spec)
-    scores = [detect(tracker, compute_stats(oracle.stem_features(f)))[1] for f in frames]
+    scores = [detect(tracker, oracle.stem_stats(f))[1] for f in frames]
     return scores[spec.warmup :]
 
 

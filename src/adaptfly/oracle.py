@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .drift import ActivationStats
 from .errors import ConfigError, OracleError
 from .prompts import SparseVisualPrompt, TokenPrompt, compose_tokens
 
@@ -125,6 +126,7 @@ class ToyOracle:
     feature_projection: np.ndarray = field(repr=False)  # (d, d) orthogonal
     prompt_mix_base: np.ndarray = field(repr=False)     # (N, N) orthogonal
     _anchor_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _base_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     # -- geometry ------------------------------------------------------
 
@@ -293,6 +295,24 @@ class ToyOracle:
             + self.stem_bias[:, None, None]
         )
 
+    def stem_stats(self, x: np.ndarray) -> ActivationStats:
+        """Per-channel mean and std of ``stem_features(x)``, in closed form.
+
+        Stem channel k is affine in the pixel, w_k . x + b_k, so its spatial
+        mean is w_k . mu + b_k and its population variance w_k' Sigma w_k,
+        where mu and Sigma are the frame's 3-vector pixel mean and centred
+        3x3 covariance. Equals ``compute_stats(stem_features(x))`` up to
+        rounding, without building the (stem_channels, H, W) tensor.
+        """
+        channels = np.ascontiguousarray(self._check_image(x).reshape(-1, 3).T)
+        pixels = channels.shape[1]
+        mu = channels.sum(axis=1) / pixels
+        centred = channels - mu[:, None]
+        cov = np.einsum("ip,jp->ij", centred, centred) / pixels
+        w = self.stem_weight
+        var = np.einsum("ki,ij,kj->k", w, cov, w)
+        return ActivationStats(w @ mu + self.stem_bias, np.sqrt(np.maximum(var, 0.0)))
+
     def query_embedding(self, x: np.ndarray) -> np.ndarray:
         """Unit-normalized domain embedding, used as pool key and query.
 
@@ -324,10 +344,18 @@ class ToyOracle:
     # -- scene rendering -----------------------------------------------
 
     def base_image(self, offset: tuple[int, int] = (0, 0)) -> np.ndarray:
-        """Noiseless source-domain frame: prototype colors on the layout."""
-        base = self.prototypes[self.layout]
+        """Noiseless source-domain frame: prototype colors on the layout.
+
+        Read-only. The unshifted frame is built once per oracle and shared.
+        """
+        if self._base_cache is None:
+            base = self.prototypes[self.layout]
+            base.setflags(write=False)
+            object.__setattr__(self, "_base_cache", base)
+        base = self._base_cache
         if offset != (0, 0):
             base = np.roll(base, shift=(int(offset[0]), int(offset[1])), axis=(0, 1))
+            base.setflags(write=False)
         return base
 
 
@@ -424,16 +452,17 @@ def render_frame(
     """Render one frame of the planted scene under a domain shift.
 
     Deterministic given (oracle, domain, frame_index, offset); the result
-    is clamped to [0, 1].
+    is ``clip(gain * base + bias + noise_scale * z, 0, 1)`` with z standard
+    normal, computed in place in that order.
     """
-    base = oracle.base_image(offset)
-    gain = np.asarray(domain.gain)[None, None, :]
-    bias = np.asarray(domain.bias)[None, None, :]
-    x = gain * base + bias
+    x = oracle.base_image(offset) * np.asarray(domain.gain)
+    x += np.asarray(domain.bias)
     if domain.noise_scale > 0:
         rng = np.random.default_rng([domain.seed, int(frame_index) % (2**63)])
-        x = x + domain.noise_scale * rng.standard_normal(x.shape)
-    return np.clip(x, 0.0, 1.0)
+        z = rng.standard_normal(x.shape)
+        z *= domain.noise_scale
+        x += z
+    return np.clip(x, 0.0, 1.0, out=x)
 
 
 def planted_correction(

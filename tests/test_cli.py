@@ -317,6 +317,15 @@ class TestMalformedConfigs:
         assert err.startswith(f"adaptfly: {named}") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_cma_beyond_the_search_population_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(SHIPPED / "three_domain.json"),
+                "--set", 'agents.0.cma={"population": 6, "elite": 8}', "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("adaptfly: agents[0]: cma: elite size 8") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [
         pytest.param(b'{"seed": ' + b"1" * 5000 + b"}", id="beyond-int-digits"),
         pytest.param(b"[" * 100000, id="deep-nesting"),

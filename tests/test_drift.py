@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,6 +78,21 @@ class TestEmaUpdate:
         for before, after in zip(gaps, gaps[1:]):
             assert math.isclose(after, before * 0.75, rel_tol=1e-9) or after == 0.0
 
+    def test_blend_is_built_as_the_constructor_builds_it(self):
+        rng = np.random.default_rng(4)
+        t = self._tracker(0.1)
+        # The last channel sits on the floor in both, so the blend can round below it.
+        t.ema = ActivationStats(rng.normal(size=8), np.r_[rng.uniform(0.5, 2.0, 7), SIGMA_FLOOR])
+        stats = ActivationStats(rng.normal(size=8), np.r_[rng.uniform(0.5, 2.0, 7), SIGMA_FLOOR])
+        old = t.ema
+        ema_update(t, stats)
+        expected = ActivationStats(0.1 * stats.means + 0.9 * old.means,
+                                   0.1 * stats.stds + 0.9 * old.stds)
+        assert np.array_equal(t.ema.means, expected.means)
+        assert np.array_equal(t.ema.stds, expected.stds)
+        assert t.ema.stds[7] >= SIGMA_FLOOR
+        assert not (t.ema.means.flags.writeable or t.ema.stds.flags.writeable)
+
 
 class TestKlGaussian:
     def test_identical_simplified_is_half(self):
@@ -137,6 +153,30 @@ class TestDivergence:
             d_ba = divergence(b, a, variant)
             assert math.isclose(d_ab, d_ba, rel_tol=1e-10)
             assert d_ab >= floor - 1e-12
+
+    @staticmethod
+    def _exact_standard(a, b) -> Fraction:
+        """The standard score in exact rational arithmetic on the stored floats."""
+        total = Fraction(0)
+        for ma, sa, mb, sb in zip(a.means, a.stds, b.means, b.stds):
+            ma, sa, mb, sb = map(Fraction, (float(ma), float(sa), float(mb), float(sb)))
+            va, vb = sa * sa, sb * sb
+            total += ((va - vb) ** 2 + (ma - mb) ** 2 * (va + vb)) / (2 * va * vb)
+        return total / len(a)
+
+    def test_standard_matches_exact_rationals_from_1e_8_to_10(self):
+        rng = np.random.default_rng(12)
+        scores = []
+        for target in np.geomspace(1e-8, 10.0, 60):
+            step = math.sqrt(target / 3.0)
+            a = ActivationStats(rng.normal(scale=3.0, size=8), rng.uniform(0.05, 2.0, 8))
+            b = ActivationStats(a.means + step * a.stds * rng.normal(size=8),
+                                a.stds * np.exp(step * rng.normal(size=8)))
+            exact = self._exact_standard(a, b)
+            got = divergence(a, b, "standard")
+            assert abs(Fraction(got) - exact) <= Fraction(1, 10**13) * exact
+            scores.append(got)
+        assert min(scores) < 1e-7 and max(scores) > 5.0
 
     def test_length_mismatch(self):
         with pytest.raises(StatsError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adaptfly.distill import DistillConfig, entry_size_bytes
-from adaptfly.drift import DriftTracker
+from adaptfly.drift import DriftTracker, calibrate_threshold, compute_stats, detect
 from adaptfly.errors import CompositionError, ConfigError, ProtocolError
 from adaptfly.fleet import (
     InprocClient,
@@ -24,6 +24,7 @@ from adaptfly.fleet import (
     run_scenario,
 )
 from adaptfly.fleet.agents import RECORD_COLUMNS, LimitedAgent, MassiveAgent
+from adaptfly.fleet.scenario import _calibrated_threshold
 from adaptfly.fleet import transport as transport_mod
 from adaptfly.fleet.messages import REPLY_CACHE_ENTRIES, decode_message, encode_message
 from adaptfly.memory import PoolConfig, PromptPool
@@ -183,6 +184,18 @@ class TestRejectedAtParse:
                                             bias=(-0.248, 0.22, 0.202), noise_scale=0.01,
                                             seed=202)
 
+    def test_cma_is_checked_at_the_search_dimension(self):
+        # 3 x sparsity_budget(0.05, 32, 32) = 153 dimensions: population 19.
+        cfg = mini_config(seed=0)
+        cfg["agents"][0]["cma"] = {"elite": 8}
+        assert ScenarioConfig.from_dict(cfg).agents[0].cma == {"elite": 8}
+        result = run_scenario(cfg)
+        assert "optimize" in {r.adaptation_event for r in result.records}
+        cfg["agents"][0]["cma"] = {"population": 6, "elite": 8}
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(cfg)
+        assert str(err.value).startswith("agents[0]: cma: elite size 8")
+
     def test_absent_settings_take_the_owning_type_defaults(self):
         cfg = reference_config(seed=0)
         for key in ("oracle", "pool", "distill"):
@@ -191,6 +204,30 @@ class TestRejectedAtParse:
         assert parsed.pool == PoolConfig()
         assert repr(make_toy_oracle(**parsed.oracle)) == repr(make_toy_oracle(seed=7))
         assert parsed.distill == {}
+
+
+class TestCalibration:
+    def _plain_loop(self, cfg, idx, stats_of):
+        spec, oracle = cfg.agents[idx], make_toy_oracle(**cfg.oracle)
+        domain = next(d for d in cfg.domains if d.id == spec.schedule[0].domain)
+        tracker = DriftTracker(smoothing=spec.smoothing, warmup=spec.warmup,
+                               kl_variant=cfg.kl_variant)
+        scores = []
+        for i in range(cfg.calibration_frames):
+            frame = render_frame(oracle, domain, frame_index=-(idx * 100_003 + i + 1))
+            scores.append(detect(tracker, stats_of(oracle, frame))[1])
+        return calibrate_threshold(scores[spec.warmup:], cfg.calibration_quantile)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_threshold_equals_a_plain_per_frame_loop(self, seed):
+        cfg = ScenarioConfig.from_dict(reference_config(seed=seed))
+        oracle = make_toy_oracle(**cfg.oracle)
+        domains = {d.id: d for d in cfg.domains}
+        for idx, spec in enumerate(cfg.agents):
+            got = _calibrated_threshold(cfg, spec, oracle, domains, idx)
+            assert got == self._plain_loop(cfg, idx, lambda o, f: o.stem_stats(f))
+            brute = self._plain_loop(cfg, idx, lambda o, f: compute_stats(o.stem_features(f)))
+            assert got == pytest.approx(brute, rel=1e-9)
 
 
 @pytest.fixture()

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from adaptfly.errors import ConfigError, OracleError
+from adaptfly.drift import SIGMA_FLOOR, compute_stats
+from adaptfly.errors import ConfigError, OracleError, StatsError
 from adaptfly.oracle import (
     DomainSpec,
     ToyOracle,
@@ -261,10 +262,87 @@ class TestSceneRendering:
         ent_shifted = pixel_entropy(oracle.predict(frame))[r, c]
         assert ent_corrected.mean() < ent_shifted.mean()
 
+    @pytest.mark.parametrize("domain, offset", [
+        (DomainSpec(id="shifted", gain=(0.8, 0.78, 0.85), bias=(-0.2, 0.15, 0.1),
+                    noise_scale=0.01, seed=9), (3, -5)),
+        (DomainSpec(id="noiseless", gain=(0.7, 0.9, 0.6), bias=(0.1, -0.05, 0.2)), (0, 0)),
+        (DomainSpec(id="noiseless-moved", gain=(0.7, 0.9, 0.6), bias=(0.1, -0.05, 0.2)),
+         (-7, 40)),
+        (DomainSpec(id="clipped", gain=(1.5, 0.6, 1.2), bias=(0.4, -0.5, 0.05),
+                    noise_scale=0.1, seed=3), (1, 2)),
+    ], ids=lambda v: v.id if isinstance(v, DomainSpec) else str(v))
+    def test_render_equals_the_reference_formula(self, oracle, domain, offset):
+        index = 2**64 + 11  # reduced mod 2**63 for the noise stream
+        base = np.roll(oracle.prototypes[oracle.layout], offset, axis=(0, 1))
+        gain, bias = np.asarray(domain.gain), np.asarray(domain.bias)
+        z = np.random.default_rng([domain.seed, index % 2**63]).standard_normal(base.shape)
+        unclipped = gain * base + bias + domain.noise_scale * z
+        x = render_frame(oracle, domain, index, offset)
+        assert np.array_equal(x, np.clip(unclipped, 0.0, 1.0))
+        assert x.flags.writeable
+        if domain.id == "clipped":
+            assert (unclipped > 1.0).any() and (unclipped < 0.0).any()
+
+    def test_base_image_is_read_only_and_untouched_by_render(self, oracle):
+        base = oracle.base_image()
+        assert base is oracle.base_image()
+        before = base.copy()
+        for offset in ((0, 0), (2, 3)):
+            with pytest.raises(ValueError):
+                oracle.base_image(offset)[0, 0, 0] = 0.5
+        render_frame(oracle, DomainSpec(id="d", gain=(2.0, 2.0, 2.0), bias=(0.1, 0, 0),
+                                        noise_scale=0.5, seed=1), 0)
+        assert np.array_equal(base, before)
+        assert np.array_equal(base, oracle.prototypes[oracle.layout])
+
     def test_token_prompt_moves_effective_pixels(self, oracle, source):
         rng = np.random.default_rng(13)
         tp = TokenPrompt(rng.normal(scale=0.05, size=(8, oracle.token_dim)))
         assert not np.array_equal(oracle.predict(source, tp), oracle.predict(source))
+
+
+class TestStemStats:
+    """stem_stats against its brute-force reference, compute_stats(stem_features)."""
+
+    @staticmethod
+    def _assert_matches(oracle, x):
+        fast = oracle.stem_stats(x)
+        reference = compute_stats(oracle.stem_features(x))
+        np.testing.assert_allclose(fast.means, reference.means, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(fast.stds, reference.stds, rtol=1e-12, atol=1e-12)
+        return fast
+
+    @pytest.mark.parametrize("channels", [1, 2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("height, width", [(32, 32), (16, 24), (24, 8)])
+    def test_random_frames(self, channels, height, width):
+        oracle = make_toy_oracle(seed=channels, height=height, width=width,
+                                 stem_channels=channels)
+        rng = np.random.default_rng(channels * 100 + height)
+        for _ in range(5):
+            stats = self._assert_matches(oracle, rng.random((height, width, 3)))
+            assert len(stats) == channels
+
+    def test_rendered_frames(self, oracle):
+        for i in range(10):
+            domain = random_domain_spec(np.random.default_rng(i), f"d{i}")
+            self._assert_matches(oracle, render_frame(oracle, domain, i, offset=(i, -i)))
+        self._assert_matches(oracle, oracle.base_image())
+
+    @pytest.mark.parametrize("value", [0.0, 0.37, 1.0])
+    def test_constant_frames_floor_the_std(self, value):
+        oracle = make_toy_oracle(seed=3, height=16, width=24, stem_channels=16)
+        stats = self._assert_matches(oracle, np.full((16, 24, 3), value))
+        assert np.all(stats.stds == SIGMA_FLOOR)
+
+    def test_non_finite_frame_rejected(self, oracle, source):
+        x = source.copy()
+        x[3, 4, 1] = np.nan
+        with pytest.raises(StatsError):
+            oracle.stem_stats(x)
+
+    def test_shape_check(self, oracle):
+        with pytest.raises(OracleError):
+            oracle.stem_stats(np.zeros((oracle.height, oracle.width + 4, 3)))
 
 
 class TestConstructionValidation:
