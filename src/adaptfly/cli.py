@@ -240,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", help="threshold from a clean scenario")
     p_cal.add_argument("--config", required=True, help="clean scenario JSON path")
-    p_cal.add_argument("--quantile", type=float, default=0.99)
+    p_cal.add_argument("--quantile", type=float, default=None,
+                       help="default: the scenario's calibration.quantile")
     p_cal.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_cal.add_argument("--out", default=None, help="JSON path (default stdout)")
     p_cal.set_defaults(fn=_cmd_calibrate)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, StatsError
+from .errors import CalibrationError, ConfigError, StatsError
 
 __all__ = [
     "SIGMA_FLOOR",
@@ -99,23 +99,25 @@ class DriftTracker:
 
     The moving average starts from the first observed frame; detection is
     disabled for the first ``warmup`` frames so the cold-start average
-    cannot flag itself.
+    cannot flag itself. An agent's defaults for these live in ``AgentSpec``.
     """
 
-    smoothing: float = 0.1
+    smoothing: float
+    warmup: int
     threshold: float = 1.0
-    warmup: int = 10
     kl_variant: str = "standard"
     ema: ActivationStats | None = None
     frames_seen: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.smoothing <= 1.0):
-            raise StatsError("smoothing factor must lie in [0, 1]")
-        if self.threshold <= 0.0:
-            raise StatsError("threshold must be positive")
+            raise ConfigError(f"smoothing factor must lie in [0, 1], got {self.smoothing!r}")
+        if not self.threshold > 0.0:
+            raise ConfigError(f"threshold must be positive, got {self.threshold!r}")
+        if self.warmup < 0:
+            raise ConfigError(f"warmup must be non-negative, got {self.warmup!r}")
         if self.kl_variant not in KL_VARIANTS:
-            raise StatsError(f"kl variant must be one of {KL_VARIANTS}")
+            raise ConfigError(f"kl variant must be one of {KL_VARIANTS}")
 
 
 def ema_update(tracker: DriftTracker, stats: ActivationStats) -> DriftTracker:

@@ -13,11 +13,11 @@ map moves materially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from ..cmaes import CmaConfig, optimize_svp
+from ..cmaes import optimize_svp
 from ..distill import DistillConfig, distill_iterative
 from ..drift import DriftTracker, detect, reset_reference
 from ..memory import PoolEntry, assemble
@@ -27,9 +27,9 @@ from ..prompts import (
     TokenPrompt,
     apply_svp,
     place_mask,
-    sparsity_budget,
     warp_svp,
 )
+from .config import AgentSpec
 from .mec import ProvenanceLog
 from .messages import Query, RegisterDeferred, UploadPrompt
 from .transport import TransportFailure
@@ -80,9 +80,7 @@ class _ByteWindow:
 
 
 class LimitedAgent:
-    """Forward-only retrieval adaptation."""
-
-    kind = "limited"
+    """Forward-only retrieval adaptation, run from a limited ``AgentSpec``."""
 
     # A retrieved assembly is adopted only when the best hit's key actually
     # matches the query this closely AND the assembly lowers entropy on the
@@ -92,12 +90,11 @@ class LimitedAgent:
     # reaches the pool.
     ADOPT_SIMILARITY_FLOOR = 0.9
 
-    def __init__(self, agent_id: str, oracle, client, tracker: DriftTracker, retrieval_n: int = 2):
-        self.agent_id = agent_id
+    def __init__(self, spec: AgentSpec, oracle, client, tracker: DriftTracker):
+        self.spec = spec
         self.oracle = oracle
         self.client = client
         self.tracker = tracker
-        self.retrieval_n = retrieval_n
         self.cached = TokenPrompt(np.zeros((0, 0)))
         self._adopted_ids: tuple[int, ...] = ()
         self._request_id = 0
@@ -128,7 +125,7 @@ class LimitedAgent:
             self._request_id += 1
             try:
                 response = self.client.request(
-                    Query(query=tuple(q), n=self.retrieval_n, request_id=self._request_id)
+                    Query(query=tuple(q), n=self.spec.retrieval_n, request_id=self._request_id)
                 )
                 entries = [PoolEntry.from_dict(d) for d in response.entries]
                 relevant = entries and float(q @ entries[0].key) >= self.ADOPT_SIMILARITY_FLOOR
@@ -161,7 +158,7 @@ class LimitedAgent:
         sent, recv = window.deltas()
         return StepRecord(
             step=t,
-            agent_id=self.agent_id,
+            agent_id=self.spec.id,
             domain=domain_tag or "",
             drift_score=score,
             shift_flag=shift,
@@ -175,38 +172,17 @@ class LimitedAgent:
 
 
 class MassiveAgent:
-    """Sparse-prompt optimization with warp propagation and uploads."""
+    """Sparse-prompt search, warp propagation and uploads, run from a massive ``AgentSpec``."""
 
-    kind = "massive"
-
-    def __init__(
-        self,
-        agent_id: str,
-        oracle,
-        client,
-        tracker: DriftTracker,
-        cma_options: dict,
-        distill_config: DistillConfig,
-        provenance: ProvenanceLog,
-        rho: float = 0.05,
-        mc_passes: int = 4,
-        dropout_rate: float = 0.1,
-        delta_refresh: float = 0.1,
-        defer_distill: bool = False,
-        seed: int = 0,
-    ):
-        self.agent_id = agent_id
+    def __init__(self, spec: AgentSpec, oracle, client, tracker: DriftTracker,
+                 distill_config: DistillConfig, provenance: ProvenanceLog, seed: int):
+        self.spec = spec
         self.oracle = oracle
         self.client = client
         self.tracker = tracker
-        self.cma_options = dict(cma_options)
+        self.search = spec.search_config(*oracle.frame_shape)  # each search sets its seed
         self.distill_config = distill_config
         self.provenance = provenance
-        self.rho = rho
-        self.mc_passes = mc_passes
-        self.dropout_rate = dropout_rate
-        self.delta_refresh = delta_refresh
-        self.defer_distill = defer_distill
         self.seed = seed
         self.current_svp = SparseVisualPrompt.zeros(
             np.zeros((0, 2), dtype=np.int64), oracle.frame_shape
@@ -225,7 +201,7 @@ class MassiveAgent:
 
     def _uncertainty(self, t: int, frame: np.ndarray) -> np.ndarray:
         return self.oracle.uncertainty_map(
-            frame, self.mc_passes, self.dropout_rate, self._mc_seed(t)
+            frame, self.spec.mc_passes, self.spec.dropout_rate, self._mc_seed(t)
         )
 
     def _trigger_map(self, frame: np.ndarray) -> np.ndarray:
@@ -247,23 +223,19 @@ class MassiveAgent:
 
     def _optimize(self, t: int, frame: np.ndarray, domain_tag: str | None = None) -> bool:
         """Full adaptation: place mask, search offsets, publish. Returns degraded."""
-        h, w = self.oracle.frame_shape
         umap = self._uncertainty(t, frame)
-        coords = place_mask(umap, sparsity_budget(self.rho, h, w))
-        # Built per run: population defaults must scale with the mask size.
-        config = CmaConfig(
-            dimension=3 * coords.shape[0], seed=self._cma_seed(t), **self.cma_options
-        )
+        coords = place_mask(umap, self.search.dimension // 3)  # three offsets per pixel
+        config = replace(self.search, seed=self._cma_seed(t))
         result = optimize_svp(self.oracle, frame, coords, config)
         self.current_svp = result.prompt
         self.ref_umap = self._trigger_map(frame)
         self.last_result = result
 
-        self.provenance.record(self.agent_id, t, self._domain_window, result.prompt)
+        self.provenance.record(self.spec.id, t, self._domain_window, result.prompt)
         key = self.oracle.query_embedding(frame)
-        if self.defer_distill:
+        if self.spec.defer_distill:
             msg = RegisterDeferred(
-                query=tuple(key), agent_id=self.agent_id, timestamp=t,
+                query=tuple(key), agent_id=self.spec.id, timestamp=t,
                 domain_tag=domain_tag,
             )
         else:
@@ -271,7 +243,7 @@ class MassiveAgent:
                 self.oracle, self._domain_window, result.prompt, self.distill_config
             )
             msg = UploadPrompt(
-                key=tuple(key), value=prompt, timestamp=t, agent_id=self.agent_id,
+                key=tuple(key), value=prompt, timestamp=t, agent_id=self.spec.id,
                 domain_tag=domain_tag,
             )
         try:
@@ -307,7 +279,7 @@ class MassiveAgent:
             map_moved = (
                 self.ref_umap is not None
                 and float(np.abs(umap - self.ref_umap).sum()) / max(ref_mass, 1e-12)
-                > self.delta_refresh
+                > self.spec.delta_refresh
             )
             if refresh or map_moved:
                 event = "optimize"
@@ -322,7 +294,7 @@ class MassiveAgent:
         sent, recv = window.deltas()
         return StepRecord(
             step=t,
-            agent_id=self.agent_id,
+            agent_id=self.spec.id,
             domain=domain_tag or "",
             drift_score=score,
             shift_flag=shift,

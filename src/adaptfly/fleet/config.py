@@ -5,9 +5,9 @@ unknown keys are rejected so typos fail fast instead of silently using
 defaults. Each JSON object has a field table that maps its keys to the
 fields of the type that owns them, with a type check: an absent or null
 key takes that type's default, and the type checks its own ranges (the
-tables hold the ranges of the scenario's own settings only). A malformed
-or out-of-range value raises ConfigError naming the field. See README for
-the full schema.
+tables hold the ranges of the scenario's own settings only). Each agent
+kind has its own table. A malformed or out-of-range value raises
+ConfigError naming the field. See README for the full schema.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 from ..cmaes import CmaConfig
 from ..distill import DistillConfig
-from ..drift import KL_VARIANTS, MIN_CALIBRATION_SCORES
+from ..drift import KL_VARIANTS, MIN_CALIBRATION_SCORES, DriftTracker
 from ..errors import ConfigError
 from ..memory import PoolConfig
-from ..oracle import DomainSpec, check_dropout_rate, check_toy_oracle, make_toy_oracle
+from ..oracle import DomainSpec, check_toy_oracle, check_uncertainty, make_toy_oracle, patch_count
 from ..prompts import sparsity_budget
 
 __all__ = [
@@ -132,11 +132,10 @@ class SegmentSpec:
 
 @dataclass(frozen=True)
 class AgentSpec:
-    """Static description of one agent.
-
-    ``cma`` holds CmaConfig options. The search they configure has
-    dimension 3 x sparsity_budget(rho, H, W), so ScenarioConfig, which
-    knows the frame size, checks them at that dimension.
+    """Static description of one agent, which runs from it: the one default
+    of each setting. Each range is checked once, by the code that uses the
+    setting: DriftTracker (smoothing, threshold, warmup), check_uncertainty
+    (mc_passes, dropout_rate), ``search_config`` (rho, cma) and this class.
     """
 
     id: str
@@ -146,7 +145,7 @@ class AgentSpec:
     threshold: float | str = "auto"   # positive number, or "auto" to calibrate
     warmup: int = 10
     retrieval_n: int = 2              # limited only
-    rho: float = 0.05                 # massive only
+    rho: float = 0.05                 # massive only, from here on
     mc_passes: int = 4
     dropout_rate: float = 0.1
     delta_refresh: float = 0.1
@@ -158,9 +157,20 @@ class AgentSpec:
             raise ConfigError(f"agent kind must be one of {KINDS}, got {self.kind!r}")
         if not self.schedule:
             raise ConfigError(f"agent {self.id} needs a schedule")
-        if self.kind == "massive" and self.rho <= 0:
+        threshold = 1.0 if self.threshold == "auto" else self.threshold  # auto: calibrated
+        DriftTracker(smoothing=self.smoothing, warmup=self.warmup, threshold=threshold)
+        if self.retrieval_n < 1:
+            raise ConfigError(f"retrieval count n must be at least 1, got {self.retrieval_n!r}")
+        check_uncertainty(self.mc_passes, self.dropout_rate)
+        if self.delta_refresh < 0:
+            raise ConfigError(f"delta_refresh must be non-negative, got {self.delta_refresh!r}")
+
+    def search_config(self, height: int, width: int) -> CmaConfig:
+        """``cma`` at three offsets per sparsity_budget(rho, height, width) pixel."""
+        if not self.rho > 0:
             raise ConfigError(f"a massive agent's rho must be positive, got {self.rho!r}")
-        check_dropout_rate(self.dropout_rate)
+        dimension = 3 * sparsity_budget(self.rho, height, width)
+        return _build("cma", CmaConfig, dimension=dimension, **self.cma)
 
     @property
     def total_frames(self) -> int:
@@ -172,9 +182,8 @@ class ScenarioConfig:
     """Validated scenario description; run with fleet.run_scenario.
 
     ``oracle`` holds the arguments of ``make_toy_oracle``, all of them
-    once constructed; ``distill`` holds DistillConfig options, whose rows
-    default to one per patch token of the oracle. Each agent's ``cma``
-    options are checked here, at the dimension of its search.
+    once constructed. ``distill`` is the run's DistillConfig; as a dict of
+    options, its rows default to one per patch token of the oracle.
     """
 
     agents: tuple[AgentSpec, ...] = ()
@@ -185,7 +194,7 @@ class ScenarioConfig:
     refine_period: int = 2
     transport: str = "inproc"
     kl_variant: str = "standard"
-    distill: dict = field(default_factory=dict)
+    distill: DistillConfig | dict = field(default_factory=dict)
     calibration_frames: int = 120
     calibration_quantile: float = 0.99
     provenance_window: int = 64
@@ -196,7 +205,11 @@ class ScenarioConfig:
         oracle.apply_defaults()
         object.__setattr__(self, "oracle", dict(oracle.arguments))
         _build("oracle", check_toy_oracle, **self.oracle)
-        _build("distill", DistillConfig, **self.distill)
+        h, w = self.oracle["height"], self.oracle["width"]
+        if not isinstance(self.distill, DistillConfig):
+            rows = patch_count(h, w, self.oracle["patch"])
+            distill = _build("distill", DistillConfig, **{"rows": rows, **self.distill})
+            object.__setattr__(self, "distill", distill)
         if self.transport not in TRANSPORTS:
             raise ConfigError(f"transport must be one of {TRANSPORTS}")
         if self.kl_variant not in KL_VARIANTS:
@@ -214,11 +227,9 @@ class ScenarioConfig:
         known = {d.id for d in self.domains}
         if len(known) != len(self.domains):
             raise ConfigError("domain ids must be unique")
-        h, w = self.oracle["height"], self.oracle["width"]
         for i, a in enumerate(self.agents):
-            dimension = 3 * sparsity_budget(a.rho, h, w)
-            if dimension:
-                _build(f"agents[{i}]: cma", CmaConfig, dimension=dimension, **a.cma)
+            if a.kind == "massive":
+                _build(f"agents[{i}]", a.search_config, height=h, width=w)
             for seg in a.schedule:
                 if seg.domain not in known:
                     raise ConfigError(f"agent {a.id} references unknown domain {seg.domain!r}")
@@ -246,7 +257,7 @@ class ScenarioConfig:
 
 
 def _threshold(value, name):
-    return value if value == "auto" else _check(value, name, float, positive=True)
+    return value if value == "auto" else _check(value, name, float)
 
 
 _SEGMENT = {"domain": str, "frames": _is(int, lo=1),
@@ -254,14 +265,25 @@ _SEGMENT = {"domain": str, "frames": _is(int, lo=1),
 _AGENT = {
     "id": str, "kind": str,
     "schedule": _list_of(_object(_SEGMENT, SegmentSpec, "domain", "frames")),
-    "lambda": ("smoothing", _is(float, lo=0.0, hi=1.0)),
-    "z": ("threshold", _threshold),
-    "warmup": _is(int, lo=0), "n": ("retrieval_n", _is(int, lo=1)),
-    "rho": _is(float, lo=0.0, hi=1.0), "mc_passes": _is(int, lo=1), "dropout_rate": float,
-    "delta_refresh": _is(float, lo=0.0), "defer_distill": bool,
-    "cma": _object({"population": int, "elite": int, "generations": int, "sigma0": float,
-                    "mode": str, "cov_floor": float}),
+    "lambda": ("smoothing", float), "z": ("threshold", _threshold), "warmup": int,
 }
+_AGENT_KINDS = {
+    "limited": {**_AGENT, "n": ("retrieval_n", int)},
+    "massive": {**_AGENT, "rho": float, "mc_passes": int, "dropout_rate": float,
+                "delta_refresh": float, "defer_distill": bool,
+                "cma": _object({"population": int, "elite": int, "generations": int,
+                                "sigma0": float, "mode": str, "cov_floor": float})},
+}
+_ANY_AGENT = {**_AGENT_KINDS["limited"], **_AGENT_KINDS["massive"]}
+
+
+def _agent(value, name):
+    """An AgentSpec read through its kind's table; an unknown kind takes any key."""
+    kind = value.get("kind") if isinstance(value, dict) else None
+    table = _AGENT_KINDS.get(kind, _ANY_AGENT) if isinstance(kind, str) else _ANY_AGENT
+    return _build(name, AgentSpec, **_read(value, table, name, ("id", "kind", "schedule")))
+
+
 _SCENARIO = {
     "seed": int,
     "oracle": _object({"seed": int, "classes": int, "height": int, "width": int,
@@ -269,7 +291,7 @@ _SCENARIO = {
     "domains": _list_of(_object({"id": str, "gain": _list_of(_is(float), 3),
                                  "bias": _list_of(_is(float), 3), "noise_scale": float,
                                  "seed": int}, DomainSpec, "id")),
-    "agents": _list_of(_object(_AGENT, AgentSpec, "id", "kind", "schedule")),
+    "agents": _list_of(_agent),
     "pool": _object({"capacity": int, "tau_merge": ("merge_threshold", float),
                      "eta": ("merge_weight", float), "refine_period": _is(int, lo=1)}),
     "transport": str, "kl_variant": str,

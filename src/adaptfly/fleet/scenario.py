@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..distill import DistillConfig
 from ..drift import DriftTracker, calibrate_threshold, detect
 from ..errors import MetricsFormatError
 from ..memory import PromptPool
@@ -100,8 +99,7 @@ def run_scenario(config: dict | ScenarioConfig) -> ScenarioResult:
     domains = {d.id: d for d in cfg.domains}
     pool = PromptPool(cfg.pool)
     provenance = ProvenanceLog(window=cfg.provenance_window)
-    distill_config = DistillConfig(**{"rows": oracle.num_patches, **cfg.distill})
-    server = MecServer(pool, oracle, distill_config, provenance)
+    server = MecServer(pool, oracle, cfg.distill, provenance)
 
     clock = {"t": -1}
     fault_set = set(cfg.faults)
@@ -122,23 +120,10 @@ def run_scenario(config: dict | ScenarioConfig) -> ScenarioResult:
         tracker = _tracker(cfg, spec, threshold)
         client = client_for(spec.id)
         if spec.kind == "limited":
-            agent = LimitedAgent(spec.id, oracle, client, tracker, spec.retrieval_n)
+            agent = LimitedAgent(spec, oracle, client, tracker)
         else:
-            agent = MassiveAgent(
-                spec.id,
-                oracle,
-                client,
-                tracker,
-                cma_options=spec.cma,
-                distill_config=distill_config,
-                provenance=provenance,
-                rho=spec.rho,
-                mc_passes=spec.mc_passes,
-                dropout_rate=spec.dropout_rate,
-                delta_refresh=spec.delta_refresh,
-                defer_distill=spec.defer_distill,
-                seed=cfg.seed * 10_007 + idx + 1,
-            )
+            agent = MassiveAgent(spec, oracle, client, tracker, cfg.distill, provenance,
+                                 seed=cfg.seed * 10_007 + idx + 1)
         agents.append((agent, _frame_stream(oracle, domains, spec, idx)))
 
     records: list[StepRecord] = []
@@ -260,13 +245,15 @@ def parse_metrics_csv(text: str, source: str = "metrics.csv") -> list[StepRecord
     return records
 
 
-def calibrate_scenario(config: dict | ScenarioConfig, quantile: float = 0.99) -> dict:
+def calibrate_scenario(config: dict | ScenarioConfig, quantile: float | None = None) -> dict:
     """Drift scores of a clean scenario, reduced to one threshold.
 
     Pools post-warmup scores across all agents' streams and returns the
-    empirical quantile, ready to paste into a scenario config as ``z``.
+    empirical quantile (by default the scenario's ``calibration.quantile``),
+    ready to paste into a scenario config as ``z``.
     """
     cfg = ScenarioConfig.from_dict(config) if isinstance(config, dict) else config
+    quantile = cfg.calibration_quantile if quantile is None else quantile
     oracle = make_toy_oracle(**cfg.oracle)
     domains = {d.id: d for d in cfg.domains}
     scores: list[float] = []

@@ -39,7 +39,8 @@ __all__ = [
     "ToyOracle",
     "make_toy_oracle",
     "check_toy_oracle",
-    "check_dropout_rate",
+    "check_uncertainty",
+    "patch_count",
     "render_frame",
     "planted_correction",
     "random_domain_spec",
@@ -132,7 +133,7 @@ class ToyOracle:
 
     @property
     def num_patches(self) -> int:
-        return (self.height // self.patch) * (self.width // self.patch)
+        return patch_count(self.height, self.width, self.patch)
 
     @property
     def token_dim(self) -> int:
@@ -268,7 +269,7 @@ class ToyOracle:
         Deterministic given (x, dropout_rate, seed); rate 0 reproduces
         predict bit-exactly.
         """
-        check_dropout_rate(dropout_rate)
+        check_uncertainty(1, dropout_rate)
         e = self._check_image(x)
         if dropout_rate > 0.0:
             rng = np.random.default_rng([self.seed, int(seed) % (2**63)])
@@ -280,8 +281,7 @@ class ToyOracle:
         self, x: np.ndarray, passes: int, dropout_rate: float, seed: int
     ) -> np.ndarray:
         """Per-pixel predictive entropy of the mean over stochastic passes."""
-        if passes < 1:
-            raise ConfigError("uncertainty estimation needs at least one pass")
+        check_uncertainty(passes, dropout_rate)
         acc = np.zeros((self.classes, self.height, self.width))
         for i in range(passes):
             acc += self.stochastic_forward(x, dropout_rate, int(seed) * 1009 + i)
@@ -359,10 +359,17 @@ class ToyOracle:
         return base
 
 
-def check_dropout_rate(rate: float) -> None:
-    """Raise ConfigError unless ``rate`` is one ``stochastic_forward`` takes."""
-    if not (0.0 <= rate < 1.0):
-        raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
+def check_uncertainty(passes: int, dropout_rate: float) -> None:
+    """Raise ConfigError unless ``uncertainty_map`` takes these settings."""
+    if passes < 1:
+        raise ConfigError(f"uncertainty estimation needs at least one pass, got {passes}")
+    if not (0.0 <= dropout_rate < 1.0):
+        raise ConfigError(f"dropout rate must lie in [0, 1), got {dropout_rate}")
+
+
+def patch_count(height: int, width: int, patch: int) -> int:
+    """Patch tokens of a height x width frame cut into patch x patch tiles."""
+    return (height // patch) * (width // patch)
 
 
 def check_toy_oracle(seed: int, classes: int, height: int, width: int, stem_channels: int,

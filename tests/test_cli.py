@@ -133,6 +133,16 @@ class TestCalibrate:
         assert payload["variant"] == "standard"
         assert payload["quantile"] == 0.99
 
+    def test_quantile_defaults_to_the_scenario_quantile(self, tmp_path, capsys):
+        path = tmp_path / "clean.json"
+        path.write_text(json.dumps(clean_config(seed=0, frames=50)))
+        main(["calibrate", "--config", str(path), "--quantile", "0.99"])
+        explicit = capsys.readouterr().out
+        assert main(["calibrate", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == explicit
+        main(["calibrate", "--config", str(path), "--set", "calibration.quantile=0.9"])
+        assert json.loads(capsys.readouterr().out)["quantile"] == 0.9
+
     def test_too_short_stream_fails(self, tmp_path, capsys):
         path = tmp_path / "clean.json"
         path.write_text(json.dumps(clean_config(seed=0, frames=12)))

@@ -18,7 +18,7 @@ from adaptfly.drift import (
     kl_gaussian,
     reset_reference,
 )
-from adaptfly.errors import CalibrationError, StatsError
+from adaptfly.errors import CalibrationError, ConfigError, StatsError
 
 
 class TestComputeStats:
@@ -200,6 +200,19 @@ def synthetic_stream(n_frames, channels=8, seed=0, shift_at=None, shift_size=0.0
             means = means + shift_size
         frames.append(ActivationStats(means, stds))
     return frames
+
+
+class TestTrackerSettings:
+    @pytest.mark.parametrize("settings, named", [
+        ({"threshold": math.nan}, "threshold"),
+        ({"threshold": 0.0}, "threshold"),
+        ({"warmup": -1}, "warmup"),
+        ({"smoothing": 1.5}, "smoothing"),
+        ({"smoothing": math.nan}, "smoothing"),
+    ])
+    def test_out_of_range_setting_is_a_config_error(self, settings, named):
+        with pytest.raises(ConfigError, match=named):
+            DriftTracker(**{"smoothing": 0.1, "warmup": 0, **settings})
 
 
 class TestDetect:

@@ -24,6 +24,7 @@ from adaptfly.fleet import (
     run_scenario,
 )
 from adaptfly.fleet.agents import RECORD_COLUMNS, LimitedAgent, MassiveAgent
+from adaptfly.fleet.config import AgentSpec, SegmentSpec
 from adaptfly.fleet.scenario import _calibrated_threshold
 from adaptfly.fleet import transport as transport_mod
 from adaptfly.fleet.messages import REPLY_CACHE_ENTRIES, decode_message, encode_message
@@ -148,8 +149,9 @@ def set_path(config: dict, dotted: str, value) -> None:
     node[leaf] = value
 
 
-# Values that once parsed and then failed inside run_scenario, each with
-# the start of the message that must name its JSON object or field.
+# Values that once parsed and then failed inside run_scenario, and agent
+# settings whose range the type that runs them checks, each with the
+# start of the message that must name its JSON object or field.
 OUT_OF_RANGE = [
     ("pool.eta", 0, "pool: merge weight"),
     ("pool.tau_merge", -0.5, "pool: merge threshold"),
@@ -161,6 +163,13 @@ OUT_OF_RANGE = [
     ("oracle.height", 30, "oracle: frame 30x32"),
     ("agents.0.rho", 0, "agents[0]: a massive agent's rho"),
     ("agents.0.dropout_rate", 1.0, "agents[0]: dropout rate"),
+    ("agents.0.lambda", 2, "agents[0]: smoothing factor"),
+    ("agents.0.warmup", -1, "agents[0]: warmup"),
+    ("agents.0.z", 0, "agents[0]: threshold"),
+    ("agents.1.n", 0, "agents[1]: retrieval count n"),
+    ("agents.0.mc_passes", 0, "agents[0]: uncertainty estimation"),
+    ("agents.0.delta_refresh", -0.1, "agents[0]: delta_refresh"),
+    ("agents.0.rho", 1.5, "agents[0]: sparsity ratio"),
 ]
 
 
@@ -203,7 +212,107 @@ class TestRejectedAtParse:
         parsed = ScenarioConfig.from_dict(cfg)
         assert parsed.pool == PoolConfig()
         assert repr(make_toy_oracle(**parsed.oracle)) == repr(make_toy_oracle(seed=7))
-        assert parsed.distill == {}
+        assert parsed.distill == DistillConfig(rows=64)
+
+
+class TestAgentKeys:
+    def test_each_agent_parses_to_its_spec(self):
+        schedule = tuple(SegmentSpec(d, 20, (0, 0)) for d in ("base", "dusk", "fog", "rain"))
+        common = {"schedule": schedule, "smoothing": 0.1, "threshold": "auto", "warmup": 6}
+        massive = AgentSpec(id="uav-h1", kind="massive", rho=0.05, mc_passes=4,
+                            dropout_rate=0.1, delta_refresh=0.5,
+                            cma={"population": 16, "elite": 8, "generations": 30,
+                                 "sigma0": 0.25}, **common)
+        limited = [AgentSpec(id=f"uav-l{i}", kind="limited", retrieval_n=2, **common)
+                   for i in (1, 2)]
+        assert ScenarioConfig.from_dict(reference_config(0)).agents == (massive, *limited)
+        clean = ScenarioConfig.from_dict(clean_config(0, frames=60)).agents
+        assert [(a.kind, a.threshold, a.warmup) for a in clean] == [
+            ("massive", 1e9, 6), ("limited", 1e9, 6)]
+
+    @pytest.mark.parametrize("index, key, value", [
+        (1, "rho", 0.1), (1, "mc_passes", 2), (1, "dropout_rate", 0.2),
+        (1, "delta_refresh", 0.3), (1, "defer_distill", True),
+        (1, "cma", {"population": 2, "elite": 8}), (0, "n", 2),
+    ])
+    def test_a_key_of_the_other_kind_is_unknown(self, index, key, value):
+        cfg = reference_config(seed=0)
+        cfg["agents"][index][key] = value
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(cfg)
+        assert str(err.value) == f"unknown key(s) ['{key}'] in agents[{index}]"
+
+    def test_an_unknown_kind_is_named_before_its_keys(self):
+        cfg = reference_config(seed=0)
+        cfg["agents"][0]["kind"] = "hybrid"
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(cfg)
+        assert str(err.value).startswith("agents[0]: agent kind must be one of")
+
+    def test_absent_keys_run_with_the_spec_defaults(self, monkeypatch):
+        import adaptfly.fleet.agents as agents_mod
+        from dataclasses import fields, replace
+
+        from adaptfly.cmaes import CmaConfig
+        from adaptfly.oracle import ToyOracle
+        from adaptfly.prompts import sparsity_budget
+
+        cfg = mini_config(seed=0, frames=2)
+        for agent in cfg["agents"]:
+            for key in set(agent) - {"id", "kind", "schedule"}:
+                del agent[key]
+        made = []
+
+        def recording(init):
+            def wrapper(self, *args, **kwargs):
+                made.append(self)
+                init(self, *args, **kwargs)
+            return wrapper
+
+        for cls in (LimitedAgent, MassiveAgent):
+            monkeypatch.setattr(cls, "__init__", recording(cls.__init__))
+        run_scenario(cfg)
+        massive, limited = made
+        default = {f.name: f.default for f in fields(AgentSpec)}  # cma: MISSING, i.e. {}
+        for agent in made:
+            assert (agent.tracker.smoothing, agent.tracker.warmup) == (
+                default["smoothing"], default["warmup"])
+        budget = sparsity_budget(default["rho"], 32, 32)
+        assert massive.search == CmaConfig(dimension=3 * budget)
+
+        class Recorded(Exception):
+            pass
+
+        seen = {}
+
+        def record(name):
+            def capture(*args):
+                seen[name] = args
+                raise Recorded
+            return capture
+
+        uncertainty_map = ToyOracle.uncertainty_map
+
+        def uncertainty(self, x, passes, rate, seed):
+            seen["passes"] = (passes, rate)
+            return uncertainty_map(self, x, passes, rate, seed)
+
+        monkeypatch.setattr(ToyOracle, "uncertainty_map", uncertainty)
+        monkeypatch.setattr(agents_mod, "optimize_svp", record("search"))
+        frame = massive.oracle.base_image()
+        with pytest.raises(Recorded):
+            massive._optimize(5, frame)
+        _, _, coords, search = seen["search"]
+        assert seen["passes"] == (default["mc_passes"], default["dropout_rate"])
+        assert coords.shape == (budget, 2)
+        assert search == replace(massive.search, seed=massive._cma_seed(5))
+
+        limited.client = type("Client", (), {"bytes_sent": 0, "bytes_received": 0,
+                                             "request": staticmethod(record("query"))})()
+        monkeypatch.setattr(agents_mod, "detect", lambda tracker, stats: (True, 1.0, None))
+        with pytest.raises(Recorded):
+            limited.step(5, frame)
+        assert seen["query"][0].n == default["retrieval_n"]
 
 
 class TestCalibration:
@@ -547,6 +656,10 @@ class TestByteEconomy:
         assert all(r.bytes_sent <= budget for r in uploads)
 
 
+def _spec(kind, agent_id, **settings):
+    return AgentSpec(id=agent_id, kind=kind, schedule=(SegmentSpec("d", 1),), **settings)
+
+
 def _agent_fixture(threshold, delta_refresh=0.5):
     oracle = make_toy_oracle(seed=7)
     pool = PromptPool(PoolConfig())
@@ -554,12 +667,13 @@ def _agent_fixture(threshold, delta_refresh=0.5):
     server = MecServer(pool, oracle, DistillConfig(rows=oracle.num_patches,
                                                    precision="f32"), provenance)
     tracker = DriftTracker(smoothing=0.1, threshold=threshold, warmup=1)
+    spec = _spec("massive", "uav-h1", rho=0.02, mc_passes=2, dropout_rate=0.1,
+                 delta_refresh=delta_refresh,
+                 cma={"population": 8, "elite": 2, "generations": 5, "sigma0": 0.25})
     agent = MassiveAgent(
-        "uav-h1", oracle, InprocClient(server), tracker,
-        cma_options={"population": 8, "elite": 2, "generations": 5, "sigma0": 0.25},
+        spec, oracle, InprocClient(server), tracker,
         distill_config=DistillConfig(rows=oracle.num_patches, precision="f32"),
-        provenance=provenance, rho=0.02, mc_passes=2, dropout_rate=0.1,
-        delta_refresh=delta_refresh, seed=1,
+        provenance=provenance, seed=1,
     )
     return oracle, agent
 
@@ -607,7 +721,7 @@ class TestLimitedAgentPaths:
         pool = PromptPool(PoolConfig())
         server = MecServer(pool, oracle, DistillConfig(rows=4), ProvenanceLog())
         tracker = DriftTracker(smoothing=0.1, threshold=1e9, warmup=1)
-        agent = LimitedAgent("uav-l1", oracle, InprocClient(server), tracker)
+        agent = LimitedAgent(_spec("limited", "uav-l1"), oracle, InprocClient(server), tracker)
         frame = oracle.base_image()
         from adaptfly.oracle import mean_entropy
         rec = agent.step(0, frame)
@@ -641,7 +755,7 @@ class TestLimitedAgentPaths:
         pool.refine()
         server = MecServer(pool, oracle, DistillConfig(rows=4), ProvenanceLog())
         tracker = DriftTracker(smoothing=0.1, threshold=1e9, warmup=1)
-        agent = LimitedAgent("uav-l1", oracle, InprocClient(server), tracker)
+        agent = LimitedAgent(_spec("limited", "uav-l1"), oracle, InprocClient(server), tracker)
         monkeypatch.setattr(agents_mod, "detect", lambda tracker, stats: (True, 1.0, None))
         calls = []
         predict = ToyOracle.predict
