@@ -4,7 +4,8 @@ Three agents upload prompts for two appearance domains. Pending entries
 stay invisible until a consolidation pass merges near-duplicate keys with
 EMA weighting; retrieval then assembles the top matches in descending
 similarity order. Finally the pool is pushed over capacity to show
-least-recently-retrieved eviction.
+least-recently-used eviction: every insert and every query ticks the
+pool's one recency clock.
 """
 
 import numpy as np
@@ -39,7 +40,7 @@ for e in pool.entries():
 print("(the two dusk uploads merged: value = 0.7*first + 0.3*second)")
 
 print("\n== retrieval ==")
-hits = pool.query_topn(dusk_key, n=2, step=10)
+hits = pool.query_topn(dusk_key, n=2)
 print("top-2 for a dusk query:", [(e.entry_id, e.domain_tag) for e in hits])
 assembled = assemble(hits)
 print(f"assembled prompt: {assembled.rows} rows x {assembled.dim} dims "
@@ -52,4 +53,4 @@ for i in range(3):
 pool.refine()
 print(f"capacity {pool.config.capacity}; surviving entries:",
       [(e.entry_id, e.domain_tag) for e in pool.entries()])
-print("(the least recently retrieved entries were evicted first)")
+print("(the least recently used entries were evicted first)")

@@ -32,6 +32,7 @@ __all__ = [
     "kl_gaussian",
     "divergence",
     "detect",
+    "check_quantile",
     "calibrate_threshold",
 ]
 
@@ -215,13 +216,18 @@ def reset_reference(tracker: DriftTracker, stats: ActivationStats) -> DriftTrack
     return tracker
 
 
-def calibrate_threshold(scores, quantile: float = 0.99) -> float:
+def check_quantile(quantile: float) -> None:
+    """Raise ConfigError unless ``calibrate_threshold`` takes this quantile."""
+    if not (0.0 < quantile <= 1.0):
+        raise ConfigError(f"quantile must lie in (0, 1], got {quantile}")
+
+
+def calibrate_threshold(scores, quantile: float) -> float:
     """Empirical quantile of clean-stream scores (linear interpolation)."""
+    check_quantile(quantile)
     scores = np.asarray(list(scores), dtype=np.float64)
     if scores.size < MIN_CALIBRATION_SCORES:
         raise CalibrationError(
             f"need at least {MIN_CALIBRATION_SCORES} clean scores to calibrate, got {scores.size}"
         )
-    if not (0.0 < quantile <= 1.0):
-        raise CalibrationError("quantile must lie in (0, 1]")
     return float(np.quantile(scores, quantile))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from ..cmaes import CmaConfig
 from ..distill import DistillConfig
-from ..drift import KL_VARIANTS, MIN_CALIBRATION_SCORES, DriftTracker
+from ..drift import KL_VARIANTS, MIN_CALIBRATION_SCORES, DriftTracker, check_quantile
 from ..errors import ConfigError
 from ..memory import PoolConfig
 from ..oracle import DomainSpec, check_toy_oracle, check_uncertainty, make_toy_oracle, patch_count
@@ -40,8 +40,8 @@ _KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str:
 _ORACLE_ARGUMENTS = inspect.signature(make_toy_oracle)
 
 
-def _check(value, name: str, kind: type, lo=None, hi=None, positive=False):
-    """One value of the given JSON kind, within [lo, hi] (and > 0 if positive).
+def _check(value, name: str, kind: type, lo=None, hi=None):
+    """One value of the given JSON kind, within [lo, hi].
 
     ``float`` accepts any finite JSON number and returns a float; ``int``
     accepts integers only. Booleans are never numbers.
@@ -54,13 +54,8 @@ def _check(value, name: str, kind: type, lo=None, hi=None, positive=False):
         raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
     if kind is float:
         value = number
-    if (lo is not None and value < lo) or (hi is not None and value > hi) or (
-        positive and value <= 0
-    ):
-        if positive:
-            bounds = "positive" if hi is None else f"in (0, {hi}]"
-        else:
-            bounds = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bounds = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ConfigError(f"{name} must be {bounds}, got {value!r}")
     return value
 
@@ -101,9 +96,9 @@ def _read(d, table: dict, where: str, required=()) -> dict:
     return values
 
 
-def _is(kind: type, lo=None, hi=None, positive=False):
+def _is(kind: type, lo=None, hi=None):
     """Check one value of a JSON kind within bounds, as ``_check``."""
-    return lambda value, name: _check(value, name, kind, lo, hi, positive)
+    return lambda value, name: _check(value, name, kind, lo, hi)
 
 
 def _list_of(check, length: int | None = None):
@@ -219,6 +214,10 @@ class ScenarioConfig:
             raise ConfigError("agent ids must be unique")
         if not self.agents:
             raise ConfigError("scenario needs at least one agent")
+        for i, (agent, _) in enumerate(self.faults):
+            if agent not in ids:
+                raise ConfigError(f"faults[{i}]: agent {agent!r} is not an agent of the scenario")
+        _build("calibration", check_quantile, quantile=self.calibration_quantile)
         lengths = {a.total_frames for a in self.agents}
         if len(lengths) != 1:
             raise ConfigError(
@@ -298,7 +297,7 @@ _SCENARIO = {
     "distill": _object({"rows": int, "steps": int, "frames": int, "precision": str}),
     "calibration": _object({
         "frames": ("calibration_frames", _is(int, lo=1)),
-        "quantile": ("calibration_quantile", _is(float, hi=1.0, positive=True)),
+        "quantile": ("calibration_quantile", float),
     }),
     "provenance_window": _is(int, lo=1),
     "faults": _list_of(_object({"agent": str, "step": int}, lambda agent, step: (agent, step),

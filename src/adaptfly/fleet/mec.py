@@ -7,13 +7,17 @@ shared frozen oracle. Entries whose provenance has expired are removed so
 queries stop serving them.
 
 Many agents pull the same few entries, so the server encodes each served
-entry once and sends that text until the entry changes: reply entries are
-read-only ``EncodedDict``s. The texts belong to the server, not the pool,
-and those of entries that left the pool are pruned at each refine tick.
+entry once and sends that text again: reply entries are read-only
+``EncodedDict``s. Pool entries are never changed in place (a merge or a
+resolution stores a new entry), so a text stays valid for as long as its
+entry lives. The texts are weakly keyed by entry: one that leaves the
+pool drops its text, and all of them go with the server. Recency is the
+pool's: the server adds no clock of its own.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +25,7 @@ import numpy as np
 from ..distill import DistillConfig, distill_iterative
 from ..errors import EmptyPoolError, ProtocolError, ResolutionError
 from ..memory import DeferredMarker, PoolEntry, PromptPool
-from ..prompts import EncodedDict, SparseVisualPrompt
+from ..prompts import EncodedDict, SparseVisualPrompt, TokenPrompt
 from .messages import (
     FleetMessage,
     Query,
@@ -88,12 +92,9 @@ class MecServer:
         self.oracle = oracle
         self.distill_config = distill_config
         self.provenance = provenance or ProvenanceLog()
-        self._ops = 0  # server-local clock for retrieval recency
-        # entry_id -> (key, value, (timestamp, agent_id, domain_tag), text)
-        self._texts: dict[int, tuple] = {}
+        self._texts = weakref.WeakKeyDictionary()  # PoolEntry -> its EncodedDict
 
     def handle(self, msg: FleetMessage) -> FleetMessage | None:
-        self._ops += 1
         if isinstance(msg, UploadPrompt):
             self.pool.insert(
                 key=np.asarray(msg.key),
@@ -106,7 +107,7 @@ class MecServer:
         if isinstance(msg, RegisterDeferred):
             self.pool.insert(
                 key=np.asarray(msg.query),
-                value=DeferredMarker(np.asarray(msg.query), msg.agent_id),
+                value=DeferredMarker(msg.agent_id),
                 timestamp=msg.timestamp,
                 agent_id=msg.agent_id,
                 domain_tag=msg.domain_tag,
@@ -118,60 +119,44 @@ class MecServer:
             )
         if isinstance(msg, RefineTick):
             self.pool.refine()
-            cached = np.fromiter(self._texts, np.int64, len(self._texts))
-            live = cached[np.isin(cached, self.pool.entry_ids())]
-            self._texts = {i: self._texts[i] for i in live.tolist()}
             return None
         raise ProtocolError(f"server cannot handle {type(msg).__name__}")
 
-    def _query(self, msg: Query) -> list[dict]:
+    def _query(self, msg: Query) -> list[EncodedDict]:
         """Top-N retrieval; deferred hits are distilled on demand or dropped.
 
-        Entries are the hits' ``PoolEntry.wire_dict``s, each encoded once
-        (``_encoded``): the pool's own prompts, which the codec writes at
-        their stored precision.
+        Entries are the hits' ``PoolEntry.wire_dict``s, each encoded once:
+        the pool's own prompts, which the codec writes at their stored
+        precision.
         """
         q = np.asarray(msg.query)
         while True:
             try:
-                hits = self.pool.query_topn(q, msg.n, step=self._ops)
+                hits = self.pool.query_topn(q, msg.n)
             except EmptyPoolError:
                 return []
             deferred = [e for e in hits if e.is_deferred]
             if not deferred:
-                return [self._encoded(e) for e in hits]
-            entry = deferred[0]
+                return [self._text(e) for e in hits]
             try:
-                self.pool.resolve_deferred(entry.entry_id, self._distiller(entry))
+                self.pool.resolve_deferred(deferred[0].entry_id, self._distill)
             except ResolutionError:
                 pass  # resolve_deferred already dropped the entry; re-rank
 
-    def _encoded(self, entry: PoolEntry) -> EncodedDict:
-        """The entry's ``wire_dict`` with its text, re-encoded only on change.
+    def _text(self, entry: PoolEntry) -> EncodedDict:
+        text = self._texts.get(entry)
+        if text is None:
+            text = self._texts[entry] = EncodedDict(entry.wire_dict())
+        return text
 
-        The text stays valid while every field ``wire_dict`` writes does: a
-        merge or a resolution assigns a new key or value object (keys are
-        read-only arrays and TokenPrompts frozen), so those compare by
-        identity. ``last_retrieved`` is not on the wire.
-        """
-        fields = (entry.timestamp, entry.agent_id, entry.domain_tag)
-        cached = self._texts.get(entry.entry_id)
-        if (cached is None or cached[0] is not entry.key or cached[1] is not entry.value
-                or cached[2] != fields):
-            cached = (entry.key, entry.value, fields, EncodedDict(entry.wire_dict()))
-            self._texts[entry.entry_id] = cached
-        return cached[3]
-
-    def _distiller(self, entry):
-        def distiller(marker: DeferredMarker):
-            record = self.provenance.lookup(marker.agent_id, entry.timestamp)
-            if record is None:
-                raise ResolutionError(
-                    f"provenance for agent {marker.agent_id} at step "
-                    f"{entry.timestamp} has expired"
-                )
-            return distill_iterative(
-                self.oracle, record["frames"], record["svp"], self.distill_config
+    def _distill(self, entry: PoolEntry) -> TokenPrompt:
+        """The prompt of a deferred entry, from its agent's frames at its step."""
+        agent_id = entry.value.agent_id
+        record = self.provenance.lookup(agent_id, entry.timestamp)
+        if record is None:
+            raise ResolutionError(
+                f"provenance for agent {agent_id} at step {entry.timestamp} has expired"
             )
-
-        return distiller
+        return distill_iterative(
+            self.oracle, record["frames"], record["svp"], self.distill_config
+        )

@@ -3,7 +3,7 @@
 Every message travels as a frame: a 4-byte big-endian unsigned payload
 length followed by a UTF-8 JSON payload carrying a "type" discriminator.
 ``compact_json`` writes the payload: every float64 vector (an upload's key,
-a query, the key and deferred query of a reply entry) as one JSON string,
+a query, the key of a reply entry) as one JSON string,
 the standard base64 of its little-endian float64 bytes; token-prompt
 values as decimal numbers at their stored precision (9 significant digits
 for f32, 5 for f16); everything else as ``json.dumps`` writes it. A vector
@@ -14,9 +14,11 @@ bit for bit, and a decoded request re-encodes to the same bytes. So
 decode_message(encode_message(m)) == m for every variant whose reply
 entries are plain JSON data; a server reply's entries carry the pool's
 arrays and TokenPrompts and decode to the entries' ``PoolEntry.to_dict()``
-(vectors as number lists, prompts as dicts). The
+(keys as number lists, prompts as dicts). The
 server sends each reply entry pre-encoded (a read-only ``EncodedDict``,
-written verbatim), in the same bytes the entry's ``wire_dict`` encodes to.
+written verbatim), in the same bytes the entry's ``wire_dict`` encodes
+to, encoded once per entry it serves. A reply holds no deferred entry:
+the server resolves or drops each one before it answers.
 
 A client decodes each served entry once: ``decode_message(frame,
 entries=cache)`` keeps every reply entry's exact text and the dict it
@@ -189,18 +191,14 @@ def _vector(d: dict, name: str) -> list[float]:
 
 
 def _plain_entry(entry: dict) -> None:
-    """Give a reply entry the number lists ``PoolEntry.to_dict`` holds, in place.
+    """Give a reply entry the key list ``PoolEntry.to_dict`` holds, in place.
 
-    Only a key or deferred query sent as vector text is touched, so an
-    entry read once (and kept in a client's cache) is left as it is. Any
-    other value is left for ``PoolEntry.from_dict`` to check, like every
-    other field of an entry.
+    Only a key sent as vector text is touched, so an entry read once (and
+    kept in a client's cache) is left as it is. Any other value is left for
+    ``PoolEntry.from_dict`` to check, like every other field of an entry.
     """
     if type(entry.get("key")) is str:
         entry["key"] = _vector(entry, "key")
-    deferred = entry.get("deferred")
-    if type(deferred) is dict and type(deferred.get("query")) is str:
-        deferred["query"] = _vector(deferred, "query")
 
 
 def _from_payload(d: dict) -> FleetMessage:

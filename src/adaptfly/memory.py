@@ -2,9 +2,13 @@
 
 Agents append entries to a pending set (grow phase); a consolidation pass
 merges sufficiently similar pending entries into the refined set with EMA
-weighting and enforces capacity by evicting the least recently retrieved
+weighting and enforces capacity by evicting the least recently used
 entries (refine phase). Queries rank entries by cosine similarity between
 unit keys, so similarity reduces to a dot product.
+
+Entries never change: a merge or a resolution stores a new entry in the
+old one's place. Recency is the pool's own clock, which every insert and
+every query advances; it stamps the new entry or the query's hits.
 
 The pool supports many concurrent readers and serialized writers: insert
 only appends to the pending list, refine runs as an exclusive batch.
@@ -12,7 +16,7 @@ only appends to the pending list, refine runs as an exclusive batch.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 
 import numpy as np
@@ -41,10 +45,9 @@ __all__ = [
 
 _INT64 = range(-(2**63), 2**63)
 
-# A stored key or deferred query is a unit vector up to rounding; snapshots
-# and replies carry its float64 bytes (``vector_text``, base64), and older
-# snapshots decimal numbers that round-trip float64, so a reload keeps it
-# bit for bit.
+# A stored key is a unit vector up to rounding; snapshots and replies carry
+# its float64 bytes (``vector_text``, base64), and older snapshots decimal
+# numbers that round-trip float64, so a reload keeps it bit for bit.
 _KEY_NORM_TOLERANCE = 1e-9
 
 
@@ -74,6 +77,12 @@ def _stored_unit(values, what: str) -> np.ndarray:
     return vec
 
 
+def _int64(value, name: str) -> int:
+    if type(value) is not int or value not in _INT64:
+        raise PoolFormatError(f"pool entry {name} must be a 64-bit integer")
+    return value
+
+
 @dataclass(frozen=True)
 class PoolConfig:
     """Pool sizing and consolidation knobs."""
@@ -93,24 +102,19 @@ class PoolConfig:
 
 @dataclass(frozen=True)
 class DeferredMarker:
-    """Placeholder value: a domain query embedding awaiting distillation.
+    """Placeholder value: a prompt to distill from the agent's provenance
+    at the entry's timestamp; the entry's key is the domain query."""
 
-    The query is normalized unless ``normalize=False``, which keeps a query
-    that is already unit (one read back by ``PoolEntry.from_dict``) as is.
-    """
-
-    query: np.ndarray
     agent_id: str
-    normalize: InitVar[bool] = True
-
-    def __post_init__(self, normalize: bool):
-        if normalize:
-            object.__setattr__(self, "query", _unit(self.query))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PoolEntry:
-    """One key-value record. ``agent_id`` holds all contributors, comma-joined."""
+    """One key-value record. ``agent_id`` holds all contributors, comma-joined.
+
+    Never changed, only replaced, so an entry is its own identity (it
+    compares and hashes as itself) and text encoded from it stays valid.
+    """
 
     entry_id: int
     key: np.ndarray
@@ -118,22 +122,18 @@ class PoolEntry:
     timestamp: int
     agent_id: str
     domain_tag: str | None = None
-    last_retrieved: int = 0
 
     @property
     def is_deferred(self) -> bool:
         return isinstance(self.value, DeferredMarker)
 
     def wire_dict(self) -> dict:
-        """``to_dict`` with the key, a deferred query and a value left as objects.
+        """``to_dict`` with the key and a prompt value left as objects.
 
-        ``compact_json`` writes the key and a deferred query (the pool's
-        read-only float64 arrays) as the base64 of their bytes, and a
-        prompt's values directly at their stored precision; server replies
-        and ``PromptPool.save`` use it, and ``decode_message`` reads a
-        reply entry back as its ``to_dict()``. The server encodes it once
-        per change of the entry (``MecServer``), so a served one is
-        read-only.
+        ``compact_json`` writes the key (a read-only float64 array) as the
+        base64 of its bytes and a prompt's values directly at their stored
+        precision; server replies and ``PromptPool.save`` use it, and
+        ``decode_message`` reads a reply entry back as its ``to_dict()``.
         """
         d = {
             "entry_id": self.entry_id,
@@ -143,18 +143,16 @@ class PoolEntry:
             "domain_tag": self.domain_tag,
         }
         if self.is_deferred:
-            d["deferred"] = {"query": self.value.query, "agent_id": self.value.agent_id}
+            d["deferred"] = {"agent_id": self.value.agent_id}
         else:
             d["value"] = self.value
         return d
 
     def to_dict(self) -> dict:
-        """Plain JSON types: vectors as number lists, prompt values at stored precision."""
+        """Plain JSON types: the key as a number list, prompt values at stored precision."""
         d = self.wire_dict()
         d["key"] = self.key.tolist()
-        if self.is_deferred:
-            d["deferred"]["query"] = self.value.query.tolist()
-        else:
+        if not self.is_deferred:
             d["value"] = self.value.to_dict()
         return d
 
@@ -162,19 +160,16 @@ class PoolEntry:
     def from_dict(cls, d: dict) -> "PoolEntry":
         """Parse ``to_dict`` output; PoolFormatError names the first bad field.
 
-        An optional ``last_retrieved`` (written by ``PromptPool.save``, never
-        sent on the wire) defaults to ``timestamp``. The key and a deferred
-        query, number lists or the base64 text ``compact_json`` writes, are
-        kept bit for bit: each must already be a unit vector, to
-        ``_KEY_NORM_TOLERANCE``.
+        The key, a number list or the base64 text ``compact_json`` writes,
+        is kept bit for bit: it must already be a unit vector, to
+        ``_KEY_NORM_TOLERANCE``. A deferred marker written with a
+        ``query``, as markers were before, loads; the query is not read.
         """
         if not isinstance(d, dict):
             raise PoolFormatError("pool entry must be an object")
-        d = {"last_retrieved": d.get("timestamp"), **d}
-        for name in ("entry_id", "timestamp", "last_retrieved"):
-            if type(d.get(name)) is not int or d[name] not in _INT64:
-                raise PoolFormatError(f"pool entry {name} must be a 64-bit integer")
-        if d["entry_id"] < 0:
+        entry_id = _int64(d.get("entry_id"), "entry_id")
+        timestamp = _int64(d.get("timestamp"), "timestamp")
+        if entry_id < 0:
             raise PoolFormatError("pool entry entry_id must be non-negative")
         if not isinstance(d.get("agent_id"), str):
             raise PoolFormatError("pool entry agent_id must be a string")
@@ -184,9 +179,8 @@ class PoolEntry:
         if "deferred" in d:
             marker = d["deferred"]
             if not isinstance(marker, dict) or not isinstance(marker.get("agent_id"), str):
-                raise PoolFormatError("pool entry deferred must hold a query and an agent_id")
-            query = _stored_unit(marker.get("query"), "deferred query")
-            value = DeferredMarker(query, marker["agent_id"], normalize=False)
+                raise PoolFormatError("pool entry deferred must hold an agent_id")
+            value = DeferredMarker(marker["agent_id"])
         elif "value" in d:
             try:
                 value = TokenPrompt.from_dict(d["value"])
@@ -195,13 +189,12 @@ class PoolEntry:
         else:
             raise PoolFormatError("pool entry needs a value or a deferred marker")
         return cls(
-            entry_id=d["entry_id"],
+            entry_id=entry_id,
             key=key,
             value=value,
-            timestamp=d["timestamp"],
+            timestamp=timestamp,
             agent_id=d["agent_id"],
             domain_tag=d.get("domain_tag"),
-            last_retrieved=d["last_retrieved"],
         )
 
 
@@ -234,17 +227,19 @@ class PromptPool:
     """Grow-and-refine prompt memory. One writer at a time; readers free.
 
     The refined keys are mirrored, in list order, in one (R, d) matrix with
-    matching int64 vectors of entry ids, ``last_retrieved`` and
-    ``timestamp`` stamps, so ranking is one matrix-vector product and
-    eviction one sort. Every change to the refined set updates the mirror
-    in place.
+    matching int64 vectors of entry ids, recency stamps and timestamps, so
+    ranking is one matrix-vector product and eviction one sort. Every
+    change to the refined set updates the mirror in place. The stamps are
+    the only record of recency: ``_clock`` is the last stamp handed out.
     """
 
     def __init__(self, config: PoolConfig | None = None):
         self.config = config or PoolConfig()
         self._refined: list[PoolEntry] = []
-        self._pending: list[PoolEntry] = []
+        # entry_id -> (entry, recency stamp), in insertion order
+        self._pending: dict[int, tuple[PoolEntry, int]] = {}
         self._next_id = 0
+        self._clock = 0
         # Rows [0, refined_size) mirror the refined entries; the rest is
         # growth room, doubled when full. The first key fixes the width.
         self._keys = np.empty((0, 0))
@@ -267,18 +262,18 @@ class PromptPool:
         return len(self._pending)
 
     def entries(self) -> list[PoolEntry]:
-        return self._refined + self._pending
+        return self._refined + [e for e, _ in self._pending.values()]
 
-    def entry_ids(self) -> np.ndarray:
-        """Ids of ``entries()``, in the same order, as an int64 vector."""
-        pending = np.fromiter((e.entry_id for e in self._pending), np.int64, len(self._pending))
-        return np.concatenate([self._ids[: len(self._refined)], pending])
+    def _row(self, entry_id: int) -> int | None:
+        hit = np.flatnonzero(self._ids[: len(self._refined)] == entry_id)
+        return int(hit[0]) if hit.size else None
 
     def get(self, entry_id: int) -> PoolEntry | None:
-        hit = np.flatnonzero(self._ids[: len(self._refined)] == entry_id)
-        if hit.size:
-            return self._refined[hit[0]]
-        return next((e for e in self._pending if e.entry_id == entry_id), None)
+        row = self._row(entry_id)
+        if row is not None:
+            return self._refined[row]
+        pending = self._pending.get(entry_id)
+        return pending[0] if pending else None
 
     # -- key matrix -------------------------------------------------------
 
@@ -291,7 +286,7 @@ class PromptPool:
                 f"{what} has dimension {key.size}, pool keys have dimension {dim}"
             )
 
-    def _append_refined(self, entry: PoolEntry) -> None:
+    def _append_refined(self, entry: PoolEntry, stamp: int) -> None:
         n = len(self._refined)
         if n == len(self._ids):
             size = max(2 * n, 16)
@@ -303,7 +298,7 @@ class PromptPool:
             self._ids, self._last, self._times = stamps
         self._keys[n] = entry.key
         self._ids[n] = entry.entry_id
-        self._last[n] = entry.last_retrieved
+        self._last[n] = stamp
         self._times[n] = entry.timestamp
         self._refined.append(entry)
 
@@ -349,38 +344,35 @@ class PromptPool:
             timestamp=int(timestamp),
             agent_id=agent_id,
             domain_tag=domain_tag,
-            last_retrieved=int(timestamp),
         )
         self._check_dim(entry.key, "key")
         self._next_id += 1
-        self._pending.append(entry)
+        self._clock += 1
+        self._pending[entry.entry_id] = (entry, self._clock)
         return entry
 
     # -- retrieve ---------------------------------------------------------
 
-    def query_topn(self, q: np.ndarray, n: int, step: int = 0) -> list[PoolEntry]:
+    def query_topn(self, q: np.ndarray, n: int) -> list[PoolEntry]:
         """Refined entries by descending cosine similarity, ties by entry id.
 
-        Returns min(n, refined size) entries and stamps their last_retrieved
-        with ``step``. Pending entries become visible only after the next
-        refine pass: queries serve the consolidated view of the pool.
+        Returns min(n, refined size) entries and stamps them with the next
+        tick of the pool's clock. Pending entries become visible only after
+        the next refine pass: queries serve the consolidated view of the
+        pool.
         """
         if self.size == 0:
             raise EmptyPoolError("query against an empty pool")
         qn = _unit(q)
         self._check_dim(qn, "query")
+        self._clock += 1
         n = min(max(0, n), len(self._refined))
         if n == 0:
             return []
         rows, sims = self._near_best(qn, n)
         order = rows[np.lexsort((self._ids[rows], -sims))[:n]]
-        hits = []
-        for i in order.tolist():
-            e = self._refined[i]
-            e.last_retrieved = max(e.last_retrieved, int(step))
-            self._last[i] = e.last_retrieved
-            hits.append(e)
-        return hits
+        self._last[order] = self._clock
+        return [self._refined[i] for i in order.tolist()]
 
     # -- refine -----------------------------------------------------------
 
@@ -403,13 +395,14 @@ class PromptPool:
 
         Pending entries fold in serialized (timestamp, entry_id) order so
         any interleaving of inserts and refine calls yields the same pool.
-        Capacity evicts the least recently retrieved entries, ties broken
-        by (timestamp, entry_id).
+        A merge keeps the later of the two recency stamps. Capacity evicts
+        the least recently used entries, ties broken by (timestamp,
+        entry_id).
         """
         eta = self.config.merge_weight
-        pending = sorted(self._pending, key=lambda e: (e.timestamp, e.entry_id))
-        self._pending = []
-        for entry in pending:
+        pending = sorted(self._pending.values(), key=lambda p: (p[0].timestamp, p[0].entry_id))
+        self._pending = {}
+        for entry, stamp in pending:
             target = self._merge_target(entry)
             if target is not None:
                 idx, sim = target
@@ -418,20 +411,23 @@ class PromptPool:
                     merged_values = (1.0 - eta) * np.asarray(
                         old.value.values, dtype=np.float64
                     ) + eta * np.asarray(entry.value.values, dtype=np.float64)
-                    old.value = TokenPrompt(merged_values, dtype=old.value.dtype)
-                    old.key = _unit((1.0 - eta) * old.key + eta * entry.key)
-                    self._keys[idx] = old.key
-                    old.timestamp = max(old.timestamp, entry.timestamp)
-                    old.last_retrieved = max(old.last_retrieved, entry.last_retrieved)
-                    self._times[idx], self._last[idx] = old.timestamp, old.last_retrieved
                     contributors = set(old.agent_id.split(",")) | set(
                         entry.agent_id.split(",")
                     )
-                    old.agent_id = ",".join(sorted(contributors))
-                    if old.domain_tag is None:
-                        old.domain_tag = entry.domain_tag
+                    merged = replace(
+                        old,
+                        key=_unit((1.0 - eta) * old.key + eta * entry.key),
+                        value=TokenPrompt(merged_values, dtype=old.value.dtype),
+                        timestamp=max(old.timestamp, entry.timestamp),
+                        agent_id=",".join(sorted(contributors)),
+                        domain_tag=entry.domain_tag if old.domain_tag is None else old.domain_tag,
+                    )
+                    self._refined[idx] = merged
+                    self._keys[idx] = merged.key
+                    self._times[idx] = merged.timestamp
+                    self._last[idx] = max(self._last[idx], stamp)
                     continue
-            self._append_refined(entry)
+            self._append_refined(entry, stamp)
         n = len(self._refined)
         excess = n - self.config.capacity
         if excess > 0:
@@ -442,8 +438,9 @@ class PromptPool:
     # -- deferred resolution ----------------------------------------------
 
     def resolve_deferred(self, entry_id: int, distiller) -> PoolEntry:
-        """Materialize a deferred entry via ``distiller(marker) -> TokenPrompt``.
+        """Materialize a deferred entry via ``distiller(entry) -> TokenPrompt``.
 
+        The resolved entry takes the deferred one's place and is returned.
         Resolving an already-concrete entry is a no-op. If the distiller
         raises ResolutionError (lost provenance), the entry is removed from
         the pool so queries stop serving it, and the error propagates.
@@ -454,18 +451,22 @@ class PromptPool:
         if not entry.is_deferred:
             return entry
         try:
-            prompt = distiller(entry.value)
+            prompt = distiller(entry)
         except ResolutionError:
             self.drop(entry_id)
             raise
         if not isinstance(prompt, TokenPrompt):
             raise ResolutionError(f"distiller returned {type(prompt).__name__}")
-        entry.value = prompt
-        return entry
+        resolved = replace(entry, value=prompt)
+        if entry_id in self._pending:
+            self._pending[entry_id] = (resolved, self._pending[entry_id][1])
+        else:
+            self._refined[self._row(entry_id)] = resolved
+        return resolved
 
     def drop(self, entry_id: int) -> None:
         self._keep_refined(self._ids[: len(self._refined)] != entry_id)
-        self._pending = [e for e in self._pending if e.entry_id != entry_id]
+        self._pending.pop(entry_id, None)
 
     # -- persistence --------------------------------------------------------
 
@@ -475,27 +476,29 @@ class PromptPool:
         Pending entries flush first. The first line is ``{"next_id": N}``,
         the id the next insert gets, so a reload never reissues the id of
         an entry evicted or dropped before the save. Each further line is
-        an entry's ``wire_dict`` plus its ``last_retrieved`` stamp, so a
-        reload keeps the eviction order, written by ``compact_json`` as on
-        the wire: keys and deferred queries as the base64 of their float64
-        bytes, prompt values at their stored precision.
+        an entry's ``wire_dict`` plus its ``last_retrieved`` recency stamp,
+        so a reload keeps the eviction order, written by ``compact_json``
+        as on the wire: keys as the base64 of their float64 bytes, prompt
+        values at their stored precision.
         """
         self.refine()
         with open(path, "w", encoding="utf-8") as f:
             f.write(compact_json({"next_id": self._next_id}) + "\n")
-            for e in sorted(self._refined, key=lambda e: e.entry_id):
-                line = {**e.wire_dict(), "last_retrieved": e.last_retrieved}
+            for i in np.argsort(self._ids[: len(self._refined)]).tolist():
+                line = {**self._refined[i].wire_dict(), "last_retrieved": int(self._last[i])}
                 f.write(compact_json(line) + "\n")
 
     @classmethod
     def load(cls, path, config: PoolConfig | None = None) -> "PromptPool":
         """Restore a ``save`` snapshot; PoolFormatError names a malformed line.
 
-        A snapshot without the ``next_id`` line (one written before it
-        existed, or plain ``to_dict`` lines) continues ids after the largest
-        stored one. A mark at or below a stored id is malformed. Keys and
-        deferred queries written as decimal number lists, as before they
-        travelled as base64, load bit for bit too.
+        An entry's ``last_retrieved`` stamp defaults to its ``timestamp``
+        and must lie below 2**62; the clock resumes after the largest stamp. A snapshot without
+        the ``next_id`` line (one written before it existed, or plain
+        ``to_dict`` lines) continues ids after the largest stored one. A
+        mark at or below a stored id is malformed. Keys written as decimal
+        number lists, as before they travelled as base64, load bit for bit
+        too.
         """
         pool = cls(config)
         entries = []
@@ -513,6 +516,11 @@ class PromptPool:
                             raise PoolFormatError("next_id must be a non-negative 64-bit integer")
                         continue
                     entry = PoolEntry.from_dict(obj)
+                    stamp = _int64(obj.get("last_retrieved", entry.timestamp), "last_retrieved")
+                    if stamp >= 2**62:  # the int64 clock must have room to run on
+                        raise PoolFormatError(
+                            f"pool entry last_retrieved {stamp} is not below 2**62"
+                        )
                     pool._check_dim(entry.key, "key")
                     if mark is not None and entry.entry_id >= mark:
                         raise PoolFormatError(
@@ -520,9 +528,10 @@ class PromptPool:
                         )
                 except AdaptflyError as exc:
                     raise PoolFormatError(f"{path} line {lineno}: {exc}", line=lineno) from exc
-                entries.append(entry)
+                entries.append((entry, stamp))
                 pool._next_id = max(pool._next_id, entry.entry_id + 1)
         pool._next_id = max(pool._next_id, mark or 0)
-        for entry in sorted(entries, key=lambda e: e.entry_id):
-            pool._append_refined(entry)
+        for entry, stamp in sorted(entries, key=lambda p: p[0].entry_id):
+            pool._append_refined(entry, stamp)
+        pool._clock = max((stamp for _, stamp in entries), default=0)
         return pool

@@ -312,7 +312,8 @@ class TestMalformedConfigs:
         ("agents.0.cma.mode", "x", "agents[0]: cma: "),
         ("distill.precision", "f64", "distill: "),
         ("calibration.frames", 35, "calibration.frames "),
-        ("calibration.quantile", 0, "calibration.quantile "),
+        ("calibration.quantile", 0, "calibration: quantile "),
+        ("faults", [{"agent": "__controller__", "step": 1}], "faults[0]: "),
         ("oracle.height", 30, "oracle: "),
         ("agents.0.rho", 0, "agents[0]: "),
         ("agents.0.dropout_rate", 1.0, "agents[0]: "),

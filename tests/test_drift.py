@@ -290,7 +290,7 @@ class TestDetect:
 
 class TestCalibration:
     def test_constant_scores(self):
-        assert calibrate_threshold([3.0] * 40) == 3.0
+        assert calibrate_threshold([3.0] * 40, 0.99) == 3.0
 
     def test_linear_interpolation_reference(self):
         scores = list(range(1, 101))
@@ -298,4 +298,10 @@ class TestCalibration:
 
     def test_too_few_scores(self):
         with pytest.raises(CalibrationError):
-            calibrate_threshold(list(range(10)))
+            calibrate_threshold(list(range(10)), 0.99)
+
+    @pytest.mark.parametrize("quantile", [0.0, -0.1, 1.5, math.nan])
+    def test_quantile_outside_unit_interval_is_a_config_error(self, quantile):
+        with pytest.raises(ConfigError, match=r"^quantile must lie in \(0, 1\], got "):
+            calibrate_threshold([3.0] * 40, quantile)
+        assert calibrate_threshold(list(range(40)), 1.0) == 39.0

@@ -159,7 +159,7 @@ OUT_OF_RANGE = [
     ("agents.0.cma.mode", "x", "agents[0]: cma: mode"),
     ("distill.precision", "f64", "distill: precision"),
     ("calibration.frames", 35, "calibration.frames"),
-    ("calibration.quantile", 0, "calibration.quantile"),
+    ("calibration.quantile", 0, "calibration: quantile must lie in (0, 1], got 0.0"),
     ("oracle.height", 30, "oracle: frame 30x32"),
     ("agents.0.rho", 0, "agents[0]: a massive agent's rho"),
     ("agents.0.dropout_rate", 1.0, "agents[0]: dropout rate"),
@@ -170,6 +170,10 @@ OUT_OF_RANGE = [
     ("agents.0.mc_passes", 0, "agents[0]: uncertainty estimation"),
     ("agents.0.delta_refresh", -0.1, "agents[0]: delta_refresh"),
     ("agents.0.rho", 1.5, "agents[0]: sparsity ratio"),
+    # A fault must name an agent: the controller's ticks and typos are rejected.
+    ("faults", [{"agent": "__controller__", "step": 1}], "faults[0]: agent '__controller__'"),
+    ("faults", [{"agent": "uav-l1", "step": 1}, {"agent": "uav-l3", "step": 2}],
+     "faults[1]: agent 'uav-l3'"),
 ]
 
 
@@ -486,6 +490,104 @@ class TestReplyCache:
                                         for i in deferred)
                 seen["expired"] += sum(pool.get(i) is None for i in deferred)
         assert min(seen.values()) > 0, seen
+
+
+def lru_replay(messages, capacity: int) -> list[list[int]]:
+    """Ids each RefineTick evicts, by brute force over the server's messages.
+
+    One clock: every upload and every query to a non-empty pool ticks it,
+    an upload is stamped with its tick and a query's hits (top n by cosine,
+    ties by id) with the query's. A tick adds the pending uploads and then
+    evicts the least recently used entries, ties by (timestamp, entry_id).
+    Keys must never merge.
+    """
+    clock, next_id, live, pending, evicted = 0, 0, {}, {}, []
+    for msg in messages:
+        if isinstance(msg, UploadPrompt):
+            clock += 1
+            key = np.asarray(msg.key)
+            pending[next_id] = [key / np.linalg.norm(key), msg.timestamp, clock]
+            next_id += 1
+        elif isinstance(msg, Query) and (live or pending):
+            clock += 1
+            q = np.asarray(msg.query) / np.linalg.norm(msg.query)
+            for i in sorted(live, key=lambda i: (-float(q @ live[i][0]), i))[: msg.n]:
+                live[i][2] = clock
+        elif isinstance(msg, RefineTick):
+            live.update(pending)
+            pending = {}
+            excess = max(0, len(live) - capacity)
+            gone = sorted(live, key=lambda i: (live[i][2], live[i][1], i))[:excess]
+            for i in gone:
+                del live[i]
+            evicted.append(sorted(gone))
+    return evicted
+
+
+def served_evictions(messages, capacity: int) -> list[list[int]]:
+    """Ids each RefineTick evicts when the messages go through a MecServer."""
+    pool = PromptPool(PoolConfig(capacity=capacity, merge_threshold=1.0))
+    server = MecServer(pool, oracle=None, distill_config=None)
+    evicted = []
+    for msg in messages:
+        before = {e.entry_id for e in pool.entries()}
+        server.handle(msg)
+        if isinstance(msg, RefineTick):
+            evicted.append(sorted(before - {e.entry_id for e in pool.entries()}))
+    return evicted
+
+
+class TestEvictionClock:
+    """Uploads and queries reach the pool's one recency clock: an upload is
+    more recent than every query served before it, whatever its step."""
+
+    @staticmethod
+    def upload(rng, timestamp):
+        return UploadPrompt(key=tuple(rng.normal(size=8)),
+                            value=TokenPrompt(rng.normal(size=(2, 8))),
+                            timestamp=timestamp, agent_id="uav-h1")
+
+    def test_fresh_upload_outlives_entries_queried_before_it(self):
+        rng = np.random.default_rng(0)
+        fill = [self.upload(rng, 10 * (i + 1)) for i in range(6)]  # steps 10..60
+        keys = [m.key for m in fill]
+        targets = rng.integers(0, 6, size=200)
+        queries = [Query(query=keys[i], n=1, request_id=k) for k, i in enumerate(targets)]
+        late = self.upload(rng, 61)
+        messages = fill + [RefineTick()] + queries + [late, RefineTick()]
+        last_use = {i: k for k, i in enumerate(targets.tolist())}
+        stalest = min(range(6), key=lambda i: last_use.get(i, -1))
+
+        pool = PromptPool(PoolConfig(capacity=6, merge_threshold=1.0))
+        server = MecServer(pool, oracle=None, distill_config=None)
+        for msg in messages:
+            server.handle(msg)
+        survivors = {e.entry_id for e in pool.entries()}
+        assert 6 in survivors and stalest not in survivors
+        assert survivors == set(range(7)) - {stalest}
+        # The evicted entry took its served text with it.
+        assert {e.entry_id for e in server._texts} == set(range(6)) - {stalest}
+        assert served_evictions(messages, 6) == lru_replay(messages, 6) == [[], [stalest]]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_eviction_matches_the_lru_replay(self, seed):
+        # Upload steps are drawn at random, so they say nothing of recency.
+        rng = np.random.default_rng(seed)
+        messages, keys = [], []
+        for k in range(400):
+            op = rng.choice(["upload", "query", "query", "query", "tick"])
+            if op == "upload":
+                messages.append(self.upload(rng, int(rng.integers(0, 100))))
+                keys.append(messages[-1].key)
+            elif op == "query":
+                q = keys[rng.integers(len(keys))] if keys and rng.random() < 0.7 else \
+                    tuple(rng.normal(size=8))
+                messages.append(Query(query=q, n=int(rng.integers(1, 4)), request_id=k))
+            else:
+                messages.append(RefineTick())
+        served = served_evictions(messages, 5)
+        assert served == lru_replay(messages, 5)
+        assert sum(map(len, served)) > 20
 
 
 class TestReplyEntryCache:

@@ -141,7 +141,7 @@ class TestQuery:
                 dup = rng.normal(size=dim)
                 for i in range(size):
                     key = dup if i % 3 == 0 else rng.normal(size=dim)
-                    pool.insert(key, DeferredMarker(key, "a"), timestamp=size - i, agent_id="a")
+                    pool.insert(key, DeferredMarker("a"), timestamp=size - i, agent_id="a")
                 pool.refine()
                 dup_ids = [i for i in range(size) if i % 3 == 0]
                 for n in range(1, len(dup_ids) + 1):
@@ -149,11 +149,17 @@ class TestQuery:
                     assert got == dup_ids[:n], (dim, size, n)
 
     def test_query_updates_last_retrieved(self):
+        # One clock: each insert and each query takes its next tick, whatever
+        # the entries' timestamps; a query stamps its hits.
         pool = make_pool()
-        e = pool.insert(np.array([1.0, 0.0]), prompt(), timestamp=0, agent_id="a")
+        for i, key in enumerate(np.eye(2)):
+            pool.insert(key, prompt(), timestamp=60 - i, agent_id="a")
         pool.refine()
-        pool.query_topn(np.array([1.0, 0.0]), n=1, step=55)
-        assert e.last_retrieved == 55
+        assert pool._last[:2].tolist() == [2, 1]  # refined in timestamp order
+        pool.query_topn(np.array([1.0, 0.0]), n=1)
+        assert pool._last[:2].tolist() == [2, 3]
+        assert pool.query_topn(np.array([1.0, 0.0]), n=0) == []
+        assert pool._clock == 4
 
 
 class TestAssemble:
@@ -180,7 +186,7 @@ class TestAssemble:
     def test_deferred_entry_rejected(self):
         bad = PoolEntry(
             entry_id=0, key=unit(np.ones(3)),
-            value=DeferredMarker(np.ones(3), "a"), timestamp=0, agent_id="a",
+            value=DeferredMarker("a"), timestamp=0, agent_id="a",
         )
         with pytest.raises(DeferredNotResolvedError):
             assemble([bad])
@@ -227,9 +233,9 @@ class TestRefine:
             pool.insert(keys[i], prompt(), timestamp=i, agent_id="a") for i in range(4)
         ]
         pool.refine()
-        # touch all but entry 1 at later steps
+        # touch all but entry 1 after the inserts
         for i in (0, 2, 3):
-            pool.query_topn(keys[i], n=1, step=10 + i)
+            pool.query_topn(keys[i], n=1)
         pool.insert(np.ones(4), prompt(), timestamp=20, agent_id="b")
         pool.refine()
         surviving = {e.entry_id for e in pool.entries()}
@@ -288,8 +294,8 @@ class TestRefine:
         pool = make_pool(merge_threshold=0.5)
         key = np.array([1.0, 0.0])
         pool.insert(key, prompt(), timestamp=0, agent_id="a")
-        pool.insert(key, DeferredMarker(key, "b"), timestamp=1, agent_id="b")
-        pool.insert(key, DeferredMarker(key, "c"), timestamp=2, agent_id="c")
+        pool.insert(key, DeferredMarker("b"), timestamp=1, agent_id="b")
+        pool.insert(key, DeferredMarker("c"), timestamp=2, agent_id="c")
         pool.refine()
         assert pool.size == 3
 
@@ -298,7 +304,7 @@ class TestResolveDeferred:
     def _deferred_pool(self):
         pool = make_pool()
         key = np.array([1.0, 0.0])
-        e = pool.insert(key, DeferredMarker(key, "agent-h"), timestamp=0, agent_id="agent-h")
+        e = pool.insert(key, DeferredMarker("agent-h"), timestamp=0, agent_id="agent-h")
         pool.refine()
         return pool, e
 
@@ -308,6 +314,34 @@ class TestResolveDeferred:
         hit = pool.query_topn(np.array([1.0, 0.0]), n=1)[0]
         assert not hit.is_deferred
         assert assemble([hit]).rows == 2
+
+    def test_resolution_replaces_the_entry(self):
+        pool, e = self._deferred_pool()
+        pool.query_topn(np.array([1.0, 0.0]), n=1)
+        stamps = pool._last[:1].tolist()
+        seen = []
+
+        def distiller(entry):
+            seen.append(entry)
+            return prompt(fill=9.0)
+
+        resolved = pool.resolve_deferred(e.entry_id, distiller)
+        assert len(seen) == 1 and seen[0] is e  # the distiller gets the entry
+        assert e.is_deferred  # which is not changed: a new entry takes its place
+        assert pool.get(e.entry_id) is resolved and pool.entries()[0] is resolved
+        fields = {k: v for k, v in e.to_dict().items() if k != "deferred"}
+        assert resolved.to_dict() == {**fields, "value": prompt(fill=9.0).to_dict()}
+        assert pool._last[:1].tolist() == stamps
+
+    def test_pending_deferred_entry_resolves_in_place(self):
+        pool = make_pool()
+        key = np.array([1.0, 0.0])
+        e = pool.insert(key, DeferredMarker("agent-h"), timestamp=0, agent_id="agent-h")
+        resolved = pool.resolve_deferred(e.entry_id, lambda entry: prompt(fill=9.0))
+        assert pool.pending_size == 1 and pool.get(e.entry_id) is resolved
+        pool.refine()
+        (hit,) = pool.query_topn(key, n=1)
+        assert hit is resolved
 
     def test_resolution_idempotent(self):
         pool, e = self._deferred_pool()
@@ -351,18 +385,19 @@ class TestPersistence:
                 domain_tag="dom" if i % 2 else None,
             )
         pool.refine()
-        pool.query_topn(rng.normal(size=6), 2, step=40)
+        pool.query_topn(rng.normal(size=6), 2)  # the sixth tick
         path = tmp_path / "pool.jsonl"
         pool.save(path)
         loaded = PromptPool.load(path)
         assert loaded.size == pool.size
-        assert sum(e.last_retrieved == 40 for e in loaded.entries()) == 2
+        assert int(np.sum(loaded._last[:5] == 6)) == 2
+        assert loaded._last[:5].tolist() == pool._last[:5].tolist()
+        assert loaded._clock == pool._clock == 6
         for a, b in zip(pool.entries(), loaded.entries()):
             assert a.entry_id == b.entry_id
             assert np.array_equal(a.key, b.key)
             assert a.value == b.value
             assert a.timestamp == b.timestamp
-            assert a.last_retrieved == b.last_retrieved
             assert a.agent_id == b.agent_id
             assert a.domain_tag == b.domain_tag
 
@@ -406,30 +441,29 @@ class TestPersistence:
         assert PoolEntry.from_dict(d).key.tolist() == key
 
     def test_deferred_snapshot_save_load_save_is_byte_identical(self, tmp_path):
-        # Normalizing an already unit query again moves its last bits for
-        # about a third of 48-d queries; a reload must keep them.
+        # Normalizing an already unit key again moves its last bits for
+        # about a third of 48-d keys; a reload must keep them.
         pool = make_pool(capacity=100, merge_threshold=1.0)
         rng = np.random.default_rng(6)
         for i in range(100):
-            pool.insert(rng.normal(size=48), DeferredMarker(rng.normal(size=48), f"uav-{i}"),
+            pool.insert(rng.normal(size=48), DeferredMarker(f"uav-{i}"),
                         timestamp=i, agent_id=f"uav-{i}")
         pool.refine()
         first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
         pool.save(first)
+        assert json.loads(first.read_text().splitlines()[1])["deferred"] == {"agent_id": "uav-0"}
         loaded = PromptPool.load(first)
         loaded.save(second)
         assert first.read_bytes() == second.read_bytes()
         for a, b in zip(pool.entries(), loaded.entries()):
-            assert np.array_equal(a.value.query, b.value.query)
+            assert np.array_equal(a.key, b.key) and a.value == b.value
 
-    @pytest.mark.parametrize("query", [[2.0, 0.0], [0.0, 0.0], [1.0, np.nan],
-                                       [1.0 + 1e-6, 0.0]])
-    def test_stored_deferred_query_must_be_finite_and_unit(self, query):
-        entry = PoolEntry(0, unit([1.0, 0.0]), DeferredMarker(np.ones(2), "a"), 0, "a")
-        d = entry.to_dict()
+    @pytest.mark.parametrize("query", [[0.6, 0.8], [2.0, 0.0], [1.0, np.nan], "AAAA", None])
+    def test_old_deferred_query_is_not_read(self, query):
+        # Markers once carried a copy of the key as their query.
+        d = PoolEntry(0, unit([1.0, 0.0]), DeferredMarker("a"), 0, "a").to_dict()
         d["deferred"]["query"] = query
-        with pytest.raises(PoolFormatError, match="deferred query must be a finite unit"):
-            PoolEntry.from_dict(d)
+        assert PoolEntry.from_dict(d).to_dict() == {**d, "deferred": {"agent_id": "a"}}
 
     def test_snapshot_is_one_json_object_per_line(self, tmp_path):
         pool = make_pool()
@@ -445,10 +479,12 @@ class TestPersistence:
 
     def test_reload_does_not_reissue_evicted_ids(self, tmp_path):
         pool = make_pool(capacity=1, merge_threshold=1.0)
-        for i in range(2):
-            pool.insert(unit([1.0, i]), prompt(), timestamp=1 - i, agent_id="a")
+        pool.insert(unit([1.0, 0.0]), prompt(), timestamp=0, agent_id="a")
+        pool.refine()
+        pool.insert(unit([1.0, 1.0]), prompt(), timestamp=1, agent_id="a")
+        pool.query_topn(unit([1.0, 0.0]), n=1)  # id 0 is used after id 1 arrives
         path = tmp_path / "pool.jsonl"
-        pool.save(path)  # capacity 1: id 1, the older upload, is evicted
+        pool.save(path)  # capacity 1: id 1, the less recently used, is evicted
         loaded = PromptPool.load(path)
         assert [e.entry_id for e in loaded.entries()] == [0]
         assert loaded.insert(unit([0.0, 1.0]), prompt(), timestamp=2, agent_id="a").entry_id == 2
@@ -481,9 +517,26 @@ class TestPersistence:
         path.write_text(json.dumps(PoolEntry(0, unit(np.ones(2)), prompt(), 7, "a").to_dict())
                         + "\n")
         loaded = PromptPool.load(path)
-        assert loaded.get(0).last_retrieved == 7
-        # Without a next_id line, ids continue after the largest stored one.
-        assert loaded.insert(unit([1.0, 0.0]), prompt(), 8, "a").entry_id == 1
+        assert loaded._last[:1].tolist() == [7] and loaded._clock == 7
+        # Without a next_id line, ids continue after the largest stored one,
+        # and the clock after the largest stamp.
+        assert loaded.insert(unit([1.0, 0.0]), prompt(), 0, "a").entry_id == 1
+        loaded.refine()
+        assert loaded._last[:2].tolist() == [7, 8]
+
+    @pytest.mark.parametrize("stamp", [{"last_retrieved": 2**62}, {"timestamp": 2**63 - 1}])
+    def test_stamp_without_room_for_the_clock_is_typed(self, tmp_path, stamp):
+        path = tmp_path / "pool.jsonl"
+        line = {**PoolEntry(0, unit(np.ones(2)), prompt(), 7, "a").to_dict(), **stamp}
+        path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(PoolFormatError, match=r"line 1: .* is not below 2\*\*62"):
+            PromptPool.load(path)
+        line["last_retrieved"] = 2**62 - 1  # the clock's last tick fits int64
+        path.write_text(json.dumps(line) + "\n")
+        pool = PromptPool.load(path)
+        pool.insert(unit([1.0, 0.0]), prompt(), 0, "a")
+        pool.refine()
+        assert pool._last[:2].tolist() == [2**62 - 1, 2**62]
 
     def test_snapshot_line_is_json_of_to_dict(self, tmp_path):
         # One number format: prompt values at stored precision, keys as the
@@ -496,9 +549,8 @@ class TestPersistence:
         path = tmp_path / "pool.jsonl"
         pool.save(path)
         expected = ['{"next_id":2}'] + [
-            json.dumps({**e.to_dict(), "key": vector_text(e.key),
-                        "last_retrieved": e.last_retrieved},
-                       separators=(",", ":")) for e in pool.entries()]
+            json.dumps({**e.to_dict(), "key": vector_text(e.key), "last_retrieved": stamp},
+                       separators=(",", ":")) for stamp, e in enumerate(pool.entries(), 1)]
         assert path.read_text().splitlines() == expected
 
     def test_legacy_17_digit_snapshot_loads_identical_prompts(self, tmp_path):
@@ -581,10 +633,11 @@ class TestLegacySnapshot:
         for d, e in zip(stored, pool.entries()):
             assert e.key.tobytes() == np.array(d["key"]).tobytes()
             if "deferred" in d:
-                assert e.value.query.tobytes() == np.array(d["deferred"]["query"]).tobytes()
+                assert e.value == DeferredMarker(d["deferred"]["agent_id"])
             else:
                 assert e.value == TokenPrompt.from_dict(d["value"])
-            assert e.last_retrieved == d["last_retrieved"]
+        stamps = [d["last_retrieved"] for d in stored]
+        assert pool._last[: len(stored)].tolist() == stamps and pool._clock == max(stamps)
 
     def test_load_save_load_changes_no_entry_and_no_ranking(self, tmp_path):
         first = PromptPool.load(LEGACY_SNAPSHOT)
@@ -593,15 +646,14 @@ class TestLegacySnapshot:
         assert "[" not in path.read_text().split('"key":')[1].split(",")[0]  # now base64
         second = PromptPool.load(path)
         assert [e.to_dict() for e in second.entries()] == [e.to_dict() for e in first.entries()]
-        assert [e.last_retrieved for e in second.entries()] == [
-            e.last_retrieved for e in first.entries()]
+        assert second._last[:4].tolist() == first._last[:4].tolist()
         second.save(tmp_path / "again.jsonl")
         assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
         rng = np.random.default_rng(3)
         for _ in range(50):
             q = rng.normal(size=8)
-            assert ([e.entry_id for e in first.query_topn(q, 3, step=9)]
-                    == [e.entry_id for e in second.query_topn(q, 3, step=9)])
+            assert ([e.entry_id for e in first.query_topn(q, 3)]
+                    == [e.entry_id for e in second.query_topn(q, 3)])
 
 
 # -- equivalence with the per-entry loops ---------------------------------------
@@ -609,12 +661,15 @@ class TestLegacySnapshot:
 
 class ReferencePool:
     """The pool as plain loops over its entries: the definition the key matrix
-    must reproduce (ranking, merge target, eviction order, snapshot reload)."""
+    must reproduce (ranking, merge target, eviction order, snapshot reload).
+    Recency is a dict of stamps from one clock that inserts and queries tick."""
 
     def __init__(self, config: PoolConfig):
         self.config = config
         self.refined: list[PoolEntry] = []
         self.pending: list[PoolEntry] = []
+        self.last: dict[int, int] = {}
+        self.clock = 0
         self.next_id = 0
 
     @staticmethod
@@ -623,18 +678,20 @@ class ReferencePool:
         return key / float(np.linalg.norm(key))
 
     def insert(self, key, value, timestamp, agent_id):
-        self.pending.append(PoolEntry(self.next_id, self.unit(key), value, timestamp,
-                                      agent_id, last_retrieved=timestamp))
+        self.clock += 1
+        self.last[self.next_id] = self.clock
+        self.pending.append(PoolEntry(self.next_id, self.unit(key), value, timestamp, agent_id))
         self.next_id += 1
 
-    def query_topn(self, q, n, step):
+    def query_topn(self, q, n):
+        self.clock += 1
         qn = self.unit(q)
         sims = [float(qn @ e.key) for e in self.refined]
         order = sorted(range(len(self.refined)),
                        key=lambda i: (-sims[i], self.refined[i].entry_id))
         hits = [self.refined[i] for i in order[: max(0, n)]]
         for e in hits:
-            e.last_retrieved = max(e.last_retrieved, step)
+            self.last[e.entry_id] = self.clock
         return [e.entry_id for e in hits]
 
     def refine(self):
@@ -649,20 +706,22 @@ class ReferencePool:
                 if (sims[idx] >= self.config.merge_threshold
                         and not old.is_deferred and not entry.is_deferred
                         and old.value.values.shape == entry.value.values.shape):
-                    old.value = TokenPrompt(
-                        (1.0 - eta) * np.asarray(old.value.values, dtype=np.float64)
-                        + eta * np.asarray(entry.value.values, dtype=np.float64),
-                        dtype=old.value.dtype)
-                    old.key = self.unit((1.0 - eta) * old.key + eta * entry.key)
-                    old.timestamp = max(old.timestamp, entry.timestamp)
-                    old.last_retrieved = max(old.last_retrieved, entry.last_retrieved)
-                    old.agent_id = ",".join(sorted(set(old.agent_id.split(","))
-                                                   | set(entry.agent_id.split(","))))
+                    self.refined[idx] = PoolEntry(
+                        old.entry_id,
+                        self.unit((1.0 - eta) * old.key + eta * entry.key),
+                        TokenPrompt((1.0 - eta) * np.asarray(old.value.values, dtype=np.float64)
+                                    + eta * np.asarray(entry.value.values, dtype=np.float64),
+                                    dtype=old.value.dtype),
+                        max(old.timestamp, entry.timestamp),
+                        ",".join(sorted(set(old.agent_id.split(","))
+                                        | set(entry.agent_id.split(",")))))
+                    self.last[old.entry_id] = max(self.last[old.entry_id],
+                                                  self.last[entry.entry_id])
                     continue
             self.refined.append(entry)
         while len(self.refined) > self.config.capacity:
             victim = min(self.refined,
-                         key=lambda e: (e.last_retrieved, e.timestamp, e.entry_id))
+                         key=lambda e: (self.last[e.entry_id], e.timestamp, e.entry_id))
             self.refined.remove(victim)
 
     def drop(self, entry_id):
@@ -670,10 +729,12 @@ class ReferencePool:
         self.pending = [e for e in self.pending if e.entry_id != entry_id]
 
     def reload(self):
-        """save() then load(): refine, sort by id, keep retrieval stamps,
-        keys and the next id, so no id is handed out twice."""
+        """save() then load(): refine, sort by id, keep recency stamps, keys
+        and the next id, so no id is handed out twice; the clock resumes
+        after the largest stamp kept."""
         self.refine()
         self.refined.sort(key=lambda e: e.entry_id)
+        self.clock = max((self.last[e.entry_id] for e in self.refined), default=0)
 
 
 def assert_same_pool(pool: PromptPool, ref: ReferencePool):
@@ -683,11 +744,13 @@ def assert_same_pool(pool: PromptPool, ref: ReferencePool):
     assert pool.refined_size == len(ref.refined)
     for a, b in zip(got, want):
         assert np.max(np.abs(a.key - b.key)) <= 1e-12
-        assert a.last_retrieved == b.last_retrieved
         assert a.timestamp == b.timestamp and a.agent_id == b.agent_id
         assert a.is_deferred == b.is_deferred
         if not a.is_deferred:
             assert a.value == b.value
+    stamps = pool._last[: pool.refined_size].tolist() + [s for _, s in pool._pending.values()]
+    assert stamps == [ref.last[e.entry_id] for e in want]
+    assert pool._clock == ref.clock
 
 
 OPS = ("insert",) * 6 + ("refine", "query", "query", "drop", "reload")
@@ -718,7 +781,7 @@ class TestMatrixEquivalence:
                 if rng.random() < 0.3:
                     key = key + rng.normal(scale=1e-3, size=dim)
                 if rng.random() < 0.3:
-                    value = DeferredMarker(key, "d")
+                    value = DeferredMarker("d")
                 else:
                     value = prompt(rows=int(rng.integers(1, 4)), dim=2,
                                    fill=float(rng.integers(0, 4)))
@@ -734,9 +797,9 @@ class TestMatrixEquivalence:
                     continue
                 q = palette[rng.integers(6)] + rng.normal(scale=rng.choice([0.0, 0.5]),
                                                          size=dim)
-                n, step = int(rng.integers(0, 5)), t + 8
-                got = [e.entry_id for e in pool.query_topn(q, n, step=step)]
-                assert got == ref.query_topn(q, n, step)
+                n = int(rng.integers(0, 5))
+                got = [e.entry_id for e in pool.query_topn(q, n)]
+                assert got == ref.query_topn(q, n)
             elif op == "drop":
                 victim = int(rng.integers(0, max(ref.next_id, 1)))
                 pool.drop(victim)
@@ -754,7 +817,7 @@ class TestMatrixEquivalence:
 
 
 class TestStampMirrors:
-    """The eviction stamps and ``entry_ids()`` follow every change to the pool."""
+    """The id, timestamp and recency mirrors follow every change to the pool."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_mirrors_match_the_entries(self, tmp_path, seed):
@@ -765,9 +828,10 @@ class TestStampMirrors:
         seen = {"merges": 0, "evictions": 0}
         for t in range(200):
             op = rng.choice(OPS)
+            hits = []
             if op == "insert":
                 key = palette[rng.integers(4)] + rng.normal(scale=0.05, size=3)
-                value = DeferredMarker(key, "d") if rng.random() < 0.2 else prompt(dim=2)
+                value = DeferredMarker("d") if rng.random() < 0.2 else prompt(dim=2)
                 pool.insert(key, value, timestamp=int(rng.integers(0, 50)), agent_id="a")
             elif op == "refine":
                 before = pool.size
@@ -775,16 +839,20 @@ class TestStampMirrors:
                 seen["evictions"] += before > config.capacity
                 seen["merges"] += pool.size < min(before, config.capacity)
             elif op == "query" and pool.size:
-                pool.query_topn(palette[rng.integers(4)], int(rng.integers(1, 4)), step=t)
+                hits = pool.query_topn(palette[rng.integers(4)], int(rng.integers(1, 4)))
             elif op == "drop":
-                pool.drop(int(rng.choice(pool.entry_ids())) if pool.size else 0)
+                ids = [e.entry_id for e in pool.entries()]
+                pool.drop(int(rng.choice(ids)) if ids else 0)
             elif op == "reload":
                 pool.save(tmp_path / "pool.jsonl")
                 pool = PromptPool.load(tmp_path / "pool.jsonl", config)
             refined = pool.entries()[: pool.refined_size]
             n = len(refined)
-            assert pool.entry_ids().dtype == np.int64
-            assert pool.entry_ids().tolist() == [e.entry_id for e in pool.entries()]
-            assert pool._last[:n].tolist() == [e.last_retrieved for e in refined]
+            assert pool._ids[:n].tolist() == [e.entry_id for e in refined]
             assert pool._times[:n].tolist() == [e.timestamp for e in refined]
+            assert all(pool.get(e.entry_id) is e for e in pool.entries())
+            assert int(pool._last[:n].max(initial=0)) <= pool._clock
+            stamped = {e.entry_id for e in hits}
+            assert all(pool._last[i] == pool._clock for i in range(n)
+                       if pool._ids[i] in stamped)
         assert min(seen.values()) > 0, seen
