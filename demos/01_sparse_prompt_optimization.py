@@ -3,11 +3,12 @@
 A synthetic scene is rendered under a channel-wise appearance shift, the
 most uncertain pixels are located with Monte-Carlo dropout, and the
 additive RGB offsets at those pixels are optimized to minimize mean
-prediction entropy -- once with the literal elite estimation-of-
-distribution update and once with full covariance matrix adaptation.
+prediction entropy -- once with each update mode: full covariance
+matrix adaptation, its diagonal (separable) form that massive agents run,
+and the literal elite estimation-of-distribution update.
 """
 
-from adaptfly.cmaes import CmaConfig, masked_mean_entropy, optimize_svp
+from adaptfly.cmaes import MODES, CmaConfig, masked_mean_entropy, optimize_svp
 from adaptfly.oracle import (
     DomainSpec,
     make_toy_oracle,
@@ -37,8 +38,8 @@ budget = sparsity_budget(0.05, *oracle.frame_shape)
 coords = place_mask(umap, budget)
 print(f"\nprompt budget: {budget} pixels ({100 * budget / umap.size:.1f}% of the frame)")
 
-# Step 2: entropy-driven offset search, both update modes.
-for mode in ("elite-eda", "full-cma"):
+# Step 2: entropy-driven offset search, every update mode.
+for mode in MODES:
     config = CmaConfig(
         dimension=3 * budget, population=16, elite=4, generations=30,
         sigma0=0.3, mode=mode, seed=1,

@@ -25,7 +25,7 @@ import os
 import sys
 from pathlib import Path
 
-from .cmaes import BENCH_FUNCTIONS, run_benchmark
+from .cmaes import BENCH_FUNCTIONS, MODES, run_benchmark
 from .errors import AdaptflyError, parse_json
 from .fleet import (
     ScenarioConfig,
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="optimizer regression benchmarks")
     p_bench.add_argument("--function", required=True, help="sphere | rosenbrock")
     p_bench.add_argument("--n", type=int, required=True, help="problem dimension")
-    p_bench.add_argument("--mode", default="full-cma", help="full-cma | elite-eda")
+    p_bench.add_argument("--mode", default="full-cma", help=" | ".join(MODES))
     p_bench.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seeds")
     p_bench.add_argument("--max-evals", type=int, default=None)
     p_bench.add_argument("--target", type=float, default=None)

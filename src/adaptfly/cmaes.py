@@ -1,6 +1,6 @@
 """Gradient-free search over sparse-prompt offsets.
 
-Two update modes share one ask/tell interface:
+Three update modes share one ask/tell interface:
 
 * ``full-cma`` — rank-mu covariance matrix adaptation with log-rank
   weights, cumulative step-size adaptation and a rank-one evolution path,
@@ -8,6 +8,11 @@ Two update modes share one ask/tell interface:
   Cholesky-factored after every generation (any A with A A^T = C samples
   correctly), and the step-size path is whitened with the population's own
   standard-normal draws. Default.
+* ``sep-cma`` — the same update restricted to a diagonal covariance (Ros
+  and Hansen's separable CMA-ES): C is held as an (n,) vector, samples are
+  ``m + sigma * z * sqrt(C)``, the rank-one and rank-mu terms are
+  element-wise squares, and the covariance learning rates are scaled by
+  (n + 2) / 3. O(n) per sample and no factorization.
 * ``elite-eda`` — the literal loop this library's fleet pseudocode calls
   for: mean and covariance re-estimated from the elite samples each
   generation, no step-size path.
@@ -43,7 +48,7 @@ __all__ = [
     "BenchResult",
 ]
 
-MODES = ("full-cma", "elite-eda")
+MODES = ("full-cma", "sep-cma", "elite-eda")
 
 # Early stopping for optimize_svp: stop when the best-so-far fitness
 # improves by less than TOL_F over a 5-generation window.
@@ -56,7 +61,7 @@ class CmaConfig:
     """Search configuration.
 
     ``population`` and ``elite`` default to 4 + floor(3 ln n) and half the
-    population in full-cma mode, the customary choices. The elite-eda mode
+    population in the CMA modes, the customary choices. The elite-eda mode
     re-estimates its covariance from the elites alone each generation, so
     its defaults are far larger (max(128, 24 n) and a quarter of that) to
     avoid premature collapse.
@@ -103,23 +108,24 @@ class CmaState:
 
     config: CmaConfig
     mean: np.ndarray
-    cov: np.ndarray
+    cov: np.ndarray            # (n, n); sep-cma: its (n,) diagonal
     sigma: float
-    path_sigma: np.ndarray     # full-cma only
-    path_cov: np.ndarray       # full-cma only
+    path_sigma: np.ndarray     # CMA modes only
+    path_cov: np.ndarray       # CMA modes only
     generation: int = 0
     best_vector: np.ndarray | None = None
     best_fitness: float = math.inf
-    # A with A A^T = C.
+    # A with A A^T = C; dense modes only.
     _sample_factor: np.ndarray | None = field(default=None, repr=False)
-    _rates: tuple | None = field(default=None, repr=False)  # full-cma only
+    _rates: tuple | None = field(default=None, repr=False)  # CMA modes only
     # The population cma_ask last returned and the standard normals behind it.
     _asked: np.ndarray | None = field(default=None, repr=False)
     _z: np.ndarray | None = field(default=None, repr=False)
 
 
 def _factor(state: CmaState) -> None:
-    """Cache a sampling factor A with A A^T = C.
+    """Cache a sampling factor A with A A^T = C, in the dense modes only
+    (sep-cma samples with the square root of its diagonal).
 
     full-cma takes the Cholesky factor. elite-eda, and full-cma when
     Cholesky fails (a covariance that is not numerically positive
@@ -149,6 +155,8 @@ def _factor(state: CmaState) -> None:
 def _full_cma_rates(cfg: CmaConfig) -> tuple:
     """Recombination weights and learning rates of the full-cma update.
 
+    sep-cma takes the same rates with c_1 and c_mu scaled by (n + 2) / 3,
+    c_mu capped at 1 - c_1 as in the dense update.
     Returns (weights, mu_eff, c_sigma, d_sigma, c_c, c_1, c_mu, chi_n).
     """
     n, mu = cfg.dimension, cfg.elite
@@ -163,19 +171,22 @@ def _full_cma_rates(cfg: CmaConfig) -> tuple:
     c_mu = min(
         1.0 - c_1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((n + 2.0) ** 2 + mu_eff)
     )
+    if cfg.mode == "sep-cma":
+        c_1 *= (n + 2.0) / 3.0
+        c_mu = min(1.0 - c_1, c_mu * (n + 2.0) / 3.0)
     chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n**2))
     return weights, mu_eff, c_sigma, d_sigma, c_c, c_1, c_mu, chi_n
 
 
 def cma_init(config: CmaConfig) -> CmaState:
-    """Fresh state: mean at the origin, covariance sigma0^2 * I."""
+    """Fresh state: mean at the origin, search covariance sigma0^2 * I."""
     n = config.dimension
     if config.mode == "elite-eda":
         # The covariance itself carries the scale; sigma stays 1.
         cov = np.eye(n) * config.sigma0**2
         sigma = 1.0
     else:
-        cov = np.eye(n)
+        cov = np.ones(n) if config.mode == "sep-cma" else np.eye(n)
         sigma = config.sigma0
     state = CmaState(
         config=config,
@@ -184,9 +195,10 @@ def cma_init(config: CmaConfig) -> CmaState:
         sigma=sigma,
         path_sigma=np.zeros(n),
         path_cov=np.zeros(n),
-        _rates=_full_cma_rates(config) if config.mode == "full-cma" else None,
+        _rates=None if config.mode == "elite-eda" else _full_cma_rates(config),
     )
-    _factor(state)
+    if config.mode != "sep-cma":
+        _factor(state)
     return state
 
 
@@ -195,12 +207,16 @@ def cma_ask(state: CmaState, rng: np.random.Generator) -> np.ndarray:
 
     Returns a (population, n) array; deterministic given the rng stream.
     The distribution is left unchanged; the state keeps this population and
-    its standard-normal draws, which a full-cma ``cma_tell`` needs.
+    its standard-normal draws, which a CMA-mode ``cma_tell`` needs.
     """
     cfg = state.config
     z = rng.standard_normal((cfg.population, cfg.dimension))
     state._z = z
-    state._asked = state.mean[None, :] + state.sigma * (z @ state._sample_factor.T)
+    if cfg.mode == "sep-cma":
+        steps = z * np.sqrt(state.cov)
+    else:
+        steps = z @ state._sample_factor.T
+    state._asked = state.mean[None, :] + state.sigma * steps
     return state._asked.copy()
 
 
@@ -209,7 +225,7 @@ def cma_tell(state: CmaState, candidates: np.ndarray, fitnesses: np.ndarray) -> 
 
     Mutates and returns the state. Candidates are ranked ascending by
     fitness (lower is better); the best-so-far record is updated from this
-    population. In full-cma mode the candidates must be the population
+    population. In the CMA modes the candidates must be the population
     ``cma_ask`` last returned (ConfigError otherwise), since the step-size
     path is whitened with the draws behind them.
     """
@@ -222,8 +238,8 @@ def cma_tell(state: CmaState, candidates: np.ndarray, fitnesses: np.ndarray) -> 
         )
     if not np.all(np.isfinite(fitnesses)):
         raise FitnessError("non-finite fitness in population")
-    if cfg.mode == "full-cma" and not np.array_equal(candidates, state._asked):
-        raise ConfigError("full-cma tell needs the population cma_ask last returned")
+    if cfg.mode != "elite-eda" and not np.array_equal(candidates, state._asked):
+        raise ConfigError(f"{cfg.mode} tell needs the population cma_ask last returned")
 
     order = np.argsort(fitnesses, kind="stable")
     if fitnesses[order[0]] < state.best_fitness:
@@ -234,9 +250,10 @@ def cma_tell(state: CmaState, candidates: np.ndarray, fitnesses: np.ndarray) -> 
     if cfg.mode == "elite-eda":
         _tell_elite_eda(state, candidates[elite])
     else:
-        _tell_full_cma(state, candidates[elite], state._z[elite])
+        _tell_cma(state, candidates[elite], state._z[elite])
     state.generation += 1
-    _factor(state)
+    if cfg.mode != "sep-cma":
+        _factor(state)
     return state
 
 
@@ -250,11 +267,13 @@ def _tell_elite_eda(state: CmaState, elites: np.ndarray) -> None:
     state.sigma = 1.0
 
 
-def _tell_full_cma(state: CmaState, elites: np.ndarray, elite_z: np.ndarray) -> None:
+def _tell_cma(state: CmaState, elites: np.ndarray, elite_z: np.ndarray) -> None:
     """Rank-mu / rank-one update of mean, step size, paths and covariance.
 
     The step-size path takes A^-1 y_w for the factor A that sampled the
     population, which is the weighted mean of the elites' draws ``elite_z``.
+    sep-cma keeps only the diagonal of each covariance term, clipped to
+    ``cov_floor``.
     """
     cfg = state.config
     n = cfg.dimension
@@ -278,12 +297,15 @@ def _tell_full_cma(state: CmaState, elites: np.ndarray, elite_z: np.ndarray) -> 
 
     decay = 1.0 - c_1 - c_mu
     rank_one_adj = (1.0 - h_sigma) * c_c * (2.0 - c_c)
-    rank_mu = (ys.T * weights) @ ys
-    state.cov = (
-        (decay + c_1 * rank_one_adj) * state.cov
-        + c_1 * np.outer(state.path_cov, state.path_cov)
-        + c_mu * rank_mu
-    )
+    kept = (decay + c_1 * rank_one_adj) * state.cov
+    if cfg.mode == "sep-cma":
+        rank_mu = weights @ ys**2
+        state.cov = np.maximum(
+            kept + c_1 * state.path_cov**2 + c_mu * rank_mu, cfg.cov_floor
+        )
+    else:
+        rank_mu = (ys.T * weights) @ ys
+        state.cov = kept + c_1 * np.outer(state.path_cov, state.path_cov) + c_mu * rank_mu
 
     state.mean = state.mean + state.sigma * y_w
     state.sigma = state.sigma * math.exp((c_sigma / d_sigma) * (ps_norm / chi_n - 1.0))

@@ -35,6 +35,11 @@ __all__ = [
 
 TRANSPORTS = ("inproc", "stream")
 KINDS = ("limited", "massive")
+# A massive agent's search mode unless its cma object names one. At a
+# search's dimension (3 offsets per prompt pixel) a dense covariance learns
+# almost nothing in a few dozen generations; the diagonal model needs no
+# factorization.
+MASSIVE_SEARCH_MODE = "sep-cma"
 
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 _ORACLE_ARGUMENTS = inspect.signature(make_toy_oracle)
@@ -161,11 +166,13 @@ class AgentSpec:
             raise ConfigError(f"delta_refresh must be non-negative, got {self.delta_refresh!r}")
 
     def search_config(self, height: int, width: int) -> CmaConfig:
-        """``cma`` at three offsets per sparsity_budget(rho, height, width) pixel."""
+        """``cma`` at three offsets per sparsity_budget(rho, height, width)
+        pixel, in MASSIVE_SEARCH_MODE unless ``cma`` names a mode."""
         if not self.rho > 0:
             raise ConfigError(f"a massive agent's rho must be positive, got {self.rho!r}")
         dimension = 3 * sparsity_budget(self.rho, height, width)
-        return _build("cma", CmaConfig, dimension=dimension, **self.cma)
+        return _build("cma", CmaConfig, dimension=dimension,
+                      **{"mode": MASSIVE_SEARCH_MODE, **self.cma})
 
     @property
     def total_frames(self) -> int:
@@ -214,15 +221,19 @@ class ScenarioConfig:
             raise ConfigError("agent ids must be unique")
         if not self.agents:
             raise ConfigError("scenario needs at least one agent")
-        for i, (agent, _) in enumerate(self.faults):
-            if agent not in ids:
-                raise ConfigError(f"faults[{i}]: agent {agent!r} is not an agent of the scenario")
         _build("calibration", check_quantile, quantile=self.calibration_quantile)
         lengths = {a.total_frames for a in self.agents}
         if len(lengths) != 1:
             raise ConfigError(
                 f"all agents must stream the same number of frames, got {sorted(lengths)}"
             )
+        for i, (agent, step) in enumerate(self.faults):
+            if agent not in ids:
+                raise ConfigError(f"faults[{i}]: agent {agent!r} is not an agent of the scenario")
+            if not 0 <= step < self.total_frames:
+                raise ConfigError(
+                    f"faults[{i}]: step {step} must lie in [0, total_frames = {self.total_frames})"
+                )
         known = {d.id for d in self.domains}
         if len(known) != len(self.domains):
             raise ConfigError("domain ids must be unique")

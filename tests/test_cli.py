@@ -110,6 +110,17 @@ class TestBench:
             assert fields[0] == "sphere" and int(fields[1]) == 6
             assert float(fields[5]) < 1e-8
 
+    def test_every_search_mode_is_listed_and_runs(self, capsys):
+        from adaptfly.cmaes import MODES
+
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
+        assert " | ".join(MODES) in capsys.readouterr().out
+        for mode in MODES:
+            assert main(["bench", "--function", "sphere", "--n", "4", "--mode", mode,
+                         "--seeds", "0", "--max-evals", "1000"]) == 0
+            assert capsys.readouterr().out.splitlines()[1].split(",")[2] == mode
+
     def test_unknown_function_exits_2(self, capsys):
         assert main(["bench", "--function", "ackley", "--n", "5"]) == 2
         assert "ackley" in capsys.readouterr().err
@@ -314,6 +325,7 @@ class TestMalformedConfigs:
         ("calibration.frames", 35, "calibration.frames "),
         ("calibration.quantile", 0, "calibration: quantile "),
         ("faults", [{"agent": "__controller__", "step": 1}], "faults[0]: "),
+        ("faults", [{"agent": "uav-h1", "step": -1}], "faults[0]: step -1"),
         ("oracle.height", 30, "oracle: "),
         ("agents.0.rho", 0, "agents[0]: "),
         ("agents.0.dropout_rate", 1.0, "agents[0]: "),

@@ -217,6 +217,7 @@ class TestTell:
     @pytest.mark.parametrize("mode, expected", [
         ("full-cma", 31),  # cma_init, then every generation
         ("elite-eda", 31),
+        ("sep-cma", 0),    # samples with the square root of its diagonal
     ])
     def test_factorizations_per_search(self, monkeypatch, mode, expected):
         import adaptfly.cmaes as cmaes_mod
@@ -260,6 +261,125 @@ class TestTell:
             state = cma_tell(state, cands, rosenbrock(cands))
             best.append(state.best_fitness)
         assert all(b1 >= b2 for b1, b2 in zip(best, best[1:]))
+
+
+def ros_hansen_step(cfg, mean, sigma, path_sigma, path_cov, cov, generation,
+                    candidates, fitnesses):
+    """One separable CMA-ES update in plain Python loops over floats.
+
+    Ros & Hansen (PPSN 2008): the tutorial's rates and paths with a
+    diagonal covariance, whose learning rates c_1 and c_mu are scaled by
+    (n + 2) / 3. The draws behind each elite are recovered from its step
+    as y / sqrt(C), not taken from the library. Written apart from the
+    library on purpose; returns (mean, sigma, path_sigma, path_cov, cov).
+    """
+    n, mu = cfg.dimension, cfg.elite
+    raw = [math.log(mu + 0.5) - math.log(i) for i in range(1, mu + 1)]
+    w = [r / sum(raw) for r in raw]
+    mu_eff = 1.0 / sum(wi * wi for wi in w)
+    c_s = (mu_eff + 2.0) / (n + mu_eff + 5.0)
+    d_s = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (n + 1.0)) - 1.0) + c_s
+    c_c = (4.0 + mu_eff / n) / (n + 4.0 + 2.0 * mu_eff / n)
+    c_1_dense = 2.0 / ((n + 1.3) ** 2 + mu_eff)
+    c_mu_dense = min(1.0 - c_1_dense,
+                     2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((n + 2.0) ** 2 + mu_eff))
+    c_1 = c_1_dense * (n + 2.0) / 3.0
+    c_mu = min(1.0 - c_1, c_mu_dense * (n + 2.0) / 3.0)
+    chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
+
+    order = sorted(range(len(fitnesses)), key=lambda k: fitnesses[k])[:mu]
+    ys = [[(candidates[k][j] - mean[j]) / sigma for j in range(n)] for k in order]
+    y_w = [sum(w[i] * ys[i][j] for i in range(mu)) for j in range(n)]
+    z_w = [y_w[j] / math.sqrt(cov[j]) for j in range(n)]
+
+    a = math.sqrt(c_s * (2.0 - c_s) * mu_eff)
+    ps = [(1.0 - c_s) * path_sigma[j] + a * z_w[j] for j in range(n)]
+    ps_norm = math.sqrt(sum(v * v for v in ps))
+    h = ps_norm / math.sqrt(1.0 - (1.0 - c_s) ** (2 * (generation + 1))) < (
+        1.4 + 2.0 / (n + 1.0)) * chi_n
+    b = math.sqrt(c_c * (2.0 - c_c) * mu_eff) if h else 0.0
+    pc = [(1.0 - c_c) * path_cov[j] + b * y_w[j] for j in range(n)]
+    keep = 1.0 - c_1 - c_mu + (0.0 if h else c_1 * c_c * (2.0 - c_c))
+    new_cov = []
+    for j in range(n):
+        rank_mu = sum(w[i] * ys[i][j] ** 2 for i in range(mu))
+        new_cov.append(max(cfg.cov_floor, keep * cov[j] + c_1 * pc[j] ** 2 + c_mu * rank_mu))
+    new_mean = [mean[j] + sigma * y_w[j] for j in range(n)]
+    new_sigma = sigma * math.exp((c_s / d_s) * (ps_norm / chi_n - 1.0))
+    return new_mean, new_sigma, ps, pc, new_cov
+
+
+def ellipsoid(v: np.ndarray) -> np.ndarray:
+    """Axis-aligned ellipsoid with condition number 1e6. Accepts (m, n) batches."""
+    v = np.atleast_2d(v)
+    return np.sum(1e6 ** (np.arange(v.shape[1]) / (v.shape[1] - 1)) * v**2, axis=1)
+
+
+class TestSepCma:
+    @pytest.mark.parametrize("n, population, elite, warm", [
+        (7, 10, 5, 4),
+        (2, 40, 20, 3),   # c_mu capped at 1 - c_1 after scaling
+        (153, 16, 8, 6),  # a massive agent's search
+    ])
+    def test_tell_matches_plain_loop_reference(self, n, population, elite, warm):
+        cfg = CmaConfig(dimension=n, population=population, elite=elite, mode="sep-cma",
+                        seed=n)
+        state = cma_init(cfg)
+        rng = np.random.default_rng(n)
+        for _ in range(warm):  # non-zero paths and a non-identity diagonal
+            cands = cma_ask(state, rng)
+            state = cma_tell(state, cands, ellipsoid(cands))
+        assert state.cov.shape == (n,) and np.ptp(state.cov) > 0
+        before = (state.mean.tolist(), state.sigma, state.path_sigma.tolist(),
+                  state.path_cov.tolist(), state.cov.tolist(), state.generation)
+        cands = cma_ask(state, rng)
+        fits = ellipsoid(cands)
+        expected = ros_hansen_step(cfg, *before, cands.tolist(), fits.tolist())
+        state = cma_tell(state, cands, fits)
+        got = (state.mean, state.sigma, state.path_sigma, state.path_cov, state.cov)
+        for g, e in zip(got, expected):
+            np.testing.assert_allclose(g, e, rtol=1e-12, atol=1e-12)
+
+    def test_samples_scale_with_the_diagonal(self):
+        cfg = CmaConfig(dimension=3, population=200_000, sigma0=0.5, mode="sep-cma", seed=0)
+        state = cma_init(cfg)
+        np.testing.assert_array_equal(state.cov, np.ones(3))
+        state.cov = np.array([4.0, 1.0, 0.25])
+        samples = cma_ask(state, np.random.default_rng(0))
+        np.testing.assert_allclose(samples.std(axis=0), 0.5 * np.sqrt(state.cov), rtol=0.01)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sphere_within_criterion_one_budget(self, seed):
+        r = run_benchmark("sphere", 20, "sep-cma", seed, max_evaluations=10_000, target=1e-8)
+        assert r.best_fitness < 1e-8 and r.evaluations <= 10_000
+
+    def test_rejects_foreign_candidates(self):
+        cfg = CmaConfig(dimension=4, population=6, elite=3, mode="sep-cma", seed=0)
+        state = cma_init(cfg)
+        with pytest.raises(ConfigError, match="sep-cma"):
+            cma_tell(state, np.zeros((6, 4)), np.zeros(6))  # nothing asked yet
+        rng = np.random.default_rng(0)
+        cands = cma_ask(state, rng)
+        with pytest.raises(ConfigError):
+            cma_tell(state, cands + 1e-3, sphere(cands))
+        cma_ask(state, rng)
+        with pytest.raises(ConfigError):
+            cma_tell(state, cands, sphere(cands))  # an earlier population
+
+    @pytest.mark.parametrize("floor", [1e-2, 0.5])
+    def test_diagonal_clipped_at_cov_floor(self, floor):
+        # The ellipsoid's steep axes pull their variances down to the floor.
+        cfg = CmaConfig(dimension=8, population=10, elite=5, mode="sep-cma",
+                        cov_floor=floor, seed=3)
+        state = cma_init(cfg)
+        rng = np.random.default_rng(3)
+        clipped = 0
+        for _ in range(60):
+            cands = cma_ask(state, rng)
+            state = cma_tell(state, cands, ellipsoid(cands))
+            assert state.cov.min() >= floor
+            clipped += int(np.sum(state.cov == floor))
+        assert clipped > 0
 
 
 class TestConvergence:

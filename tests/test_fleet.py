@@ -1,5 +1,9 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +107,37 @@ class TestScenarioBasics:
         assert any(r.pool_size > 0 for r in result.records)
 
 
+# Writes metrics.csv of reference_config(0) and (1) into the directory argv[1].
+_WRITE_REFERENCE_METRICS = """
+import sys
+from pathlib import Path
+from adaptfly.fleet import metrics_csv, reference_config, run_scenario
+for seed in (0, 1):
+    text = metrics_csv(run_scenario(reference_config(seed)).records)
+    (Path(sys.argv[1]) / f"metrics-{seed}.csv").write_text(text, encoding="utf-8")
+"""
+
+
+class TestBlasThreads:
+    def test_reference_metrics_identical_under_one_and_two_blas_threads(self, tmp_path):
+        # OpenBLAS reads its thread count once, at load, so each count gets
+        # its own interpreter. The default massive-agent search makes no
+        # call whose result depends on it.
+        import adaptfly
+
+        src = str(Path(adaptfly.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            subprocess.run([sys.executable, "-c", _WRITE_REFERENCE_METRICS, str(out)],
+                           env=env, check=True, timeout=300)
+        for seed in (0, 1):
+            name = f"metrics-{seed}.csv"
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 class TestConfigValidation:
     def test_unknown_scenario_key(self):
         cfg = mini_config()
@@ -174,6 +209,11 @@ OUT_OF_RANGE = [
     ("faults", [{"agent": "__controller__", "step": 1}], "faults[0]: agent '__controller__'"),
     ("faults", [{"agent": "uav-l1", "step": 1}, {"agent": "uav-l3", "step": 2}],
      "faults[1]: agent 'uav-l3'"),
+    # A fault at a step the scenario never reaches would silently never fire.
+    ("faults", [{"agent": "uav-h1", "step": -1}],
+     "faults[0]: step -1 must lie in [0, total_frames = 80)"),
+    ("faults", [{"agent": "uav-h1", "step": 0}, {"agent": "uav-l1", "step": 80}],
+     "faults[1]: step 80 must lie in [0, total_frames = 80)"),
 ]
 
 
@@ -185,6 +225,11 @@ class TestRejectedAtParse:
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict(cfg)
         assert str(err.value).startswith(named)
+
+    def test_fault_steps_at_the_ends_of_the_stream_are_accepted(self):
+        cfg = reference_config(seed=0)
+        cfg["faults"] = [{"agent": "uav-h1", "step": 0}, {"agent": "uav-l2", "step": 79}]
+        assert ScenarioConfig.from_dict(cfg).faults == (("uav-h1", 0), ("uav-l2", 79))
 
     def test_parsed_types_are_the_library_types(self):
         cfg = ScenarioConfig.from_dict(reference_config(seed=0))
@@ -282,7 +327,12 @@ class TestAgentKeys:
             assert (agent.tracker.smoothing, agent.tracker.warmup) == (
                 default["smoothing"], default["warmup"])
         budget = sparsity_budget(default["rho"], 32, 32)
-        assert massive.search == CmaConfig(dimension=3 * budget)
+        assert massive.search == CmaConfig(dimension=3 * budget, mode="sep-cma")
+        # A config that names a mode keeps it: a dense search stays available.
+        dense = copy.deepcopy(cfg)
+        dense["agents"][0]["cma"] = {"mode": "full-cma"}
+        spec = ScenarioConfig.from_dict(dense).agents[0]
+        assert spec.search_config(32, 32) == CmaConfig(dimension=3 * budget, mode="full-cma")
 
         class Recorded(Exception):
             pass
