@@ -10,6 +10,7 @@ function of (config, seed) regardless of the transport.
 from __future__ import annotations
 
 import io
+import logging
 import typing
 from dataclasses import dataclass
 
@@ -24,6 +25,8 @@ from .config import AgentSpec, ScenarioConfig
 from .mec import MecServer, ProvenanceLog
 from .messages import RefineTick
 from .transport import InprocClient, StreamClient
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "ScenarioResult",
@@ -77,19 +80,45 @@ def _clean_scores(cfg: ScenarioConfig, spec: AgentSpec, oracle: ToyOracle, frame
 
 
 def _calibrated_threshold(
-    cfg: ScenarioConfig, spec: AgentSpec, oracle: ToyOracle, domains: dict, agent_index: int
+    cfg: ScenarioConfig, spec: AgentSpec, oracle: ToyOracle, domains: dict
 ) -> float:
-    """Quantile threshold from a dedicated clean stream of the first domain."""
-    if not isinstance(spec.threshold, str):
-        return float(spec.threshold)
+    """Quantile threshold from a clean stream of the agent's first domain.
+
+    The stream is the same for every agent: negative frame indices keep it
+    disjoint from the scenario's own frames.
+    """
     domain = domains[spec.schedule[0].domain]
-    # Negative frame indices keep the calibration stream disjoint from the
-    # scenario's own frames.
     frames = (
-        render_frame(oracle, domain, frame_index=-(agent_index * 100_003 + i + 1))
+        render_frame(oracle, domain, frame_index=-(i + 1))
         for i in range(cfg.calibration_frames)
     )
     return calibrate_threshold(_clean_scores(cfg, spec, oracle, frames), cfg.calibration_quantile)
+
+
+def _thresholds(cfg: ScenarioConfig, oracle: ToyOracle, domains: dict) -> tuple[dict, int]:
+    """Each agent's detection threshold by id, and the number of clean
+    streams rendered; a numeric ``z`` is used as given.
+
+    Besides the run's own settings (KL variant, calibration frames and
+    quantile, oracle), a calibrated threshold depends only on the first
+    domain, the smoothing and the warmup, so agents with ``z: "auto"``
+    that share all three share one stream.
+    """
+    sharing: dict[tuple[str, float, int], list[AgentSpec]] = {}
+    thresholds = {}
+    for spec in cfg.agents:
+        if isinstance(spec.threshold, str):
+            key = (spec.schedule[0].domain, spec.smoothing, spec.warmup)
+            sharing.setdefault(key, []).append(spec)
+        else:
+            thresholds[spec.id] = float(spec.threshold)
+    for (domain, smoothing, warmup), specs in sharing.items():
+        z = _calibrated_threshold(cfg, specs[0], oracle, domains)
+        log.info("calibrated z=%r on domain %s (lambda=%r, warmup=%d, %d frames) for %s",
+                 z, domain, smoothing, warmup, cfg.calibration_frames,
+                 ", ".join(s.id for s in specs))
+        thresholds.update((s.id, z) for s in specs)
+    return thresholds, len(sharing)
 
 
 def run_scenario(config: dict | ScenarioConfig) -> ScenarioResult:
@@ -114,10 +143,10 @@ def run_scenario(config: dict | ScenarioConfig) -> ScenarioResult:
 
     controller = client_for("__controller__")
 
+    thresholds, streams = _thresholds(cfg, oracle, domains)
     agents = []
     for idx, spec in enumerate(cfg.agents):
-        threshold = _calibrated_threshold(cfg, spec, oracle, domains, idx)
-        tracker = _tracker(cfg, spec, threshold)
+        tracker = _tracker(cfg, spec, thresholds[spec.id])
         client = client_for(spec.id)
         if spec.kind == "limited":
             agent = LimitedAgent(spec, oracle, client, tracker)
@@ -139,7 +168,7 @@ def run_scenario(config: dict | ScenarioConfig) -> ScenarioResult:
             controller.send(RefineTick())
     controller.send(RefineTick())  # final flush of pending entries
 
-    summary = _summarize(cfg, records, pool)
+    summary = _summarize(cfg, records, pool, thresholds, streams)
     return ScenarioResult(config=cfg, records=records, pool=pool, summary=summary)
 
 
@@ -172,7 +201,8 @@ def adaptation_summary(records: list[StepRecord]) -> dict[str, dict[str, dict]]:
     return out
 
 
-def _summarize(cfg: ScenarioConfig, records: list[StepRecord], pool: PromptPool) -> dict:
+def _summarize(cfg: ScenarioConfig, records: list[StepRecord], pool: PromptPool,
+               thresholds: dict, streams: int) -> dict:
     split = adaptation_summary(records)
     agents = {}
     for spec in cfg.agents:
@@ -182,6 +212,7 @@ def _summarize(cfg: ScenarioConfig, records: list[StepRecord], pool: PromptPool)
             counts[r.adaptation_event] = counts.get(r.adaptation_event, 0) + 1
         agents[spec.id] = {
             "kind": spec.kind,
+            "threshold": thresholds[spec.id],
             "adaptation_counts": counts,
             "bytes_sent": int(sum(r.bytes_sent for r in rows)),
             "bytes_received": int(sum(r.bytes_received for r in rows)),
@@ -194,6 +225,7 @@ def _summarize(cfg: ScenarioConfig, records: list[StepRecord], pool: PromptPool)
         "frames": cfg.total_frames,
         "agents": agents,
         "pool_size": pool.size,
+        "calibration_streams": streams,
     }
 
 

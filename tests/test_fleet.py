@@ -1,5 +1,6 @@
 import copy
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from adaptfly.fleet import (
 from adaptfly.fleet.agents import RECORD_COLUMNS, LimitedAgent, MassiveAgent
 from adaptfly.fleet.config import AgentSpec, SegmentSpec
 from adaptfly.fleet.scenario import _calibrated_threshold
+from adaptfly.fleet import scenario as scenario_mod
 from adaptfly.fleet import transport as transport_mod
 from adaptfly.fleet.messages import REPLY_CACHE_ENTRIES, decode_message, encode_message
 from adaptfly.memory import PoolConfig, PromptPool
@@ -377,7 +379,7 @@ class TestCalibration:
                                kl_variant=cfg.kl_variant)
         scores = []
         for i in range(cfg.calibration_frames):
-            frame = render_frame(oracle, domain, frame_index=-(idx * 100_003 + i + 1))
+            frame = render_frame(oracle, domain, frame_index=-(i + 1))
             scores.append(detect(tracker, stats_of(oracle, frame))[1])
         return calibrate_threshold(scores[spec.warmup:], cfg.calibration_quantile)
 
@@ -387,10 +389,100 @@ class TestCalibration:
         oracle = make_toy_oracle(**cfg.oracle)
         domains = {d.id: d for d in cfg.domains}
         for idx, spec in enumerate(cfg.agents):
-            got = _calibrated_threshold(cfg, spec, oracle, domains, idx)
+            got = _calibrated_threshold(cfg, spec, oracle, domains)
             assert got == self._plain_loop(cfg, idx, lambda o, f: o.stem_stats(f))
             brute = self._plain_loop(cfg, idx, lambda o, f: compute_stats(o.stem_features(f)))
             assert got == pytest.approx(brute, rel=1e-9)
+
+
+def counted_calibration_frames(monkeypatch) -> list[int]:
+    """Frame indices of the clean calibration frames the scenario renders from now on."""
+    indices: list[int] = []
+
+    def counting(oracle, domain, frame_index=0, **kwargs):
+        if frame_index < 0:
+            indices.append(frame_index)
+        return render_frame(oracle, domain, frame_index=frame_index, **kwargs)
+
+    monkeypatch.setattr(scenario_mod, "render_frame", counting)
+    return indices
+
+
+def three_agent_config(seed=0, frames=6):
+    """mini_config plus a second limited agent, uav-l2, on the same schedule."""
+    cfg = mini_config(seed=seed, frames=frames)
+    cfg["agents"].append({**copy.deepcopy(cfg["agents"][1]), "id": "uav-l2"})
+    return cfg
+
+
+class TestSharedCalibration:
+    """One clean stream per distinct (first domain, lambda, warmup) in a run."""
+
+    def test_reference_config_renders_one_stream(self, monkeypatch):
+        indices = counted_calibration_frames(monkeypatch)
+        cfg = ScenarioConfig.from_dict(reference_config(seed=0))
+        result = run_scenario(cfg)
+        assert indices == [-(i + 1) for i in range(cfg.calibration_frames)]
+        assert result.summary["calibration_streams"] == 1
+        thresholds = {a["threshold"] for a in result.summary["agents"].values()}
+        assert len(thresholds) == 1
+
+    @pytest.mark.parametrize("key, value", [("lambda", 0.2), ("warmup", 5)])
+    def test_a_different_detector_setting_renders_a_second_stream(self, monkeypatch,
+                                                                   key, value):
+        cfg = three_agent_config()
+        cfg["agents"][2][key] = value
+        indices = counted_calibration_frames(monkeypatch)
+        result = run_scenario(cfg)
+        frames = ScenarioConfig.from_dict(cfg).calibration_frames
+        assert sorted(indices) == sorted(2 * [-(i + 1) for i in range(frames)])
+        assert result.summary["calibration_streams"] == 2
+        agents = result.summary["agents"]
+        assert agents["uav-h1"]["threshold"] == agents["uav-l1"]["threshold"]
+        assert agents["uav-l2"]["threshold"] != agents["uav-l1"]["threshold"]
+
+    def test_a_different_first_domain_renders_a_second_stream(self, monkeypatch):
+        cfg = three_agent_config()
+        cfg["agents"][2]["schedule"].reverse()  # dusk first, same total frames
+        indices = counted_calibration_frames(monkeypatch)
+        result = run_scenario(cfg)
+        assert len(indices) == 2 * ScenarioConfig.from_dict(cfg).calibration_frames
+        assert result.summary["calibration_streams"] == 2
+
+    def test_permuting_agents_keeps_every_threshold(self):
+        cfg = three_agent_config()
+        cfg["agents"][1]["lambda"] = 0.2
+        cfg["agents"][2]["schedule"].reverse()
+        permuted = copy.deepcopy(cfg)
+        permuted["agents"] = permuted["agents"][::-1]
+        a, b = run_scenario(cfg).summary, run_scenario(permuted).summary
+        assert a["calibration_streams"] == b["calibration_streams"] == 3
+        for agent_id in ("uav-h1", "uav-l1", "uav-l2"):
+            assert a["agents"][agent_id]["threshold"] == b["agents"][agent_id]["threshold"]
+
+    def test_numeric_z_renders_no_calibration_frame(self, monkeypatch):
+        cfg = three_agent_config()
+        for agent, z in zip(cfg["agents"], (0.5, 2.0, 3)):
+            agent["z"] = z
+        indices = counted_calibration_frames(monkeypatch)
+        result = run_scenario(cfg)
+        assert indices == []
+        assert result.summary["calibration_streams"] == 0
+        assert [a["threshold"] for a in result.summary["agents"].values()] == [0.5, 2.0, 3.0]
+
+    def test_one_info_line_per_stream_names_its_agents(self, caplog):
+        cfg = three_agent_config()
+        cfg["agents"][2]["lambda"] = 0.2
+        with caplog.at_level(logging.INFO, logger="adaptfly"):
+            result = run_scenario(cfg)
+        lines = [r.getMessage() for r in caplog.records if "calibrated" in r.getMessage()]
+        z = result.summary["agents"]["uav-h1"]["threshold"]
+        assert lines == [
+            f"calibrated z={z!r} on domain base (lambda=0.1, warmup=4, 120 frames)"
+            " for uav-h1, uav-l1",
+            f"calibrated z={result.summary['agents']['uav-l2']['threshold']!r} on domain base"
+            " (lambda=0.2, warmup=4, 120 frames) for uav-l2",
+        ]
 
 
 @pytest.fixture()
@@ -925,9 +1017,11 @@ class TestSummary:
     def test_summary_structure(self):
         result = run_scenario(mini_config(seed=0, frames=8))
         s = result.summary
-        assert set(s) == {"seed", "transport", "frames", "agents", "pool_size"}
+        assert set(s) == {"seed", "transport", "frames", "agents", "pool_size",
+                          "calibration_streams"}
         for agent_id, a in s["agents"].items():
             assert a["kind"] in ("limited", "massive")
+            assert a["threshold"] > 0
             assert set(a["domains"]) <= {"base", "dusk"}
             for dom in a["domains"].values():
                 assert dom["frames"] > 0
