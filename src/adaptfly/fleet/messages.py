@@ -20,20 +20,24 @@ written verbatim), in the same bytes the entry's ``wire_dict`` encodes
 to, encoded once per entry it serves. A reply holds no deferred entry:
 the server resolves or drops each one before it answers.
 
-A client decodes each served entry once: ``decode_message(frame,
-entries=cache)`` keeps every reply entry's exact text and the dict it
-parsed to in the client's ``cache`` (an LRU of ``REPLY_CACHE_ENTRIES``
-entry ids), and a later reply in ``compact_json``'s exact layout that holds
-the same text at an entry's place reuses that dict. Any other frame is
-parsed in full, so the message or ProtocolError does not depend on the
-cache. Cached dicts are shared by every reply holding them: read-only by
-contract, like the server's ``EncodedDict``.
+Each client connection keeps one table of pool entries at each of its two
+ends: an LRU of ``REPLY_CACHE_ENTRIES`` entry ids, touched in reply order,
+full entries and back-references alike. ``encode_message(reply,
+sent=table)`` writes an entry as the back-reference ``{"entry_id":N}``
+when it is the very ``EncodedDict`` last sent under N on the connection
+(a pool entry never changes, so a merge or a resolution is a new object
+and goes in full), and ``decode_message(frame, entries=table)`` expands
+each back-reference from the receiver's own table. Each end updates its
+table from the frames alone, so the two hold the same ids in the same
+order. A back-reference to an id the table does not hold, one decoded
+with no table, or one whose id is not an integer is a ProtocolError; a
+reply entry holding nothing but an ``entry_id`` always reads as a
+back-reference. Held dicts are shared by every reply that refers to
+them: read-only by contract, like the server's ``EncodedDict``.
 """
 
 from __future__ import annotations
 
-import json
-import re
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AdaptflyError, ProtocolError, parse_json
-from ..prompts import TokenPrompt, compact_json, number_vector
+from ..prompts import EncodedDict, TokenPrompt, compact_json, number_vector
 
 __all__ = [
     "UploadPrompt",
@@ -57,10 +61,12 @@ __all__ = [
 ]
 
 HEADER_SIZE = 4
-# Reply entries a client keeps decoded. A served entry with a 4 x 48
-# prompt costs about 12 kB (text plus parsed dict), so a full cache holds
-# about 3 MB; the reference fleet and the benchmark's pool service each
-# serve far fewer distinct entries per client.
+# Entry ids each end of a connection holds. The receiver keeps the dicts
+# it decoded (about 9 kB for a 4 x 48 prompt, so about 2.3 MB when full);
+# the sender keeps the server's EncodedDicts, which the server's own text
+# map already holds while their entries live. The reference fleet and the
+# benchmark's pool service each serve far fewer distinct entries per
+# client.
 REPLY_CACHE_ENTRIES = 256
 
 
@@ -100,7 +106,8 @@ class QueryResponse:
 
     The server sends ``PoolEntry.wire_dict``s, pre-encoded as read-only
     ``EncodedDict``s that it may send again in later replies; a decoded
-    reply holds the same entries as plain ``to_dict`` data.
+    reply holds the same entries as plain ``to_dict`` data, back-references
+    expanded.
     """
 
     request_id: int
@@ -156,10 +163,41 @@ def _payload(msg: FleetMessage) -> dict:
     raise ProtocolError(f"cannot encode {type(msg).__name__}")
 
 
-def encode_message(msg: FleetMessage) -> bytes:
-    """Frame a message: length header plus compact JSON payload."""
-    payload = compact_json(_payload(msg)).encode("utf-8")
-    return struct.pack(">I", len(payload)) + payload
+def _touch(table: OrderedDict, entry_id: int, entry: dict) -> None:
+    """Hold ``entry`` under ``entry_id`` as the most recent of ``table``."""
+    table[entry_id] = entry
+    table.move_to_end(entry_id)
+    if len(table) > REPLY_CACHE_ENTRIES:
+        table.popitem(last=False)
+
+
+def _sent_entries(entries: tuple[dict, ...], sent: OrderedDict) -> list[dict]:
+    """Reply entries as the sending end writes them: back-references where
+    ``sent`` holds the same EncodedDict under the entry's id, and each entry
+    with an integer id touched in ``sent``, as the receiver will touch it."""
+    out = []
+    for entry in entries:
+        entry_id = entry.get("entry_id")
+        if type(entry_id) is not int:
+            out.append(entry)
+            continue
+        carried = type(entry) is EncodedDict and sent.get(entry_id) is entry
+        out.append({"entry_id": entry_id} if carried else entry)
+        _touch(sent, entry_id, entry)
+    return out
+
+
+def encode_message(msg: FleetMessage, sent: OrderedDict | None = None) -> bytes:
+    """Frame a message: length header plus compact JSON payload.
+
+    ``sent`` is the sending end's table of a connection (see the module
+    docstring); without one, every reply entry is written in full.
+    """
+    payload = _payload(msg)
+    if sent is not None and isinstance(msg, QueryResponse):
+        payload["entries"] = _sent_entries(msg.entries, sent)
+    body = compact_json(payload).encode("utf-8")
+    return struct.pack(">I", len(body)) + body
 
 
 _INT64 = range(-(2**63), 2**63)
@@ -193,15 +231,43 @@ def _vector(d: dict, name: str) -> list[float]:
 def _plain_entry(entry: dict) -> None:
     """Give a reply entry the key list ``PoolEntry.to_dict`` holds, in place.
 
-    Only a key sent as vector text is touched, so an entry read once (and
-    kept in a client's cache) is left as it is. Any other value is left for
+    Only a key sent as vector text is touched. Any other value is left for
     ``PoolEntry.from_dict`` to check, like every other field of an entry.
     """
     if type(entry.get("key")) is str:
         entry["key"] = _vector(entry, "key")
 
 
-def _from_payload(d: dict) -> FleetMessage:
+def _received_entries(entries: list[dict], held: OrderedDict | None, counts: dict | None):
+    """Expand back-references from ``held`` and give full entries key lists, in place.
+
+    Every entry with an integer id is touched in ``held`` in reply order, as
+    the sender touched it; ``counts`` adds up entries ``in_full`` and
+    ``referenced``.
+    """
+    referenced = 0
+    for i, entry in enumerate(entries):
+        entry_id = entry.get("entry_id")
+        if len(entry) == 1 and "entry_id" in entry:
+            if type(entry_id) is not int:
+                _fail("back-reference 'entry_id' must be an integer")
+            if held is None:
+                _fail(f"back-reference to entry {entry_id} with no entry table")
+            if entry_id not in held:
+                _fail(f"back-reference to entry {entry_id}, which is not held")
+            entries[i] = held[entry_id]
+            held.move_to_end(entry_id)
+            referenced += 1
+            continue
+        _plain_entry(entry)
+        if held is not None and type(entry_id) is int:
+            _touch(held, entry_id, entry)
+    if counts is not None:
+        counts["in_full"] += len(entries) - referenced
+        counts["referenced"] += referenced
+
+
+def _from_payload(d: dict, held: OrderedDict | None, counts: dict | None) -> FleetMessage:
     """Build a message from a decoded payload, checking every field."""
     kind = d.get("type")
     if kind == "upload_prompt":
@@ -231,71 +297,21 @@ def _from_payload(d: dict) -> FleetMessage:
         entries = d.get("entries")
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             _fail("field 'entries' must be a list of objects")
-        for entry in entries:
-            _plain_entry(entry)
+        _received_entries(entries, held, counts)
         return QueryResponse(request_id=_int(d, "request_id"), entries=tuple(entries))
     if kind == "refine_tick":
         return RefineTick()
     raise ProtocolError(f"unknown message type {kind!r}", offset=HEADER_SIZE)
 
 
-_REPLY_HEAD = '{"type":"query_response","request_id":'
-_ENTRIES_HEAD = ',"entries":['
-_ENTRY_ID = re.compile(r'\{"entry_id":(0|[1-9][0-9]{0,18}),')
-_scan = json.JSONDecoder().raw_decode
-
-
-def _reply_payload(text: str, cache: OrderedDict) -> dict | None:
-    """The payload of a reply in ``compact_json``'s layout, entries via ``cache``.
-
-    Only ``{"type":"query_response","request_id":N,"entries":[E,...]}``
-    with no whitespace between those parts is read here; any other text
-    gives None. An entry whose text at its place equals the text cached
-    under its id is the cached dict. Any other entry is parsed with the
-    ``json`` scanner and, if it starts with its id, cached under that id.
-    Both give what ``json.loads`` gives for the text, so a payload
-    returned equals ``json.loads(text)``.
-    """
-    if not text.startswith(_REPLY_HEAD):
-        return None
-    try:
-        request_id, pos = _scan(text, len(_REPLY_HEAD))
-        if not text.startswith(_ENTRIES_HEAD, pos):
-            return None
-        pos += len(_ENTRIES_HEAD)
-        entries = []
-        while not text.startswith("]", pos):
-            if entries:
-                if not text.startswith(",", pos):
-                    return None
-                pos += 1
-            match = _ENTRY_ID.match(text, pos)
-            entry_id = match and int(match[1])
-            cached = cache.get(entry_id)
-            if cached is not None and text.startswith(cached[0], pos):
-                cache.move_to_end(entry_id)
-                entry, end = cached[1], pos + len(cached[0])
-            else:
-                entry, end = _scan(text, pos)
-                if match:
-                    cache[entry_id] = (text[pos:end], entry)
-                    cache.move_to_end(entry_id)
-                    if len(cache) > REPLY_CACHE_ENTRIES:
-                        cache.popitem(last=False)
-            entries.append(entry)
-            pos = end
-    except (ValueError, RecursionError):  # malformed: json.loads reports it
-        return None
-    if text[pos:] != "]}":
-        return None
-    return {"type": "query_response", "request_id": request_id, "entries": entries}
-
-
-def decode_message(frame: bytes, entries: OrderedDict | None = None) -> FleetMessage:
+def decode_message(frame: bytes, entries: OrderedDict | None = None,
+                   counts: dict | None = None) -> FleetMessage:
     """Parse a single complete frame back into a message.
 
-    ``entries`` is a client's reply-entry cache (see the module
-    docstring); the result is the same with or without it.
+    ``entries`` is the receiving end's table of a connection (see the
+    module docstring), and ``counts`` a ``{"in_full": F, "referenced": R}``
+    tally of the reply entries it decoded. A frame holding no back-reference
+    decodes the same with a table or without one.
     """
     if len(frame) < HEADER_SIZE:
         raise ProtocolError("frame shorter than length header", offset=len(frame))
@@ -308,14 +324,10 @@ def decode_message(frame: bytes, entries: OrderedDict | None = None) -> FleetMes
         )
     if len(body) > declared:
         raise ProtocolError("trailing bytes after payload", offset=HEADER_SIZE + declared)
-    payload = None
-    if entries is not None and body.isascii():  # compact_json writes only ASCII
-        payload = _reply_payload(body.decode("ascii"), entries)
-    if payload is None:
-        payload = parse_json(body, ProtocolError, "invalid JSON payload", offset=HEADER_SIZE)
+    payload = parse_json(body, ProtocolError, "invalid JSON payload", offset=HEADER_SIZE)
     if not isinstance(payload, dict):
         raise ProtocolError("payload must be a JSON object", offset=HEADER_SIZE)
-    return _from_payload(payload)
+    return _from_payload(payload, entries, counts)
 
 
 def read_frame(read) -> bytes:

@@ -144,10 +144,11 @@ def run_scenario(config: dict | ScenarioConfig) -> ScenarioResult:
     controller = client_for("__controller__")
 
     thresholds, streams = _thresholds(cfg, oracle, domains)
-    agents = []
+    agents, reply_counts = [], {}
     for idx, spec in enumerate(cfg.agents):
         tracker = _tracker(cfg, spec, thresholds[spec.id])
         client = client_for(spec.id)
+        reply_counts[spec.id] = client.reply_counts
         if spec.kind == "limited":
             agent = LimitedAgent(spec, oracle, client, tracker)
         else:
@@ -168,7 +169,7 @@ def run_scenario(config: dict | ScenarioConfig) -> ScenarioResult:
             controller.send(RefineTick())
     controller.send(RefineTick())  # final flush of pending entries
 
-    summary = _summarize(cfg, records, pool, thresholds, streams)
+    summary = _summarize(cfg, records, pool, thresholds, streams, reply_counts)
     return ScenarioResult(config=cfg, records=records, pool=pool, summary=summary)
 
 
@@ -202,7 +203,7 @@ def adaptation_summary(records: list[StepRecord]) -> dict[str, dict[str, dict]]:
 
 
 def _summarize(cfg: ScenarioConfig, records: list[StepRecord], pool: PromptPool,
-               thresholds: dict, streams: int) -> dict:
+               thresholds: dict, streams: int, reply_counts: dict) -> dict:
     split = adaptation_summary(records)
     agents = {}
     for spec in cfg.agents:
@@ -217,6 +218,7 @@ def _summarize(cfg: ScenarioConfig, records: list[StepRecord], pool: PromptPool,
             "bytes_sent": int(sum(r.bytes_sent for r in rows)),
             "bytes_received": int(sum(r.bytes_received for r in rows)),
             "degraded_steps": int(sum(r.degraded for r in rows)),
+            "reply_entries": dict(reply_counts[spec.id]),
             "domains": split.get(spec.id, {}),
         }
     return {

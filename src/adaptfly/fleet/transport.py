@@ -3,10 +3,10 @@
 One client, two wires. ``InprocClient`` encodes every message through the
 framed codec, applies the fault hook, counts bytes and enforces the reply
 rule, so the byte accounting (and therefore the metrics table) is the same
-for both transports. It decodes each served pool entry once: replies are
-decoded through the client's reply-entry cache (``decode_message``), which
-hands back the dict parsed earlier for an entry whose text has not changed.
-Only the wire differs:
+for both transports. It holds both ends' entry tables of its connection
+(see ``messages``), so an entry the connection already carried unchanged
+travels as ``{"entry_id":N}``; a dropped message never reaches the server
+and changes neither table. Only the wire differs:
 
 * inproc — the frame is decoded and dispatched to the server in memory.
 * stream — ``StreamClient`` carries each frame, and the server's reply,
@@ -52,15 +52,21 @@ class BytePipe:
 
 
 class InprocClient:
-    """Framed client; its wire dispatches each frame to the server in memory."""
+    """Framed client; its wire dispatches each frame to the server in memory.
+
+    ``sent_entries`` (id -> EncodedDict sent) and ``reply_entries`` (id ->
+    dict decoded) are the connection's two entry tables; ``reply_counts``
+    counts the reply entries decoded ``in_full`` and ``referenced``.
+    """
 
     def __init__(self, server, fault_hook=None):
         self._server = server
         self._fault_hook = fault_hook
         self.bytes_sent = 0
         self.bytes_received = 0
-        # entry_id -> (text, dict) of served entries; see decode_message.
+        self.sent_entries: OrderedDict = OrderedDict()
         self.reply_entries: OrderedDict = OrderedDict()
+        self.reply_counts = {"in_full": 0, "referenced": 0}
 
     def send(self, msg: FleetMessage) -> None:
         if self._exchange(msg) is not None:
@@ -81,12 +87,16 @@ class InprocClient:
         if reply is None:
             return None
         self.bytes_received += len(reply)
-        return decode_message(reply, entries=self.reply_entries)
+        return decode_message(reply, entries=self.reply_entries, counts=self.reply_counts)
+
+    def _serve(self, frame: bytes) -> bytes | None:
+        """The server end: handle one frame and frame its reply, if any."""
+        response = self._server.handle(decode_message(frame))
+        return None if response is None else encode_message(response, sent=self.sent_entries)
 
     def _carry(self, frame: bytes) -> bytes | None:
         """The wire: deliver one frame and return the reply frame, if any."""
-        response = self._server.handle(decode_message(frame))
-        return None if response is None else encode_message(response)
+        return self._serve(frame)
 
 
 class StreamClient(InprocClient):
@@ -99,8 +109,8 @@ class StreamClient(InprocClient):
 
     def _carry(self, frame: bytes) -> bytes | None:
         self.to_server.write(frame)
-        response = self._server.handle(decode_message(read_frame(self.to_server.read)))
-        if response is None:
+        reply = self._serve(read_frame(self.to_server.read))
+        if reply is None:
             return None
-        self.from_server.write(encode_message(response))
+        self.from_server.write(reply)
         return read_frame(self.from_server.read)

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adaptfly.cli import _parse_value, main
-from adaptfly.fleet import clean_config, reference_config
+from adaptfly.fleet import clean_config, parse_metrics_csv, reference_config
 
 
 def mini_config(seed=0):
@@ -403,3 +403,24 @@ class TestMalformedConfigs:
         else:
             node.append(value)
         assert _run_exit_code(tmp_path, config) in (0, 2)
+
+
+class TestTransportEquivalence:
+    def test_dropped_fetches_write_the_same_outputs(self, tmp_path):
+        """uav-l1's fetch at step 42 would bring entries in full and the one
+        at step 54 only back-references; with both dropped, both transports
+        still write the same outputs."""
+        faults = '[{"agent":"uav-l1","step":42},{"agent":"uav-l1","step":54}]'
+        inproc, stream = (tmp_path / t for t in ("inproc", "stream"))
+        for out in (inproc, stream):
+            assert main(["run", "--config", str(SHIPPED / "three_domain.json"),
+                         "--set", f"faults={faults}", "--set", f"transport={out.name}",
+                         "--out", str(out)]) == 0
+        for name in ("metrics.csv", "pool.jsonl"):
+            assert (inproc / name).read_bytes() == (stream / name).read_bytes()
+        a, b = (json.loads((out / "summary.json").read_text()) for out in (inproc, stream))
+        assert (a.pop("transport"), b.pop("transport")) == ("inproc", "stream")
+        assert a == b
+        rows = parse_metrics_csv((inproc / "metrics.csv").read_text())
+        dropped = [(r.step, r.adaptation_event) for r in rows if r.degraded]
+        assert dropped == [(42, "retrieve"), (54, "retrieve")]

@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from adaptfly.fleet import transport as transport_mod
 from adaptfly.fleet.messages import REPLY_CACHE_ENTRIES, decode_message, encode_message
 from adaptfly.memory import PoolConfig, PromptPool
 from adaptfly.oracle import DomainSpec, make_toy_oracle, planted_correction, render_frame
-from adaptfly.prompts import TokenPrompt, compact_json, number_vector, place_mask
+from adaptfly.prompts import TokenPrompt, number_vector, place_mask
 
 
 def mini_config(seed=0, transport="inproc", frames=10):
@@ -733,68 +734,150 @@ class TestEvictionClock:
 
 
 class TestReplyEntryCache:
-    """Each client decodes a served entry once; the cache changes no result."""
+    """Both ends of a connection hold the same entries, so a reply sends an
+    entry the client already holds as ``{"entry_id":N}``; the tables change
+    no result."""
 
     @pytest.mark.parametrize("transport", ["inproc", "stream"])
     @pytest.mark.parametrize("seed", range(5))
     def test_reference_replies_equal_uncached_and_stay_unmutated(self, monkeypatch, seed,
                                                                  transport):
-        first_seen = {}  # id(dict) -> (cached dict, deep copy taken when first decoded)
-        counts = {"entries": 0, "hits": 0}
+        served = []       # the server's replies, each decoded right after it is framed
+        first_seen = {}   # id(dict) -> (held dict, deep copy taken when first held)
+        frames = {}       # id(client's table) -> the reply frames it decoded
+        clients = {}      # agent id -> client
 
-        def checked(frame, entries=None):
-            msg = decode_message(frame, entries=entries)
+        def framed(msg, sent=None):
+            if sent is not None:
+                served.append(msg)
+            return encode_message(msg, sent=sent)
+
+        def checked(frame, entries=None, counts=None):
+            msg = decode_message(frame, entries=entries, counts=counts)
             if entries is not None:
-                assert msg == decode_message(frame)
+                assert msg == decode_message(encode_message(served.pop()))
                 assert len(entries) <= REPLY_CACHE_ENTRIES
-                counts["entries"] += len(msg.entries)
-                counts["hits"] += sum(id(d) in first_seen for d in msg.entries)
-                for _, d in entries.values():
+                frames.setdefault(id(entries), []).append(frame)
+                for d in entries.values():
                     first_seen.setdefault(id(d), (d, copy.deepcopy(d)))
             return msg
 
-        monkeypatch.setattr(transport_mod, "decode_message", checked)
-        run_scenario(reference_config(seed, transport))
-        assert 0 < counts["hits"] < counts["entries"], counts
-        assert all(d == snapshot for d, snapshot in first_seen.values())
+        def recorded(cls):
+            def make(spec, oracle, client, *args, **kwargs):
+                clients[spec.id] = client
+                return cls(spec, oracle, client, *args, **kwargs)
+            return make
 
-    def test_bound_holds_over_a_pool_service_shaped_run(self):
+        monkeypatch.setattr(transport_mod, "encode_message", framed)
+        monkeypatch.setattr(transport_mod, "decode_message", checked)
+        for cls in (LimitedAgent, MassiveAgent):
+            monkeypatch.setattr(scenario_mod, cls.__name__, recorded(cls))
+        summary = run_scenario(reference_config(seed, transport)).summary
+        assert not served
+        assert all(d == snapshot for d, snapshot in first_seen.values())
+        totals = {"in_full": 0, "referenced": 0}
+        for agent_id, client in clients.items():
+            # A fresh table decodes the client's frames; the counts come from
+            # the frames' own text.
+            table, recount = OrderedDict(), {"in_full": 0, "referenced": 0}
+            for frame in frames.get(id(client.reply_entries), []):
+                decode_message(frame, entries=table)
+                for e in json.loads(frame[4:])["entries"]:
+                    recount["referenced" if list(e) == ["entry_id"] else "in_full"] += 1
+            assert list(table) == list(client.reply_entries) == list(client.sent_entries)
+            assert summary["agents"][agent_id]["reply_entries"] == recount
+            totals = {k: totals[k] + recount[k] for k in totals}
+        assert min(totals.values()) > 0, totals
+
+    def test_bound_holds_over_a_pool_service_shaped_run(self, monkeypatch):
+        """After every reply both ends hold the ids of an LRU of
+        REPLY_CACHE_ENTRIES replayed over the served entries, in its order; an
+        entry goes by reference exactly when the replay holds that very
+        EncodedDict under its id, so an id evicted from the table or replaced
+        by a merge comes back in full."""
+        oracle = make_toy_oracle(seed=7)
+        dim = oracle.token_dim
         rng = np.random.default_rng(4)
-        dim, stale = 16, REPLY_CACHE_ENTRIES + 100
+        stale = REPLY_CACHE_ENTRIES + 100
         pool = PromptPool(PoolConfig(capacity=stale))
         for i in range(stale):
             pool.insert(rng.normal(size=dim), TokenPrompt(rng.normal(scale=0.05, size=(4, dim))),
                         timestamp=i, agent_id="uav-old")
         pool.refine()
-        server = MecServer(pool, oracle=None, distill_config=None)  # deferred hits expire
+        provenance = ProvenanceLog(window=64)
+        server = MecServer(pool, oracle, DistillConfig(rows=oracle.num_patches,
+                                                       precision="f32"), provenance)
+        domain = DomainSpec(id="d", gain=(0.8, 0.78, 0.85), bias=(-0.2, 0.15, 0.1),
+                            noise_scale=0.01, seed=3)
+        frame = render_frame(oracle, domain, 0)
+        svp = planted_correction(oracle, domain, 0,
+                                 place_mask(oracle.uncertainty_map(frame, 2, 0.1, 1), 20))
         client = StreamClient(server)
-        served = set()
+        replies, frames = [], []
+        handle, write = server.handle, client.from_server.write
+
+        def handled(msg):
+            replies.append(handle(msg))
+            return replies[-1]
+
+        def written(data):
+            frames.append(data)
+            write(data)
+
+        monkeypatch.setattr(server, "handle", handled)
+        monkeypatch.setattr(client.from_server, "write", written)
+        lru: OrderedDict = OrderedDict()  # the table replayed by brute force
+        served: set[int] = set()
+        last = None  # the entry most recently served
+        seen = {"referenced": 0, "evicted": 0, "replaced": 0, "resolved": 0, "expired": 0}
         for t in range(stale, stale + 40 * 20):
             op = t % 20
             if op < 15:
-                query = Query(query=tuple(rng.normal(size=dim)), n=2, request_id=t)
-                reply = client.request(query)
-                assert reply == decode_message(encode_message(server.handle(query)))
-                assert len(client.reply_entries) <= REPLY_CACHE_ENTRIES
-                served.update(d["entry_id"] for d in reply.entries)
-            elif op == 15 and served:  # merges into an entry that was served
-                target = pool.get(max(served)) or pool.entries()[0]
+                near = last is not None and op % 3 == 0 and pool.get(last) is not None
+                q = pool.get(last).key + rng.normal(scale=0.05, size=dim) if near else \
+                    rng.normal(size=dim)
+                deferred = {e.entry_id for e in pool.entries() if e.is_deferred}
+                reply = client.request(Query(query=tuple(q), n=2, request_id=t))
+                assert reply == decode_message(encode_message(replies[-1]))
+                for sent, entry in zip(json.loads(frames[-1][4:])["entries"],
+                                       replies[-1].entries):
+                    i = entry["entry_id"]
+                    by_reference = lru.get(i) is entry
+                    assert (list(sent) == ["entry_id"]) is by_reference
+                    seen["referenced"] += by_reference
+                    if i in served and not by_reference:
+                        seen["replaced" if i in lru else "evicted"] += 1
+                    lru[i] = entry
+                    lru.move_to_end(i)
+                    if len(lru) > REPLY_CACHE_ENTRIES:
+                        lru.popitem(last=False)
+                    served.add(i)
+                    last = i
+                assert list(client.sent_entries) == list(client.reply_entries) == list(lru)
+                seen["resolved"] += sum(pool.get(i) is not None and not pool.get(i).is_deferred
+                                        for i in deferred)
+                seen["expired"] += sum(pool.get(i) is None for i in deferred)
+            elif op == 15 and last is not None and pool.get(last) is not None:
+                target = pool.get(last)  # merges into an entry the client holds
                 client.send(UploadPrompt(key=tuple(target.key + rng.normal(scale=0.01, size=dim)),
-                                         value=TokenPrompt(rng.normal(size=(4, dim))),
+                                         value=TokenPrompt(rng.normal(size=target.value.values.shape)),
                                          timestamp=t, agent_id="uav-up"))
             elif op == 16:
                 client.send(UploadPrompt(key=tuple(rng.normal(size=dim)),
                                          value=TokenPrompt(rng.normal(size=(4, dim))),
                                          timestamp=t, agent_id="uav-new"))
             elif op == 17:
+                if rng.random() < 0.5:  # otherwise no provenance: it expires when hit
+                    provenance.record("uav-def", t, [frame], svp)
                 client.send(RegisterDeferred(query=tuple(rng.normal(size=dim)),
                                              agent_id="uav-def", timestamp=t))
             else:
                 client.send(RefineTick())
         assert len(served) > REPLY_CACHE_ENTRIES
         assert len(client.reply_entries) == REPLY_CACHE_ENTRIES
+        assert min(seen.values()) > 0, seen
 
-    def test_merge_replaces_the_cached_text_of_its_id(self, server_setup):
+    def test_merge_replaces_the_held_dict_of_its_id(self, server_setup):
         oracle, pool, _, server = server_setup
         client = InprocClient(server)
         key = tuple(np.eye(oracle.token_dim)[0])
@@ -803,19 +886,37 @@ class TestReplyEntryCache:
         client.send(RefineTick())
         first = client.request(Query(query=key, n=1, request_id=1)).entries[0]
         before = copy.deepcopy(first)
-        ((entry_id, (old_text, cached)),) = client.reply_entries.items()
-        assert cached is first
+        assert client.request(Query(query=key, n=1, request_id=2)).entries[0] is first
+        assert client.reply_counts == {"in_full": 1, "referenced": 1}
         near = tuple(np.eye(oracle.token_dim)[0] + 0.1 * np.eye(oracle.token_dim)[1])
         client.send(UploadPrompt(key=near, value=TokenPrompt(np.zeros((2, 4))), timestamp=1,
                                  agent_id="uav-h1"))
         client.send(RefineTick())
-        second = client.request(Query(query=key, n=1, request_id=2)).entries[0]
+        second = client.request(Query(query=key, n=1, request_id=3)).entries[0]
         (entry,) = pool.entries()
-        assert list(client.reply_entries) == [entry_id] == [entry.entry_id]
-        text, cached = client.reply_entries[entry_id]
-        assert cached is second == entry.to_dict()
-        assert text == compact_json(entry.wire_dict()) != old_text
+        assert client.reply_counts == {"in_full": 2, "referenced": 1}
+        assert list(client.sent_entries) == list(client.reply_entries) == [entry.entry_id]
+        assert client.reply_entries[entry.entry_id] is second == entry.to_dict()
         assert first == before != second
+
+    @pytest.mark.parametrize("client_cls", [InprocClient, StreamClient])
+    def test_dropped_query_changes_neither_table(self, server_setup, client_cls):
+        oracle, _, _, server = server_setup
+        drop = {"on": False}
+        client = client_cls(server, fault_hook=lambda _msg: drop["on"])
+        key = tuple(np.eye(oracle.token_dim)[0])
+        client.send(UploadPrompt(key=key, value=TokenPrompt(np.ones((2, 4))), timestamp=5,
+                                 agent_id="uav-h1"))
+        client.send(RefineTick())
+        client.request(Query(query=key, n=1, request_id=1))
+        tables = (dict(client.sent_entries), dict(client.reply_entries))
+        drop["on"] = True
+        with pytest.raises(transport_mod.TransportFailure):
+            client.request(Query(query=key, n=1, request_id=2))
+        assert (dict(client.sent_entries), dict(client.reply_entries)) == tables
+        drop["on"] = False
+        client.request(Query(query=key, n=1, request_id=3))
+        assert client.reply_counts == {"in_full": 1, "referenced": 1}
 
 
 @pytest.mark.parametrize("client_cls", [InprocClient, StreamClient])

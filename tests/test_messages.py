@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 from collections import OrderedDict
@@ -22,7 +23,7 @@ from adaptfly.fleet.messages import (
 from adaptfly.fleet.mec import MecServer
 from adaptfly.fleet.transport import BytePipe, InprocClient, StreamClient, TransportFailure
 from adaptfly.memory import DeferredMarker, PoolEntry, PromptPool
-from adaptfly.prompts import TokenPrompt, compact_json, number_vector, vector_text
+from adaptfly.prompts import EncodedDict, TokenPrompt, compact_json, number_vector, vector_text
 
 
 def random_message(rng: np.random.Generator):
@@ -446,10 +447,12 @@ def served_reply() -> QueryResponse:
     return server.handle(Query(query=tuple(rng.normal(size=8)), n=3, request_id=7))
 
 
+# No entry is a bare {"entry_id": N}, a back-reference (json_values' keys
+# are at most 6 characters long).
 entry_dicts = st.fixed_dictionaries(
     {"entry_id": st.integers(0, 4) | st.integers(-2, 2**64) | json_values},
     optional={name: json_values for name in ("key", "value", "agent_id")},
-)
+).filter(lambda e: list(e) != ["entry_id"])
 reply_payloads = st.fixed_dictionaries({
     "type": st.just("query_response"),
     "request_id": st.integers(0, 9) | st.integers(-2**64, 2**64) | json_values,
@@ -458,18 +461,58 @@ reply_payloads = st.fixed_dictionaries({
 
 
 class TestCachedDecode:
-    """A client's reply-entry cache changes neither messages nor errors."""
+    """A receiver's entry table changes neither the messages nor the errors
+    of frames that hold no back-reference; a repeated entry goes by id."""
 
     def test_repeated_entries_come_from_the_cache(self):
         reply = served_reply()
-        frame = encode_message(reply)
-        cache = OrderedDict()
-        first = decode_message(frame, entries=cache)
-        assert list(cache) == [d["entry_id"] for d in reply.entries]
-        again = decode_message(frame, entries=cache)
+        sent, held = OrderedDict(), OrderedDict()
+        counts = {"in_full": 0, "referenced": 0}
+        frame = encode_message(reply, sent=sent)
+        assert frame == encode_message(reply)
+        first = decode_message(frame, entries=held, counts=counts)
+        again_frame = encode_message(reply, sent=sent)
+        ids = [d["entry_id"] for d in reply.entries]
+        assert json.loads(again_frame[4:])["entries"] == [{"entry_id": i} for i in ids]
+        again = decode_message(again_frame, entries=held, counts=counts)
         assert again == first == decode_message(frame)
         assert all(a is b for a, b in zip(again.entries, first.entries))
-        assert [text for text, _ in cache.values()] == [d.text for d in reply.entries]
+        assert list(sent) == list(held) == ids
+        assert counts == {"in_full": 3, "referenced": 3}
+
+    def test_a_new_object_under_a_held_id_goes_in_full(self):
+        deferred = PoolEntry(4, np.array([0.6, 0.8]), DeferredMarker("uav-2"), 2, "uav-2")
+        resolved = dataclasses.replace(deferred, value=TokenPrompt(np.ones((1, 2))))
+        plain = resolved.to_dict()  # not an EncodedDict: never sent by reference
+        sent, held = OrderedDict(), OrderedDict()
+        for entry, by_reference in [(deferred, False), (deferred, True), (resolved, False),
+                                    (resolved, True)]:
+            text = EncodedDict(entry.wire_dict()) if not by_reference else sent[4]
+            frame = encode_message(QueryResponse(1, (text,)), sent=sent)
+            assert (frame == encode_message(QueryResponse(1, ({"entry_id": 4},)))) is by_reference
+            (got,) = decode_message(frame, entries=held).entries
+            assert got is held[4] == entry.to_dict()
+        for _ in range(2):
+            frame = encode_message(QueryResponse(1, (plain,)), sent=sent)
+            assert frame == encode_message(QueryResponse(1, (plain,)))
+            assert decode_message(frame, entries=held).entries[0] is held[4] == plain
+
+    @pytest.mark.parametrize("entry_id, table", [
+        pytest.param(5, "held", id="id-not-held"),
+        pytest.param(0, None, id="no-table"),
+        pytest.param("0", "held", id="string-id"),
+        pytest.param(0.0, "held", id="float-id"),
+        pytest.param(True, "held", id="boolean-id"),
+        pytest.param(None, "held", id="null-id"),
+    ])
+    def test_unresolvable_back_references_are_protocol_errors(self, entry_id, table):
+        held = OrderedDict()
+        decode_message(encode_message(served_reply()), entries=held)  # ids 0, 1, 2
+        frame = compact_frame({"type": "query_response", "request_id": 1,
+                               "entries": [{"entry_id": entry_id}]})
+        with pytest.raises(ProtocolError) as err:
+            decode_message(frame, entries=held if table else None)
+        assert err.value.offset == 4
 
     def test_cache_is_an_lru_bounded_by_the_constant(self, monkeypatch):
         monkeypatch.setattr(messages, "REPLY_CACHE_ENTRIES", 2)
@@ -548,12 +591,14 @@ class TestCachedDecode:
 
     @given(st.lists(reply_payloads, min_size=1, max_size=4), st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_arbitrary_replies_decode_as_without_cache(self, payloads, canonical):
-        cache = OrderedDict()
+    def test_replies_without_back_references_decode_as_without_a_table(self, payloads,
+                                                                       canonical):
+        held = OrderedDict()
+        decode_message(encode_message(served_reply()), entries=held)  # ids 0, 1, 2
         write = compact_frame if canonical else frame_of
         for payload in payloads:
             frame = write(payload)
-            assert outcome(frame, cache) == outcome(frame)
+            assert outcome(frame, held) == outcome(frame)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
