@@ -373,10 +373,9 @@ def optimize_svp(
     state = cma_init(config)
     rng = np.random.default_rng(config.seed)
 
-    baseline_vec = np.zeros(config.dimension)
-    baseline = float(fitness(baseline_vec[None, :])[0])
+    state.best_vector = np.zeros(config.dimension)
+    baseline = state.best_fitness = float(fitness(state.best_vector[None, :])[0])
     evaluations = 1
-    best_vec, best_fit = baseline_vec, baseline
 
     history: list[float] = []
     for _ in range(config.generations):
@@ -384,10 +383,7 @@ def optimize_svp(
         fitnesses = fitness(candidates)
         evaluations += config.population
         state = cma_tell(state, candidates, fitnesses)
-        if state.best_fitness < best_fit:
-            best_fit = state.best_fitness
-            best_vec = state.best_vector
-        history.append(best_fit)
+        history.append(state.best_fitness)
         if (
             len(history) > STALL_WINDOW
             and history[-STALL_WINDOW - 1] - history[-1] < TOL_F
@@ -395,8 +391,8 @@ def optimize_svp(
             break
 
     return OptimizeResult(
-        prompt=project_mask(best_vec, coords, frame_shape),
-        best_fitness=best_fit,
+        prompt=project_mask(state.best_vector, coords, frame_shape),
+        best_fitness=state.best_fitness,
         baseline_fitness=baseline,
         history=tuple(history),
         evaluations=evaluations,

@@ -64,22 +64,47 @@ class StepRecord:
 RECORD_COLUMNS = tuple(f.name for f in fields(StepRecord))
 
 
-class _ByteWindow:
-    """Captures a client's byte-counter deltas across one step."""
+class _Agent:
+    """What both agent kinds share: a step senses, decides, then records.
 
-    def __init__(self, client):
+    ``_sense`` marks the client's byte counters and runs drift detection on
+    the frame; each kind's ``step`` makes its own decision; ``_record``
+    builds the step's metrics row with the bytes moved since ``_sense``.
+    ``step`` stays in each kind's own body, so the two kinds' steps can be
+    wrapped and timed apart.
+    """
+
+    def __init__(self, spec: AgentSpec, oracle, client, tracker: DriftTracker):
+        self.spec = spec
+        self.oracle = oracle
         self.client = client
-        self.sent0 = client.bytes_sent
-        self.recv0 = client.bytes_received
+        self.tracker = tracker
 
-    def deltas(self) -> tuple[int, int]:
-        return (
-            self.client.bytes_sent - self.sent0,
-            self.client.bytes_received - self.recv0,
+    def _sense(self, frame: np.ndarray):
+        """``(stats, shift, score)`` of the frame; starts the step's byte window."""
+        self._sent0 = self.client.bytes_sent
+        self._received0 = self.client.bytes_received
+        stats = self.oracle.stem_stats(frame)
+        shift, score, _ = detect(self.tracker, stats)
+        return stats, shift, score
+
+    def _record(self, t: int, domain_tag: str | None, shift: bool, score: float,
+                event: str, entropy: float, **outcome) -> StepRecord:
+        return StepRecord(
+            step=t,
+            agent_id=self.spec.id,
+            domain=domain_tag or "",
+            drift_score=score,
+            shift_flag=shift,
+            mean_entropy=entropy,
+            adaptation_event=event,
+            bytes_sent=self.client.bytes_sent - self._sent0,
+            bytes_received=self.client.bytes_received - self._received0,
+            **outcome,
         )
 
 
-class LimitedAgent:
+class LimitedAgent(_Agent):
     """Forward-only retrieval adaptation, run from a limited ``AgentSpec``."""
 
     # A retrieved assembly is adopted only when the best hit's key actually
@@ -91,31 +116,30 @@ class LimitedAgent:
     ADOPT_SIMILARITY_FLOOR = 0.9
 
     def __init__(self, spec: AgentSpec, oracle, client, tracker: DriftTracker):
-        self.spec = spec
-        self.oracle = oracle
-        self.client = client
-        self.tracker = tracker
+        super().__init__(spec, oracle, client, tracker)
         self.cached = TokenPrompt(np.zeros((0, 0)))
         self._adopted_ids: tuple[int, ...] = ()
         self._request_id = 0
 
-    def _try_adopt(self, frame: np.ndarray, candidate: TokenPrompt) -> tuple[bool, float]:
-        """Whether ``candidate`` lowers entropy on ``frame``, and the entropy
-        the frame gets afterwards: prompted if adopted, unprompted if not."""
+    def _try_adopt(self, frame: np.ndarray, q: np.ndarray, entries: list[PoolEntry]):
+        """The assembly of ``entries`` if adopted on ``frame``, else None, and
+        the frame's entropy if the check predicted it: prompted if adopted,
+        unprompted if not. Only a relevant retrieval is assembled and checked."""
+        if not (entries and float(q @ entries[0].key) >= self.ADOPT_SIMILARITY_FLOOR):
+            return None, None
+        candidate = assemble(entries)
         baseline = mean_entropy(self.oracle.predict(frame))
         adapted = mean_entropy(
             self.oracle.predict(frame, candidate if candidate.rows else None)
         )
         if adapted < baseline - 1e-9 * (1.0 + baseline):
-            return True, adapted
-        return False, baseline
+            return candidate, adapted
+        return None, baseline
 
     def step(
         self, t: int, frame: np.ndarray, motion=(0, 0), domain_tag: str | None = None
     ) -> StepRecord:
-        window = _ByteWindow(self.client)
-        stats = self.oracle.stem_stats(frame)
-        shift, score, _ = detect(self.tracker, stats)
+        stats, shift, score = self._sense(frame)
         event, retrieved, degraded = "none", 0, False
         entropy = None  # set when the retrieval check already predicted the frame
 
@@ -128,11 +152,9 @@ class LimitedAgent:
                     Query(query=tuple(q), n=self.spec.retrieval_n, request_id=self._request_id)
                 )
                 entries = [PoolEntry.from_dict(d) for d in response.entries]
-                relevant = entries and float(q @ entries[0].key) >= self.ADOPT_SIMILARITY_FLOOR
-                candidate = assemble(entries)
-                adopt, entropy = self._try_adopt(frame, candidate) if relevant else (False, None)
-                if adopt:
-                    self.cached = candidate
+                adopted, entropy = self._try_adopt(frame, q, entries)
+                if adopted is not None:
+                    self.cached = adopted
                     retrieved = len(entries)
                     ids = tuple(e.entry_id for e in entries)
                     if ids != self._adopted_ids:
@@ -155,31 +177,16 @@ class LimitedAgent:
         if entropy is None:
             prompt = self.cached if self.cached.rows else None
             entropy = mean_entropy(self.oracle.predict(frame, prompt))
-        sent, recv = window.deltas()
-        return StepRecord(
-            step=t,
-            agent_id=self.spec.id,
-            domain=domain_tag or "",
-            drift_score=score,
-            shift_flag=shift,
-            mean_entropy=entropy,
-            adaptation_event=event,
-            bytes_sent=sent,
-            bytes_received=recv,
-            retrieved=retrieved,
-            degraded=degraded,
-        )
+        return self._record(t, domain_tag, shift, score, event, entropy,
+                            retrieved=retrieved, degraded=degraded)
 
 
-class MassiveAgent:
+class MassiveAgent(_Agent):
     """Sparse-prompt search, warp propagation and uploads, run from a massive ``AgentSpec``."""
 
     def __init__(self, spec: AgentSpec, oracle, client, tracker: DriftTracker,
                  distill_config: DistillConfig, provenance: ProvenanceLog, seed: int):
-        self.spec = spec
-        self.oracle = oracle
-        self.client = client
-        self.tracker = tracker
+        super().__init__(spec, oracle, client, tracker)
         self.search = spec.search_config(*oracle.frame_shape)  # each search sets its seed
         self.distill_config = distill_config
         self.provenance = provenance
@@ -256,9 +263,7 @@ class MassiveAgent:
     def step(
         self, t: int, frame: np.ndarray, motion=(0, 0), domain_tag: str | None = None
     ) -> StepRecord:
-        window = _ByteWindow(self.client)
-        stats = self.oracle.stem_stats(frame)
-        shift, score, _ = detect(self.tracker, stats)
+        stats, shift, score = self._sense(frame)
         degraded = self._flush_retries()
 
         if shift:
@@ -291,16 +296,4 @@ class MassiveAgent:
             event = "none"
 
         entropy = mean_entropy(self.oracle.predict(apply_svp(frame, self.current_svp)))
-        sent, recv = window.deltas()
-        return StepRecord(
-            step=t,
-            agent_id=self.spec.id,
-            domain=domain_tag or "",
-            drift_score=score,
-            shift_flag=shift,
-            mean_entropy=entropy,
-            adaptation_event=event,
-            bytes_sent=sent,
-            bytes_received=recv,
-            degraded=degraded,
-        )
+        return self._record(t, domain_tag, shift, score, event, entropy, degraded=degraded)

@@ -216,6 +216,8 @@ class ScenarioConfig:
             raise ConfigError(f"transport must be one of {TRANSPORTS}")
         if self.kl_variant not in KL_VARIANTS:
             raise ConfigError(f"kl_variant must be one of {KL_VARIANTS}")
+        if self.refine_period < 1:
+            raise ConfigError(f"pool.refine_period must be at least 1, got {self.refine_period!r}")
         ids = [a.id for a in self.agents]
         if len(set(ids)) != len(ids):
             raise ConfigError("agent ids must be unique")
@@ -303,7 +305,7 @@ _SCENARIO = {
                                  "seed": int}, DomainSpec, "id")),
     "agents": _list_of(_agent),
     "pool": _object({"capacity": int, "tau_merge": ("merge_threshold", float),
-                     "eta": ("merge_weight", float), "refine_period": _is(int, lo=1)}),
+                     "eta": ("merge_weight", float), "refine_period": int}),
     "transport": str, "kl_variant": str,
     "distill": _object({"rows": int, "steps": int, "frames": int, "precision": str}),
     "calibration": _object({

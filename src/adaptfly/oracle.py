@@ -32,7 +32,7 @@ import numpy as np
 
 from .drift import ActivationStats
 from .errors import ConfigError, OracleError
-from .prompts import SparseVisualPrompt, TokenPrompt, compose_tokens
+from .prompts import SparseVisualPrompt, TokenPrompt
 
 __all__ = [
     "DomainSpec",
@@ -212,8 +212,7 @@ class ToyOracle:
             raise OracleError(
                 f"token prompt dim {tp.dim} does not match oracle dim {self.token_dim}"
             )
-        z = compose_tokens(tp, self.tokenize(x))
-        delta_tokens = self.prompt_mix(tp.rows) @ z[: tp.rows]
+        delta_tokens = self.prompt_mix(tp.rows) @ np.asarray(tp.values, np.float64)
         return x + self._unpatch(delta_tokens @ self.token_basis.T)
 
     def _logits(self, e: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import logging
 import os
@@ -208,6 +209,7 @@ OUT_OF_RANGE = [
     ("agents.0.mc_passes", 0, "agents[0]: uncertainty estimation"),
     ("agents.0.delta_refresh", -0.1, "agents[0]: delta_refresh"),
     ("agents.0.rho", 1.5, "agents[0]: sparsity ratio"),
+    ("pool.refine_period", 0, "pool.refine_period must be at least 1, got 0"),
     # A fault must name an agent: the controller's ticks and typos are rejected.
     ("faults", [{"agent": "__controller__", "step": 1}], "faults[0]: agent '__controller__'"),
     ("faults", [{"agent": "uav-l1", "step": 1}, {"agent": "uav-l3", "step": 2}],
@@ -228,6 +230,12 @@ class TestRejectedAtParse:
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict(cfg)
         assert str(err.value).startswith(named)
+
+    def test_refine_period_is_checked_on_direct_construction(self):
+        # run_scenario divides by the period, so a config not read from JSON is checked too.
+        cfg = ScenarioConfig.from_dict(reference_config(seed=0))
+        with pytest.raises(ConfigError, match=r"^pool\.refine_period must be at least 1, got 0$"):
+            dataclasses.replace(cfg, refine_period=0)
 
     def test_fault_steps_at_the_ends_of_the_stream_are_accepted(self):
         cfg = reference_config(seed=0)

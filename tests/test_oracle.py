@@ -211,6 +211,19 @@ class TestEncoders:
         z = compose_tokens(TokenPrompt.zeros(8, oracle.token_dim), oracle.tokenize(source))
         assert np.array_equal(oracle.encode_tokens(z), oracle.encode_image(source))
 
+    @pytest.mark.parametrize("dtype", ["f32", "f16"])
+    @pytest.mark.parametrize("rows", [1, 5, 64, 130])
+    def test_effective_image_equals_the_composed_sequence_formula(self, oracle, source,
+                                                                  dtype, rows):
+        # Reference: the prompt rows sliced back out of the prompt-prefixed
+        # token sequence, as encode_tokens sees them.
+        values = np.random.default_rng(rows).normal(scale=0.05, size=(rows, oracle.token_dim))
+        tp = TokenPrompt(values, dtype=dtype)
+        z = compose_tokens(tp, oracle.tokenize(source))
+        delta_tokens = oracle.prompt_mix(tp.rows) @ z[: tp.rows]
+        expected = source + oracle._unpatch(delta_tokens @ oracle.token_basis.T)
+        assert np.array_equal(oracle.effective_image(source, tp), expected)
+
     def test_token_geometry(self, oracle, source):
         z = oracle.tokenize(source)
         assert z.shape == (oracle.num_patches, oracle.token_dim)
