@@ -209,7 +209,6 @@ OUT_OF_RANGE = [
     ("agents.0.mc_passes", 0, "agents[0]: uncertainty estimation"),
     ("agents.0.delta_refresh", -0.1, "agents[0]: delta_refresh"),
     ("agents.0.rho", 1.5, "agents[0]: sparsity ratio"),
-    ("pool.refine_period", 0, "pool.refine_period must be at least 1, got 0"),
     # A fault must name an agent: the controller's ticks and typos are rejected.
     ("faults", [{"agent": "__controller__", "step": 1}], "faults[0]: agent '__controller__'"),
     ("faults", [{"agent": "uav-l1", "step": 1}, {"agent": "uav-l3", "step": 2}],
@@ -219,6 +218,7 @@ OUT_OF_RANGE = [
      "faults[0]: step -1 must lie in [0, total_frames = 80)"),
     ("faults", [{"agent": "uav-h1", "step": 0}, {"agent": "uav-l1", "step": 80}],
      "faults[1]: step 80 must lie in [0, total_frames = 80)"),
+    ("pool.refine_period", 0, "pool.refine_period must be at least 1, got 0"),
 ]
 
 
