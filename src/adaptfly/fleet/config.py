@@ -216,8 +216,10 @@ class ScenarioConfig:
             raise ConfigError(f"transport must be one of {TRANSPORTS}")
         if self.kl_variant not in KL_VARIANTS:
             raise ConfigError(f"kl_variant must be one of {KL_VARIANTS}")
-        if self.refine_period < 1:
-            raise ConfigError(f"pool.refine_period must be at least 1, got {self.refine_period!r}")
+        for name, value in [("pool.refine_period", self.refine_period),
+                            ("provenance_window", self.provenance_window)]:
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value!r}")
         ids = [a.id for a in self.agents]
         if len(set(ids)) != len(ids):
             raise ConfigError("agent ids must be unique")
@@ -312,7 +314,7 @@ _SCENARIO = {
         "frames": ("calibration_frames", _is(int, lo=1)),
         "quantile": ("calibration_quantile", float),
     }),
-    "provenance_window": _is(int, lo=1),
+    "provenance_window": int,
     "faults": _list_of(_object({"agent": str, "step": int}, lambda agent, step: (agent, step),
                                "agent", "step")),
 }

@@ -1,13 +1,13 @@
 """Wire protocol between agents and the consolidation server.
 
 Every message travels as a frame: a 4-byte big-endian unsigned payload
-length followed by a UTF-8 JSON payload carrying a "type" discriminator.
-``compact_json`` writes the payload: every float64 vector (an upload's key,
-a query, the key of a reply entry) as one JSON string,
-the standard base64 of its little-endian float64 bytes; token-prompt
-values as decimal numbers at their stored precision (9 significant digits
-for f32, 5 for f16); everything else as ``json.dumps`` writes it. A vector
-may also arrive as a JSON list of numbers, as frames carried it before.
+length followed by a UTF-8 JSON payload. ``compact_json`` writes the
+payload: its "type" name, then the message dataclass's fields in
+declaration order. Float64 vectors are the base64 of their little-endian
+bytes, token prompts are written at their stored precision (9 significant
+digits for f32, 5 for f16), and every other value as ``json.dumps`` writes
+it. A vector may also arrive as a JSON list of numbers, as frames carried
+it before. Each field is read and checked in declaration order.
 
 Every vector and prompt value decodes to the array it was encoded from,
 bit for bit, and a decoded request re-encodes to the same bytes. So
@@ -39,12 +39,14 @@ them: read-only by contract, like the server's ``EncodedDict``.
 from __future__ import annotations
 
 import struct
+import typing
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..errors import AdaptflyError, ProtocolError, parse_json
+from ..memory import INT64
 from ..prompts import EncodedDict, TokenPrompt, compact_json, number_vector
 
 __all__ = [
@@ -127,40 +129,81 @@ def _array(xs: tuple[float, ...]) -> np.ndarray:
     return np.fromiter(xs, np.float64, len(xs))
 
 
+def _fail(message: str):
+    raise ProtocolError(message, offset=HEADER_SIZE)
+
+
+def _vector(x, name: str) -> list[float]:
+    try:
+        return number_vector(x, f"field {name!r}").tolist()
+    except AdaptflyError as exc:
+        raise ProtocolError(str(exc), offset=HEADER_SIZE) from exc
+
+
+def _prompt(x, name: str) -> TokenPrompt:
+    try:
+        return TokenPrompt.from_dict(x)
+    except AdaptflyError as exc:
+        raise ProtocolError(f"field {name!r}: {exc}", offset=HEADER_SIZE) from exc
+
+
+def _int(x, name: str) -> int:
+    if type(x) is not int or x not in INT64:
+        _fail(f"field {name!r} must be a 64-bit integer")
+    return x
+
+
+def _str(x, name: str) -> str:
+    if not isinstance(x, str):
+        _fail(f"field {name!r} must be a string")
+    return x
+
+
+def _optional_str(x, name: str) -> str | None:
+    if x is not None and not isinstance(x, str):
+        _fail(f"field {name!r} must be a string or null")
+    return x
+
+
+def _objects(x, name: str) -> list[dict]:
+    if not isinstance(x, list) or not all(isinstance(e, dict) for e in x):
+        _fail(f"field {name!r} must be a list of objects")
+    return x
+
+
+def _same(x):
+    return x
+
+
+# Each field type's (writer, reader): the writer gives ``compact_json`` the
+# field's value, the reader checks the decoded JSON value and returns the
+# field's. Reply entries are then expanded by ``_received_entries``.
+_CODECS = {
+    tuple[float, ...]: (_array, lambda x, name: tuple(_vector(x, name))),
+    TokenPrompt: (_same, _prompt),
+    int: (_same, _int),
+    str: (_same, _str),
+    str | None: (_same, _optional_str),
+    tuple[dict, ...]: (list, _objects),
+}
+_TYPES = {"upload_prompt": UploadPrompt, "register_deferred": RegisterDeferred, "query": Query,
+          "query_response": QueryResponse, "refine_tick": RefineTick}
+_TYPE_NAMES = {cls: kind for kind, cls in _TYPES.items()}
+# (name, writer, reader) of each message class's fields, in declaration order.
+_FIELDS = {
+    cls: tuple((f.name, *_CODECS[typing.get_type_hints(cls)[f.name]]) for f in fields(cls))
+    for cls in _TYPES.values()
+}
+
+
 def _payload(msg: FleetMessage) -> dict:
-    if isinstance(msg, UploadPrompt):
-        return {
-            "type": "upload_prompt",
-            "key": _array(msg.key),
-            "value": msg.value,
-            "timestamp": msg.timestamp,
-            "agent_id": msg.agent_id,
-            "domain_tag": msg.domain_tag,
-        }
-    if isinstance(msg, RegisterDeferred):
-        return {
-            "type": "register_deferred",
-            "query": _array(msg.query),
-            "agent_id": msg.agent_id,
-            "timestamp": msg.timestamp,
-            "domain_tag": msg.domain_tag,
-        }
-    if isinstance(msg, Query):
-        return {
-            "type": "query",
-            "query": _array(msg.query),
-            "n": msg.n,
-            "request_id": msg.request_id,
-        }
-    if isinstance(msg, QueryResponse):
-        return {
-            "type": "query_response",
-            "request_id": msg.request_id,
-            "entries": list(msg.entries),
-        }
-    if isinstance(msg, RefineTick):
-        return {"type": "refine_tick"}
-    raise ProtocolError(f"cannot encode {type(msg).__name__}")
+    kind = _TYPE_NAMES.get(type(msg))
+    if kind is None:
+        raise ProtocolError(f"cannot encode {type(msg).__name__}")
+    payload = {"type": kind}
+    for name, write, _ in _FIELDS[type(msg)]:
+        payload[name] = write(getattr(msg, name))
+    return payload
 
 
 def _touch(table: OrderedDict, entry_id: int, entry: dict) -> None:
@@ -200,34 +243,6 @@ def encode_message(msg: FleetMessage, sent: OrderedDict | None = None) -> bytes:
     return struct.pack(">I", len(body)) + body
 
 
-_INT64 = range(-(2**63), 2**63)
-
-
-def _fail(message: str):
-    raise ProtocolError(message, offset=HEADER_SIZE)
-
-
-def _int(d: dict, name: str) -> int:
-    x = d.get(name)
-    if type(x) is not int or x not in _INT64:
-        _fail(f"field {name!r} must be a 64-bit integer")
-    return x
-
-
-def _str(d: dict, name: str, optional: bool = False) -> str | None:
-    x = d.get(name)
-    if not (isinstance(x, str) or (optional and x is None)):
-        _fail(f"field {name!r} must be a string" + (" or null" if optional else ""))
-    return x
-
-
-def _vector(d: dict, name: str) -> list[float]:
-    try:
-        return number_vector(d.get(name), f"field {name!r}").tolist()
-    except AdaptflyError as exc:
-        raise ProtocolError(str(exc), offset=HEADER_SIZE) from exc
-
-
 def _plain_entry(entry: dict) -> None:
     """Give a reply entry the key list ``PoolEntry.to_dict`` holds, in place.
 
@@ -235,11 +250,13 @@ def _plain_entry(entry: dict) -> None:
     ``PoolEntry.from_dict`` to check, like every other field of an entry.
     """
     if type(entry.get("key")) is str:
-        entry["key"] = _vector(entry, "key")
+        entry["key"] = _vector(entry["key"], "key")
 
 
-def _received_entries(entries: list[dict], held: OrderedDict | None, counts: dict | None):
-    """Expand back-references from ``held`` and give full entries key lists, in place.
+def _received_entries(entries: list[dict], held: OrderedDict | None,
+                      counts: dict | None) -> tuple[dict, ...]:
+    """Expand back-references from ``held`` and give full entries key lists,
+    in place; the entries as a tuple.
 
     Every entry with an integer id is touched in ``held`` in reply order, as
     the sender touched it; ``counts`` adds up entries ``in_full`` and
@@ -265,43 +282,20 @@ def _received_entries(entries: list[dict], held: OrderedDict | None, counts: dic
     if counts is not None:
         counts["in_full"] += len(entries) - referenced
         counts["referenced"] += referenced
+    return tuple(entries)
 
 
 def _from_payload(d: dict, held: OrderedDict | None, counts: dict | None) -> FleetMessage:
-    """Build a message from a decoded payload, checking every field."""
+    """Build a message from a decoded payload, checking its fields in order."""
     kind = d.get("type")
-    if kind == "upload_prompt":
-        try:
-            value = TokenPrompt.from_dict(d.get("value"))
-        except AdaptflyError as exc:
-            raise ProtocolError(f"field 'value': {exc}", offset=HEADER_SIZE) from exc
-        return UploadPrompt(
-            key=tuple(_vector(d, "key")),
-            value=value,
-            timestamp=_int(d, "timestamp"),
-            agent_id=_str(d, "agent_id"),
-            domain_tag=_str(d, "domain_tag", optional=True),
-        )
-    if kind == "register_deferred":
-        return RegisterDeferred(
-            query=tuple(_vector(d, "query")),
-            agent_id=_str(d, "agent_id"),
-            timestamp=_int(d, "timestamp"),
-            domain_tag=_str(d, "domain_tag", optional=True),
-        )
-    if kind == "query":
-        return Query(
-            query=tuple(_vector(d, "query")), n=_int(d, "n"), request_id=_int(d, "request_id")
-        )
-    if kind == "query_response":
-        entries = d.get("entries")
-        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-            _fail("field 'entries' must be a list of objects")
-        _received_entries(entries, held, counts)
-        return QueryResponse(request_id=_int(d, "request_id"), entries=tuple(entries))
-    if kind == "refine_tick":
-        return RefineTick()
-    raise ProtocolError(f"unknown message type {kind!r}", offset=HEADER_SIZE)
+    cls = _TYPES.get(kind) if type(kind) is str else None
+    if cls is None:
+        raise ProtocolError(f"unknown message type {kind!r}", offset=HEADER_SIZE)
+    values = {}
+    for name, _, read in _FIELDS[cls]:
+        value = read(d.get(name), name)
+        values[name] = _received_entries(value, held, counts) if read is _objects else value
+    return cls(**values)
 
 
 def decode_message(frame: bytes, entries: OrderedDict | None = None,

@@ -43,7 +43,8 @@ __all__ = [
 ]
 
 
-_INT64 = range(-(2**63), 2**63)
+# The range of every integer a snapshot or a frame carries.
+INT64 = range(-(2**63), 2**63)
 
 # A stored key is a unit vector up to rounding; snapshots and replies carry
 # its float64 bytes (``vector_text``, base64), and older snapshots decimal
@@ -78,7 +79,7 @@ def _stored_unit(values, what: str) -> np.ndarray:
 
 
 def _int64(value, name: str) -> int:
-    if type(value) is not int or value not in _INT64:
+    if type(value) is not int or value not in INT64:
         raise PoolFormatError(f"pool entry {name} must be a 64-bit integer")
     return value
 

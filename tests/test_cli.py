@@ -329,6 +329,7 @@ class TestMalformedConfigs:
         ("oracle.height", 30, "oracle: "),
         ("agents.0.rho", 0, "agents[0]: "),
         ("agents.0.dropout_rate", 1.0, "agents[0]: "),
+        ("provenance_window", 0, "provenance_window "),
     ])
     def test_out_of_range_value_exits_2_before_any_output(self, tmp_path, capsys, dotted,
                                                            value, named):

@@ -219,6 +219,7 @@ OUT_OF_RANGE = [
     ("faults", [{"agent": "uav-h1", "step": 0}, {"agent": "uav-l1", "step": 80}],
      "faults[1]: step 80 must lie in [0, total_frames = 80)"),
     ("pool.refine_period", 0, "pool.refine_period must be at least 1, got 0"),
+    ("provenance_window", 0, "provenance_window must be at least 1, got 0"),
 ]
 
 
@@ -231,11 +232,17 @@ class TestRejectedAtParse:
             ScenarioConfig.from_dict(cfg)
         assert str(err.value).startswith(named)
 
-    def test_refine_period_is_checked_on_direct_construction(self):
-        # run_scenario divides by the period, so a config not read from JSON is checked too.
+    @pytest.mark.parametrize("field, named", [
+        pytest.param("refine_period", "pool.refine_period", id="refine_period"),
+        pytest.param("provenance_window", "provenance_window", id="provenance_window"),
+    ])
+    def test_range_is_checked_on_direct_construction(self, field, named):
+        # run_scenario divides by the period, and a window below 1 expires every
+        # deferred entry, so a config not read from JSON is checked too.
         cfg = ScenarioConfig.from_dict(reference_config(seed=0))
-        with pytest.raises(ConfigError, match=r"^pool\.refine_period must be at least 1, got 0$"):
-            dataclasses.replace(cfg, refine_period=0)
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(cfg, **{field: 0})
+        assert str(err.value) == f"{named} must be at least 1, got 0"
 
     def test_fault_steps_at_the_ends_of_the_stream_are_accepted(self):
         cfg = reference_config(seed=0)

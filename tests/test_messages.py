@@ -63,11 +63,40 @@ def random_message(rng: np.random.Generator):
     return RefineTick()
 
 
+GOLDEN_ENTRY = PoolEntry(4, np.array([0.6, 0.8]), TokenPrompt(np.ones((1, 2))), 2, "uav-2")
+# One fixed message of each kind and its frame, byte for byte: a payload is
+# "type" and then the dataclass's fields in declaration order.
+GOLDEN_FRAMES = [
+    pytest.param(
+        UploadPrompt(key=(0.6, 0.8), value=TokenPrompt(np.array([[0.5, -0.25, 1.0]])),
+                     timestamp=3, agent_id="uav-1", domain_tag="fog"),
+        b'\x00\x00\x00\xaf{"type":"upload_prompt","key":"MzMzMzMz4z+amZmZmZnpPw==",'
+        b'"value":{"rows":1,"dim":3,"values":[0.5,-0.25,1.0],"dtype":"f32"},"timestamp":3,'
+        b'"agent_id":"uav-1","domain_tag":"fog"}',
+        id="upload_prompt"),
+    pytest.param(
+        RegisterDeferred(query=(1.0, -2.0), agent_id="uav-2", timestamp=4),
+        b'\x00\x00\x00r{"type":"register_deferred","query":"AAAAAAAA8D8AAAAAAAAAwA==",'
+        b'"agent_id":"uav-2","timestamp":4,"domain_tag":null}',
+        id="register_deferred"),
+    pytest.param(
+        Query(query=(0.5,), n=2, request_id=9),
+        b'\x00\x00\x00<{"type":"query","query":"AAAAAAAA4D8=","n":2,"request_id":9}',
+        id="query"),
+    pytest.param(
+        QueryResponse(request_id=7, entries=(EncodedDict(GOLDEN_ENTRY.wire_dict()),)),
+        b'\x00\x00\x00\xd3{"type":"query_response","request_id":7,"entries":[{"entry_id":4,'
+        b'"key":"MzMzMzMz4z+amZmZmZnpPw==","timestamp":2,"agent_id":"uav-2","domain_tag":null,'
+        b'"value":{"rows":1,"dim":2,"values":[1.0,1.0],"dtype":"f32"}}]}',
+        id="query_response"),
+    pytest.param(RefineTick(), b'\x00\x00\x00\x16{"type":"refine_tick"}', id="refine_tick"),
+]
+
+
 class TestFraming:
-    def test_refine_tick_exact_bytes(self):
-        frame = encode_message(RefineTick())
-        assert frame[:4] == b"\x00\x00\x00\x16"
-        assert frame[4:] == b'{"type":"refine_tick"}'
+    @pytest.mark.parametrize("msg, frame", GOLDEN_FRAMES)
+    def test_exact_bytes(self, msg, frame):
+        assert encode_message(msg) == frame
         assert struct.unpack(">I", frame[:4])[0] == len(frame) - 4
 
     def test_round_trip_all_variants(self):
@@ -513,6 +542,19 @@ class TestCachedDecode:
         with pytest.raises(ProtocolError) as err:
             decode_message(frame, entries=held if table else None)
         assert err.value.offset == 4
+
+    def test_a_reply_with_a_malformed_request_id_leaves_the_table_unchanged(self):
+        held = OrderedDict()
+        decode_message(encode_message(QueryResponse(1, served_reply().entries[:2])),
+                       entries=held)  # ids 0, 1
+        before = list(held.items())
+        full = [GOLDEN_ENTRY.wire_dict(), *served_reply().entries]  # ids 4, 0, 1, 2
+        frame = compact_frame({"type": "query_response", "request_id": "7",
+                               "entries": [json.loads(compact_json(e)) for e in full]})
+        with pytest.raises(ProtocolError) as err:
+            decode_message(frame, entries=held)
+        assert err.value.offset == 4
+        assert list(held.items()) == before
 
     def test_cache_is_an_lru_bounded_by_the_constant(self, monkeypatch):
         monkeypatch.setattr(messages, "REPLY_CACHE_ENTRIES", 2)
