@@ -344,6 +344,7 @@ def optimize_svp(
     x: np.ndarray,
     coords: np.ndarray,
     config: CmaConfig,
+    base: np.ndarray | None = None,
 ) -> OptimizeResult:
     """Search sparse-prompt offsets minimizing mean prediction entropy.
 
@@ -351,7 +352,10 @@ def optimize_svp(
     stopping early once the best-so-far fitness stalls. The zero vector
     (no adaptation) is evaluated alongside generation one, so the returned
     argmin prompt is never worse than no prompt. The oracle's scorer is
-    bound to (x, coords) once, so the unprompted pass runs once per search.
+    bound to (x, coords) once, so the unprompted pass runs at most once per
+    search; ``base``, the frame's unprompted entropy map, skips it (see
+    ``ToyOracle.svp_scorer``). ``best_fitness`` is then the returned
+    prompt's mean entropy on x, bit for bit.
     """
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
     if coords.shape[0] == 0:
@@ -362,7 +366,7 @@ def optimize_svp(
             f"config dimension {config.dimension} != 3 x {coords.shape[0]} masked pixels"
         )
     coords = SparseVisualPrompt.zeros(coords, frame_shape).coords  # validated once
-    score = oracle.svp_scorer(x, coords)
+    score = oracle.svp_scorer(x, coords, base)
 
     def fitness(pop: np.ndarray) -> np.ndarray:
         values = score(pop.reshape(pop.shape[0], -1, 3))

@@ -13,6 +13,7 @@ map moves materially.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -22,16 +23,10 @@ from ..distill import DistillConfig, distill_iterative
 from ..drift import DriftTracker, detect, reset_reference
 from ..memory import PoolEntry, assemble
 from ..oracle import mean_entropy
-from ..prompts import (
-    SparseVisualPrompt,
-    TokenPrompt,
-    apply_svp,
-    place_mask,
-    warp_svp,
-)
+from ..prompts import SparseVisualPrompt, TokenPrompt, place_mask, warp_svp
 from .config import AgentSpec
 from .mec import ProvenanceLog
-from .messages import Query, RegisterDeferred, UploadPrompt
+from .messages import REPLY_CACHE_ENTRIES, Query, RegisterDeferred, UploadPrompt
 from .transport import TransportFailure
 
 __all__ = ["StepRecord", "LimitedAgent", "MassiveAgent", "RECORD_COLUMNS"]
@@ -120,6 +115,25 @@ class LimitedAgent(_Agent):
         self.cached = TokenPrompt(np.zeros((0, 0)))
         self._adopted_ids: tuple[int, ...] = ()
         self._request_id = 0
+        # entry id -> (reply dict, its PoolEntry), least recently replied first
+        self._entries: OrderedDict = OrderedDict()
+
+    def _pool_entry(self, d: dict) -> PoolEntry:
+        """The ``PoolEntry`` of reply entry ``d``, parsed once per held dict.
+
+        A back-reference hands back the very dict the client's entry table
+        holds, so that dict's entry is reused; a replaced or merged entry
+        arrives as a new dict and is parsed again. At most
+        ``REPLY_CACHE_ENTRIES`` entries are kept, as in that table.
+        """
+        entry_id = d.get("entry_id")
+        held = self._entries.pop(entry_id, None) if type(entry_id) is int else None
+        if held is None or held[0] is not d:
+            held = (d, PoolEntry.from_dict(d))
+        self._entries[held[1].entry_id] = held
+        if len(self._entries) > REPLY_CACHE_ENTRIES:
+            self._entries.popitem(last=False)
+        return held[1]
 
     def _try_adopt(self, frame: np.ndarray, q: np.ndarray, entries: list[PoolEntry]):
         """The assembly of ``entries`` if adopted on ``frame``, else None, and
@@ -151,7 +165,7 @@ class LimitedAgent(_Agent):
                 response = self.client.request(
                     Query(query=tuple(q), n=self.spec.retrieval_n, request_id=self._request_id)
                 )
-                entries = [PoolEntry.from_dict(d) for d in response.entries]
+                entries = [self._pool_entry(d) for d in response.entries]
                 adopted, entropy = self._try_adopt(frame, q, entries)
                 if adopted is not None:
                     self.cached = adopted
@@ -228,14 +242,21 @@ class MassiveAgent(_Agent):
         self._retry_queue = still_pending
         return degraded
 
-    def _optimize(self, t: int, frame: np.ndarray, domain_tag: str | None = None) -> bool:
-        """Full adaptation: place mask, search offsets, publish. Returns degraded."""
+    def _optimize(self, t: int, frame: np.ndarray, domain_tag: str | None = None,
+                  trigger: np.ndarray | None = None) -> bool:
+        """Full adaptation: place mask, search offsets, publish. Returns degraded.
+
+        ``trigger`` is the frame's ``_trigger_map`` when the step has it; it
+        becomes the refresh reference and the search's unprompted base.
+        """
+        if trigger is None:
+            trigger = self._trigger_map(frame)
         umap = self._uncertainty(t, frame)
         coords = place_mask(umap, self.search.dimension // 3)  # three offsets per pixel
         config = replace(self.search, seed=self._cma_seed(t))
-        result = optimize_svp(self.oracle, frame, coords, config)
+        result = optimize_svp(self.oracle, frame, coords, config, base=trigger)
         self.current_svp = result.prompt
-        self.ref_umap = self._trigger_map(frame)
+        self.ref_umap = trigger
         self.last_result = result
 
         self.provenance.record(self.spec.id, t, self._domain_window, result.prompt)
@@ -272,6 +293,9 @@ class MassiveAgent(_Agent):
             self._domain_window.append(frame)
             self._domain_window = self._domain_window[-self.distill_config.frames :]
 
+        # The frame's one unprompted forward pass is its trigger map: the
+        # refresh reference, the search's base, and the entropy of every
+        # pixel a warped prompt leaves alone.
         if shift:
             event = "optimize"
             degraded |= self._optimize(t, frame, domain_tag)
@@ -288,12 +312,16 @@ class MassiveAgent(_Agent):
             )
             if refresh or map_moved:
                 event = "optimize"
-                degraded |= self._optimize(t, frame, domain_tag)
+                degraded |= self._optimize(t, frame, domain_tag, umap)
             else:
                 event = "warp"
                 self.current_svp = warped
+                score_warped = self.oracle.svp_scorer(frame, warped.coords, umap)
+                entropy = float(score_warped(warped.offsets[None])[0])
         else:
             event = "none"
+            entropy = mean_entropy(self.oracle.predict(frame))
 
-        entropy = mean_entropy(self.oracle.predict(apply_svp(frame, self.current_svp)))
+        if event == "optimize":
+            entropy = float(self.last_result.best_fitness)
         return self._record(t, domain_tag, shift, score, event, entropy, degraded=degraded)

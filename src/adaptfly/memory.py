@@ -16,6 +16,7 @@ only appends to the pending list, refine runs as an exclusive batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import compress
 
@@ -52,12 +53,29 @@ INT64 = range(-(2**63), 2**63)
 _KEY_NORM_TOLERANCE = 1e-9
 
 
+def _scaled_norm(vec: np.ndarray) -> tuple[float, float]:
+    """``(s, n)``: n is the Euclidean norm of vec / s, so s * n is vec's.
+
+    vec is a 1-D float64 array. s is 1 and n the plain norm, bit for bit
+    ``np.linalg.norm``'s (the square root of ``vec.dot(vec)``), wherever
+    the squared norm lies in [1e-300, 1e300]. Outside it the squares may
+    have overflowed or underflowed, so s is vec's largest magnitude, and
+    0, inf or NaN (with n = 1) for a zero or non-finite vec.
+    """
+    with np.errstate(over="ignore"):
+        sq = float(vec.dot(vec))
+    if 1e-300 <= sq <= 1e300:
+        return 1.0, math.sqrt(sq)
+    s = float(np.abs(vec).max(initial=0.0))
+    return s, float(np.linalg.norm(vec / s)) if 0.0 < s < np.inf else 1.0
+
+
 def _unit(key: np.ndarray) -> np.ndarray:
     key = np.asarray(key, dtype=np.float64).ravel()
-    norm = float(np.linalg.norm(key))
-    if norm == 0.0 or not np.isfinite(norm):
+    s, norm = _scaled_norm(key)
+    if not 0.0 < s < np.inf:
         raise DegenerateKeyError("key/query vector must be nonzero and finite")
-    out = key / norm
+    out = key / norm if s == 1.0 else (key / s) / norm
     out.setflags(write=False)
     return out
 
@@ -68,7 +86,8 @@ def _stored_unit(values, what: str) -> np.ndarray:
         vec = number_vector(values, what)
     except CompositionError as exc:
         raise PoolFormatError(str(exc)) from exc
-    norm = float(np.linalg.norm(vec))
+    s, n = _scaled_norm(vec)
+    norm = s * n
     if not abs(norm - 1.0) <= _KEY_NORM_TOLERANCE:  # also rejects NaN and inf
         raise PoolFormatError(
             f"{what} must be a finite unit vector (norm within "

@@ -21,12 +21,16 @@ has a measurable, plantable effect:
 
 All oracles are immutable after construction and all operations are pure
 functions of their explicit arguments (including seeds), so they may be
-called from any number of concurrent workers.
+called from any number of concurrent workers. ``make_toy_oracle`` returns
+one shared oracle per argument set; every array an oracle holds or caches
+is read-only.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,6 +56,11 @@ __all__ = [
 # guaranteed (and property-tested) to have higher mean entropy than the
 # source frame, given gains in [0.6, 0.95].
 MIN_SHIFT_BIAS = 0.08
+
+# Oracles kept by make_toy_oracle, and token-prompt pixel deltas kept per
+# oracle (each about 24 KB on a 32x32 frame).
+ORACLE_CACHE_SIZE = 8
+DELTA_CACHE_PROMPTS = 8
 
 
 @dataclass(frozen=True)
@@ -126,8 +135,9 @@ class ToyOracle:
     token_basis: np.ndarray = field(repr=False)       # (d, d) orthogonal
     feature_projection: np.ndarray = field(repr=False)  # (d, d) orthogonal
     prompt_mix_base: np.ndarray = field(repr=False)     # (N, N) orthogonal
-    _anchor_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _base_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # id(prompt) -> (prompt, its read-only pixel delta), least recent first
+    _deltas: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False,
+                                 compare=False)
 
     # -- geometry ------------------------------------------------------
 
@@ -208,30 +218,56 @@ class ToyOracle:
         x = self._check_image(x)
         if tp is None or tp.rows == 0:
             return x
-        if tp.dim != self.token_dim:
-            raise OracleError(
-                f"token prompt dim {tp.dim} does not match oracle dim {self.token_dim}"
-            )
-        delta_tokens = self.prompt_mix(tp.rows) @ np.asarray(tp.values, np.float64)
-        return x + self._unpatch(delta_tokens @ self.token_basis.T)
+        return x + self._prompt_delta(tp)
+
+    def _prompt_delta(self, tp: TokenPrompt) -> np.ndarray:
+        """The pixel-space adjustment of ``tp``, computed once per prompt.
+
+        Kept in a small LRU keyed by ``id(tp)`` that holds the prompt
+        itself, so no other prompt can take that id while it is held.
+        """
+        held = self._deltas.pop(id(tp), None)
+        if held is None:
+            if tp.dim != self.token_dim:
+                raise OracleError(
+                    f"token prompt dim {tp.dim} does not match oracle dim {self.token_dim}"
+                )
+            delta_tokens = self.prompt_mix(tp.rows) @ np.asarray(tp.values, np.float64)
+            delta = self._unpatch(delta_tokens @ self.token_basis.T)
+            delta.setflags(write=False)
+            held = (tp, delta)
+        self._deltas[id(tp)] = held
+        if len(self._deltas) > DELTA_CACHE_PROMPTS:
+            self._deltas.popitem(last=False)
+        return held[1]
+
+    @cached_property
+    def _prototype_sq(self) -> np.ndarray:
+        sq = np.sum(self.prototypes**2, axis=1)[:, None, None]
+        sq.setflags(write=False)
+        return sq
 
     def _logits(self, e: np.ndarray) -> np.ndarray:
-        # Isotropic Gaussian classifier posterior: affine in the pixel value.
-        proj = np.einsum("ijc,kc->kij", e, self.prototypes)
-        sq = np.sum(self.prototypes**2, axis=1)
-        return (2.0 * proj - sq[:, None, None]) / self.temperature
+        # Isotropic Gaussian classifier posterior: affine in the pixel value,
+        # (2 e.p_k - |p_k|^2) / T, evaluated in place on the einsum's output.
+        logits = np.einsum("ijc,kc->kij", e, self.prototypes)
+        logits *= 2.0
+        logits -= self._prototype_sq
+        logits /= self.temperature
+        return logits
 
     @staticmethod
     def _softmax(logits: np.ndarray) -> np.ndarray:
-        z = logits - logits.max(axis=0, keepdims=True)
-        ez = np.exp(z)
-        return ez / ez.sum(axis=0, keepdims=True)
+        p = logits - logits.max(axis=0, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=0, keepdims=True)
+        return p
 
     def predict(self, x: np.ndarray, tp: TokenPrompt | None = None) -> np.ndarray:
         """Per-pixel class probabilities, shape (C, H, W)."""
         return self._softmax(self._logits(self.effective_image(x, tp)))
 
-    def svp_scorer(self, x: np.ndarray, coords: np.ndarray):
+    def svp_scorer(self, x: np.ndarray, coords: np.ndarray, base: np.ndarray | None = None):
         """Scorer of sparse prompts at ``coords`` on frame x.
 
         Returns ``score(offsets) -> (P,)`` whose entry i equals
@@ -239,14 +275,20 @@ class ToyOracle:
         where p_i carries ``offsets[i]`` (shape (K, 3)) at ``coords``.
         ``coords`` must already be valid prompt coordinates: K unique
         in-frame (row, col) pairs. Without a token prompt the model is
-        pixelwise, so the unprompted pass runs once, here, and each score
-        re-evaluates only the K prompted pixels of each candidate.
+        pixelwise, so the unprompted pass runs once and each score
+        re-evaluates only the K prompted pixels of each candidate. ``base``
+        is that pass's (H, W) entropy map, ``pixel_entropy(self.predict(x))``,
+        when the caller already has it; it is computed here otherwise.
         """
         x = self._check_image(x)
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
         r, c = coords[:, 0], coords[:, 1]
         flat = r * self.width + c
-        base = pixel_entropy(self.predict(x)).ravel()
+        if base is None:
+            base = pixel_entropy(self.predict(x))
+        elif np.shape(base) != self.frame_shape:
+            raise OracleError(f"entropy map must be {self.frame_shape}, got {np.shape(base)}")
+        base = np.asarray(base, dtype=np.float64).ravel()
         pixels = x[r, c, :]
 
         def score(offsets: np.ndarray) -> np.ndarray:
@@ -333,12 +375,14 @@ class ToyOracle:
         return centered / norm
 
     def source_anchor(self) -> np.ndarray:
-        """Mean-pooled encoder features of the source-domain scene."""
-        if self._anchor_cache is None:
-            object.__setattr__(
-                self, "_anchor_cache", self.encode_image(self.base_image()).mean(axis=0)
-            )
-        return self._anchor_cache
+        """Mean-pooled encoder features of the source-domain scene; read-only."""
+        return self._anchor
+
+    @cached_property
+    def _anchor(self) -> np.ndarray:
+        anchor = self.encode_image(self.base_image()).mean(axis=0)
+        anchor.setflags(write=False)
+        return anchor
 
     # -- scene rendering -----------------------------------------------
 
@@ -347,14 +391,16 @@ class ToyOracle:
 
         Read-only. The unshifted frame is built once per oracle and shared.
         """
-        if self._base_cache is None:
-            base = self.prototypes[self.layout]
-            base.setflags(write=False)
-            object.__setattr__(self, "_base_cache", base)
-        base = self._base_cache
+        base = self._base
         if offset != (0, 0):
             base = np.roll(base, shift=(int(offset[0]), int(offset[1])), axis=(0, 1))
             base.setflags(write=False)
+        return base
+
+    @cached_property
+    def _base(self) -> np.ndarray:
+        base = self.prototypes[self.layout]
+        base.setflags(write=False)
         return base
 
 
@@ -402,9 +448,18 @@ def make_toy_oracle(
 
     The frame must tile exactly into `patch` x `patch` patches; the token
     dimension is 3 * patch**2 so the patch-token basis is invertible.
+    Oracles are memoized: equal arguments return the same read-only
+    oracle, from a cache of the ``ORACLE_CACHE_SIZE`` most recent ones.
     """
     check_toy_oracle(seed, classes, height, width, stem_channels, patch, temperature,
                      position_decay)
+    return _build_toy_oracle(seed, classes, height, width, stem_channels, patch,
+                             temperature, position_decay)
+
+
+@lru_cache(maxsize=ORACLE_CACHE_SIZE, typed=True)
+def _build_toy_oracle(seed: int, classes: int, height: int, width: int, stem_channels: int,
+                      patch: int, temperature: float, position_decay: float) -> ToyOracle:
     rng = np.random.default_rng(seed)
 
     # Planted layout: Voronoi cells of one anchor pixel per class.
@@ -513,11 +568,19 @@ def random_domain_spec(
 
 
 def pixel_entropy(out: np.ndarray) -> np.ndarray:
-    """Per-pixel Shannon entropy in nats, shape (H, W); 0*ln(0) counts as 0."""
+    """Per-pixel Shannon entropy in nats, shape (H, W); 0*ln(0) counts as 0.
+
+    Equals ``np.where(p > 0, -p * log(p), 0).sum(axis=0)`` bit for bit,
+    except that a zero entropy is always +0.0: the sum of p*log(p) is
+    negated once, as 0 - sum, instead of term by term.
+    """
     p = np.asarray(out, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, -p * np.log(p), 0.0)
-    return terms.sum(axis=0)
+        terms = np.log(p)
+        terms *= p
+    np.copyto(terms, 0.0, where=~(p > 0.0))
+    h = terms.sum(axis=0)
+    return np.subtract(0.0, h, out=h)
 
 
 def mean_entropy(out: np.ndarray) -> float:

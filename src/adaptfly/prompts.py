@@ -98,11 +98,16 @@ class TokenPrompt:
     def __post_init__(self):
         if self.dtype not in _DTYPES:
             raise ConfigError(f"unknown token prompt dtype {self.dtype!r}")
-        v = np.asarray(self.values, dtype=_DTYPES[self.dtype])
+        # A value beyond the dtype's range casts to inf, which the finiteness
+        # check below rejects; numpy's overflow warning is not the error.
+        with np.errstate(over="ignore"):
+            v = np.asarray(self.values, dtype=_DTYPES[self.dtype])
         if v.ndim != 2:
             raise CompositionError(f"token prompt values must be 2-D, got shape {v.shape}")
         if v.size and not np.all(np.isfinite(v)):
-            raise CompositionError("token prompt values must be finite")
+            raise CompositionError(
+                f"token prompt values must be finite and within {self.dtype} range"
+            )
         object.__setattr__(self, "values", _readonly(v))
 
     @property

@@ -358,7 +358,7 @@ class TestAgentKeys:
         seen = {}
 
         def record(name):
-            def capture(*args):
+            def capture(*args, **kwargs):  # the search also takes the frame's base map
                 seen[name] = args
                 raise Recorded
             return capture
@@ -533,6 +533,19 @@ class TestServer:
         server.handle(RefineTick())
         with pytest.raises(CompositionError):
             server.handle(Query(query=(1.0, 0.0), n=2, request_id=1))
+
+    @pytest.mark.parametrize("transport", [InprocClient, StreamClient])
+    def test_huge_query_vector_is_answered(self, server_setup, transport):
+        # [1e200]*48 is nonzero and finite: its norm is taken scaled, so it
+        # neither overflows (a numpy warning) nor reads as degenerate.
+        oracle, _, _, server = server_setup
+        client = transport(server)
+        client.send(UploadPrompt(key=tuple(np.ones(oracle.token_dim)),
+                                 value=TokenPrompt(np.ones((2, 4))), timestamp=1,
+                                 agent_id="uav-h1"))
+        client.send(RefineTick())
+        reply = client.request(Query(query=(1e200,) * oracle.token_dim, n=2, request_id=1))
+        assert [e["entry_id"] for e in reply.entries] == [0]
 
     def test_deferred_entry_resolved_on_query(self, server_setup):
         oracle, pool, provenance, server = server_setup
@@ -1075,6 +1088,46 @@ class TestMassiveAgentPaths:
         assert rec.bytes_sent == 0
 
 
+    def test_each_frame_runs_one_unprompted_forward_and_records_its_entropy(self, monkeypatch):
+        # The recorded entropy (the search's best fitness, or the warped
+        # prompt re-scored on the trigger map) equals the full prompted
+        # forward pass bit for bit, and a step runs the unprompted pass
+        # (predict, or the deterministic trigger map) exactly once.
+        from adaptfly.oracle import ToyOracle, mean_entropy
+        from adaptfly.prompts import apply_svp
+
+        passes, checked = [], []
+        predict, umap = ToyOracle.predict, ToyOracle.uncertainty_map
+
+        def counted_predict(self, x, tp=None):
+            passes[-1] += 1
+            return predict(self, x, tp)
+
+        def counted_umap(self, x, n, rate, seed):
+            passes[-1] += (n, rate) == (1, 0.0)
+            return umap(self, x, n, rate, seed)
+
+        step = MassiveAgent.step
+
+        def checked_step(agent, t, frame, *args, **kwargs):
+            passes.append(0)
+            rec = step(agent, t, frame, *args, **kwargs)
+            full = mean_entropy(predict(agent.oracle, apply_svp(frame, agent.current_svp)))
+            checked.append((rec.adaptation_event, rec.mean_entropy, full, passes[-1]))
+            return rec
+
+        monkeypatch.setattr(ToyOracle, "predict", counted_predict)
+        monkeypatch.setattr(ToyOracle, "uncertainty_map", counted_umap)
+        monkeypatch.setattr(MassiveAgent, "step", checked_step)
+        run_scenario(reference_config(0))
+        assert {event for event, *_ in checked} == {"none", "optimize", "warp"}
+        assert len(checked) == 80
+        for event, recorded, full, forwards in checked:
+            assert type(recorded) is float
+            assert recorded == full, event
+            assert forwards == 1, event
+
+
 class TestLimitedAgentPaths:
     def test_no_shift_no_prompt_baseline(self):
         oracle = make_toy_oracle(seed=7)
@@ -1127,6 +1180,51 @@ class TestLimitedAgentPaths:
         assert len(calls) == 2
         prompt = agent.cached if agent.cached.rows else None
         assert rec.mean_entropy == mean_entropy(predict(oracle, frame, prompt))
+
+    def test_reply_entries_are_parsed_once_per_held_dict(self, monkeypatch):
+        # A back-reference hands the agent the dict it parsed before, so its
+        # PoolEntry is reused; a merged entry arrives as a new dict and is
+        # parsed again, never answered from the old entry.
+        import adaptfly.fleet.agents as agents_mod
+        from adaptfly.memory import PoolEntry
+
+        oracle = make_toy_oracle(seed=7)
+        frame = render_frame(oracle, DomainSpec(id="dusk", gain=(0.75, 0.8, 0.72),
+                                                bias=(-0.15, 0.12, -0.1), seed=4), 0)
+        key = tuple(oracle.query_embedding(frame))
+        server = MecServer(PromptPool(PoolConfig()), oracle, DistillConfig(rows=4),
+                           ProvenanceLog())
+        uploader = InprocClient(server)
+
+        def upload(fill, t):
+            uploader.send(UploadPrompt(key=key, value=TokenPrompt(
+                np.full((2, oracle.token_dim), fill)), timestamp=t, agent_id="uav-h1"))
+            uploader.send(RefineTick())
+
+        tracker = DriftTracker(smoothing=0.1, threshold=1e9, warmup=1)
+        agent = LimitedAgent(_spec("limited", "uav-l1", retrieval_n=1), oracle,
+                             InprocClient(server), tracker)
+        monkeypatch.setattr(agents_mod, "detect", lambda tracker, stats: (True, 1.0, None))
+        parsed = []
+        from_dict = PoolEntry.from_dict
+        monkeypatch.setattr(PoolEntry, "from_dict",
+                            classmethod(lambda cls, d: parsed.append(d) or from_dict(d)))
+
+        upload(0.01, 0)
+        agent.step(1, frame)
+        first = agent._entries[0]
+        agent.step(2, frame)                        # a back-reference
+        assert len(parsed) == 1 and agent._entries[0] is first
+        assert agent.client.reply_counts == {"in_full": 1, "referenced": 1}
+
+        upload(0.03, 3)                             # merges into entry 0
+        merged = server.pool.get(0)
+        assert merged.value != first[1].value
+        agent.step(4, frame)
+        assert len(parsed) == 2 and parsed[1] is not parsed[0]
+        entry = agent._entries[0][1]
+        assert entry is not first[1]
+        assert entry.value == merged.value and np.array_equal(entry.key, merged.key)
 
 
 class TestSummary:

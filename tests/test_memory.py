@@ -15,6 +15,7 @@ from adaptfly.errors import (
     PoolFormatError,
     ResolutionError,
 )
+import adaptfly.memory as memory_mod
 from adaptfly.memory import DeferredMarker, PoolConfig, PoolEntry, PromptPool, assemble
 from adaptfly.prompts import TokenPrompt, vector_text
 
@@ -84,6 +85,24 @@ class TestQuery:
     def test_empty_pool_raises(self):
         with pytest.raises(EmptyPoolError):
             make_pool().query_topn(np.array([1.0]), n=1)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300])
+    def test_huge_and_tiny_queries_are_normalized(self, scale):
+        # The norm is taken scaled by the largest magnitude, so squaring
+        # neither overflows nor underflows (no numpy warning either).
+        pool = make_pool()
+        pool.insert(unit([1.0] * 48), prompt(dim=4), timestamp=0, agent_id="a")
+        pool.insert(unit([1.0] * 24 + [-1.0] * 24), prompt(dim=4), timestamp=0, agent_id="a")
+        pool.refine()
+        hits = pool.query_topn(np.full(48, scale), 2)
+        assert [e.entry_id for e in hits] == [0, 1]
+        assert np.array_equal(memory_mod._unit(np.full(48, scale)), unit([1.0] * 48))
+
+    def test_unit_keeps_the_plain_norm_in_range(self):
+        rng = np.random.default_rng(4)
+        for scale in (1e-140, 1.0, 1e140):
+            v = rng.normal(size=48) * scale
+            assert np.array_equal(memory_mod._unit(v), v / float(np.linalg.norm(v)))
 
     def test_zero_query_rejected(self):
         pool = make_pool()
@@ -433,6 +452,12 @@ class TestPersistence:
         d = PoolEntry(0, unit([1.0, 0.0]), prompt(), 0, "a").to_dict()
         (d if field == "key" else d["value"])[field] = value
         with pytest.raises(PoolFormatError, match=f"^{named}"):
+            PoolEntry.from_dict(d)
+
+    def test_huge_stored_key_rejected_with_its_true_norm(self):
+        d = {**PoolEntry(0, unit([1.0] * 48), prompt(), 0, "a").to_dict(),
+             "key": [1e200] * 48}
+        with pytest.raises(PoolFormatError, match=r"got norm 6\.928203230275\d*e\+200"):
             PoolEntry.from_dict(d)
 
     def test_stored_key_within_tolerance_kept_as_is(self):

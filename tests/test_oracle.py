@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+
+import adaptfly.oracle as oracle_mod
 
 from adaptfly.drift import SIGMA_FLOOR, compute_stats
 from adaptfly.errors import ConfigError, OracleError, StatsError
@@ -131,6 +134,18 @@ class TestSvpEntropies:
         ])
         assert batched.shape == (population,)
         assert np.all(batched == reference)
+
+    def test_given_base_map_scores_as_the_computed_one(self, oracle):
+        rng = np.random.default_rng(5)
+        x = render_frame(oracle, random_domain_spec(rng, "d"), 0)
+        coords = place_mask(rng.random(oracle.frame_shape), 40)
+        offsets = rng.normal(0.0, 0.5, size=(6, 40, 3))
+        base = oracle.uncertainty_map(x, 1, 0.0, 0)  # the massive agents' trigger map
+        assert np.array_equal(base, pixel_entropy(oracle.predict(x)))
+        assert np.array_equal(oracle.svp_scorer(x, coords, base)(offsets),
+                              oracle.svp_scorer(x, coords)(offsets))
+        with pytest.raises(OracleError):
+            oracle.svp_scorer(x, coords, base[:, :-1])
 
     def test_offsets_shape_checked(self, oracle, source):
         score = oracle.svp_scorer(source, np.array([[0, 0], [1, 1]]))
@@ -375,3 +390,131 @@ class TestConstructionValidation:
         for seed in range(5):
             o = make_toy_oracle(seed=seed)
             assert len(np.unique(o.layout)) == o.classes
+
+
+def reference_pixel_entropy(p: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0.0, -p * np.log(p), 0.0).sum(axis=0)
+
+
+def reference_delta(oracle: ToyOracle, tp: TokenPrompt) -> np.ndarray:
+    delta_tokens = oracle.prompt_mix(tp.rows) @ np.asarray(tp.values, np.float64)
+    return oracle._unpatch(delta_tokens @ oracle.token_basis.T)
+
+
+def reference_predict(oracle: ToyOracle, x: np.ndarray, tp: TokenPrompt | None = None):
+    """The forward pass as three fresh temporaries, prompt delta built on every call."""
+    e = x if tp is None else x + reference_delta(oracle, tp)
+    proj = np.einsum("ijc,kc->kij", e, oracle.prototypes)
+    sq = np.sum(oracle.prototypes**2, axis=1)
+    logits = (2.0 * proj - sq[:, None, None]) / oracle.temperature
+    ez = np.exp(logits - logits.max(axis=0, keepdims=True))
+    return ez / ez.sum(axis=0, keepdims=True)
+
+
+class TestForwardFastPaths:
+    """The in-place and cached forward pass against the formulas it replaced."""
+
+    def test_pixel_entropy_matches_the_where_formula(self):
+        rng = np.random.default_rng(0)
+        p = rng.dirichlet(np.full(5, 0.3), size=(12, 9)).transpose(2, 0, 1).copy()
+        p[:, 0, :] = 0.0
+        p[1, 0, :] = 1.0                                    # one-hot rows
+        p[:, 1, :3] = [[0.5], [0.5], [0.0], [0.0], [0.0]]   # exact zeros beside mass
+        p[:, 2, 0] = 0.0                                    # an all-zero pixel
+        p[:, 3, 0] = [1e-320, 0.0, 1.0, 0.0, 0.0]           # a subnormal
+        got = pixel_entropy(p)
+        assert np.array_equal(got, reference_pixel_entropy(p))
+        assert not np.signbit(got).any()                    # +0.0, never -0.0
+        assert np.array_equal(got[0], np.zeros(9))
+
+    def test_pixel_entropy_of_every_one_hot_is_positive_zero(self):
+        for c in range(4):
+            h = pixel_entropy(np.eye(4)[:, c].reshape(4, 1, 1))
+            assert h[0, 0] == 0.0 and not np.signbit(h[0, 0])
+
+    @pytest.mark.parametrize("shape", [(32, 32, 3), (7, 51, 3), (1, 0, 3)])
+    def test_in_place_logits_and_softmax_match_the_old_formulas(self, oracle, shape):
+        e = np.random.default_rng(len(shape) + shape[1]).uniform(-0.2, 1.2, size=shape)
+        proj = np.einsum("ijc,kc->kij", e, oracle.prototypes)
+        old_logits = (2.0 * proj - np.sum(oracle.prototypes**2, axis=1)[:, None, None]
+                      ) / oracle.temperature
+        logits = oracle._logits(e)
+        assert np.array_equal(logits, old_logits)
+        before = logits.copy()
+        ez = np.exp(old_logits - old_logits.max(axis=0, keepdims=True))
+        assert np.array_equal(oracle._softmax(logits), ez / ez.sum(axis=0, keepdims=True))
+        assert np.array_equal(logits, before)   # the softmax leaves its input alone
+
+    def test_predict_matches_the_uncached_path(self, oracle):
+        rng = np.random.default_rng(1)
+        x = render_frame(oracle, random_domain_spec(rng, "d"), 0)
+        assert np.array_equal(oracle.predict(x), reference_predict(oracle, x))
+        seen_ids, reused = set(), 0
+        for i in range(3 * oracle_mod.DELTA_CACHE_PROMPTS + 5):
+            tp = TokenPrompt(rng.normal(scale=0.05, size=(1 + i % 5, oracle.token_dim)))
+            reused += id(tp) in seen_ids   # a dead, evicted prompt's id handed out again
+            seen_ids.add(id(tp))
+            expected = reference_predict(oracle, x, tp)
+            assert np.array_equal(oracle.predict(x, tp), expected)
+            assert np.array_equal(oracle.predict(x, tp), expected)  # from the cache
+            del tp
+        assert reused
+        assert len(oracle._deltas) <= oracle_mod.DELTA_CACHE_PROMPTS
+
+    def test_delta_cache_stays_bounded_over_fresh_assemblies(self, oracle):
+        rng = np.random.default_rng(2)
+        x = render_frame(oracle, random_domain_spec(rng, "d"), 0)
+        prompts = [TokenPrompt(rng.normal(scale=0.05, size=(4, oracle.token_dim)))
+                   for _ in range(789)]
+        for tp in prompts:
+            oracle.predict(x, tp)
+            assert len(oracle._deltas) <= oracle_mod.DELTA_CACHE_PROMPTS
+        held = [tp for tp, _ in oracle._deltas.values()]
+        assert held == prompts[-oracle_mod.DELTA_CACHE_PROMPTS:]  # least recent evicted
+
+    def test_prompt_dim_checked_on_every_call(self, oracle, source):
+        tp = TokenPrompt(np.zeros((2, oracle.token_dim + 1)))
+        for _ in range(2):
+            with pytest.raises(OracleError):
+                oracle.predict(source, tp)
+
+
+class TestMemoizedOracle:
+    def test_equal_arguments_return_the_same_oracle(self):
+        a = make_toy_oracle(7)
+        assert make_toy_oracle(seed=7) is a
+        assert make_toy_oracle(7, classes=5, height=32, width=32, stem_channels=8, patch=4,
+                               temperature=0.08, position_decay=0.25) is a
+        assert make_toy_oracle(7, classes=4) is not a
+        assert make_toy_oracle(8) is not a
+
+    def test_invalid_arguments_raise_and_are_not_cached(self):
+        before = oracle_mod._build_toy_oracle.cache_info()
+        for kwargs in ({"seed": -1}, {"seed": 0, "classes": 1},
+                       {"seed": 0, "height": 30}, {"seed": 0, "temperature": 0.0}):
+            with pytest.raises(ConfigError):
+                make_toy_oracle(**kwargs)
+        after = oracle_mod._build_toy_oracle.cache_info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+    def test_cache_is_bounded(self):
+        for seed in range(100, 100 + 2 * oracle_mod.ORACLE_CACHE_SIZE):
+            make_toy_oracle(seed=seed, height=8, width=8)
+        assert oracle_mod._build_toy_oracle.cache_info().currsize <= oracle_mod.ORACLE_CACHE_SIZE
+
+    def test_every_array_refuses_writes(self):
+        oracle = make_toy_oracle(seed=7)
+        tp = TokenPrompt(np.full((2, oracle.token_dim), 0.01))
+        oracle.predict(oracle.base_image(), tp)
+        arrays = {f.name: getattr(oracle, f.name) for f in dataclasses.fields(oracle)
+                  if isinstance(getattr(oracle, f.name), np.ndarray)}
+        assert len(arrays) == 7
+        arrays.update(base_image=oracle.base_image(), shifted=oracle.base_image((1, 2)),
+                      source_anchor=oracle.source_anchor(),
+                      prototype_sq=oracle._prototype_sq,
+                      delta=oracle._deltas[id(tp)][1])
+        for name, a in arrays.items():
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError):
+                a.flat[0] = 0

@@ -207,6 +207,18 @@ class TestValidationAndSerialization:
         with pytest.raises(CompositionError):
             TokenPrompt(np.array([[np.nan, 0.0]]))
 
+    @pytest.mark.parametrize("dtype, value", [("f32", 1e39), ("f32", -3.5e38),
+                                              ("f16", 70000.0)])
+    def test_value_beyond_the_dtype_range_is_a_composition_error(self, dtype, value):
+        # Raised as the typed error, not as numpy's "overflow encountered in
+        # cast" warning (the suite turns warnings into errors).
+        d = {"rows": 1, "dim": 1, "values": [value], "dtype": dtype}
+        with pytest.raises(CompositionError, match=f"within {dtype} range"):
+            TokenPrompt.from_dict(d)
+        with pytest.raises(CompositionError):
+            TokenPrompt(np.array([[value]]), dtype=dtype)
+        assert TokenPrompt(np.array([[65504.0]]), dtype="f16").values[0, 0] == 65504.0
+
     def test_token_prompt_json_round_trip_f32_bit_exact(self):
         values = np.random.default_rng(8).normal(size=(4, 6)).astype(np.float32)
         p = TokenPrompt(values, dtype="f32")
