@@ -197,7 +197,11 @@ def _cmd_report(args) -> int:
     path = Path(args.metrics)
     if not path.is_file():
         raise CliError(f"metrics file not found: {path}")
-    records = parse_metrics_csv(path.read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path} is not UTF-8 text: invalid byte at offset {exc.start}") from None
+    records = parse_metrics_csv(text, source=str(path))
     if not records:
         raise CliError(f"{path} contains no data rows")
     out = sys.stdout

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FitnessError
-from .oracle import pixel_entropy
 from .prompts import SparseVisualPrompt, apply_svp
 
 __all__ = [
@@ -405,7 +404,7 @@ def optimize_svp(
 
 def masked_mean_entropy(oracle, x: np.ndarray, p: SparseVisualPrompt) -> float:
     """Mean per-pixel entropy restricted to the prompt's coordinates."""
-    ent = pixel_entropy(oracle.predict(apply_svp(x, p)))
+    ent = oracle.entropy_map(apply_svp(x, p))
     r, c = p.coords[:, 0], p.coords[:, 1]
     return float(ent[r, c].mean())
 

@@ -22,7 +22,6 @@ from ..cmaes import optimize_svp
 from ..distill import DistillConfig, distill_iterative
 from ..drift import DriftTracker, detect, reset_reference
 from ..memory import PoolEntry, assemble
-from ..oracle import mean_entropy
 from ..prompts import SparseVisualPrompt, TokenPrompt, place_mask, warp_svp
 from .config import AgentSpec
 from .mec import ProvenanceLog
@@ -57,6 +56,10 @@ class StepRecord:
 
 
 RECORD_COLUMNS = tuple(f.name for f in fields(StepRecord))
+
+
+def _mean_entropy(oracle, frame: np.ndarray, tp: TokenPrompt | None = None) -> float:
+    return float(oracle.entropy_map(frame, tp).mean())
 
 
 class _Agent:
@@ -142,10 +145,8 @@ class LimitedAgent(_Agent):
         if not (entries and float(q @ entries[0].key) >= self.ADOPT_SIMILARITY_FLOOR):
             return None, None
         candidate = assemble(entries)
-        baseline = mean_entropy(self.oracle.predict(frame))
-        adapted = mean_entropy(
-            self.oracle.predict(frame, candidate if candidate.rows else None)
-        )
+        baseline = _mean_entropy(self.oracle, frame)
+        adapted = _mean_entropy(self.oracle, frame, candidate if candidate.rows else None)
         if adapted < baseline - 1e-9 * (1.0 + baseline):
             return candidate, adapted
         return None, baseline
@@ -190,7 +191,7 @@ class LimitedAgent(_Agent):
 
         if entropy is None:
             prompt = self.cached if self.cached.rows else None
-            entropy = mean_entropy(self.oracle.predict(frame, prompt))
+            entropy = _mean_entropy(self.oracle, frame, prompt)
         return self._record(t, domain_tag, shift, score, event, entropy,
                             retrieved=retrieved, degraded=degraded)
 
@@ -228,7 +229,7 @@ class MassiveAgent(_Agent):
     def _trigger_map(self, frame: np.ndarray) -> np.ndarray:
         # Deterministic predictive entropy: noise-free, so the refresh
         # trigger compares scene change rather than Monte-Carlo jitter.
-        return self.oracle.uncertainty_map(frame, 1, 0.0, 0)
+        return self.oracle.entropy_map(frame)
 
     def _flush_retries(self) -> bool:
         degraded = False
@@ -320,7 +321,7 @@ class MassiveAgent(_Agent):
                 entropy = float(score_warped(warped.offsets[None])[0])
         else:
             event = "none"
-            entropy = mean_entropy(self.oracle.predict(frame))
+            entropy = _mean_entropy(self.oracle, frame)
 
         if event == "optimize":
             entropy = float(self.last_result.best_fitness)

@@ -28,6 +28,7 @@ is read-only.
 
 from __future__ import annotations
 
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -74,12 +75,28 @@ class DomainSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("gain", "bias"):
+            if not _finite(getattr(self, name), (3,)):
+                raise ConfigError(
+                    f"domain {name} must be three finite numbers, got {getattr(self, name)!r}"
+                )
         if min(self.gain) <= 0:
             raise ConfigError(f"domain gain must be positive, got {self.gain}")
-        if self.noise_scale < 0:
-            raise ConfigError("noise scale must be non-negative")
-        if self.seed < 0:
-            raise ConfigError(f"domain seed must be non-negative, got {self.seed}")
+        if not (_finite(self.noise_scale, ()) and self.noise_scale >= 0):
+            raise ConfigError(f"noise scale must be finite and non-negative, "
+                              f"got {self.noise_scale!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ConfigError(f"domain seed must be a non-negative integer, got {self.seed!r}")
+
+
+def _finite(value, shape: tuple) -> bool:
+    """Whether ``value`` is an array of finite numbers (not booleans) of this shape."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged sequence
+        return False
+    return a.shape == shape and a.dtype.kind in "iuf" and bool(np.all(np.isfinite(a)))
 
 
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -242,50 +259,98 @@ class ToyOracle:
         return held[1]
 
     @cached_property
-    def _prototype_sq(self) -> np.ndarray:
-        sq = np.sum(self.prototypes**2, axis=1)[:, None, None]
-        sq.setflags(write=False)
-        return sq
+    def _affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """The classifier as one affine map, read-only: logits = W e + b.
+
+        The isotropic Gaussian posterior (2 e.p_k - |p_k|^2) / T gives
+        W = 2P/T, shape (C, 3), and b = -|p_k|^2/T, shape (C, 1).
+        """
+        w = 2.0 * self.prototypes / self.temperature
+        b = -np.sum(self.prototypes**2, axis=1, keepdims=True) / self.temperature
+        w.setflags(write=False)
+        b.setflags(write=False)
+        return w, b
 
     def _logits(self, e: np.ndarray) -> np.ndarray:
-        # Isotropic Gaussian classifier posterior: affine in the pixel value,
-        # (2 e.p_k - |p_k|^2) / T, evaluated in place on the einsum's output.
-        logits = np.einsum("ijc,kc->kij", e, self.prototypes)
-        logits *= 2.0
-        logits -= self._prototype_sq
-        logits /= self.temperature
+        """Class-first logits, shape (C, N), of the N pixels of e (..., 3).
+
+        One matmul for every N. A lone pixel is computed as a two-pixel
+        batch and its column kept twice, shape (C, 2): numpy hands a
+        one-column product to gemv and reduces a one-column array in
+        another order, and either would round that pixel differently from
+        the same pixel in a larger batch. So each pixel's logits, and all
+        derived from them, are bit-identical in every batch.
+        """
+        w, b = self._affine
+        pixels = e.reshape(-1, 3)
+        if pixels.shape[0] == 1:
+            pixels = np.repeat(pixels, 2, axis=0)
+        logits = w @ pixels.T
+        logits += b
         return logits
+
+    def _frame(self, columns: np.ndarray) -> np.ndarray:
+        """Per-pixel values (..., N) of a frame's logits as (..., H, W)."""
+        n = self.height * self.width
+        return columns[..., :n].reshape(*columns.shape[:-1], self.height, self.width)
 
     @staticmethod
     def _softmax(logits: np.ndarray) -> np.ndarray:
-        p = logits - logits.max(axis=0, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=0, keepdims=True)
-        return p
+        """Class probabilities of class-first logits; overwrites them."""
+        logits -= logits.max(axis=0)
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=0)
+        return logits
+
+    @staticmethod
+    def _entropy(logits: np.ndarray) -> np.ndarray:
+        """Entropy in nats of the softmax of each column; overwrites the logits.
+
+        With z = logits - max and S = sum e^z, the entropy is
+        log S - sum(e^z z) / S: no probability, no log p and no zero mask.
+        A pixel whose other classes underflow exp gets exactly +0.0.
+        """
+        logits -= logits.max(axis=0)
+        ez = np.exp(logits)
+        s = ez.sum(axis=0)
+        ez *= logits
+        h = ez.sum(axis=0)
+        h /= s
+        np.log(s, out=s)
+        return np.subtract(s, h, out=s)
 
     def predict(self, x: np.ndarray, tp: TokenPrompt | None = None) -> np.ndarray:
         """Per-pixel class probabilities, shape (C, H, W)."""
-        return self._softmax(self._logits(self.effective_image(x, tp)))
+        return self._frame(self._softmax(self._logits(self.effective_image(x, tp))))
+
+    def entropy_map(self, x: np.ndarray, tp: TokenPrompt | None = None) -> np.ndarray:
+        """Per-pixel prediction entropy in nats, shape (H, W), from the logits.
+
+        Equals ``pixel_entropy(self.predict(x, tp))`` up to rounding; every
+        entropy the library reports is this map or its mean.
+        """
+        return self._frame(self._entropy(self._logits(self.effective_image(x, tp))))
 
     def svp_scorer(self, x: np.ndarray, coords: np.ndarray, base: np.ndarray | None = None):
         """Scorer of sparse prompts at ``coords`` on frame x.
 
         Returns ``score(offsets) -> (P,)`` whose entry i equals
-        ``mean_entropy(self.predict(apply_svp(x, p_i)))`` bit for bit,
-        where p_i carries ``offsets[i]`` (shape (K, 3)) at ``coords``.
-        ``coords`` must already be valid prompt coordinates: K unique
-        in-frame (row, col) pairs. Without a token prompt the model is
-        pixelwise, so the unprompted pass runs once and each score
-        re-evaluates only the K prompted pixels of each candidate. ``base``
-        is that pass's (H, W) entropy map, ``pixel_entropy(self.predict(x))``,
-        when the caller already has it; it is computed here otherwise.
+        ``self.entropy_map(apply_svp(x, p_i)).mean()`` bit for bit, where
+        p_i carries ``offsets[i]`` (shape (K, 3)) at ``coords``. ``coords``
+        must already be valid prompt coordinates: K unique in-frame
+        (row, col) pairs. Without a token prompt the model is pixelwise,
+        and a pixel's entropy does not depend on its batch, so the
+        unprompted pass runs once and each score re-evaluates only the K
+        prompted pixels of each candidate. ``base`` is that pass's (H, W)
+        entropy map, ``self.entropy_map(x)``, when the caller already has
+        it; it is computed here otherwise.
         """
         x = self._check_image(x)
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
         r, c = coords[:, 0], coords[:, 1]
         flat = r * self.width + c
         if base is None:
-            base = pixel_entropy(self.predict(x))
+            base = self.entropy_map(x)
         elif np.shape(base) != self.frame_shape:
             raise OracleError(f"entropy map must be {self.frame_shape}, got {np.shape(base)}")
         base = np.asarray(base, dtype=np.float64).ravel()
@@ -298,11 +363,22 @@ class ToyOracle:
                     f"offsets must be (P, {coords.shape[0]}, 3), got {offsets.shape}"
                 )
             prompted = np.clip(pixels + offsets, 0.0, 1.0)  # (P, K, 3)
+            entropies = self._entropy(self._logits(prompted))[: prompted.size // 3]
             tile = np.tile(base, (offsets.shape[0], 1))
-            tile[:, flat] = pixel_entropy(self._softmax(self._logits(prompted)))
+            tile[:, flat] = entropies.reshape(offsets.shape[:2])
             return tile.mean(axis=1)
 
         return score
+
+    def _dropped(self, x: np.ndarray, dropout_rate: float, seed: int) -> np.ndarray:
+        """The image after multiplicative channel dropout on pixel values."""
+        check_uncertainty(1, dropout_rate)
+        e = self._check_image(x)
+        if dropout_rate > 0.0:
+            rng = np.random.default_rng([self.seed, int(seed) % (2**63)])
+            keep = rng.random(e.shape) >= dropout_rate
+            e = e * keep / (1.0 - dropout_rate)
+        return e
 
     def stochastic_forward(self, x: np.ndarray, dropout_rate: float, seed: int) -> np.ndarray:
         """Forward pass with multiplicative channel dropout on pixel values.
@@ -310,19 +386,21 @@ class ToyOracle:
         Deterministic given (x, dropout_rate, seed); rate 0 reproduces
         predict bit-exactly.
         """
-        check_uncertainty(1, dropout_rate)
-        e = self._check_image(x)
-        if dropout_rate > 0.0:
-            rng = np.random.default_rng([self.seed, int(seed) % (2**63)])
-            keep = rng.random(e.shape) >= dropout_rate
-            e = e * keep / (1.0 - dropout_rate)
-        return self._softmax(self._logits(e))
+        return self._frame(self._softmax(self._logits(self._dropped(x, dropout_rate, seed))))
 
     def uncertainty_map(
         self, x: np.ndarray, passes: int, dropout_rate: float, seed: int
     ) -> np.ndarray:
-        """Per-pixel predictive entropy of the mean over stochastic passes."""
+        """Per-pixel predictive entropy of the mean over stochastic passes.
+
+        One pass takes the entropy straight from its logits, so
+        ``uncertainty_map(x, 1, 0.0, seed)`` equals ``entropy_map(x)`` bit
+        for bit.
+        """
         check_uncertainty(passes, dropout_rate)
+        if passes == 1:
+            e = self._dropped(x, dropout_rate, int(seed) * 1009)
+            return self._frame(self._entropy(self._logits(e)))
         acc = np.zeros((self.classes, self.height, self.width))
         for i in range(passes):
             acc += self.stochastic_forward(x, dropout_rate, int(seed) * 1009 + i)
@@ -420,6 +498,14 @@ def patch_count(height: int, width: int, patch: int) -> int:
 def check_toy_oracle(seed: int, classes: int, height: int, width: int, stem_channels: int,
                      patch: int, temperature: float, position_decay: float) -> None:
     """The argument checks of ``make_toy_oracle``, without building anything."""
+    sizes = {"seed": seed, "classes": classes, "height": height, "width": width,
+             "stem_channels": stem_channels, "patch": patch}
+    for name, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    for name, value in (("temperature", temperature), ("position_decay", position_decay)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     if classes < 2:

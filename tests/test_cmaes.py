@@ -467,9 +467,10 @@ class TestOptimizeSvp:
         # pass scores the baseline and every generation.
         oracle, frame, coords = shifted_problem
         calls = []
-        predict = type(oracle).predict
-        monkeypatch.setattr(type(oracle), "predict",
-                            lambda self, *a, **k: calls.append(1) or predict(self, *a, **k))
+        for name in ("predict", "entropy_map"):
+            forward = getattr(type(oracle), name)
+            monkeypatch.setattr(type(oracle), name, lambda self, *a, _f=forward, **k:
+                                calls.append(1) or _f(self, *a, **k))
         cfg = CmaConfig(dimension=3 * coords.shape[0], population=6, elite=2,
                         generations=4, sigma0=0.3, seed=4)
         result = optimize_svp(oracle, frame, coords, cfg)

@@ -1091,13 +1091,19 @@ class TestMassiveAgentPaths:
     def test_each_frame_runs_one_unprompted_forward_and_records_its_entropy(self, monkeypatch):
         # The recorded entropy (the search's best fitness, or the warped
         # prompt re-scored on the trigger map) equals the full prompted
-        # forward pass bit for bit, and a step runs the unprompted pass
-        # (predict, or the deterministic trigger map) exactly once.
-        from adaptfly.oracle import ToyOracle, mean_entropy
+        # entropy map bit for bit, and a step runs the unprompted pass
+        # (the entropy map, predict or the deterministic trigger map)
+        # exactly once.
+        from adaptfly.oracle import ToyOracle
         from adaptfly.prompts import apply_svp
 
         passes, checked = [], []
+        entropy_map = ToyOracle.entropy_map
         predict, umap = ToyOracle.predict, ToyOracle.uncertainty_map
+
+        def counted_entropy_map(self, x, tp=None):
+            passes[-1] += 1
+            return entropy_map(self, x, tp)
 
         def counted_predict(self, x, tp=None):
             passes[-1] += 1
@@ -1112,10 +1118,11 @@ class TestMassiveAgentPaths:
         def checked_step(agent, t, frame, *args, **kwargs):
             passes.append(0)
             rec = step(agent, t, frame, *args, **kwargs)
-            full = mean_entropy(predict(agent.oracle, apply_svp(frame, agent.current_svp)))
+            full = float(entropy_map(agent.oracle, apply_svp(frame, agent.current_svp)).mean())
             checked.append((rec.adaptation_event, rec.mean_entropy, full, passes[-1]))
             return rec
 
+        monkeypatch.setattr(ToyOracle, "entropy_map", counted_entropy_map)
         monkeypatch.setattr(ToyOracle, "predict", counted_predict)
         monkeypatch.setattr(ToyOracle, "uncertainty_map", counted_umap)
         monkeypatch.setattr(MassiveAgent, "step", checked_step)
@@ -1144,14 +1151,15 @@ class TestLimitedAgentPaths:
 
     @pytest.mark.parametrize("sign, adopted", [(1.0, True), (0.0, False)])
     def test_retrieval_step_predicts_twice(self, monkeypatch, sign, adopted):
-        # The adoption check predicts the frame unprompted and prompted; the
-        # step's entropy reuses whichever matches the resulting assembly.
+        # The adoption check maps the frame's entropy unprompted and
+        # prompted; the step's entropy reuses whichever matches the
+        # resulting assembly.
         # The planted correction, distilled, lowers the frame's entropy
         # without a search, so the adoption outcome does not hang on a CMA
         # trajectory or on BLAS rounding.
         import adaptfly.fleet.agents as agents_mod
         from adaptfly.distill import closed_form_solution
-        from adaptfly.oracle import ToyOracle, mean_entropy, planted_correction
+        from adaptfly.oracle import ToyOracle, planted_correction
         from adaptfly.prompts import place_mask, sparsity_budget
 
         oracle = make_toy_oracle(seed=7)
@@ -1171,15 +1179,17 @@ class TestLimitedAgentPaths:
         agent = LimitedAgent(_spec("limited", "uav-l1"), oracle, InprocClient(server), tracker)
         monkeypatch.setattr(agents_mod, "detect", lambda tracker, stats: (True, 1.0, None))
         calls = []
-        predict = ToyOracle.predict
-        monkeypatch.setattr(ToyOracle, "predict",
-                            lambda self, *a, **k: calls.append(1) or predict(self, *a, **k))
+        entropy_map = ToyOracle.entropy_map
+        for name in ("predict", "entropy_map"):
+            forward = getattr(ToyOracle, name)
+            monkeypatch.setattr(ToyOracle, name, lambda self, *a, _f=forward, **k:
+                                calls.append(1) or _f(self, *a, **k))
         rec = agent.step(1, frame)
         assert rec.adaptation_event == "retrieve"
         assert (rec.retrieved > 0) == adopted
         assert len(calls) == 2
         prompt = agent.cached if agent.cached.rows else None
-        assert rec.mean_entropy == mean_entropy(predict(oracle, frame, prompt))
+        assert rec.mean_entropy == float(entropy_map(oracle, frame, prompt).mean())
 
     def test_reply_entries_are_parsed_once_per_held_dict(self, monkeypatch):
         # A back-reference hands the agent the dict it parsed before, so its

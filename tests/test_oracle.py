@@ -113,7 +113,7 @@ class TestMeanEntropy:
 
 
 class TestSvpEntropies:
-    """The batched fitness equals the per-candidate predict path exactly."""
+    """The batched fitness equals the per-candidate entropy map exactly."""
 
     @pytest.mark.parametrize("shape", [(32, 32), (16, 24)])
     @pytest.mark.parametrize("population", [1, 2, 7, 16, 32])
@@ -129,7 +129,7 @@ class TestSvpEntropies:
         offsets = rng.normal(0.0, 0.7, size=(population, k, 3))
         batched = oracle.svp_scorer(x, coords)(offsets)
         reference = np.array([
-            mean_entropy(oracle.predict(apply_svp(x, SparseVisualPrompt(coords, o, shape))))
+            oracle.entropy_map(apply_svp(x, SparseVisualPrompt(coords, o, shape))).mean()
             for o in offsets
         ])
         assert batched.shape == (population,)
@@ -141,7 +141,7 @@ class TestSvpEntropies:
         coords = place_mask(rng.random(oracle.frame_shape), 40)
         offsets = rng.normal(0.0, 0.5, size=(6, 40, 3))
         base = oracle.uncertainty_map(x, 1, 0.0, 0)  # the massive agents' trigger map
-        assert np.array_equal(base, pixel_entropy(oracle.predict(x)))
+        assert np.array_equal(base, oracle.entropy_map(x))
         assert np.array_equal(oracle.svp_scorer(x, coords, base)(offsets),
                               oracle.svp_scorer(x, coords)(offsets))
         with pytest.raises(OracleError):
@@ -198,7 +198,8 @@ class TestStochasticForward:
 class TestUncertaintyMap:
     def test_single_pass_rate_zero_equals_prediction_entropy(self, oracle, source):
         u = oracle.uncertainty_map(source, passes=1, dropout_rate=0.0, seed=0)
-        np.testing.assert_array_equal(u, pixel_entropy(oracle.predict(source)))
+        np.testing.assert_array_equal(u, oracle.entropy_map(source))
+        np.testing.assert_allclose(u, pixel_entropy(oracle.predict(source)), rtol=0, atol=1e-12)
 
     def test_near_one_hot_predictions_give_near_zero_map(self):
         sharp = make_toy_oracle(seed=5, temperature=0.002)
@@ -386,6 +387,36 @@ class TestConstructionValidation:
         with pytest.raises(ConfigError):
             DomainSpec(id="bad", gain=(0.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("domain", [
+        {"gain": (np.nan, 1.0, 1.0)}, {"gain": (1.0, np.inf, 1.0)}, {"gain": (0.9, 0.8)},
+        {"gain": (1.0, 1.0, 1.0, 1.0)}, {"gain": ("a", "b", "c")}, {"bias": (0.0, np.nan, 0.0)},
+        {"bias": (0.0, 0.0, -np.inf)}, {"bias": (0.1,)}, {"noise_scale": np.nan},
+        {"noise_scale": np.inf}, {"noise_scale": -0.1}, {"noise_scale": "0.01"},
+        {"seed": 1.5}, {"seed": True}, {"seed": "3"}, {"seed": -1},
+    ])
+    def test_domain_spec_rejects_malformed_values(self, domain):
+        # Three finite gain and bias components, a finite scale and an
+        # integer seed, also when built in code rather than from a config.
+        with pytest.raises(ConfigError):
+            DomainSpec(id="bad", **domain)
+
+    @pytest.mark.parametrize("argument, value", [
+        ("seed", 7.0), ("seed", True), ("seed", "7"), ("classes", 5.0), ("height", 32.0),
+        ("width", np.float64(32.0)), ("stem_channels", 8.5), ("patch", False),
+        ("temperature", "x"), ("temperature", None), ("position_decay", [0.25]),
+        ("position_decay", True),
+    ])
+    def test_mistyped_arguments_raise_config_error(self, argument, value):
+        arguments = {"seed": 0, "classes": 5, "height": 32, "width": 32, "stem_channels": 8,
+                     "patch": 4, "temperature": 0.08, "position_decay": 0.25, argument: value}
+        with pytest.raises(ConfigError, match=argument):
+            oracle_mod.check_toy_oracle(**arguments)
+        with pytest.raises(ConfigError, match=argument):
+            make_toy_oracle(**arguments)
+
+    def test_numpy_integers_and_floats_are_accepted(self):
+        assert make_toy_oracle(np.int64(7), temperature=np.float64(0.08)).seed == 7
+
     def test_all_classes_present_in_layout(self):
         for seed in range(5):
             o = make_toy_oracle(seed=seed)
@@ -402,14 +433,25 @@ def reference_delta(oracle: ToyOracle, tp: TokenPrompt) -> np.ndarray:
     return oracle._unpatch(delta_tokens @ oracle.token_basis.T)
 
 
-def reference_predict(oracle: ToyOracle, x: np.ndarray, tp: TokenPrompt | None = None):
-    """The forward pass as three fresh temporaries, prompt delta built on every call."""
-    e = x if tp is None else x + reference_delta(oracle, tp)
+def reference_logits(oracle: ToyOracle, e: np.ndarray) -> np.ndarray:
+    """The einsum logits the affine matmul replaced, shape (C, H, W)."""
     proj = np.einsum("ijc,kc->kij", e, oracle.prototypes)
     sq = np.sum(oracle.prototypes**2, axis=1)
-    logits = (2.0 * proj - sq[:, None, None]) / oracle.temperature
+    return (2.0 * proj - sq[:, None, None]) / oracle.temperature
+
+
+def reference_softmax(logits: np.ndarray) -> np.ndarray:
     ez = np.exp(logits - logits.max(axis=0, keepdims=True))
     return ez / ez.sum(axis=0, keepdims=True)
+
+
+def reference_predict(oracle: ToyOracle, x: np.ndarray, tp: TokenPrompt | None = None):
+    """The forward pass as fresh temporaries, prompt delta built on every call."""
+    e = x if tp is None else x + reference_delta(oracle, tp)
+    w = 2.0 * oracle.prototypes / oracle.temperature
+    b = -np.sum(oracle.prototypes**2, axis=1, keepdims=True) / oracle.temperature
+    logits = w @ e.reshape(-1, 3).T + b
+    return reference_softmax(logits).reshape(oracle.classes, *oracle.frame_shape)
 
 
 class TestForwardFastPaths:
@@ -435,16 +477,59 @@ class TestForwardFastPaths:
 
     @pytest.mark.parametrize("shape", [(32, 32, 3), (7, 51, 3), (1, 0, 3)])
     def test_in_place_logits_and_softmax_match_the_old_formulas(self, oracle, shape):
+        # The affine matmul rounds differently from the einsum it replaced,
+        # by a few ulps; the in-place softmax equals the fresh one exactly.
         e = np.random.default_rng(len(shape) + shape[1]).uniform(-0.2, 1.2, size=shape)
-        proj = np.einsum("ijc,kc->kij", e, oracle.prototypes)
-        old_logits = (2.0 * proj - np.sum(oracle.prototypes**2, axis=1)[:, None, None]
-                      ) / oracle.temperature
         logits = oracle._logits(e)
-        assert np.array_equal(logits, old_logits)
-        before = logits.copy()
-        ez = np.exp(old_logits - old_logits.max(axis=0, keepdims=True))
-        assert np.array_equal(oracle._softmax(logits), ez / ez.sum(axis=0, keepdims=True))
-        assert np.array_equal(logits, before)   # the softmax leaves its input alone
+        n = shape[0] * shape[1]
+        assert logits.shape == (oracle.classes, max(n, 2) if n else 0)
+        old = reference_logits(oracle, e).reshape(oracle.classes, -1)
+        np.testing.assert_allclose(logits, old, rtol=1e-14, atol=1e-13)
+        expected = reference_softmax(logits)
+        assert np.array_equal(oracle._softmax(logits), expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_entropy_map_matches_the_einsum_softmax_path(self, seed):
+        # Entropy straight from the logits against einsum -> softmax ->
+        # where-formula entropy: random, sharp and far-out frames, with
+        # pixels whose logit spread underflows exp.
+        oracle = make_toy_oracle(seed=seed, temperature=[0.08, 0.02, 0.002, 1e-4][seed])
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-0.5, 1.5, size=(oracle.height, oracle.width, 3))
+        x[0] = oracle.base_image()[0]                       # pixels on their prototype
+        got = oracle.entropy_map(x)
+        expected = reference_pixel_entropy(reference_softmax(reference_logits(oracle, x)))
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        assert not np.signbit(got).any()
+        assert np.all(got <= math.log(oracle.classes) + 1e-12)
+
+    def test_underflowing_logit_spread_gives_positive_zero(self):
+        sharp = make_toy_oracle(seed=5, temperature=1e-4)
+        logits = sharp._logits(sharp.base_image())
+        spread = logits.max(axis=0) - np.sort(logits, axis=0)[-2]
+        assert spread.min() > 745.0                         # exp(-spread) underflows to 0
+        h = sharp.entropy_map(sharp.base_image())
+        assert np.array_equal(h, np.zeros(sharp.frame_shape))
+        assert not np.signbit(h).any()
+        for c in range(sharp.classes):                      # every one-hot class
+            one_hot = sharp.entropy_map(np.broadcast_to(sharp.prototypes[c], (32, 32, 3)))
+            assert np.all(one_hot == 0.0) and not np.signbit(one_hot).any()
+
+    def test_a_pixels_forward_does_not_depend_on_its_batch(self, oracle):
+        # numpy hands a one-column product to gemv, which rounds unlike
+        # gemm; a lone pixel goes down the batched path all the same.
+        rng = np.random.default_rng(11)
+        pixels = rng.uniform(-0.2, 1.2, size=(140, 3))
+        logits = oracle._logits(pixels)
+        entropy = oracle._entropy(logits.copy())
+        for n in range(1, 71):
+            start = int(rng.integers(0, 140 - n + 1))
+            picked = rng.permutation(140)[:n]               # any pixels, any order
+            for batch, index in ((pixels[start:start + n], slice(start, start + n)),
+                                 (pixels[picked], picked)):
+                z = oracle._logits(batch)
+                assert np.array_equal(z[:, :n], logits[:, index]), n
+                assert np.array_equal(oracle._entropy(z)[:n], entropy[index]), n
 
     def test_predict_matches_the_uncached_path(self, oracle):
         rng = np.random.default_rng(1)
@@ -512,7 +597,7 @@ class TestMemoizedOracle:
         assert len(arrays) == 7
         arrays.update(base_image=oracle.base_image(), shifted=oracle.base_image((1, 2)),
                       source_anchor=oracle.source_anchor(),
-                      prototype_sq=oracle._prototype_sq,
+                      affine_w=oracle._affine[0], affine_b=oracle._affine[1],
                       delta=oracle._deltas[id(tp)][1])
         for name, a in arrays.items():
             assert not a.flags.writeable, name
