@@ -58,10 +58,6 @@ class StepRecord:
 RECORD_COLUMNS = tuple(f.name for f in fields(StepRecord))
 
 
-def _mean_entropy(oracle, frame: np.ndarray, tp: TokenPrompt | None = None) -> float:
-    return float(oracle.entropy_map(frame, tp).mean())
-
-
 class _Agent:
     """What both agent kinds share: a step senses, decides, then records.
 
@@ -145,8 +141,10 @@ class LimitedAgent(_Agent):
         if not (entries and float(q @ entries[0].key) >= self.ADOPT_SIMILARITY_FLOOR):
             return None, None
         candidate = assemble(entries)
-        baseline = _mean_entropy(self.oracle, frame)
-        adapted = _mean_entropy(self.oracle, frame, candidate if candidate.rows else None)
+        baseline = float(self.oracle.entropy_map(frame).mean())
+        adapted = float(
+            self.oracle.entropy_map(frame, candidate if candidate.rows else None).mean()
+        )
         if adapted < baseline - 1e-9 * (1.0 + baseline):
             return candidate, adapted
         return None, baseline
@@ -191,7 +189,7 @@ class LimitedAgent(_Agent):
 
         if entropy is None:
             prompt = self.cached if self.cached.rows else None
-            entropy = _mean_entropy(self.oracle, frame, prompt)
+            entropy = float(self.oracle.entropy_map(frame, prompt).mean())
         return self._record(t, domain_tag, shift, score, event, entropy,
                             retrieved=retrieved, degraded=degraded)
 
@@ -321,7 +319,7 @@ class MassiveAgent(_Agent):
                 entropy = float(score_warped(warped.offsets[None])[0])
         else:
             event = "none"
-            entropy = _mean_entropy(self.oracle, frame)
+            entropy = float(self.oracle.entropy_map(frame).mean())
 
         if event == "optimize":
             entropy = float(self.last_result.best_fitness)

@@ -296,11 +296,11 @@ class ToyOracle:
 
     @staticmethod
     def _softmax(logits: np.ndarray) -> np.ndarray:
-        """Class probabilities of class-first logits; overwrites them."""
-        logits -= logits.max(axis=0)
-        np.exp(logits, out=logits)
-        logits /= logits.sum(axis=0)
-        return logits
+        """Class probabilities of class-first logits, shape (C, N)."""
+        p = logits - logits.max(axis=0)
+        np.exp(p, out=p)
+        p /= p.sum(axis=0)
+        return p
 
     @staticmethod
     def _entropy(logits: np.ndarray) -> np.ndarray:
@@ -370,37 +370,25 @@ class ToyOracle:
 
         return score
 
-    def _dropped(self, x: np.ndarray, dropout_rate: float, seed: int) -> np.ndarray:
-        """The image after multiplicative channel dropout on pixel values."""
-        check_uncertainty(1, dropout_rate)
-        e = self._check_image(x)
-        if dropout_rate > 0.0:
-            rng = np.random.default_rng([self.seed, int(seed) % (2**63)])
-            keep = rng.random(e.shape) >= dropout_rate
-            e = e * keep / (1.0 - dropout_rate)
-        return e
-
     def stochastic_forward(self, x: np.ndarray, dropout_rate: float, seed: int) -> np.ndarray:
         """Forward pass with multiplicative channel dropout on pixel values.
 
         Deterministic given (x, dropout_rate, seed); rate 0 reproduces
         predict bit-exactly.
         """
-        return self._frame(self._softmax(self._logits(self._dropped(x, dropout_rate, seed))))
+        check_uncertainty(1, dropout_rate)
+        e = self._check_image(x)
+        if dropout_rate > 0.0:
+            rng = np.random.default_rng([self.seed, int(seed) % (2**63)])
+            keep = rng.random(e.shape) >= dropout_rate
+            e = e * keep / (1.0 - dropout_rate)
+        return self._frame(self._softmax(self._logits(e)))
 
     def uncertainty_map(
         self, x: np.ndarray, passes: int, dropout_rate: float, seed: int
     ) -> np.ndarray:
-        """Per-pixel predictive entropy of the mean over stochastic passes.
-
-        One pass takes the entropy straight from its logits, so
-        ``uncertainty_map(x, 1, 0.0, seed)`` equals ``entropy_map(x)`` bit
-        for bit.
-        """
+        """Per-pixel predictive entropy of the mean over stochastic passes."""
         check_uncertainty(passes, dropout_rate)
-        if passes == 1:
-            e = self._dropped(x, dropout_rate, int(seed) * 1009)
-            return self._frame(self._entropy(self._logits(e)))
         acc = np.zeros((self.classes, self.height, self.width))
         for i in range(passes):
             acc += self.stochastic_forward(x, dropout_rate, int(seed) * 1009 + i)

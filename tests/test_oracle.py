@@ -140,8 +140,10 @@ class TestSvpEntropies:
         x = render_frame(oracle, random_domain_spec(rng, "d"), 0)
         coords = place_mask(rng.random(oracle.frame_shape), 40)
         offsets = rng.normal(0.0, 0.5, size=(6, 40, 3))
-        base = oracle.uncertainty_map(x, 1, 0.0, 0)  # the massive agents' trigger map
-        assert np.array_equal(base, oracle.entropy_map(x))
+        base = oracle.entropy_map(x)  # the massive agents' trigger map
+        single = oracle.uncertainty_map(x, 1, 0.0, 0)
+        assert np.array_equal(single, pixel_entropy(oracle.predict(x)))
+        np.testing.assert_allclose(single, base, rtol=0, atol=1e-12)
         assert np.array_equal(oracle.svp_scorer(x, coords, base)(offsets),
                               oracle.svp_scorer(x, coords)(offsets))
         with pytest.raises(OracleError):
@@ -198,8 +200,8 @@ class TestStochasticForward:
 class TestUncertaintyMap:
     def test_single_pass_rate_zero_equals_prediction_entropy(self, oracle, source):
         u = oracle.uncertainty_map(source, passes=1, dropout_rate=0.0, seed=0)
-        np.testing.assert_array_equal(u, oracle.entropy_map(source))
-        np.testing.assert_allclose(u, pixel_entropy(oracle.predict(source)), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(u, pixel_entropy(oracle.predict(source)))
+        np.testing.assert_allclose(u, oracle.entropy_map(source), rtol=0, atol=1e-12)
 
     def test_near_one_hot_predictions_give_near_zero_map(self):
         sharp = make_toy_oracle(seed=5, temperature=0.002)
@@ -478,15 +480,16 @@ class TestForwardFastPaths:
     @pytest.mark.parametrize("shape", [(32, 32, 3), (7, 51, 3), (1, 0, 3)])
     def test_in_place_logits_and_softmax_match_the_old_formulas(self, oracle, shape):
         # The affine matmul rounds differently from the einsum it replaced,
-        # by a few ulps; the in-place softmax equals the fresh one exactly.
+        # by a few ulps; the softmax equals the fresh one exactly.
         e = np.random.default_rng(len(shape) + shape[1]).uniform(-0.2, 1.2, size=shape)
         logits = oracle._logits(e)
         n = shape[0] * shape[1]
         assert logits.shape == (oracle.classes, max(n, 2) if n else 0)
         old = reference_logits(oracle, e).reshape(oracle.classes, -1)
         np.testing.assert_allclose(logits, old, rtol=1e-14, atol=1e-13)
-        expected = reference_softmax(logits)
-        assert np.array_equal(oracle._softmax(logits), expected)
+        before = logits.copy()
+        assert np.array_equal(oracle._softmax(logits), reference_softmax(before))
+        assert np.array_equal(logits, before)   # the softmax leaves its input alone
 
     @pytest.mark.parametrize("seed", range(4))
     def test_entropy_map_matches_the_einsum_softmax_path(self, seed):
