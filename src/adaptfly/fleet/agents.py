@@ -13,7 +13,6 @@ map moves materially.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -25,7 +24,7 @@ from ..memory import PoolEntry, assemble
 from ..prompts import SparseVisualPrompt, TokenPrompt, place_mask, warp_svp
 from .config import AgentSpec
 from .mec import ProvenanceLog
-from .messages import REPLY_CACHE_ENTRIES, Query, RegisterDeferred, UploadPrompt
+from .messages import Query, RegisterDeferred, UploadPrompt
 from .transport import TransportFailure
 
 __all__ = ["StepRecord", "LimitedAgent", "MassiveAgent", "RECORD_COLUMNS"]
@@ -114,25 +113,6 @@ class LimitedAgent(_Agent):
         self.cached = TokenPrompt(np.zeros((0, 0)))
         self._adopted_ids: tuple[int, ...] = ()
         self._request_id = 0
-        # entry id -> (reply dict, its PoolEntry), least recently replied first
-        self._entries: OrderedDict = OrderedDict()
-
-    def _pool_entry(self, d: dict) -> PoolEntry:
-        """The ``PoolEntry`` of reply entry ``d``, parsed once per held dict.
-
-        A back-reference hands back the very dict the client's entry table
-        holds, so that dict's entry is reused; a replaced or merged entry
-        arrives as a new dict and is parsed again. At most
-        ``REPLY_CACHE_ENTRIES`` entries are kept, as in that table.
-        """
-        entry_id = d.get("entry_id")
-        held = self._entries.pop(entry_id, None) if type(entry_id) is int else None
-        if held is None or held[0] is not d:
-            held = (d, PoolEntry.from_dict(d))
-        self._entries[held[1].entry_id] = held
-        if len(self._entries) > REPLY_CACHE_ENTRIES:
-            self._entries.popitem(last=False)
-        return held[1]
 
     def _try_adopt(self, frame: np.ndarray, q: np.ndarray, entries: list[PoolEntry]):
         """The assembly of ``entries`` if adopted on ``frame``, else None, and
@@ -142,9 +122,7 @@ class LimitedAgent(_Agent):
             return None, None
         candidate = assemble(entries)
         baseline = float(self.oracle.entropy_map(frame).mean())
-        adapted = float(
-            self.oracle.entropy_map(frame, candidate if candidate.rows else None).mean()
-        )
+        adapted = float(self.oracle.entropy_map(frame, candidate).mean())
         if adapted < baseline - 1e-9 * (1.0 + baseline):
             return candidate, adapted
         return None, baseline
@@ -164,7 +142,7 @@ class LimitedAgent(_Agent):
                 response = self.client.request(
                     Query(query=tuple(q), n=self.spec.retrieval_n, request_id=self._request_id)
                 )
-                entries = [self._pool_entry(d) for d in response.entries]
+                entries = [d.entry for d in response.entries]
                 adopted, entropy = self._try_adopt(frame, q, entries)
                 if adopted is not None:
                     self.cached = adopted
@@ -188,8 +166,7 @@ class LimitedAgent(_Agent):
                 degraded = True  # previous assembly stays in use
 
         if entropy is None:
-            prompt = self.cached if self.cached.rows else None
-            entropy = float(self.oracle.entropy_map(frame, prompt).mean())
+            entropy = float(self.oracle.entropy_map(frame, self.cached).mean())
         return self._record(t, domain_tag, shift, score, event, entropy,
                             retrieved=retrieved, degraded=degraded)
 
@@ -210,7 +187,6 @@ class MassiveAgent(_Agent):
         self.ref_umap: np.ndarray | None = None
         self._domain_window: list[np.ndarray] = []
         self._retry_queue: list = []
-        self.last_result = None
 
     # Per-step deterministic seed streams.
     def _mc_seed(self, t: int) -> int:
@@ -218,16 +194,6 @@ class MassiveAgent(_Agent):
 
     def _cma_seed(self, t: int) -> int:
         return (self.seed * 7_777_777 + t + 1) % (2**31)
-
-    def _uncertainty(self, t: int, frame: np.ndarray) -> np.ndarray:
-        return self.oracle.uncertainty_map(
-            frame, self.spec.mc_passes, self.spec.dropout_rate, self._mc_seed(t)
-        )
-
-    def _trigger_map(self, frame: np.ndarray) -> np.ndarray:
-        # Deterministic predictive entropy: noise-free, so the refresh
-        # trigger compares scene change rather than Monte-Carlo jitter.
-        return self.oracle.entropy_map(frame)
 
     def _flush_retries(self) -> bool:
         degraded = False
@@ -241,22 +207,23 @@ class MassiveAgent(_Agent):
         self._retry_queue = still_pending
         return degraded
 
-    def _optimize(self, t: int, frame: np.ndarray, domain_tag: str | None = None,
-                  trigger: np.ndarray | None = None) -> bool:
-        """Full adaptation: place mask, search offsets, publish. Returns degraded.
+    def _optimize(self, t: int, frame: np.ndarray, domain_tag: str | None,
+                  umap: np.ndarray) -> tuple[float, bool]:
+        """Full adaptation: place mask, search offsets, publish.
 
-        ``trigger`` is the frame's ``_trigger_map`` when the step has it; it
-        becomes the refresh reference and the search's unprompted base.
+        ``umap`` is the frame's entropy map; it becomes the refresh
+        reference and the search's unprompted base. Returns the search's
+        best entropy and whether the upload was dropped (and queued for
+        retry).
         """
-        if trigger is None:
-            trigger = self._trigger_map(frame)
-        umap = self._uncertainty(t, frame)
-        coords = place_mask(umap, self.search.dimension // 3)  # three offsets per pixel
+        mc_map = self.oracle.uncertainty_map(
+            frame, self.spec.mc_passes, self.spec.dropout_rate, self._mc_seed(t)
+        )
+        coords = place_mask(mc_map, self.search.dimension // 3)  # three offsets per pixel
         config = replace(self.search, seed=self._cma_seed(t))
-        result = optimize_svp(self.oracle, frame, coords, config, base=trigger)
+        result = optimize_svp(self.oracle, frame, coords, config, base=umap)
         self.current_svp = result.prompt
-        self.ref_umap = trigger
-        self.last_result = result
+        self.ref_umap = umap
 
         self.provenance.record(self.spec.id, t, self._domain_window, result.prompt)
         key = self.oracle.query_embedding(frame)
@@ -275,10 +242,10 @@ class MassiveAgent(_Agent):
             )
         try:
             self.client.send(msg)
-            return False
         except TransportFailure:
             self._retry_queue.append(msg)
-            return True
+            return float(result.best_fitness), True
+        return float(result.best_fitness), False
 
     def step(
         self, t: int, frame: np.ndarray, motion=(0, 0), domain_tag: str | None = None
@@ -292,35 +259,28 @@ class MassiveAgent(_Agent):
             self._domain_window.append(frame)
             self._domain_window = self._domain_window[-self.distill_config.frames :]
 
-        # The frame's one unprompted forward pass is its trigger map: the
-        # refresh reference, the search's base, and the entropy of every
-        # pixel a warped prompt leaves alone.
+        # The frame's one unprompted forward pass, noise-free so the refresh
+        # trigger compares scene change rather than Monte-Carlo jitter. It is
+        # also the search's base, the entropy of every pixel a warped prompt
+        # leaves alone, and the step's entropy when nothing adapts.
+        umap = self.oracle.entropy_map(frame)
         if shift:
             event = "optimize"
-            degraded |= self._optimize(t, frame, domain_tag)
-            # Local adaptation done; re-arm detection for the next shift.
-            reset_reference(self.tracker, stats)
+            reset_reference(self.tracker, stats)  # re-arm detection for the next shift
         elif self.current_svp.size:
             warped, refresh = warp_svp(self.current_svp, motion)
-            umap = self._trigger_map(frame)
-            ref_mass = float(np.abs(self.ref_umap).sum()) if self.ref_umap is not None else 0.0
-            map_moved = (
-                self.ref_umap is not None
-                and float(np.abs(umap - self.ref_umap).sum()) / max(ref_mass, 1e-12)
-                > self.spec.delta_refresh
-            )
-            if refresh or map_moved:
-                event = "optimize"
-                degraded |= self._optimize(t, frame, domain_tag, umap)
-            else:
-                event = "warp"
-                self.current_svp = warped
-                score_warped = self.oracle.svp_scorer(frame, warped.coords, umap)
-                entropy = float(score_warped(warped.offsets[None])[0])
+            ref = self.ref_umap
+            moved = float(np.abs(umap - ref).sum()) / max(float(np.abs(ref).sum()), 1e-12)
+            event = "optimize" if refresh or moved > self.spec.delta_refresh else "warp"
         else:
             event = "none"
-            entropy = float(self.oracle.entropy_map(frame).mean())
+            entropy = float(umap.mean())
 
         if event == "optimize":
-            entropy = float(self.last_result.best_fitness)
+            entropy, dropped = self._optimize(t, frame, domain_tag, umap)
+            degraded |= dropped
+        elif event == "warp":
+            self.current_svp = warped
+            score_warped = self.oracle.svp_scorer(frame, warped.coords, umap)
+            entropy = float(score_warped(warped.offsets[None])[0])
         return self._record(t, domain_tag, shift, score, event, entropy, degraded=degraded)

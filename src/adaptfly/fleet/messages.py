@@ -13,9 +13,10 @@ Every vector and prompt value decodes to the array it was encoded from,
 bit for bit, and a decoded request re-encodes to the same bytes. So
 decode_message(encode_message(m)) == m for every variant whose reply
 entries are plain JSON data; a server reply's entries carry the pool's
-arrays and TokenPrompts and decode to the entries' ``PoolEntry.to_dict()``
-(keys as number lists, prompts as dicts). The
-server sends each reply entry pre-encoded (a read-only ``EncodedDict``,
+arrays and TokenPrompts and decode to ``ReplyEntry`` dicts equal to the
+entries' ``PoolEntry.to_dict()`` (keys as number lists, prompts as dicts),
+whose ``entry`` is that ``PoolEntry``, parsed on first read. The server
+sends each reply entry pre-encoded (a read-only ``EncodedDict``,
 written verbatim), in the same bytes the entry's ``wire_dict`` encodes
 to, encoded once per entry it serves. A reply holds no deferred entry:
 the server resolves or drops each one before it answers.
@@ -32,8 +33,9 @@ table from the frames alone, so the two hold the same ids in the same
 order. A back-reference to an id the table does not hold, one decoded
 with no table, or one whose id is not an integer is a ProtocolError; a
 reply entry holding nothing but an ``entry_id`` always reads as a
-back-reference. Held dicts are shared by every reply that refers to
-them: read-only by contract, like the server's ``EncodedDict``.
+back-reference. A held ``ReplyEntry`` is shared by every reply that refers
+to it, so its ``PoolEntry`` is parsed at most once while it is held; it is
+read-only by contract, like the server's ``EncodedDict``.
 """
 
 from __future__ import annotations
@@ -42,11 +44,12 @@ import struct
 import typing
 from collections import OrderedDict
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import AdaptflyError, ProtocolError, parse_json
-from ..memory import INT64
+from ..memory import INT64, PoolEntry
 from ..prompts import EncodedDict, TokenPrompt, compact_json, number_vector
 
 __all__ = [
@@ -54,6 +57,7 @@ __all__ = [
     "RegisterDeferred",
     "Query",
     "QueryResponse",
+    "ReplyEntry",
     "RefineTick",
     "FleetMessage",
     "encode_message",
@@ -63,10 +67,11 @@ __all__ = [
 ]
 
 HEADER_SIZE = 4
-# Entry ids each end of a connection holds. The receiver keeps the dicts
-# it decoded (about 9 kB for a 4 x 48 prompt, so about 2.3 MB when full);
-# the sender keeps the server's EncodedDicts, which the server's own text
-# map already holds while their entries live. The reference fleet and the
+# Entry ids each end of a connection holds. The receiver keeps the
+# ReplyEntrys it decoded (about 9 kB for a 4 x 48 prompt, so about 2.3 MB
+# when full), each with its PoolEntry once read; the sender keeps the
+# server's EncodedDicts, which the server's own text map already holds
+# while their entries live. The reference fleet and the
 # benchmark's pool service each serve far fewer distinct entries per
 # client.
 REPLY_CACHE_ENTRIES = 256
@@ -108,8 +113,8 @@ class QueryResponse:
 
     The server sends ``PoolEntry.wire_dict``s, pre-encoded as read-only
     ``EncodedDict``s that it may send again in later replies; a decoded
-    reply holds the same entries as plain ``to_dict`` data, back-references
-    expanded.
+    reply holds the same entries as ``ReplyEntry``s (``to_dict`` data with
+    a parsed ``entry``), back-references expanded.
     """
 
     request_id: int
@@ -243,20 +248,32 @@ def encode_message(msg: FleetMessage, sent: OrderedDict | None = None) -> bytes:
     return struct.pack(">I", len(body)) + body
 
 
-def _plain_entry(entry: dict) -> None:
-    """Give a reply entry the key list ``PoolEntry.to_dict`` holds, in place.
+class ReplyEntry(dict):
+    """A decoded full reply entry: ``PoolEntry.to_dict()`` data whose
+    ``entry`` is its ``PoolEntry``, parsed on first read and kept."""
+
+    @cached_property
+    def entry(self) -> PoolEntry:
+        return PoolEntry.from_dict(self)
+
+
+def _plain_entry(entry: dict) -> ReplyEntry:
+    """A full reply entry as a ``ReplyEntry`` holding the key list
+    ``PoolEntry.to_dict`` holds.
 
     Only a key sent as vector text is touched. Any other value is left for
     ``PoolEntry.from_dict`` to check, like every other field of an entry.
     """
+    entry = ReplyEntry(entry)
     if type(entry.get("key")) is str:
         entry["key"] = _vector(entry["key"], "key")
+    return entry
 
 
 def _received_entries(entries: list[dict], held: OrderedDict | None,
                       counts: dict | None) -> tuple[dict, ...]:
-    """Expand back-references from ``held`` and give full entries key lists,
-    in place; the entries as a tuple.
+    """Expand back-references from ``held`` and decode full entries into
+    ``ReplyEntry``s, in place; the entries as a tuple.
 
     Every entry with an integer id is touched in ``held`` in reply order, as
     the sender touched it; ``counts`` adds up entries ``in_full`` and
@@ -276,7 +293,7 @@ def _received_entries(entries: list[dict], held: OrderedDict | None,
             held.move_to_end(entry_id)
             referenced += 1
             continue
-        _plain_entry(entry)
+        entry = entries[i] = _plain_entry(entry)
         if held is not None and type(entry_id) is int:
             _touch(held, entry_id, entry)
     if counts is not None:

@@ -55,7 +55,8 @@ class InprocClient:
     """Framed client; its wire dispatches each frame to the server in memory.
 
     ``sent_entries`` (id -> EncodedDict sent) and ``reply_entries`` (id ->
-    dict decoded) are the connection's two entry tables; ``reply_counts``
+    ``ReplyEntry`` decoded, whose ``entry`` a reader parses once) are the
+    connection's two entry tables; ``reply_counts``
     counts the reply entries decoded ``in_full`` and ``referenced``.
     """
 

@@ -516,12 +516,14 @@ class PromptPool:
         and must lie below 2**62; the clock resumes after the largest stamp. A snapshot without
         the ``next_id`` line (one written before it existed, or plain
         ``to_dict`` lines) continues ids after the largest stored one. A
-        mark at or below a stored id is malformed. Keys written as decimal
+        mark at or below a stored id is malformed, and so is an entry_id
+        that a line before already holds. Keys written as decimal
         number lists, as before they travelled as base64, load bit for bit
         too.
         """
         pool = cls(config)
         entries = []
+        first_line = {}  # entry_id -> the line that holds it
         mark = None
         with open(path, "rb") as f:
             for lineno, line in enumerate(f, start=1):
@@ -546,8 +548,12 @@ class PromptPool:
                         raise PoolFormatError(
                             f"entry_id {entry.entry_id} is not below next_id {mark}"
                         )
+                    if entry.entry_id in first_line:
+                        raise PoolFormatError(f"entry_id {entry.entry_id} is already on "
+                                              f"line {first_line[entry.entry_id]}")
                 except AdaptflyError as exc:
                     raise PoolFormatError(f"{path} line {lineno}: {exc}", line=lineno) from exc
+                first_line[entry.entry_id] = lineno
                 entries.append((entry, stamp))
                 pool._next_id = max(pool._next_id, entry.entry_id + 1)
         pool._next_id = max(pool._next_id, mark or 0)

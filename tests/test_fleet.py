@@ -35,8 +35,14 @@ from adaptfly.fleet.config import AgentSpec, SegmentSpec
 from adaptfly.fleet.scenario import _calibrated_threshold
 from adaptfly.fleet import scenario as scenario_mod
 from adaptfly.fleet import transport as transport_mod
-from adaptfly.fleet.messages import REPLY_CACHE_ENTRIES, decode_message, encode_message
-from adaptfly.memory import PoolConfig, PromptPool
+from adaptfly.fleet import messages as messages_mod
+from adaptfly.fleet.messages import (
+    REPLY_CACHE_ENTRIES,
+    ReplyEntry,
+    decode_message,
+    encode_message,
+)
+from adaptfly.memory import PoolConfig, PoolEntry, PromptPool
 from adaptfly.oracle import DomainSpec, make_toy_oracle, planted_correction, render_frame
 from adaptfly.prompts import TokenPrompt, number_vector, place_mask
 
@@ -373,7 +379,7 @@ class TestAgentKeys:
         monkeypatch.setattr(agents_mod, "optimize_svp", record("search"))
         frame = massive.oracle.base_image()
         with pytest.raises(Recorded):
-            massive._optimize(5, frame)
+            massive._optimize(5, frame, None, massive.oracle.entropy_map(frame))
         _, _, coords, search = seen["search"]
         assert seen["passes"] == (default["mc_passes"], default["dropout_rate"])
         assert coords.shape == (budget, 2)
@@ -946,6 +952,55 @@ class TestReplyEntryCache:
         client.request(Query(query=key, n=1, request_id=3))
         assert client.reply_counts == {"in_full": 1, "referenced": 1}
 
+    @pytest.mark.parametrize("transport", ["inproc", "stream"])
+    def test_each_entry_carried_in_full_is_parsed_once(self, monkeypatch, transport):
+        # Limited agents read every reply entry's PoolEntry. A back-reference
+        # hands back the held ReplyEntry, already parsed, so a run parses
+        # exactly the entries the wire carried in full.
+        parsed = []
+        from_dict = PoolEntry.from_dict
+        monkeypatch.setattr(PoolEntry, "from_dict",
+                            classmethod(lambda cls, d: parsed.append(d) or from_dict(d)))
+        summary = run_scenario(reference_config(0, transport)).summary
+        counts = [a["reply_entries"] for a in summary["agents"].values()]
+        assert sum(c["referenced"] for c in counts) > 0
+        assert len(parsed) == sum(c["in_full"] for c in counts) > 0
+
+    @pytest.mark.parametrize("client_cls", [InprocClient, StreamClient])
+    def test_evicted_entry_sent_again_is_parsed_again(self, monkeypatch, server_setup,
+                                                      client_cls):
+        # With one id held, serving entry 1 evicts entry 0 from both tables,
+        # so entry 0 goes in full again: a new ReplyEntry, parsed again, to
+        # the pool's own entry.
+        oracle, pool, _, server = server_setup
+        monkeypatch.setattr(messages_mod, "REPLY_CACHE_ENTRIES", 1)
+        client = client_cls(server)
+        keys = np.eye(oracle.token_dim)[:2]
+        for i, key in enumerate(keys):
+            client.send(UploadPrompt(key=tuple(key), value=TokenPrompt(np.full((2, 4), i + 1.0)),
+                                     timestamp=i, agent_id="uav-h1"))
+        client.send(RefineTick())
+        parsed = []
+        from_dict = PoolEntry.from_dict
+        monkeypatch.setattr(PoolEntry, "from_dict",
+                            classmethod(lambda cls, d: parsed.append(d) or from_dict(d)))
+
+        def served(i: int) -> ReplyEntry:
+            (d,) = client.request(Query(query=tuple(keys[i]), n=1, request_id=i)).entries
+            return d
+
+        first = served(0)
+        assert first.entry is first.entry and first.entry.entry_id == 0
+        served(1).entry
+        again = served(0)
+        assert type(again) is ReplyEntry and again is not first
+        assert client.reply_counts == {"in_full": 3, "referenced": 0}
+        assert list(client.sent_entries) == list(client.reply_entries) == [0]
+        entry, expected = again.entry, pool.get(0)
+        assert len(parsed) == 3 and entry is not first.entry
+        assert entry.value == expected.value and np.array_equal(entry.key, expected.key)
+        assert again == expected.to_dict()
+
 
 @pytest.mark.parametrize("client_cls", [InprocClient, StreamClient])
 class TestReplyRule:
@@ -1058,7 +1113,7 @@ class TestMassiveAgentPaths:
                             noise_scale=0.0, seed=1)
         frame = render_frame(oracle, domain, 0)
         agent.step(0, frame)           # warmup frame, no adaptation
-        agent._optimize(1, frame)      # seed an active prompt
+        agent._optimize(1, frame, None, oracle.entropy_map(frame))  # seed an active prompt
         assert agent.current_svp.size > 0
         # Huge motion expels most prompt pixels: refresh fires.
         rec = agent.step(2, np.roll(frame, 28, axis=1), motion=(0, 28))
@@ -1072,7 +1127,7 @@ class TestMassiveAgentPaths:
                         noise_scale=0.0, seed=2)
         f1, f2 = render_frame(oracle, d1, 0), render_frame(oracle, d2, 0)
         agent.step(0, f1)
-        agent._optimize(1, f1)
+        agent._optimize(1, f1, None, oracle.entropy_map(f1))
         rec = agent.step(2, f2, motion=(0, 0))  # detector silenced; map moved
         assert rec.adaptation_event == "optimize"
 
@@ -1082,7 +1137,7 @@ class TestMassiveAgentPaths:
                             noise_scale=0.0, seed=1)
         frame = render_frame(oracle, domain, 0)
         agent.step(0, frame)
-        agent._optimize(1, frame)
+        agent._optimize(1, frame, None, oracle.entropy_map(frame))
         rec = agent.step(2, frame, motion=(0, 0))
         assert rec.adaptation_event == "warp"
         assert rec.bytes_sent == 0
@@ -1192,11 +1247,10 @@ class TestLimitedAgentPaths:
         assert rec.mean_entropy == float(entropy_map(oracle, frame, prompt).mean())
 
     def test_reply_entries_are_parsed_once_per_held_dict(self, monkeypatch):
-        # A back-reference hands the agent the dict it parsed before, so its
-        # PoolEntry is reused; a merged entry arrives as a new dict and is
-        # parsed again, never answered from the old entry.
+        # A back-reference hands the agent the ReplyEntry it read before, so
+        # its PoolEntry is reused; a merged entry arrives as a new ReplyEntry
+        # and is parsed again, never answered from the old entry.
         import adaptfly.fleet.agents as agents_mod
-        from adaptfly.memory import PoolEntry
 
         oracle = make_toy_oracle(seed=7)
         frame = render_frame(oracle, DomainSpec(id="dusk", gain=(0.75, 0.8, 0.72),
@@ -1222,18 +1276,18 @@ class TestLimitedAgentPaths:
 
         upload(0.01, 0)
         agent.step(1, frame)
-        first = agent._entries[0]
+        first = agent.client.reply_entries[0]
         agent.step(2, frame)                        # a back-reference
-        assert len(parsed) == 1 and agent._entries[0] is first
+        assert len(parsed) == 1 and agent.client.reply_entries[0] is first
         assert agent.client.reply_counts == {"in_full": 1, "referenced": 1}
 
         upload(0.03, 3)                             # merges into entry 0
         merged = server.pool.get(0)
-        assert merged.value != first[1].value
+        assert merged.value != first.entry.value
         agent.step(4, frame)
         assert len(parsed) == 2 and parsed[1] is not parsed[0]
-        entry = agent._entries[0][1]
-        assert entry is not first[1]
+        entry = agent.client.reply_entries[0].entry
+        assert entry is not first.entry
         assert entry.value == merged.value and np.array_equal(entry.key, merged.key)
 
 

@@ -32,7 +32,7 @@ from adaptfly.fleet.messages import (
     decode_message,
     encode_message,
 )
-from adaptfly.memory import PoolConfig, PoolEntry, PromptPool
+from adaptfly.memory import PoolConfig, PromptPool
 from adaptfly.oracle import make_toy_oracle
 from adaptfly.prompts import TokenPrompt
 
@@ -131,7 +131,7 @@ def test_malformed_boundary_inputs_raise_only_adaptfly_errors(tmp_path):
     def run_reply(text: bytes) -> None:  # as a limited agent reads a reply
         msg = decode_message(text, entries=OrderedDict())
         for entry in getattr(msg, "entries", ()):
-            PoolEntry.from_dict(entry)
+            entry.entry
 
     fuzz(run_reply, [reply], rng)
 
@@ -142,9 +142,12 @@ def test_malformed_boundary_inputs_raise_only_adaptfly_errors(tmp_path):
     saved = tmp_path / "pool.jsonl"
     pool.save(saved)
     lines = saved.read_bytes().splitlines()
+    assert lines[0] == b'{"next_id":2}'
     entry = json.loads(lines[1])
+    entry["entry_id"] = 2
     entry["key"] = keys[0].tolist()  # a key written as numbers, as older snapshots did
     lines.append(json.dumps(entry).encode())
+    lines[0] = b'{"next_id":3}'
     path = tmp_path / "mutant.jsonl"
 
     for index in range(len(lines)):

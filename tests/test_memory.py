@@ -535,6 +535,22 @@ class TestPersistence:
             PromptPool.load(path)
         assert err.value.line == (2 if "below" in message else 1)
 
+    def test_repeated_entry_id_is_typed(self, tmp_path):
+        # Two lines holding one id would load as two entries under that id,
+        # and a drop of the id would then remove both.
+        pool = make_pool()
+        for i, key in enumerate(([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])):
+            pool.insert(unit(key), prompt(), timestamp=i, agent_id="a")
+        path = tmp_path / "pool.jsonl"
+        pool.save(path)
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["entry_id"] for line in lines[1:]] == [0, 1, 2]
+        path.write_text("\n".join(lines[:3] + [lines[2]] + lines[3:]) + "\n")
+        with pytest.raises(PoolFormatError, match=r"line 4: entry_id 1 is already on line 3") \
+                as err:
+            PromptPool.load(path)
+        assert err.value.line == 4
+
     def test_snapshot_without_recency_falls_back_to_timestamp(self, tmp_path):
         # Snapshots written before last_retrieved was persisted, and wire
         # entries, carry only the insertion timestamp.
