@@ -61,14 +61,26 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_config(path: str) -> dict:
+def _load_config(args) -> dict:
+    """The JSON object at ``--config``, with the ``--set`` overrides applied."""
+    path = args.config
     p = Path(path)
     if not p.is_file():
         raise CliError(f"config not found: {path}")
     config = parse_json(p.read_bytes(), CliError, f"config {path} is not valid JSON")
     if not isinstance(config, dict):
         raise CliError(f"config {path} must hold a JSON object")
+    for assignment in args.set or ():
+        _apply_override(config, assignment)
     return config
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout without one."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _parse_value(dotted: str, raw: str):
@@ -114,9 +126,7 @@ def _apply_override(config: dict, assignment: str) -> None:
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args.config)
-    for assignment in args.set or ():
-        _apply_override(config, assignment)
+    config = _load_config(args)
     if args.seed is not None:
         config["seed"] = args.seed
     scenario = ScenarioConfig.from_dict(config)  # a rejected config leaves no directory
@@ -168,24 +178,13 @@ def _cmd_bench(args) -> int:
         lines.append(
             f"{r.function},{r.dimension},{r.mode},{r.seed},{r.evaluations},{r.best_fitness!r}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_calibrate(args) -> int:
-    config = _load_config(args.config)
-    for assignment in args.set or ():
-        _apply_override(config, assignment)
-    result = calibrate_scenario(config, quantile=args.quantile)
-    text = json.dumps(result, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    result = calibrate_scenario(_load_config(args), quantile=args.quantile)
+    _emit(json.dumps(result, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 

@@ -17,15 +17,17 @@ Three update modes share one ask/tell interface:
   for: mean and covariance re-estimated from the elite samples each
   generation, no step-size path.
 
-The optimizer loop owns its state. ``optimize_svp`` scores each
-generation as one population in a single array pass of the oracle's
-``svp_scorer``.
+The optimizer loop owns its state. ``optimize_svp`` and ``run_benchmark``
+share one ask/evaluate/tell loop and differ only in their stop rules.
+``optimize_svp`` scores each generation as one population in a single
+array pass of the oracle's ``svp_scorer``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -327,6 +329,19 @@ def project_mask(
     return SparseVisualPrompt(coords, candidate.reshape(-1, 3), frame_shape)
 
 
+def _search(state: CmaState, rng: np.random.Generator, fitness):
+    """Ask, evaluate and tell one population per step; yield the state after each.
+
+    The caller owns the stop rule. ``cma_ask`` and ``cma_tell`` are looked
+    up as module globals at each call, so a wrapper installed on them by
+    name sees every generation.
+    """
+    while True:
+        candidates = cma_ask(state, rng)
+        state = cma_tell(state, candidates, fitness(candidates))
+        yield state
+
+
 @dataclass(frozen=True)
 class OptimizeResult:
     """Outcome of one sparse-prompt search."""
@@ -374,18 +389,12 @@ def optimize_svp(
         return values
 
     state = cma_init(config)
-    rng = np.random.default_rng(config.seed)
-
     state.best_vector = np.zeros(config.dimension)
     baseline = state.best_fitness = float(fitness(state.best_vector[None, :])[0])
-    evaluations = 1
 
     history: list[float] = []
-    for _ in range(config.generations):
-        candidates = cma_ask(state, rng)
-        fitnesses = fitness(candidates)
-        evaluations += config.population
-        state = cma_tell(state, candidates, fitnesses)
+    search = _search(state, np.random.default_rng(config.seed), fitness)
+    for state in islice(search, config.generations):
         history.append(state.best_fitness)
         if (
             len(history) > STALL_WINDOW
@@ -398,7 +407,7 @@ def optimize_svp(
         best_fitness=state.best_fitness,
         baseline_fitness=baseline,
         history=tuple(history),
-        evaluations=evaluations,
+        evaluations=1 + config.population * len(history),
     )
 
 
@@ -450,7 +459,9 @@ def run_benchmark(
 ) -> BenchResult:
     """Minimize one benchmark function until target fitness or budget.
 
-    A budget below one population evaluates nothing and raises ConfigError.
+    Whole populations only: at most ``max_evaluations // population``
+    generations. A budget below one population evaluates nothing and
+    raises ConfigError.
     """
     if function not in BENCH_FUNCTIONS:
         raise ConfigError(
@@ -471,14 +482,8 @@ def run_benchmark(
             f"evaluation budget {max_evaluations} is below one population "
             f"({config.population} evaluations)"
         )
-    state = cma_init(config)
-    rng = np.random.default_rng(seed)
-    evaluations = 0
-    while evaluations + config.population <= max_evaluations:
-        candidates = cma_ask(state, rng)
-        fitnesses = fn(candidates)
-        evaluations += config.population
-        state = cma_tell(state, candidates, fitnesses)
+    search = _search(cma_init(config), np.random.default_rng(seed), fn)
+    for generations, state in enumerate(islice(search, max_evaluations // config.population), 1):
         if state.best_fitness < target:
             break
     return BenchResult(
@@ -486,6 +491,6 @@ def run_benchmark(
         dimension=dimension,
         mode=mode,
         seed=seed,
-        evaluations=evaluations,
+        evaluations=generations * config.population,
         best_fitness=state.best_fitness,
     )

@@ -55,6 +55,10 @@ class ActivationStats:
             raise StatsError("means and stds must have equal length")
         if not (np.all(np.isfinite(means)) and np.all(np.isfinite(stds))):
             raise StatsError("activation statistics must be finite")
+        self._store(means, stds)
+
+    def _store(self, means: np.ndarray, stds: np.ndarray) -> None:
+        """Hold the vectors read-only, the stds floored at SIGMA_FLOOR."""
         stds = np.maximum(stds, SIGMA_FLOOR)
         means.setflags(write=False)
         stds.setflags(write=False)
@@ -73,11 +77,7 @@ class ActivationStats:
         constructor would build it.
         """
         stats = object.__new__(cls)
-        stds = np.maximum(stds, SIGMA_FLOOR)
-        means.setflags(write=False)
-        stds.setflags(write=False)
-        object.__setattr__(stats, "means", means)
-        object.__setattr__(stats, "stds", stds)
+        stats._store(means, stds)
         return stats
 
 

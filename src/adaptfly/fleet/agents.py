@@ -27,7 +27,9 @@ from .mec import ProvenanceLog
 from .messages import Query, RegisterDeferred, UploadPrompt
 from .transport import TransportFailure
 
-__all__ = ["StepRecord", "LimitedAgent", "MassiveAgent", "RECORD_COLUMNS"]
+__all__ = ["StepRecord", "LimitedAgent", "MassiveAgent", "RECORD_COLUMNS", "ADAPTATION_EVENTS"]
+
+ADAPTATION_EVENTS = ("none", "retrieve", "optimize", "warp")
 
 
 @dataclass
@@ -43,7 +45,7 @@ class StepRecord:
     drift_score: float
     shift_flag: bool
     mean_entropy: float
-    adaptation_event: str  # none | retrieve | optimize | warp
+    adaptation_event: str  # one of ADAPTATION_EVENTS
     bytes_sent: int
     bytes_received: int
     pool_size: int = 0

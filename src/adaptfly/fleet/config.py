@@ -274,10 +274,23 @@ def _threshold(value, name):
     return value if value == "auto" else _check(value, name, float)
 
 
+# An id is a metrics.csv field and, in a merged pool entry, one of a
+# comma-joined list of contributors: no comma, and none of the line breaks
+# str.splitlines splits on.
+_ID_BREAKS = frozenset(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _id(value, name):
+    value = _check(value, name, str)
+    if not _ID_BREAKS.isdisjoint(value):
+        raise ConfigError(f"{name} must hold no comma or line break, got {value!r}")
+    return value
+
+
 _SEGMENT = {"domain": str, "frames": _is(int, lo=1),
             "motion": _list_of(_is(int, lo=-(2**31), hi=2**31), 2)}
 _AGENT = {
-    "id": str, "kind": str,
+    "id": _id, "kind": str,
     "schedule": _list_of(_object(_SEGMENT, SegmentSpec, "domain", "frames")),
     "lambda": ("smoothing", float), "z": ("threshold", _threshold), "warmup": int,
 }
@@ -302,7 +315,7 @@ _SCENARIO = {
     "seed": int,
     "oracle": _object({"seed": int, "classes": int, "height": int, "width": int,
                        "stem_channels": int, "patch": int, "temperature": float}),
-    "domains": _list_of(_object({"id": str, "gain": _list_of(_is(float), 3),
+    "domains": _list_of(_object({"id": _id, "gain": _list_of(_is(float), 3),
                                  "bias": _list_of(_is(float), 3), "noise_scale": float,
                                  "seed": int}, DomainSpec, "id")),
     "agents": _list_of(_agent),

@@ -1,10 +1,12 @@
 """Consolidation server: hosts the prompt pool and resolves deferred entries.
 
 The server is the single writer of the pool. Uploads and registrations
-append to the pending set; refine ticks consolidate; queries are served
-from the whole pool, materializing deferred entries on demand through the
-shared frozen oracle. Entries whose provenance has expired are removed so
-queries stop serving them.
+take the same insert into the pending set, a registration with a
+``DeferredMarker`` in place of the prompt; refine ticks consolidate;
+queries are served from the whole pool, materializing deferred entries on
+demand through the shared frozen oracle from the ``ProvenanceLog`` record
+at the entry's (agent, step). Entries whose provenance has expired are
+removed so queries stop serving them.
 
 Many agents pull the same few entries, so the server encodes each served
 entry once and sends that text again: reply entries are read-only
@@ -44,18 +46,19 @@ class ProvenanceLog:
 
     Deferred entries are resolved from here: the registering agent's
     frames and sparse prompt must still be inside the window, otherwise
-    the provenance has expired.
+    the provenance has expired. Records are keyed by ``(agent_id, step)``;
+    the first one an agent logs at a step is the one kept.
     """
 
     window: int = 64
-    _records: dict = field(default_factory=dict)
+    _records: dict = field(default_factory=dict)  # (agent_id, step) -> record
     _clock: int = 0
 
     def record(
         self, agent_id: str, step: int, frames: list[np.ndarray], svp: SparseVisualPrompt
     ) -> None:
-        self._records.setdefault(agent_id, []).append(
-            {"step": int(step), "frames": [f.copy() for f in frames], "svp": svp}
+        self._records.setdefault(
+            (agent_id, int(step)), {"frames": [f.copy() for f in frames], "svp": svp}
         )
         self.advance(step)
 
@@ -63,19 +66,12 @@ class ProvenanceLog:
         """Move the clock forward and prune records older than the window."""
         self._clock = max(self._clock, int(step))
         horizon = self._clock - self.window
-        for agent_id in list(self._records):
-            kept = [r for r in self._records[agent_id] if r["step"] >= horizon]
-            if kept:
-                self._records[agent_id] = kept
-            else:
-                del self._records[agent_id]
+        for key in [key for key in self._records if key[1] < horizon]:
+            del self._records[key]
 
     def lookup(self, agent_id: str, step: int):
         """Record the agent logged at exactly ``step``, or None."""
-        for r in self._records.get(agent_id, ()):
-            if r["step"] == int(step):
-                return r
-        return None
+        return self._records.get((agent_id, int(step)))
 
 
 class MecServer:
@@ -95,30 +91,22 @@ class MecServer:
         self._texts = weakref.WeakKeyDictionary()  # PoolEntry -> its EncodedDict
 
     def handle(self, msg: FleetMessage) -> FleetMessage | None:
-        if isinstance(msg, UploadPrompt):
-            self.pool.insert(
-                key=np.asarray(msg.key),
-                value=msg.value,
-                timestamp=msg.timestamp,
-                agent_id=msg.agent_id,
-                domain_tag=msg.domain_tag,
-            )
-            return None
-        if isinstance(msg, RegisterDeferred):
-            self.pool.insert(
-                key=np.asarray(msg.query),
-                value=DeferredMarker(msg.agent_id),
-                timestamp=msg.timestamp,
-                agent_id=msg.agent_id,
-                domain_tag=msg.domain_tag,
-            )
-            return None
         if isinstance(msg, Query):
             return QueryResponse(
                 request_id=msg.request_id, entries=tuple(self._query(msg))
             )
         if isinstance(msg, RefineTick):
             self.pool.refine()
+            return None
+        if isinstance(msg, (UploadPrompt, RegisterDeferred)):
+            deferred = isinstance(msg, RegisterDeferred)
+            self.pool.insert(
+                key=np.asarray(msg.query if deferred else msg.key),
+                value=DeferredMarker(msg.agent_id) if deferred else msg.value,
+                timestamp=msg.timestamp,
+                agent_id=msg.agent_id,
+                domain_tag=msg.domain_tag,
+            )
             return None
         raise ProtocolError(f"server cannot handle {type(msg).__name__}")
 

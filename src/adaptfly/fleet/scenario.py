@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import io
 import logging
+import math
+import re
 import typing
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -20,7 +23,7 @@ from ..drift import DriftTracker, calibrate_threshold, detect
 from ..errors import MetricsFormatError
 from ..memory import PromptPool
 from ..oracle import ToyOracle, make_toy_oracle, render_frame
-from .agents import RECORD_COLUMNS, LimitedAgent, MassiveAgent, StepRecord
+from .agents import ADAPTATION_EVENTS, RECORD_COLUMNS, LimitedAgent, MassiveAgent, StepRecord
 from .config import AgentSpec, ScenarioConfig
 from .mec import MecServer, ProvenanceLog
 from .messages import RefineTick
@@ -246,23 +249,39 @@ def metrics_csv(records: list[StepRecord]) -> str:
     return out.getvalue()
 
 
-def _parse_bool(text: str) -> bool:
-    if text not in ("0", "1"):
-        raise ValueError(f"expected 0 or 1, got {text!r}")
-    return text == "1"
+# The forms metrics_csv writes a number in: ASCII digits, no "_" or spaces.
+_NUMBER_FORMS = {int: re.compile(r"-?[0-9]+"),
+                 float: re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")}
 
 
+def _one_of(choices: tuple, text: str) -> str:
+    if text not in choices:
+        raise ValueError(f"expected {' or '.join(choices)}, got {text!r}")
+    return text
+
+
+def _finite(kind: type, text: str):
+    value = kind(text) if _NUMBER_FORMS[kind].fullmatch(text) else math.inf
+    if abs(value) == math.inf:  # an int of any size compares without overflow
+        raise ValueError(f"expected a finite {kind.__name__}, got {text!r}")
+    return value
+
+
+_TYPE_PARSERS = {bool: lambda text: _one_of(("0", "1"), text) == "1", str: str,
+                 int: partial(_finite, int), float: partial(_finite, float)}
 _COLUMN_PARSERS = tuple(
-    _parse_bool if t is bool else t
-    for t in map(typing.get_type_hints(StepRecord).get, RECORD_COLUMNS)
+    partial(_one_of, ADAPTATION_EVENTS) if column == "adaptation_event" else _TYPE_PARSERS[t]
+    for column, t in typing.get_type_hints(StepRecord).items()
 )
 
 
 def parse_metrics_csv(text: str, source: str = "metrics.csv") -> list[StepRecord]:
     """Inverse of ``metrics_csv``: one StepRecord per data row.
 
-    Each column is parsed as its StepRecord field's type, booleans as 0 or
-    1 only. MetricsFormatError names ``source`` and the 1-based line.
+    Each column is read only in the form ``metrics_csv`` writes for its
+    StepRecord field's type: ASCII integers (no ``_`` or spaces), finite
+    decimal numbers, booleans as 0 or 1, events from ADAPTATION_EVENTS.
+    MetricsFormatError names ``source`` and the 1-based line.
     """
     lines = text.splitlines()
     if not lines or lines[0].split(",") != list(RECORD_COLUMNS):

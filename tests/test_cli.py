@@ -132,6 +132,16 @@ class TestBench:
         assert code == 0
         assert out.read_text().startswith("function,")
 
+    def test_out_file_holds_the_bytes_printed_to_stdout(self, tmp_path, capsys):
+        argv = ["bench", "--function", "rosenbrock", "--n", "3", "--mode", "sep-cma",
+                "--seeds", "0,2", "--max-evals", "600"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "bench.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
+
 
 class TestCalibrate:
     def test_clean_scenario_emits_threshold_json(self, tmp_path, capsys):
@@ -153,6 +163,17 @@ class TestCalibrate:
         assert capsys.readouterr().out == explicit
         main(["calibrate", "--config", str(path), "--set", "calibration.quantile=0.9"])
         assert json.loads(capsys.readouterr().out)["quantile"] == 0.9
+
+    def test_out_file_holds_the_bytes_printed_to_stdout(self, tmp_path, capsys):
+        path = tmp_path / "clean.json"
+        path.write_text(json.dumps(clean_config(seed=0, frames=50)))
+        argv = ["calibrate", "--config", str(path), "--set", "calibration.quantile=0.9"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "z.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
 
     def test_too_short_stream_fails(self, tmp_path, capsys):
         path = tmp_path / "clean.json"
@@ -330,6 +351,9 @@ class TestMalformedConfigs:
         ("agents.0.rho", 0, "agents[0]: "),
         ("agents.0.dropout_rate", 1.0, "agents[0]: "),
         ("provenance_window", 0, "provenance_window "),
+        # An id is a metrics.csv field: report could not read the run's own table.
+        ("agents.1.id", "uav,l1", "agents[1].id "),
+        ("domains.1.id", "dusk\n2", "domains[1].id "),
     ])
     def test_out_of_range_value_exits_2_before_any_output(self, tmp_path, capsys, dotted,
                                                            value, named):

@@ -420,6 +420,21 @@ class TestConvergence:
         with pytest.raises(ConfigError):
             run_benchmark("ackley", 5, "full-cma", 0, 100)
 
+    @pytest.mark.parametrize("mode", ["full-cma", "sep-cma", "elite-eda"])
+    def test_benchmark_evaluates_whole_populations_within_budget(self, mode, monkeypatch):
+        from adaptfly import cmaes
+
+        batches = []
+        monkeypatch.setitem(cmaes.BENCH_FUNCTIONS, "sphere",
+                            lambda v: batches.append(len(v)) or sphere(v))
+        result = run_benchmark("sphere", 3, mode, 0, max_evaluations=20, target=-1.0,
+                               population=6, elite=3)
+        assert batches == [6, 6, 6] and result.evaluations == 18
+        batches.clear()
+        result = run_benchmark("sphere", 3, mode, 0, max_evaluations=20, target=math.inf,
+                               population=6, elite=3)
+        assert batches == [6] and result.evaluations == 6
+
 
 @pytest.fixture(scope="module")
 def shifted_problem():
@@ -476,6 +491,42 @@ class TestOptimizeSvp:
         result = optimize_svp(oracle, frame, coords, cfg)
         assert result.evaluations == 1 + 4 * 6
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode", ["full-cma", "sep-cma", "elite-eda"])
+    @pytest.mark.parametrize("generations", [3, 200])
+    def test_evaluations_count_the_baseline_and_whole_populations(self, mode, generations):
+        # 200 generations: the razor-sharp oracle stalls the search first.
+        oracle = make_toy_oracle(seed=7, temperature=0.002)
+        frame = oracle.base_image()
+        coords = place_mask(oracle.uncertainty_map(frame, 1, 0.0, 0), 5)
+        cfg = CmaConfig(dimension=15, population=8, elite=2, generations=generations,
+                        sigma0=0.05, mode=mode, seed=3)
+        result = optimize_svp(oracle, frame, coords, cfg)
+        if generations == 3:
+            assert len(result.history) == 3
+        else:
+            assert len(result.history) < 200
+        assert result.evaluations == 1 + cfg.population * len(result.history)
+
+    def test_each_generation_asks_and_tells_by_module_name(self, shifted_problem,
+                                                           monkeypatch):
+        # Wrappers installed on the module's names see every generation.
+        from adaptfly import cmaes
+
+        oracle, frame, coords = shifted_problem
+        calls = []
+        for name in ("cma_ask", "cma_tell"):
+            fn = getattr(cmaes, name)
+            monkeypatch.setattr(cmaes, name, lambda *a, _n=name, _f=fn:
+                                calls.append(_n) or _f(*a))
+        cfg = CmaConfig(dimension=3 * coords.shape[0], population=6, elite=2,
+                        generations=4, sigma0=0.3, seed=4)
+        result = optimize_svp(oracle, frame, coords, cfg)
+        assert calls == ["cma_ask", "cma_tell"] * len(result.history)
+        calls.clear()
+        bench = cmaes.run_benchmark("sphere", 4, "sep-cma", 0, max_evaluations=40,
+                                    target=-1.0, population=8)
+        assert calls == ["cma_ask", "cma_tell"] * 5 and bench.evaluations == 40
 
     def test_empty_mask_rejected(self, shifted_problem):
         oracle, frame, _ = shifted_problem

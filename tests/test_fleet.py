@@ -13,7 +13,7 @@ import pytest
 
 from adaptfly.distill import DistillConfig, entry_size_bytes
 from adaptfly.drift import DriftTracker, calibrate_threshold, compute_stats, detect
-from adaptfly.errors import CompositionError, ConfigError, ProtocolError
+from adaptfly.errors import CompositionError, ConfigError, MetricsFormatError, ProtocolError
 from adaptfly.fleet import (
     InprocClient,
     MecServer,
@@ -27,10 +27,17 @@ from adaptfly.fleet import (
     UploadPrompt,
     clean_config,
     metrics_csv,
+    parse_metrics_csv,
     reference_config,
     run_scenario,
 )
-from adaptfly.fleet.agents import RECORD_COLUMNS, LimitedAgent, MassiveAgent
+from adaptfly.fleet.agents import (
+    ADAPTATION_EVENTS,
+    RECORD_COLUMNS,
+    LimitedAgent,
+    MassiveAgent,
+    StepRecord,
+)
 from adaptfly.fleet.config import AgentSpec, SegmentSpec
 from adaptfly.fleet.scenario import _calibrated_threshold
 from adaptfly.fleet import scenario as scenario_mod
@@ -115,6 +122,50 @@ class TestScenarioBasics:
     def test_pool_size_recorded(self):
         result = run_scenario(mini_config(seed=0))
         assert any(r.pool_size > 0 for r in result.records)
+
+
+class TestMetricsTable:
+    """``parse_metrics_csv`` reads what ``metrics_csv`` writes, and nothing else."""
+
+    def test_reference_run_reads_back_equal(self):
+        records = run_scenario(reference_config(0)).records
+        assert parse_metrics_csv(metrics_csv(records)) == records
+
+    def test_accepted_ids_read_back_equal(self):
+        cfg = mini_config(frames=6)
+        cfg["agents"][1]["id"] = 'uav "l1";\tü'
+        cfg["domains"][1]["id"] = "dusk/ü"
+        for agent in cfg["agents"]:
+            agent["schedule"][1]["domain"] = "dusk/ü"
+        records = run_scenario(cfg).records
+        assert {(r.agent_id, r.domain) for r in records} >= {('uav "l1";\tü', "dusk/ü")}
+        assert parse_metrics_csv(metrics_csv(records)) == records
+
+    @staticmethod
+    def _table(column: str, text: str) -> str:
+        record = StepRecord(step=3, agent_id="uav-l1", domain="dusk", drift_score=0.5,
+                            shift_flag=True, mean_entropy=1.25, adaptation_event="retrieve",
+                            bytes_sent=120, bytes_received=4096, retrieved=1)
+        header, row = metrics_csv([record]).splitlines()
+        fields = row.split(",")
+        fields[RECORD_COLUMNS.index(column)] = text
+        return f"{header}\n{','.join(fields)}\n"
+
+    @pytest.mark.parametrize("event", ADAPTATION_EVENTS)
+    def test_each_event_is_read(self, event):
+        (record,) = parse_metrics_csv(self._table("adaptation_event", event))
+        assert record.adaptation_event == event
+
+    @pytest.mark.parametrize("column, text", [
+        ("step", "1_0"), ("bytes_sent", "\u0663"),
+        ("step", " 1"), ("drift_score", " 0.5 "),
+        ("mean_entropy", "nan"), ("drift_score", "inf"), ("mean_entropy", "1e999"),
+        ("adaptation_event", "bogus"),
+    ])
+    def test_form_it_never_writes_is_rejected(self, column, text):
+        with pytest.raises(MetricsFormatError) as err:
+            parse_metrics_csv(self._table(column, text))
+        assert str(err.value).startswith("metrics.csv line 2: ") and repr(text) in str(err.value)
 
 
 # Writes metrics.csv of reference_config(0) and (1) into the directory argv[1].
@@ -249,6 +300,30 @@ class TestRejectedAtParse:
         with pytest.raises(ConfigError) as err:
             dataclasses.replace(cfg, **{field: 0})
         assert str(err.value) == f"{named} must be at least 1, got 0"
+
+    @pytest.mark.parametrize("dotted, value", [
+        ("agents.1.id", "uav,l1"),
+        ("agents.0.id", "uav,h1"),  # a merge joins its contributors' ids with commas
+        ("agents.2.id", "uav\rl2"),
+        ("domains.1.id", "dusk\n"),
+        ("domains.3.id", "rain\u2028"),
+    ])
+    def test_id_that_breaks_the_outputs_names_its_field(self, dotted, value):
+        cfg = reference_config(seed=0)
+        set_path(cfg, dotted, value)
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(cfg)
+        kind, i, _ = dotted.split(".")
+        assert str(err.value) == f"{kind}[{i}].id must hold no comma or line break, got {value!r}"
+
+    def test_every_line_break_the_metrics_reader_splits_on_is_rejected(self):
+        breaks = [c for c in map(chr, range(sys.maxunicode + 1))
+                  if len(f"a{c}b".splitlines()) > 1]
+        for c in [","] + breaks:
+            cfg = reference_config(seed=0)
+            cfg["agents"][1]["id"] = f"uav{c}l1"
+            with pytest.raises(ConfigError, match=r"^agents\[1\]\.id "):
+                ScenarioConfig.from_dict(cfg)
 
     def test_fault_steps_at_the_ends_of_the_stream_are_accepted(self):
         cfg = reference_config(seed=0)
@@ -583,6 +658,39 @@ class TestServer:
         response = client.request(Query(query=q, n=1, request_id=1))
         assert response.entries == ()
         assert pool.size == 0
+
+
+class TestProvenanceLog:
+    FRAME = np.zeros((2, 2, 3))
+
+    def test_record_at_the_horizon_is_kept_one_step_before_is_pruned(self):
+        log = ProvenanceLog(window=10)
+        log.record("uav-h1", 4, [self.FRAME], "svp4")
+        log.record("uav-h1", 5, [self.FRAME], "svp5")
+        log.advance(15)  # horizon 15 - 10 = 5
+        assert log.lookup("uav-h1", 5)["svp"] == "svp5"
+        assert log.lookup("uav-h1", 4) is None
+        log.advance(16)
+        assert log.lookup("uav-h1", 5) is None
+
+    def test_record_older_than_the_window_is_dropped_when_recorded(self):
+        log = ProvenanceLog(window=10)
+        log.advance(30)
+        log.record("uav-h1", 19, [self.FRAME], "old")
+        log.record("uav-h1", 20, [self.FRAME], "edge")
+        assert log.lookup("uav-h1", 19) is None
+        assert log.lookup("uav-h1", 20)["svp"] == "edge"
+
+    def test_first_record_at_a_step_wins(self):
+        log = ProvenanceLog(window=10)
+        first = np.ones((2, 2, 3))
+        log.record("uav-h1", 7, [first], "first")
+        log.record("uav-h1", 7, [self.FRAME], "second")
+        log.record("uav-h2", 7, [self.FRAME], "other agent")
+        record = log.lookup("uav-h1", 7)
+        assert record["svp"] == "first" and np.array_equal(record["frames"][0], first)
+        assert log.lookup("uav-h2", 7)["svp"] == "other agent"
+        assert log.lookup("uav-h1", 6) is None and log.lookup("uav-h3", 7) is None
 
 
 def uncached_frame(server, reply) -> bytes:
