@@ -97,19 +97,24 @@ def _parse_value(dotted: str, raw: str):
         raise
 
 
+def _digits(text: str) -> int | None:
+    """``text`` as a non-negative integer if it is ASCII decimal digits, else None.
+
+    ``int()`` also reads signs, spaces, underscores and other scripts' digits.
+    """
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def _slot(node, key: str, assignment: str):
     """The index ``key`` names in an object or list node of an override path."""
     if isinstance(node, dict):
         return key
     if isinstance(node, list):
-        try:
-            i = int(key)
-            node[i]
-            return i
-        except (ValueError, IndexError):
-            raise CliError(
-                f"{key!r} is not an index of a {len(node)}-item list in override {assignment!r}"
-            ) from None
+        if _digits(key) in range(len(node)):
+            return int(key)
+        raise CliError(
+            f"{key!r} is not an index of a {len(node)}-item list in override {assignment!r}"
+        )
     raise CliError(f"cannot descend into {key!r} of override {assignment!r}")
 
 
@@ -148,14 +153,9 @@ def _cmd_bench(args) -> int:
         raise CliError(
             f"unknown function {args.function!r}, expected one of {sorted(BENCH_FUNCTIONS)}"
         )
-    try:
-        seeds = [int(s) for s in args.seeds.split(",") if s != ""]
-        if any(s < 0 for s in seeds):
-            raise ValueError
-    except ValueError:
-        raise CliError(
-            f"--seeds must be comma-separated non-negative integers, got {args.seeds!r}"
-        ) from None
+    seeds = [_digits(s) for s in args.seeds.split(",") if s != ""]
+    if None in seeds:
+        raise CliError(f"--seeds must be comma-separated non-negative integers, got {args.seeds!r}")
     if not seeds:
         raise CliError("no seeds given")
     target, budget = _BENCH_DEFAULTS[args.function]

@@ -31,7 +31,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ConfigError, FitnessError
+from .errors import ConfigError, FitnessError, check_fields
 from .prompts import SparseVisualPrompt, apply_svp
 
 __all__ = [
@@ -78,6 +78,7 @@ class CmaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.dimension < 1:
             raise ConfigError("dimension must be at least 1")
         if self.mode not in MODES:

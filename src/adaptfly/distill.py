@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DistillError
+from .errors import ConfigError, DistillError, check_fields
 from .prompts import SparseVisualPrompt, TokenPrompt, apply_svp, compose_tokens
 
 __all__ = [
@@ -58,6 +58,7 @@ class DistillConfig:
     precision: str = "f16"
 
     def __post_init__(self):
+        check_fields(self)
         if self.rows < 1:
             raise ConfigError("token prompt needs at least one row")
         if self.steps < 1:

@@ -2,25 +2,28 @@
 
 Configs are plain JSON-compatible dicts with a strictly validated key set;
 unknown keys are rejected so typos fail fast instead of silently using
-defaults. Each JSON object has a field table that maps its keys to the
-fields of the type that owns them, with a type check: an absent or null
-key takes that type's default, and the type checks its own ranges (the
-tables hold the ranges of the scenario's own settings only). Each agent
-kind has its own table. A malformed or out-of-range value raises
-ConfigError naming the field. See README for the full schema.
+defaults. There is one rule set, held by the types: each config type
+checks its own fields, so a config built in code is held to the same
+rules as one read from JSON. A field's kind comes from its annotation
+(``errors.check_fields``), its range from the type's ``__post_init__``.
+The JSON tables below hold only key names: each maps an object's keys to
+the fields of the type that owns them, with renames, required keys and
+the readers of nested objects and lists. An absent or null key takes that
+type's default. A malformed or out-of-range value raises ConfigError
+naming the field, prefixed with the JSON path of its object when read
+from JSON. See README for the full schema.
 """
 
 from __future__ import annotations
 
 import inspect
-import math
-import sys
 from dataclasses import dataclass, field
+from typing import Literal, NamedTuple
 
 from ..cmaes import CmaConfig
 from ..distill import DistillConfig
 from ..drift import KL_VARIANTS, MIN_CALIBRATION_SCORES, DriftTracker, check_quantile
-from ..errors import ConfigError
+from ..errors import ConfigError, check_fields, check_keys
 from ..memory import PoolConfig
 from ..oracle import DomainSpec, check_toy_oracle, check_uncertainty, make_toy_oracle, patch_count
 from ..prompts import sparsity_budget
@@ -33,7 +36,6 @@ __all__ = [
     "clean_config",
 ]
 
-TRANSPORTS = ("inproc", "stream")
 KINDS = ("limited", "massive")
 # A massive agent's search mode unless its cma object names one. At a
 # search's dimension (3 offsets per prompt pixel) a dense covariance learns
@@ -41,28 +43,13 @@ KINDS = ("limited", "massive")
 # factorization.
 MASSIVE_SEARCH_MODE = "sep-cma"
 
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
-_ORACLE_ARGUMENTS = inspect.signature(make_toy_oracle)
-
-
-def _check(value, name: str, kind: type, lo=None, hi=None):
-    """One value of the given JSON kind, within [lo, hi].
-
-    ``float`` accepts any finite JSON number and returns a float; ``int``
-    accepts integers only. Booleans are never numbers.
-    """
-    ok = type(value) is kind
-    if kind is float and type(value) in (int, float):
-        number = float(value) if abs(value) <= sys.float_info.max else math.inf  # and NaN
-        ok = math.isfinite(number)
-    if not ok:
-        raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
-    if kind is float:
-        value = number
-    if (lo is not None and value < lo) or (hi is not None and value > hi):
-        bounds = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ConfigError(f"{name} must be {bounds}, got {value!r}")
-    return value
+# make_toy_oracle's arguments, with the scenario's default seed.
+_ORACLE_DEFAULTS = {name: arg.default for name, arg
+                    in inspect.signature(make_toy_oracle).parameters.items()} | {"seed": 7}
+# An id is a metrics.csv field and, in a merged pool entry, one of a
+# comma-joined list of contributors: no comma, and none of the line breaks
+# str.splitlines splits on.
+_ID_BREAKS = frozenset(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def _build(where: str, make, **kwargs):
@@ -73,51 +60,47 @@ def _build(where: str, make, **kwargs):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _read(d, table: dict, where: str, required=()) -> dict:
-    """The checked values of ``d``'s keys, under the field names of ``table``.
+def _read(d, table: dict | None, where: str, required=()) -> dict:
+    """The values of ``d``'s keys, under the field names of ``table``.
 
-    A table maps each key to its check, or to ``(field name, check)`` when
-    the field is named differently. A check is a JSON kind for ``_check``,
-    or ``check(value, name) -> value``. Absent and null keys are left out,
-    so the owning type's defaults apply; ``required`` keys must be present.
-    ``where`` is the object's JSON path, empty for the scenario itself.
+    A table (see ``_keys``) maps each key to the name of the field it
+    fills and to the reader of its nested object or list, or None; the
+    types check the values. A table of None takes any key, for an object
+    of options whose owner checks its keys. Absent and null keys are left
+    out, so the owning type's defaults apply; ``required`` keys must be
+    present. ``where`` is the object's JSON path, empty for the scenario.
     """
     what = where or "the scenario"
     if not isinstance(d, dict):
         raise ConfigError(f"{what} must be an object")
-    unknown = set(d) - set(table)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {what}")
+    if table is not None:
+        check_keys(d, table, what)
     for key in required:
         if d.get(key) is None:
             raise ConfigError(f"{where}.{key} is required")
     values = {}
     for key, value in d.items():
+        name, read = table[key] if table is not None else (key, None)
         if value is not None:
-            name, check = table[key] if isinstance(table[key], tuple) else (key, table[key])
-            if isinstance(check, type):
-                check = _is(check)
-            values[name] = check(value, f"{where}.{key}" if where else key)
+            values[name] = read(value, f"{where}.{key}" if where else key) if read else value
     return values
 
 
-def _is(kind: type, lo=None, hi=None):
-    """Check one value of a JSON kind within bounds, as ``_check``."""
-    return lambda value, name: _check(value, name, kind, lo, hi)
+def _keys(names: str, **readers) -> dict:
+    """A table: each space-separated key of ``names`` fills the field of its
+    name, or ``key:field`` another one; each of ``readers`` reads its key."""
+    table = {key: (name or key, None) for key, _, name in (n.partition(":") for n in names.split())}
+    return table | {key: (key, read) for key, read in readers.items()}
 
 
-def _list_of(check, length: int | None = None):
-    """Check a list (of ``length`` items, if given) item by item; a tuple."""
-    def read(value, name):
-        if not isinstance(value, list) or length not in (None, len(value)):
-            size = "" if length is None else f" of {length} values"
-            raise ConfigError(f"{name} must be a list{size}, got {value!r}")
-        return tuple(check(v, f"{name}[{i}]") for i, v in enumerate(value))
-    return read
+def _list_of(read):
+    """Read a list item by item, as a tuple; its owner names any other value."""
+    return lambda value, name: (tuple(read(v, f"{name}[{i}]") for i, v in enumerate(value))
+                                if isinstance(value, list) else value)
 
 
-def _object(table: dict, make=dict, *required: str):
-    """Check an object and build ``make`` from its values."""
+def _object(table: dict | None, make=dict, *required: str):
+    """Read an object through ``table`` and build ``make`` from its values."""
     return lambda value, name: _build(name, make, **_read(value, table, name, required))
 
 
@@ -128,6 +111,20 @@ class SegmentSpec:
     domain: str
     frames: int
     motion: tuple[int, int] = (0, 0)
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.frames < 1:
+            raise ConfigError(f"frames must be at least 1, got {self.frames!r}")
+        if max(map(abs, self.motion)) > 2**31:
+            raise ConfigError(f"motion must lie in [-2**31, 2**31], got {self.motion!r}")
+
+
+class Fault(NamedTuple):
+    """A dropped send: what ``agent`` sends at ``step`` never arrives."""
+
+    agent: str
+    step: int
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ class AgentSpec:
     kind: str
     schedule: tuple[SegmentSpec, ...]
     smoothing: float = 0.1
-    threshold: float | str = "auto"   # positive number, or "auto" to calibrate
+    threshold: float | Literal["auto"] = "auto"   # positive number, or "auto" to calibrate
     warmup: int = 10
     retrieval_n: int = 2              # limited only
     rho: float = 0.05                 # massive only, from here on
@@ -153,6 +150,7 @@ class AgentSpec:
     cma: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in KINDS:
             raise ConfigError(f"agent kind must be one of {KINDS}, got {self.kind!r}")
         if not self.schedule:
@@ -164,6 +162,8 @@ class AgentSpec:
         check_uncertainty(self.mc_passes, self.dropout_rate)
         if self.delta_refresh < 0:
             raise ConfigError(f"delta_refresh must be non-negative, got {self.delta_refresh!r}")
+        # a search sets its own dimension and seed
+        check_keys(self.cma, set(CmaConfig.__dataclass_fields__) - {"dimension", "seed"}, "cma")
 
     def search_config(self, height: int, width: int) -> CmaConfig:
         """``cma`` at three offsets per sparsity_budget(rho, height, width)
@@ -185,41 +185,49 @@ class ScenarioConfig:
 
     ``oracle`` holds the arguments of ``make_toy_oracle``, all of them
     once constructed. ``distill`` is the run's DistillConfig; as a dict of
-    options, its rows default to one per patch token of the oracle.
+    options, its rows default to one per patch token of the oracle. The
+    settings read from nested JSON objects (``pool.refine_period``,
+    ``calibration.*``) and the ids and faults are named by their JSON path.
     """
 
     agents: tuple[AgentSpec, ...] = ()
     domains: tuple[DomainSpec, ...] = ()
     seed: int = 0
     oracle: dict = field(default_factory=dict)
-    pool: PoolConfig = PoolConfig()
+    pool: PoolConfig = field(default_factory=PoolConfig)
     refine_period: int = 2
-    transport: str = "inproc"
+    transport: Literal["inproc", "stream"] = "inproc"
     kl_variant: str = "standard"
     distill: DistillConfig | dict = field(default_factory=dict)
     calibration_frames: int = 120
     calibration_quantile: float = 0.99
     provenance_window: int = 64
-    faults: tuple[tuple[str, int], ...] = ()
+    faults: tuple[Fault, ...] = ()
 
     def __post_init__(self):
-        oracle = _ORACLE_ARGUMENTS.bind(**{"seed": 7, **self.oracle})
-        oracle.apply_defaults()
-        object.__setattr__(self, "oracle", dict(oracle.arguments))
-        _build("oracle", check_toy_oracle, **self.oracle)
+        check_fields(self)
+        check_keys(self.oracle, _ORACLE_DEFAULTS, "oracle")
+        oracle = _build("oracle", check_toy_oracle, **{**_ORACLE_DEFAULTS, **self.oracle})
+        object.__setattr__(self, "oracle", oracle)
         h, w = self.oracle["height"], self.oracle["width"]
-        if not isinstance(self.distill, DistillConfig):
+        if isinstance(self.distill, dict):
+            check_keys(self.distill, DistillConfig.__dataclass_fields__, "distill")
             rows = patch_count(h, w, self.oracle["patch"])
             distill = _build("distill", DistillConfig, **{"rows": rows, **self.distill})
             object.__setattr__(self, "distill", distill)
-        if self.transport not in TRANSPORTS:
-            raise ConfigError(f"transport must be one of {TRANSPORTS}")
         if self.kl_variant not in KL_VARIANTS:
             raise ConfigError(f"kl_variant must be one of {KL_VARIANTS}")
         for name, value in [("pool.refine_period", self.refine_period),
-                            ("provenance_window", self.provenance_window)]:
+                            ("provenance_window", self.provenance_window),
+                            ("calibration.frames", self.calibration_frames)]:
             if value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {value!r}")
+        for name, specs in [("agents", self.agents), ("domains", self.domains)]:
+            for i, spec in enumerate(specs):
+                if not _ID_BREAKS.isdisjoint(spec.id):
+                    raise ConfigError(
+                        f"{name}[{i}].id must hold no comma or line break, got {spec.id!r}"
+                    )
         ids = [a.id for a in self.agents]
         if len(set(ids)) != len(ids):
             raise ConfigError("agent ids must be unique")
@@ -266,71 +274,38 @@ class ScenarioConfig:
         pool = values.pop("pool", {})
         if "refine_period" in pool:
             values["refine_period"] = pool.pop("refine_period")
-        values["pool"] = _build("pool", PoolConfig, **pool)
-        return cls(**values)
+        return cls(**values, pool=_build("pool", PoolConfig, **pool))
 
 
-def _threshold(value, name):
-    return value if value == "auto" else _check(value, name, float)
-
-
-# An id is a metrics.csv field and, in a merged pool entry, one of a
-# comma-joined list of contributors: no comma, and none of the line breaks
-# str.splitlines splits on.
-_ID_BREAKS = frozenset(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
-
-
-def _id(value, name):
-    value = _check(value, name, str)
-    if not _ID_BREAKS.isdisjoint(value):
-        raise ConfigError(f"{name} must hold no comma or line break, got {value!r}")
-    return value
-
-
-_SEGMENT = {"domain": str, "frames": _is(int, lo=1),
-            "motion": _list_of(_is(int, lo=-(2**31), hi=2**31), 2)}
-_AGENT = {
-    "id": _id, "kind": str,
-    "schedule": _list_of(_object(_SEGMENT, SegmentSpec, "domain", "frames")),
-    "lambda": ("smoothing", float), "z": ("threshold", _threshold), "warmup": int,
-}
+# The JSON tables: key names, renames and the readers of nested values.
+_SEGMENT = _keys("domain frames motion")
+_AGENT = _keys("id kind warmup lambda:smoothing z:threshold",
+               schedule=_list_of(_object(_SEGMENT, SegmentSpec, "domain", "frames")))
 _AGENT_KINDS = {
-    "limited": {**_AGENT, "n": ("retrieval_n", int)},
-    "massive": {**_AGENT, "rho": float, "mc_passes": int, "dropout_rate": float,
-                "delta_refresh": float, "defer_distill": bool,
-                "cma": _object({"population": int, "elite": int, "generations": int,
-                                "sigma0": float, "mode": str, "cov_floor": float})},
+    "limited": _AGENT | _keys("n:retrieval_n"),
+    "massive": _AGENT | _keys("rho mc_passes dropout_rate delta_refresh defer_distill",
+                              cma=_object(None)),
 }
-_ANY_AGENT = {**_AGENT_KINDS["limited"], **_AGENT_KINDS["massive"]}
+_ANY_AGENT = _AGENT_KINDS["limited"] | _AGENT_KINDS["massive"]
 
 
 def _agent(value, name):
     """An AgentSpec read through its kind's table; an unknown kind takes any key."""
     kind = value.get("kind") if isinstance(value, dict) else None
-    table = _AGENT_KINDS.get(kind, _ANY_AGENT) if isinstance(kind, str) else _ANY_AGENT
+    table = _AGENT_KINDS[kind] if kind in KINDS else _ANY_AGENT
     return _build(name, AgentSpec, **_read(value, table, name, ("id", "kind", "schedule")))
 
 
-_SCENARIO = {
-    "seed": int,
-    "oracle": _object({"seed": int, "classes": int, "height": int, "width": int,
-                       "stem_channels": int, "patch": int, "temperature": float}),
-    "domains": _list_of(_object({"id": _id, "gain": _list_of(_is(float), 3),
-                                 "bias": _list_of(_is(float), 3), "noise_scale": float,
-                                 "seed": int}, DomainSpec, "id")),
-    "agents": _list_of(_agent),
-    "pool": _object({"capacity": int, "tau_merge": ("merge_threshold", float),
-                     "eta": ("merge_weight", float), "refine_period": int}),
-    "transport": str, "kl_variant": str,
-    "distill": _object({"rows": int, "steps": int, "frames": int, "precision": str}),
-    "calibration": _object({
-        "frames": ("calibration_frames", _is(int, lo=1)),
-        "quantile": ("calibration_quantile", float),
-    }),
-    "provenance_window": int,
-    "faults": _list_of(_object({"agent": str, "step": int}, lambda agent, step: (agent, step),
-                               "agent", "step")),
-}
+_SCENARIO = _keys(
+    "seed transport kl_variant provenance_window",
+    oracle=_object(_keys("seed classes height width stem_channels patch temperature")),
+    domains=_list_of(_object(_keys("id gain bias noise_scale seed"), DomainSpec, "id")),
+    agents=_list_of(_agent),
+    pool=_object(_keys("capacity tau_merge:merge_threshold eta:merge_weight refine_period")),
+    distill=_object(None),
+    calibration=_object(_keys("frames:calibration_frames quantile:calibration_quantile")),
+    faults=_list_of(_object(_keys("agent step"), Fault, "agent", "step")),
+)
 
 
 def reference_config(seed: int = 0, transport: str = "inproc") -> dict:
@@ -383,19 +358,17 @@ def reference_config(seed: int = 0, transport: str = "inproc") -> dict:
 
 
 def clean_config(seed: int = 0, frames: int = 60) -> dict:
-    """Single-domain scenario with no shifts, for threshold calibration."""
+    """Single-domain scenario with no shifts, for threshold calibration:
+    the reference oracle and base domain, one massive and one limited agent."""
+    reference = reference_config(seed)
     return {
         "seed": seed,
-        "oracle": {"seed": 7, "classes": 5, "height": 32, "width": 32, "stem_channels": 8},
-        "domains": [
-            {"id": "base", "gain": [1.0, 1.0, 1.0], "bias": [0.0, 0.0, 0.0],
-             "noise_scale": 0.01, "seed": 101 + seed},
-        ],
+        "oracle": reference["oracle"],
+        "domains": reference["domains"][:1],
         "agents": [
-            {"id": "uav-h1", "kind": "massive", "z": 1e9, "warmup": 6,
-             "schedule": [{"domain": "base", "frames": frames, "motion": [0, 0]}]},
-            {"id": "uav-l1", "kind": "limited", "z": 1e9, "warmup": 6,
-             "schedule": [{"domain": "base", "frames": frames, "motion": [0, 0]}]},
+            {"id": agent_id, "kind": kind, "z": 1e9, "warmup": 6,
+             "schedule": [{"domain": "base", "frames": frames, "motion": [0, 0]}]}
+            for agent_id, kind in [("uav-h1", "massive"), ("uav-l1", "limited")]
         ],
         "transport": "inproc",
         "kl_variant": "standard",

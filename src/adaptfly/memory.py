@@ -31,6 +31,7 @@ from .errors import (
     EmptyPoolError,
     PoolFormatError,
     ResolutionError,
+    check_fields,
     parse_json,
 )
 from .prompts import TokenPrompt, compact_json, number_vector
@@ -112,6 +113,7 @@ class PoolConfig:
     merge_weight: float = 0.3
 
     def __post_init__(self):
+        check_fields(self)
         if self.capacity < 1:
             raise ConfigError("capacity must be at least 1")
         if not (0.0 < self.merge_threshold <= 1.0):

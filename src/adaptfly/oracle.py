@@ -28,7 +28,6 @@ is read-only.
 
 from __future__ import annotations
 
-import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -36,7 +35,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .drift import ActivationStats
-from .errors import ConfigError, OracleError
+from .errors import ConfigError, OracleError, check, check_fields
 from .prompts import SparseVisualPrompt, TokenPrompt
 
 __all__ = [
@@ -75,28 +74,12 @@ class DomainSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("gain", "bias"):
-            if not _finite(getattr(self, name), (3,)):
-                raise ConfigError(
-                    f"domain {name} must be three finite numbers, got {getattr(self, name)!r}"
-                )
+        check_fields(self)
         if min(self.gain) <= 0:
             raise ConfigError(f"domain gain must be positive, got {self.gain}")
-        if not (_finite(self.noise_scale, ()) and self.noise_scale >= 0):
-            raise ConfigError(f"noise scale must be finite and non-negative, "
-                              f"got {self.noise_scale!r}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ConfigError(f"domain seed must be a non-negative integer, got {self.seed!r}")
-
-
-def _finite(value, shape: tuple) -> bool:
-    """Whether ``value`` is an array of finite numbers (not booleans) of this shape."""
-    try:
-        a = np.asarray(value)
-    except ValueError:  # a ragged sequence
-        return False
-    return a.shape == shape and a.dtype.kind in "iuf" and bool(np.all(np.isfinite(a)))
+        for name, value in [("noise scale", self.noise_scale), ("domain seed", self.seed)]:
+            if value < 0:
+                raise ConfigError(f"{name} must be non-negative, got {value!r}")
 
 
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -484,16 +467,16 @@ def patch_count(height: int, width: int, patch: int) -> int:
 
 
 def check_toy_oracle(seed: int, classes: int, height: int, width: int, stem_channels: int,
-                     patch: int, temperature: float, position_decay: float) -> None:
-    """The argument checks of ``make_toy_oracle``, without building anything."""
+                     patch: int, temperature: float, position_decay: float) -> dict:
+    """The argument checks of ``make_toy_oracle``, without building anything.
+
+    Returns the checked arguments by name, the two reals as floats.
+    """
     sizes = {"seed": seed, "classes": classes, "height": height, "width": width,
              "stem_channels": stem_channels, "patch": patch}
-    for name, value in sizes.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    for name, value in (("temperature", temperature), ("position_decay", position_decay)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
+    reals = {"temperature": temperature, "position_decay": position_decay}
+    arguments = ({name: check(value, name, int) for name, value in sizes.items()}
+                 | {name: check(value, name, float) for name, value in reals.items()})
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     if classes < 2:
@@ -506,6 +489,7 @@ def check_toy_oracle(seed: int, classes: int, height: int, width: int, stem_chan
         raise ConfigError(f"temperature must be positive, got {temperature}")
     if not (0.0 < position_decay <= 1.0):
         raise ConfigError("position decay must lie in (0, 1]")
+    return arguments
 
 
 def make_toy_oracle(
@@ -525,10 +509,8 @@ def make_toy_oracle(
     Oracles are memoized: equal arguments return the same read-only
     oracle, from a cache of the ``ORACLE_CACHE_SIZE`` most recent ones.
     """
-    check_toy_oracle(seed, classes, height, width, stem_channels, patch, temperature,
-                     position_decay)
-    return _build_toy_oracle(seed, classes, height, width, stem_channels, patch,
-                             temperature, position_decay)
+    return _build_toy_oracle(**check_toy_oracle(seed, classes, height, width, stem_channels,
+                                                 patch, temperature, position_decay))
 
 
 @lru_cache(maxsize=ORACLE_CACHE_SIZE, typed=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompositionError, ConfigError
+from .errors import CompositionError, ConfigError, check
 
 __all__ = [
     "TokenPrompt",
@@ -186,9 +186,7 @@ class TokenPrompt:
             raise CompositionError(
                 f"token prompt holds {values.size} values, rows x dim is {rows} x {dim}"
             )
-        dtype = d.get("dtype")
-        if not isinstance(dtype, str):
-            raise ConfigError("token prompt dtype must be a string")
+        dtype = check(d.get("dtype"), "token prompt dtype", str)
         return cls(values.reshape(rows, dim), dtype=dtype)
 
 

@@ -1,13 +1,18 @@
+import copy
+import dataclasses
 import json
 import math
+from functools import reduce
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from adaptfly.cli import _parse_value, main
-from adaptfly.fleet import clean_config, parse_metrics_csv, reference_config
+from adaptfly.errors import ConfigError
+from adaptfly.fleet import ScenarioConfig, clean_config, parse_metrics_csv, reference_config
+from adaptfly.memory import PoolConfig
 
 
 def mini_config(seed=0):
@@ -85,8 +90,13 @@ class TestMalformedArguments:
         (["--set", "agents.9.rho=0.1"], "agents.9.rho=0.1"),
         (["--set", "pool.capacity.x=1"], "pool.capacity.x=1"),
         (["--set", "oracle.seed.x=1"], "oracle.seed.x=1"),
+        # An index is ASCII decimal digits: int() would also read these three.
+        (["--set", 'agents.-1.id="x"'], 'agents.-1.id="x"'),
+        (["--set", "agents. 1.n=3"], "agents. 1.n=3"),
+        (["--set", "agents.\u0662.n=3"], "agents.\u0662.n=3"),
         (["bench", "--function", "sphere", "--n", "4", "--seeds", "0,a"], "0,a"),
         (["bench", "--function", "sphere", "--n", "4", "--seeds", "0,-1"], "0,-1"),
+        (["bench", "--function", "sphere", "--n", "4", "--seeds", "0, 1"], "0, 1"),
         (["bench", "--function", "sphere", "--n", "4", "--max-evals", "5"], "budget 5"),
     ])
     def test_exit_2_with_one_line(self, tmp_path, config_path, capsys, args, named):
@@ -321,7 +331,7 @@ class TestMalformedConfigs:
     @pytest.mark.parametrize("edit, message", [
         (lambda c: c["domains"][1].update(gian=c["domains"][1].pop("gain")), "gian"),
         (lambda c: c["domains"][1].update(gain=[0.8, 0.7]), "gain"),
-        (lambda c: c["oracle"].update(height="32"), "oracle.height"),
+        (lambda c: c["oracle"].update(height="32"), "oracle: height"),
         (lambda c: c["agents"][0].update(rho=[0.05]), "rho"),
         (lambda c: c["agents"][0]["cma"].update(population="16"), "population"),
         (lambda c: c.update(domains={"base": {}}), "domains"),
@@ -428,6 +438,119 @@ class TestMalformedConfigs:
         else:
             node.append(value)
         assert _run_exit_code(tmp_path, config) in (0, 2)
+
+
+# -- one rule set for configs read from JSON and built in code ---------------
+def _at(config, path):
+    return reduce(lambda node, key: node[key], path, config)
+
+
+MINI_LEAVES = [p for p in MINI_PATHS if not isinstance(_at(mini_config(), p), (dict, list))]
+
+# JSON keys that fill a field of another name, and nested JSON settings that
+# are fields of the scenario itself.
+_FIELD_NAMES = {"lambda": "smoothing", "z": "threshold", "n": "retrieval_n",
+                "tau_merge": "merge_threshold", "eta": "merge_weight"}
+_SCENARIO_FIELDS = {("pool", "refine_period"): "refine_period",
+                    ("calibration", "frames"): "calibration_frames",
+                    ("calibration", "quantile"): "calibration_quantile"}
+
+
+def _replaced(node, path, value):
+    """``node`` with ``value`` at the field path of a JSON path, rebuilt by
+    dataclasses.replace (NamedTuple._replace for a fault) level by level."""
+    key, *rest = path
+    key = _FIELD_NAMES.get(key, key)
+    if rest:
+        inner = node[key] if isinstance(node, dict) or isinstance(key, int) else getattr(node, key)
+        value = _replaced(inner, rest, value)
+    if isinstance(node, dict):
+        return {**node, key: value}
+    if hasattr(node, "_replace"):
+        return node._replace(**{key: value})
+    if isinstance(node, tuple):
+        return node[:key] + (value,) + node[key + 1:]
+    return dataclasses.replace(node, **{key: value})
+
+
+def _rejects(build) -> bool:
+    """Whether ``build()`` raises ConfigError; any other exception propagates."""
+    try:
+        build()
+    except ConfigError:
+        return True
+    return False
+
+
+def _rejected_from_json_and_in_code(config: dict, path: tuple, value) -> tuple[bool, bool]:
+    """Whether from_dict rejects ``config`` with ``value`` at ``path``, and
+    whether setting the same value on the parsed config in code is rejected."""
+    mutated = copy.deepcopy(config)
+    _at(mutated, path[:-1])[path[-1]] = value
+    parsed = ScenarioConfig.from_dict(config)
+    fields = (_SCENARIO_FIELDS[path[:2]], *path[2:]) if path[:2] in _SCENARIO_FIELDS else path
+    return (_rejects(lambda: ScenarioConfig.from_dict(mutated)),
+            _rejects(lambda: _replaced(parsed, fields, value)))
+
+
+def _one_agent():
+    config = mini_config()
+    config["agents"] = config["agents"][:1]
+    return config
+
+
+def _with(config, **keys):
+    return {**config, **keys}
+
+
+# Values from_dict rejected before every type checked its own fields, while
+# the same value set in code was accepted or failed untyped.
+PROBED = [
+    pytest.param(mini_config(), ("agents", 0, "id"), "uav,h1", id="id-comma"),
+    # on the only agent, so no other rule (equal stream lengths) rejects it
+    pytest.param(_one_agent(), ("agents", 0, "schedule", 0, "frames"), 0, id="frames-0"),
+    pytest.param(mini_config(), ("agents", 0, "schedule", 0, "motion", 0), 2**70, id="motion"),
+    pytest.param(_with(mini_config(), faults=[{"agent": "uav-h1", "step": 3}]),
+                 ("faults", 0, "step"), 3.0, id="fault-step"),
+    pytest.param(clean_config(0), ("seed",), 1.5, id="seed-clean"),
+    pytest.param(reference_config(0), ("seed",), 1.5, id="seed-reference"),
+    pytest.param(mini_config(), ("agents", 0, "warmup"), 2.5, id="warmup"),
+    pytest.param(_with(clean_config(0), calibration={"frames": 60}), ("calibration", "frames"),
+                 0, id="calibration-frames-numeric-z"),
+    pytest.param(mini_config(), ("pool", "capacity"), 2.5, id="pool-capacity"),
+    pytest.param(mini_config(), ("oracle", "flavor"), 1, id="oracle-key"),
+    pytest.param(mini_config(), ("agents", 0, "cma", "flavor"), 1, id="cma-key"),
+    pytest.param(mini_config(), ("agents", 0, "cma", "dimension"), 3, id="cma-dimension"),
+]
+
+
+class TestOneRuleSet:
+    @pytest.mark.parametrize("config, path, value", PROBED)
+    def test_probed_value_is_rejected_from_json_and_in_code(self, config, path, value):
+        assert _rejected_from_json_and_in_code(config, path, value) == (True, True)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda c: PoolConfig(capacity=2.5), id="pool-capacity"),
+        pytest.param(lambda c: dataclasses.replace(c, pool={"capacity": 3}), id="pool-dict"),
+        pytest.param(lambda c: dataclasses.replace(c, agents=({"id": "x"},)), id="agent-dict"),
+        pytest.param(lambda c: dataclasses.replace(c, distill={"step_size": 0.1}),
+                     id="distill-key"),
+    ])
+    def test_value_built_in_code_raises_config_error(self, edit):
+        with pytest.raises(ConfigError):
+            edit(ScenarioConfig.from_dict(mini_config()))
+
+    @given(path=st.sampled_from(MINI_LEAVES), value=BAD_VALUES.filter(lambda v: v is not None))
+    @example(path=("agents", 0, "id"), value="uav,h1")
+    @example(path=("agents", 0, "schedule", 0, "motion", 0), value=2**70)
+    @example(path=("agents", 0, "warmup"), value=2.5)
+    @example(path=("seed",), value=1.5)
+    @example(path=("pool", "capacity"), value=2.5)
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_json_and_code_reject_the_same_values(self, path, value):
+        """null is left out: JSON reads it as an absent key."""
+        json_rejects, code_rejects = _rejected_from_json_and_in_code(mini_config(), path, value)
+        assert json_rejects == code_rejects
 
 
 class TestTransportEquivalence:
