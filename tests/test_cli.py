@@ -93,7 +93,7 @@ class TestMalformedArguments:
         # An index is ASCII decimal digits: int() would also read these three.
         (["--set", 'agents.-1.id="x"'], 'agents.-1.id="x"'),
         (["--set", "agents. 1.n=3"], "agents. 1.n=3"),
-        (["--set", "agents.\u0662.n=3"], "agents.\u0662.n=3"),
+        (["--set", "agents.\u0661.n=3"], "agents.\u0661.n=3"),
         (["bench", "--function", "sphere", "--n", "4", "--seeds", "0,a"], "0,a"),
         (["bench", "--function", "sphere", "--n", "4", "--seeds", "0,-1"], "0,-1"),
         (["bench", "--function", "sphere", "--n", "4", "--seeds", "0, 1"], "0, 1"),
@@ -493,29 +493,20 @@ def _rejected_from_json_and_in_code(config: dict, path: tuple, value) -> tuple[b
             _rejects(lambda: _replaced(parsed, fields, value)))
 
 
-def _one_agent():
-    config = mini_config()
-    config["agents"] = config["agents"][:1]
-    return config
-
-
-def _with(config, **keys):
-    return {**config, **keys}
-
-
 # Values from_dict rejected before every type checked its own fields, while
 # the same value set in code was accepted or failed untyped.
 PROBED = [
     pytest.param(mini_config(), ("agents", 0, "id"), "uav,h1", id="id-comma"),
     # on the only agent, so no other rule (equal stream lengths) rejects it
-    pytest.param(_one_agent(), ("agents", 0, "schedule", 0, "frames"), 0, id="frames-0"),
+    pytest.param({**mini_config(), "agents": mini_config()["agents"][:1]},
+                 ("agents", 0, "schedule", 0, "frames"), 0, id="frames-0"),
     pytest.param(mini_config(), ("agents", 0, "schedule", 0, "motion", 0), 2**70, id="motion"),
-    pytest.param(_with(mini_config(), faults=[{"agent": "uav-h1", "step": 3}]),
+    pytest.param({**mini_config(), "faults": [{"agent": "uav-h1", "step": 3}]},
                  ("faults", 0, "step"), 3.0, id="fault-step"),
     pytest.param(clean_config(0), ("seed",), 1.5, id="seed-clean"),
     pytest.param(reference_config(0), ("seed",), 1.5, id="seed-reference"),
     pytest.param(mini_config(), ("agents", 0, "warmup"), 2.5, id="warmup"),
-    pytest.param(_with(clean_config(0), calibration={"frames": 60}), ("calibration", "frames"),
+    pytest.param({**clean_config(0), "calibration": {"frames": 60}}, ("calibration", "frames"),
                  0, id="calibration-frames-numeric-z"),
     pytest.param(mini_config(), ("pool", "capacity"), 2.5, id="pool-capacity"),
     pytest.param(mini_config(), ("oracle", "flavor"), 1, id="oracle-key"),
