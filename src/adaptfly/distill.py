@@ -74,31 +74,27 @@ def teacher_features(oracle, x: np.ndarray, svp: SparseVisualPrompt) -> np.ndarr
     return oracle.encode_image(apply_svp(x, svp))
 
 
-def _student_features(oracle, x: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return oracle.encode_tokens(compose_tokens(TokenPrompt(values), oracle.tokenize(x)))
-
-
 def distill_objective(
     oracle, frames: list[np.ndarray], svp: SparseVisualPrompt, values: np.ndarray
 ) -> float:
     """Mean squared feature discrepancy of a candidate prompt over frames."""
     total = 0.0
     for x in frames:
-        diff = _student_features(oracle, x, values) - teacher_features(oracle, x, svp)
-        total += float(np.sum(diff**2))
+        student = oracle.encode_tokens(compose_tokens(TokenPrompt(values), oracle.tokenize(x)))
+        total += float(np.sum((student - teacher_features(oracle, x, svp)) ** 2))
     value = total / len(frames)
     if not math.isfinite(value):
         raise DistillError("distillation objective is non-finite")
     return value
 
 
-def _mean_gap(oracle, frames, svp, projection) -> np.ndarray:
-    """Mean of (teacher - unprompted student) feature gaps across frames."""
-    gaps = [
-        teacher_features(oracle, x, svp) - oracle.tokenize(x) @ projection
-        for x in frames
-    ]
-    return np.mean(gaps, axis=0)
+def _frame_features(oracle, frames, svp, projection) -> tuple[list, np.ndarray]:
+    """Each frame's (tokens, teacher features), built once per frame, and the
+    mean of the (teacher - unprompted student) feature gaps across frames."""
+    features = [(oracle.tokenize(x), teacher_features(oracle, x, svp)) for x in frames]
+    if not features:
+        raise ConfigError("distillation needs at least one frame")
+    return features, np.mean([f - t @ projection for t, f in features], axis=0)
 
 
 def distill_iterative(
@@ -108,24 +104,31 @@ def distill_iterative(
 
     Runs ``config.steps`` descent iterations on the frame-averaged
     objective with the analytic gradient and an exact line search (the
-    objective is quadratic), so it is non-increasing per step. Returns the
-    prompt in the configured storage precision.
+    objective is quadratic), so it is non-increasing per step. Each frame
+    is encoded once: its tokens and teacher features serve the gap, the
+    descent and the closing check that the objective is finite at the f32
+    values. Raises DistillError if it is not, or if any step overflows.
+    Returns the prompt in the configured storage precision.
     """
-    frames = list(frames)[: config.frames]
-    if not frames:
-        raise ConfigError("distillation needs at least one frame")
-    dim = oracle.tokenize(frames[0]).shape[1]
-    values = np.zeros((config.rows, dim))
     mix, projection = oracle.prompt_mix(config.rows), oracle.feature_projection
-    gap = _mean_gap(oracle, frames, svp, projection)
-    for _ in range(config.steps):
-        residual = mix @ values @ projection - gap
-        grad = 2.0 * mix.T @ residual @ projection.T
-        curv = 2.0 * float(np.sum((mix @ grad @ projection) ** 2))
-        if curv <= 0.0:
-            break
-        values = values - (float(np.sum(grad**2)) / curv) * grad
-    distill_objective(oracle, frames, svp, values)  # finiteness check
+    mix_t2, projection_t = 2.0 * mix.T, projection.T
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            features, gap = _frame_features(oracle, list(frames)[: config.frames], svp, projection)
+            values = np.zeros((config.rows, gap.shape[1]))
+            for _ in range(config.steps):
+                residual = mix @ values @ projection - gap
+                grad = mix_t2 @ residual @ projection_t
+                curv = 2.0 * float(np.sum((mix @ grad @ projection) ** 2))
+                if curv <= 0.0:
+                    break
+                values = values - (float(np.sum(grad**2)) / curv) * grad
+            shift = mix @ values.astype(np.float32)  # the values TokenPrompt(values) stores
+            total = sum(float(np.sum(((t + shift) @ projection - f) ** 2)) for t, f in features)
+    except FloatingPointError:  # an overflow, or inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise DistillError("distillation objective is non-finite")
     return TokenPrompt(values, dtype=config.precision)
 
 
@@ -137,9 +140,8 @@ def closed_form_solution(
     Solves the normal equations of the affine objective with Tikhonov
     damping, so rank deficiency never fails. Full float64 precision.
     """
-    frames = list(frames)
     mix, projection = oracle.prompt_mix(rows), oracle.feature_projection
-    gap = _mean_gap(oracle, frames, svp, projection)
+    gap = _frame_features(oracle, frames, svp, projection)[1]
     lhs_rows = mix.T @ mix + TIKHONOV_DAMPING * np.eye(rows)
     lhs_cols = projection @ projection.T + TIKHONOV_DAMPING * np.eye(projection.shape[0])
     rhs = mix.T @ gap @ projection.T

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, ConfigError, StatsError
+from .errors import CalibrationError, ConfigError, StatsError, check_fields
 
 __all__ = [
     "SIGMA_FLOOR",
@@ -111,6 +111,7 @@ class DriftTracker:
     frames_seen: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if not (0.0 <= self.smoothing <= 1.0):
             raise ConfigError(f"smoothing factor must lie in [0, 1], got {self.smoothing!r}")
         if not self.threshold > 0.0:

@@ -326,7 +326,10 @@ class ToyOracle:
         unprompted pass runs once and each score re-evaluates only the K
         prompted pixels of each candidate. ``base`` is that pass's (H, W)
         entropy map, ``self.entropy_map(x)``, when the caller already has
-        it; it is computed here otherwise.
+        it; it is computed here otherwise. A scorer keeps one tiled copy of
+        that map per population size and rewrites only its masked columns,
+        so one scorer must not be called from two threads at once; the
+        array it returns is new on every call.
         """
         x = self._check_image(x)
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
@@ -339,15 +342,20 @@ class ToyOracle:
         base = np.asarray(base, dtype=np.float64).ravel()
         pixels = x[r, c, :]
 
+        @lru_cache(maxsize=None)
+        def base_rows(population: int) -> np.ndarray:
+            return np.tile(base, (population, 1))
+
         def score(offsets: np.ndarray) -> np.ndarray:
             offsets = np.asarray(offsets, dtype=np.float64)
             if offsets.ndim != 3 or offsets.shape[1:] != pixels.shape:
                 raise OracleError(
                     f"offsets must be (P, {coords.shape[0]}, 3), got {offsets.shape}"
                 )
-            prompted = np.clip(pixels + offsets, 0.0, 1.0)  # (P, K, 3)
+            prompted = pixels + offsets  # (P, K, 3)
+            np.clip(prompted, 0.0, 1.0, out=prompted)
             entropies = self._entropy(self._logits(prompted))[: prompted.size // 3]
-            tile = np.tile(base, (offsets.shape[0], 1))
+            tile = base_rows(offsets.shape[0])
             tile[:, flat] = entropies.reshape(offsets.shape[:2])
             return tile.mean(axis=1)
 

@@ -96,7 +96,7 @@ class TokenPrompt:
         return self.dtype == other.dtype and np.array_equal(self.values, other.values)
 
     def __post_init__(self):
-        if self.dtype not in _DTYPES:
+        if not isinstance(self.dtype, str) or self.dtype not in _DTYPES:
             raise ConfigError(f"unknown token prompt dtype {self.dtype!r}")
         # A value beyond the dtype's range casts to inf, which the finiteness
         # check below rejects; numpy's overflow warning is not the error.

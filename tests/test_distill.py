@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from adaptfly.distill import (
     prompt_data_bytes,
     teacher_features,
 )
-from adaptfly.errors import ConfigError
+from adaptfly.errors import ConfigError, DistillError
 from adaptfly.oracle import DomainSpec, make_toy_oracle, render_frame
 from adaptfly.prompts import SparseVisualPrompt, TokenPrompt, place_mask
 
@@ -33,6 +35,111 @@ def problem(oracle):
     svp = SparseVisualPrompt(coords, rng.normal(scale=0.2, size=(40, 3)),
                              oracle.frame_shape)
     return frames, svp
+
+
+@pytest.fixture(scope="module")
+def five_frames(oracle):
+    domain = DomainSpec(id="d", gain=(0.8, 0.78, 0.85), bias=(-0.2, 0.15, 0.1),
+                        noise_scale=0.01, seed=21)
+    return [render_frame(oracle, domain, i) for i in range(5)]
+
+
+def _first_gap(oracle, frames, svp, projection):
+    """The frame-averaged feature gap as first written: teacher and tokens per frame."""
+    gaps = [
+        teacher_features(oracle, x, svp) - oracle.tokenize(x) @ projection
+        for x in frames
+    ]
+    return np.mean(gaps, axis=0)
+
+
+def _first_iterative(oracle, frames, svp, config):
+    """distill_iterative as first written, each frame encoded up to three times."""
+    frames = list(frames)[: config.frames]
+    dim = oracle.tokenize(frames[0]).shape[1]
+    values = np.zeros((config.rows, dim))
+    mix, projection = oracle.prompt_mix(config.rows), oracle.feature_projection
+    gap = _first_gap(oracle, frames, svp, projection)
+    for _ in range(config.steps):
+        residual = mix @ values @ projection - gap
+        grad = 2.0 * mix.T @ residual @ projection.T
+        curv = 2.0 * float(np.sum((mix @ grad @ projection) ** 2))
+        if curv <= 0.0:
+            break
+        values = values - (float(np.sum(grad**2)) / curv) * grad
+    distill_objective(oracle, frames, svp, values)  # finiteness check
+    return TokenPrompt(values, dtype=config.precision)
+
+
+def _first_closed_form(oracle, frames, svp, rows):
+    """closed_form_solution as first written."""
+    mix, projection = oracle.prompt_mix(rows), oracle.feature_projection
+    gap = _first_gap(oracle, list(frames), svp, projection)
+    lhs_rows = mix.T @ mix + 1e-8 * np.eye(rows)
+    lhs_cols = projection @ projection.T + 1e-8 * np.eye(projection.shape[0])
+    rhs = mix.T @ gap @ projection.T
+    return np.linalg.solve(lhs_rows, np.linalg.solve(lhs_cols.T, rhs.T).T)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestOneFeaturePass:
+    """Each frame encoded once gives the bits of the per-use encodings."""
+
+    @pytest.mark.parametrize("rows", [1, 4, 64])
+    @pytest.mark.parametrize("frames", [1, 3, 5])
+    @pytest.mark.parametrize("steps", [1, 8])
+    @pytest.mark.parametrize("precision", ["f32", "f16"])
+    @pytest.mark.parametrize("zero_prompt", [False, True])
+    def test_iterative_matches_the_first_formula(
+        self, oracle, problem, five_frames, rows, frames, steps, precision, zero_prompt
+    ):
+        svp = problem[1]
+        if zero_prompt:
+            svp = SparseVisualPrompt.zeros(svp.coords, oracle.frame_shape)
+        config = DistillConfig(rows=rows, steps=steps, frames=frames, precision=precision)
+        got = distill_iterative(oracle, five_frames, svp, config)
+        want = _first_iterative(oracle, five_frames, svp, config)
+        assert got.dtype == want.dtype == precision
+        assert _same_bits(got.values, want.values)
+
+    @pytest.mark.parametrize("rows", [1, 4, 64])
+    @pytest.mark.parametrize("frames", [1, 3, 5])
+    def test_closed_form_matches_the_first_formula(
+        self, oracle, problem, five_frames, rows, frames
+    ):
+        svp = problem[1]
+        got = closed_form_solution(oracle, five_frames[:frames], svp, rows)
+        assert _same_bits(got, _first_closed_form(oracle, five_frames[:frames], svp, rows))
+
+    def test_frames_may_be_any_iterable(self, oracle, problem, five_frames):
+        svp = problem[1]
+        config = DistillConfig(rows=4, frames=3)
+        assert distill_iterative(oracle, iter(five_frames), svp, config) == distill_iterative(
+            oracle, five_frames, svp, config
+        )
+        assert _same_bits(closed_form_solution(oracle, iter(five_frames), svp, 4),
+                          closed_form_solution(oracle, five_frames, svp, 4))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e50, 1e150, 1e200])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_non_finite_or_overflowing_frame_is_a_distill_error(
+        self, oracle, problem, five_frames, value, position
+    ):
+        frames = list(five_frames[:3])
+        frames[position] = np.full_like(frames[position], value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DistillError, match="non-finite"):
+                distill_iterative(oracle, frames, problem[1], DistillConfig(rows=4))
+
+    def test_no_frame_is_a_config_error(self, oracle, problem):
+        with pytest.raises(ConfigError, match="at least one frame"):
+            distill_iterative(oracle, [], problem[1], DistillConfig())
+        with pytest.raises(ConfigError, match="at least one frame"):
+            closed_form_solution(oracle, [], problem[1], 4)
 
 
 class TestTeacherFeatures:

@@ -214,6 +214,17 @@ class TestTrackerSettings:
         with pytest.raises(ConfigError, match=named):
             DriftTracker(**{"smoothing": 0.1, "warmup": 0, **settings})
 
+    @pytest.mark.parametrize("settings, named", [
+        ({"smoothing": "0.1"}, "smoothing"),
+        ({"threshold": None}, "threshold"),
+        ({"warmup": 2.5}, "warmup"),
+        ({"warmup": True}, "warmup"),
+        ({"kl_variant": ["standard"]}, "kl_variant"),
+    ])
+    def test_setting_of_another_kind_is_a_config_error(self, settings, named):
+        with pytest.raises(ConfigError, match=named):
+            DriftTracker(**{"smoothing": 0.1, "warmup": 3, **settings})
+
 
 class TestDetect:
     def test_score_exactly_at_threshold_does_not_fire(self):

@@ -135,6 +135,25 @@ class TestSvpEntropies:
         assert batched.shape == (population,)
         assert np.all(batched == reference)
 
+    def test_one_scorer_across_population_sizes(self, oracle):
+        # The scorer reuses a tiled base map per population size: every row
+        # must still equal a fresh per-candidate pass, whatever came before,
+        # and a returned array is the caller's to change.
+        rng = np.random.default_rng(11)
+        x = render_frame(oracle, random_domain_spec(rng, "d", noise_scale=0.02), 3)
+        coords = place_mask(rng.random(oracle.frame_shape), 30)
+        score = oracle.svp_scorer(x, coords)
+        for population in (16, 1, 16, 3):
+            offsets = rng.normal(0.0, 0.7, size=(population, 30, 3))
+            got = score(offsets)
+            fresh = [
+                oracle.entropy_map(apply_svp(x, SparseVisualPrompt(coords, o, oracle.frame_shape)))
+                .mean() for o in offsets
+            ]
+            assert got.shape == (population,)
+            assert all(g == f for g, f in zip(got.tolist(), fresh))
+            got[:] = np.nan
+
     def test_given_base_map_scores_as_the_computed_one(self, oracle):
         rng = np.random.default_rng(5)
         x = render_frame(oracle, random_domain_spec(rng, "d"), 0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,3 +236,8 @@ class TestValidationAndSerialization:
     def test_unknown_dtype_rejected(self):
         with pytest.raises(ConfigError):
             TokenPrompt(np.zeros((1, 1)), dtype="f64")
+
+    @pytest.mark.parametrize("dtype", [["f16"], {"f16": 1}, None, 32])
+    def test_dtype_of_another_kind_is_a_config_error_naming_it(self, dtype):
+        with pytest.raises(ConfigError, match=f"dtype {re.escape(repr(dtype))}"):
+            TokenPrompt(np.zeros((1, 1)), dtype=dtype)
