@@ -4,7 +4,9 @@ All three agents stream the same four-domain schedule in lockstep. The
 massive agent detects each shift, optimizes a sparse prompt, distills it
 into a token prompt and uploads it; after the next consolidation tick the
 limited agents retrieve it and their entropy on that domain drops -- the
-cross-agent knowledge transfer this library exists to exercise.
+cross-agent knowledge transfer this library exists to exercise. A later
+detection or refresh inside a domain the pool already covers is answered
+from the pool (a ``retrieve`` event), not by another search.
 """
 
 from adaptfly.fleet import reference_config, run_scenario

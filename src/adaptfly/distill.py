@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DistillError, check_fields
+from .errors import CompositionError, ConfigError, DistillError, check_fields
 from .prompts import SparseVisualPrompt, TokenPrompt, apply_svp, compose_tokens
 
 __all__ = [
@@ -107,8 +107,9 @@ def distill_iterative(
     objective is quadratic), so it is non-increasing per step. Each frame
     is encoded once: its tokens and teacher features serve the gap, the
     descent and the closing check that the objective is finite at the f32
-    values. Raises DistillError if it is not, or if any step overflows.
-    Returns the prompt in the configured storage precision.
+    values. Raises DistillError if it is not, if any step overflows, or if
+    the values overflow the configured storage precision, in which the
+    prompt is returned.
     """
     mix, projection = oracle.prompt_mix(config.rows), oracle.feature_projection
     mix_t2, projection_t = 2.0 * mix.T, projection.T
@@ -129,7 +130,10 @@ def distill_iterative(
         total = math.nan
     if not math.isfinite(total):
         raise DistillError("distillation objective is non-finite")
-    return TokenPrompt(values, dtype=config.precision)
+    try:
+        return TokenPrompt(values, dtype=config.precision)
+    except CompositionError:
+        raise DistillError(f"distilled prompt is non-finite in {config.precision}") from None
 
 
 def closed_form_solution(
@@ -139,13 +143,23 @@ def closed_form_solution(
 
     Solves the normal equations of the affine objective with Tikhonov
     damping, so rank deficiency never fails. Full float64 precision.
+    Raises DistillError if the solution is non-finite or any step
+    overflows.
     """
     mix, projection = oracle.prompt_mix(rows), oracle.feature_projection
-    gap = _frame_features(oracle, frames, svp, projection)[1]
-    lhs_rows = mix.T @ mix + TIKHONOV_DAMPING * np.eye(rows)
-    lhs_cols = projection @ projection.T + TIKHONOV_DAMPING * np.eye(projection.shape[0])
-    rhs = mix.T @ gap @ projection.T
-    return np.linalg.solve(lhs_rows, np.linalg.solve(lhs_cols.T, rhs.T).T)
+    solution = None
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            gap = _frame_features(oracle, frames, svp, projection)[1]
+            lhs_rows = mix.T @ mix + TIKHONOV_DAMPING * np.eye(rows)
+            lhs_cols = projection @ projection.T + TIKHONOV_DAMPING * np.eye(projection.shape[0])
+            rhs = mix.T @ gap @ projection.T
+            solution = np.linalg.solve(lhs_rows, np.linalg.solve(lhs_cols.T, rhs.T).T)
+    except FloatingPointError:  # an overflow, or inf - inf
+        pass
+    if solution is None or not np.isfinite(solution).all():
+        raise DistillError("closed-form distillation is non-finite")
+    return solution
 
 
 def distill_closed_form(

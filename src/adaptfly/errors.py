@@ -66,7 +66,7 @@ class ResolutionError(AdaptflyError):
 
 
 class DistillError(AdaptflyError):
-    """Distillation objective became non-finite."""
+    """Distillation became non-finite, or overflowed its storage precision."""
 
 
 class ProtocolError(AdaptflyError):

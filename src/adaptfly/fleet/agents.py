@@ -4,11 +4,13 @@ Limited agents are forward-only: on detected drift they fetch the most
 similar token prompts from the server, assemble them, and keep predicting
 with the cached assembly until the next drift. They never optimize.
 
-Massive agents optimize a sparse visual prompt on drift, distill it into a
-token prompt (or register a deferred marker), upload it, and on quiet
-frames warp the previous prompt along the known camera motion,
-re-optimizing only when the warp sheds too many pixels or the uncertainty
-map moves materially.
+Massive agents, on drift or on a refresh, first query the pool the same
+way and adopt a relevant assembly that lowers the frame's entropy; only
+when none is adopted do they optimize a sparse visual prompt, distill it
+into a token prompt (or register a deferred marker) and upload it. On
+quiet frames they keep predicting with an adopted assembly, or warp the
+searched prompt along the known camera motion, refreshing when the warp
+sheds too many pixels or the uncertainty map moves materially.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ __all__ = ["StepRecord", "LimitedAgent", "MassiveAgent", "RECORD_COLUMNS", "ADAP
 ADAPTATION_EVENTS = ("none", "retrieve", "optimize", "warp")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     """One row of the metrics table: what one agent did at one step.
 
@@ -63,17 +65,28 @@ class _Agent:
     """What both agent kinds share: a step senses, decides, then records.
 
     ``_sense`` marks the client's byte counters and runs drift detection on
-    the frame; each kind's ``step`` makes its own decision; ``_record``
-    builds the step's metrics row with the bytes moved since ``_sense``.
-    ``step`` stays in each kind's own body, so the two kinds' steps can be
-    wrapped and timed apart.
+    the frame; each kind's ``step`` makes its own decision, retrieving
+    through ``_query`` and ``_try_adopt``; ``_record`` builds the step's
+    metrics row with the bytes moved since ``_sense``. ``step`` stays in
+    each kind's own body, so the two kinds' steps can be wrapped and timed
+    apart.
     """
+
+    # A retrieved assembly is adopted only when the best hit's key actually
+    # matches the query this closely AND the assembly lowers entropy on the
+    # current frame. Below the floor the hit is some other domain's prompt;
+    # the detector then stays hot and the retrieval is retried, so an
+    # irrelevant early hit cannot disarm adaptation before the right prompt
+    # reaches the pool.
+    ADOPT_SIMILARITY_FLOOR = 0.9
 
     def __init__(self, spec: AgentSpec, oracle, client, tracker: DriftTracker):
         self.spec = spec
         self.oracle = oracle
         self.client = client
         self.tracker = tracker
+        self.cached = TokenPrompt(np.zeros((0, 0)))  # the adopted assembly, if any
+        self._request_id = 0
 
     def _sense(self, frame: np.ndarray):
         """``(stats, shift, score)`` of the frame; starts the step's byte window."""
@@ -82,6 +95,32 @@ class _Agent:
         stats = self.oracle.stem_stats(frame)
         shift, score, _ = detect(self.tracker, stats)
         return stats, shift, score
+
+    def _query(self, q: np.ndarray) -> list[PoolEntry]:
+        """The pool's ``retrieval_n`` entries nearest ``q``; raises
+        TransportFailure if the query is dropped."""
+        self._request_id += 1
+        response = self.client.request(
+            Query(query=tuple(q), n=self.spec.retrieval_n, request_id=self._request_id)
+        )
+        return [d.entry for d in response.entries]
+
+    def _try_adopt(self, frame: np.ndarray, q: np.ndarray, entries: list[PoolEntry],
+                   baseline: float | None = None):
+        """The assembly of ``entries`` if adopted on ``frame``, else None, and
+        the frame's entropy if the check predicted it: prompted if adopted,
+        unprompted if not. Only a relevant retrieval is assembled and checked;
+        ``baseline`` is the frame's unprompted mean entropy when the caller
+        already has it."""
+        if not (entries and float(q @ entries[0].key) >= self.ADOPT_SIMILARITY_FLOOR):
+            return None, None
+        candidate = assemble(entries)
+        if baseline is None:
+            baseline = float(self.oracle.entropy_map(frame).mean())
+        adapted = float(self.oracle.entropy_map(frame, candidate).mean())
+        if adapted < baseline - 1e-9 * (1.0 + baseline):
+            return candidate, adapted
+        return None, baseline
 
     def _record(self, t: int, domain_tag: str | None, shift: bool, score: float,
                 event: str, entropy: float, **outcome) -> StepRecord:
@@ -102,32 +141,9 @@ class _Agent:
 class LimitedAgent(_Agent):
     """Forward-only retrieval adaptation, run from a limited ``AgentSpec``."""
 
-    # A retrieved assembly is adopted only when the best hit's key actually
-    # matches the query this closely AND the assembly lowers entropy on the
-    # current frame. Below the floor the hit is some other domain's prompt;
-    # the detector then stays hot and the retrieval is retried, so an
-    # irrelevant early hit cannot disarm adaptation before the right prompt
-    # reaches the pool.
-    ADOPT_SIMILARITY_FLOOR = 0.9
-
     def __init__(self, spec: AgentSpec, oracle, client, tracker: DriftTracker):
         super().__init__(spec, oracle, client, tracker)
-        self.cached = TokenPrompt(np.zeros((0, 0)))
         self._adopted_ids: tuple[int, ...] = ()
-        self._request_id = 0
-
-    def _try_adopt(self, frame: np.ndarray, q: np.ndarray, entries: list[PoolEntry]):
-        """The assembly of ``entries`` if adopted on ``frame``, else None, and
-        the frame's entropy if the check predicted it: prompted if adopted,
-        unprompted if not. Only a relevant retrieval is assembled and checked."""
-        if not (entries and float(q @ entries[0].key) >= self.ADOPT_SIMILARITY_FLOOR):
-            return None, None
-        candidate = assemble(entries)
-        baseline = float(self.oracle.entropy_map(frame).mean())
-        adapted = float(self.oracle.entropy_map(frame, candidate).mean())
-        if adapted < baseline - 1e-9 * (1.0 + baseline):
-            return candidate, adapted
-        return None, baseline
 
     def step(
         self, t: int, frame: np.ndarray, motion=(0, 0), domain_tag: str | None = None
@@ -139,12 +155,8 @@ class LimitedAgent(_Agent):
         if shift:
             event = "retrieve"
             q = self.oracle.query_embedding(frame)
-            self._request_id += 1
             try:
-                response = self.client.request(
-                    Query(query=tuple(q), n=self.spec.retrieval_n, request_id=self._request_id)
-                )
-                entries = [d.entry for d in response.entries]
+                entries = self._query(q)
                 adopted, entropy = self._try_adopt(frame, q, entries)
                 if adopted is not None:
                     self.cached = adopted
@@ -174,7 +186,8 @@ class LimitedAgent(_Agent):
 
 
 class MassiveAgent(_Agent):
-    """Sparse-prompt search, warp propagation and uploads, run from a massive ``AgentSpec``."""
+    """Pool reuse, else sparse-prompt search, warp propagation and uploads,
+    run from a massive ``AgentSpec``."""
 
     def __init__(self, spec: AgentSpec, oracle, client, tracker: DriftTracker,
                  distill_config: DistillConfig, provenance: ProvenanceLog, seed: int):
@@ -183,9 +196,9 @@ class MassiveAgent(_Agent):
         self.distill_config = distill_config
         self.provenance = provenance
         self.seed = seed
-        self.current_svp = SparseVisualPrompt.zeros(
-            np.zeros((0, 2), dtype=np.int64), oracle.frame_shape
-        )
+        self._no_svp = SparseVisualPrompt.zeros(np.zeros((0, 2), dtype=np.int64),
+                                                oracle.frame_shape)
+        self.current_svp = self._no_svp
         self.ref_umap: np.ndarray | None = None
         self._domain_window: list[np.ndarray] = []
         self._retry_queue: list = []
@@ -210,13 +223,15 @@ class MassiveAgent(_Agent):
         return degraded
 
     def _optimize(self, t: int, frame: np.ndarray, domain_tag: str | None,
-                  umap: np.ndarray) -> tuple[float, bool]:
+                  umap: np.ndarray, key: np.ndarray) -> tuple[float, bool]:
         """Full adaptation: place mask, search offsets, publish.
 
         ``umap`` is the frame's entropy map; it becomes the refresh
-        reference and the search's unprompted base. Returns the search's
-        best entropy and whether the upload was dropped (and queued for
-        retry).
+        reference and the search's unprompted base. ``key``, the frame's
+        query embedding, keys the upload.
+        The searched prompt replaces any adopted assembly. Returns the
+        search's best entropy and whether the upload was dropped (and
+        queued for retry).
         """
         mc_map = self.oracle.uncertainty_map(
             frame, self.spec.mc_passes, self.spec.dropout_rate, self._mc_seed(t)
@@ -226,9 +241,9 @@ class MassiveAgent(_Agent):
         result = optimize_svp(self.oracle, frame, coords, config, base=umap)
         self.current_svp = result.prompt
         self.ref_umap = umap
+        self.cached = TokenPrompt(np.zeros((0, 0)))
 
         self.provenance.record(self.spec.id, t, self._domain_window, result.prompt)
-        key = self.oracle.query_embedding(frame)
         if self.spec.defer_distill:
             msg = RegisterDeferred(
                 query=tuple(key), agent_id=self.spec.id, timestamp=t,
@@ -261,10 +276,17 @@ class MassiveAgent(_Agent):
             self._domain_window.append(frame)
             self._domain_window = self._domain_window[-self.distill_config.frames :]
 
+        if self.cached.rows and not shift:
+            # An adopted assembly has no sparse prompt to warp: the prompted
+            # map is the step's one forward pass.
+            entropy = float(self.oracle.entropy_map(frame, self.cached).mean())
+            return self._record(t, domain_tag, shift, score, "none", entropy, degraded=degraded)
+
         # The frame's one unprompted forward pass, noise-free so the refresh
         # trigger compares scene change rather than Monte-Carlo jitter. It is
-        # also the search's base, the entropy of every pixel a warped prompt
-        # leaves alone, and the step's entropy when nothing adapts.
+        # also the adoption check's baseline, the search's base, the entropy
+        # of every pixel a warped prompt leaves alone, and the step's entropy
+        # when nothing adapts.
         umap = self.oracle.entropy_map(frame)
         if shift:
             event = "optimize"
@@ -278,11 +300,26 @@ class MassiveAgent(_Agent):
             event = "none"
             entropy = float(umap.mean())
 
+        retrieved = 0
         if event == "optimize":
-            entropy, dropped = self._optimize(t, frame, domain_tag, umap)
-            degraded |= dropped
+            # Reuse before search: a pooled assembly for this domain (most
+            # often this agent's own earlier upload) replaces the search,
+            # its distillation and its upload.
+            key = self.oracle.query_embedding(frame)
+            try:
+                entries = self._query(key)
+                adopted, entropy = self._try_adopt(frame, key, entries, float(umap.mean()))
+            except TransportFailure:
+                adopted, degraded = None, True
+            if adopted is not None:
+                event, retrieved = "retrieve", len(entries)
+                self.cached, self.current_svp = adopted, self._no_svp
+            else:
+                entropy, dropped = self._optimize(t, frame, domain_tag, umap, key)
+                degraded |= dropped
         elif event == "warp":
             self.current_svp = warped
             score_warped = self.oracle.svp_scorer(frame, warped.coords, umap)
             entropy = float(score_warped(warped.offsets[None])[0])
-        return self._record(t, domain_tag, shift, score, event, entropy, degraded=degraded)
+        return self._record(t, domain_tag, shift, score, event, entropy,
+                            retrieved=retrieved, degraded=degraded)

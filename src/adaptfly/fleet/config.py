@@ -141,7 +141,7 @@ class AgentSpec:
     smoothing: float = 0.1
     threshold: float | Literal["auto"] = "auto"   # positive number, or "auto" to calibrate
     warmup: int = 10
-    retrieval_n: int = 2              # limited only
+    retrieval_n: int = 2              # both kinds query with it; JSON "n" sets it, limited only
     rho: float = 0.05                 # massive only, from here on
     mc_passes: int = 4
     dropout_rate: float = 0.1

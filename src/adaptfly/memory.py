@@ -311,7 +311,7 @@ class PromptPool:
     def _append_refined(self, entry: PoolEntry, stamp: int) -> None:
         n = len(self._refined)
         if n == len(self._ids):
-            size = max(2 * n, 16)
+            size = max(2 * n, 4)
             keys = np.empty((size, self._keys.shape[1]))
             keys[:n] = self._keys[:n]
             stamps = np.empty((3, size), dtype=np.int64)

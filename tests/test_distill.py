@@ -135,6 +135,32 @@ class TestOneFeaturePass:
             with pytest.raises(DistillError, match="non-finite"):
                 distill_iterative(oracle, frames, problem[1], DistillConfig(rows=4))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_closed_form_of_a_non_finite_frame_is_a_distill_error(
+        self, oracle, problem, five_frames, value, position
+    ):
+        frames = list(five_frames[:3])
+        frames[position] = np.full_like(frames[position], value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DistillError, match="non-finite"):
+                closed_form_solution(oracle, frames, problem[1], 4)
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_prompt_beyond_its_storage_precision_is_a_distill_error(
+        self, oracle, problem, five_frames, position
+    ):
+        # The f32 objective is finite, but the values overflow f16.
+        frames = list(five_frames[:3])
+        frames[position] = np.full_like(frames[position], 1e10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert distill_iterative(oracle, frames, problem[1],
+                                     DistillConfig(rows=4, precision="f32")).dtype == "f32"
+            with pytest.raises(DistillError, match="non-finite in f16"):
+                distill_iterative(oracle, frames, problem[1], DistillConfig(rows=4))
+
     def test_no_frame_is_a_config_error(self, oracle, problem):
         with pytest.raises(ConfigError, match="at least one frame"):
             distill_iterative(oracle, [], problem[1], DistillConfig())

@@ -131,6 +131,18 @@ class TestMetricsTable:
         records = run_scenario(reference_config(0)).records
         assert parse_metrics_csv(metrics_csv(records)) == records
 
+    def test_slotted_records_read_back_unchanged(self):
+        # StepRecord keeps its fields in slots; the table still writes and
+        # reads every field unchanged, in value and in type.
+        records = run_scenario(reference_config(0)).records
+        assert StepRecord.__slots__ == RECORD_COLUMNS
+        assert not hasattr(records[0], "__dict__")
+        parsed = parse_metrics_csv(metrics_csv(records))
+        assert parsed == records
+        for a, b in zip(parsed, records):
+            assert [(type(v), v) for v in a.as_row()] == [(type(v), v) for v in b.as_row()]
+        assert metrics_csv(parsed) == metrics_csv(records)
+
     def test_accepted_ids_read_back_equal(self):
         cfg = mini_config(frames=6)
         cfg["agents"][1]["id"] = 'uav "l1";\tü'
@@ -454,7 +466,8 @@ class TestAgentKeys:
         monkeypatch.setattr(agents_mod, "optimize_svp", record("search"))
         frame = massive.oracle.base_image()
         with pytest.raises(Recorded):
-            massive._optimize(5, frame, None, massive.oracle.entropy_map(frame))
+            massive._optimize(5, frame, None, massive.oracle.entropy_map(frame),
+                              massive.oracle.query_embedding(frame))
         _, _, coords, search = seen["search"]
         assert seen["passes"] == (default["mc_passes"], default["dropout_rate"])
         assert coords.shape == (budget, 2)
@@ -1221,7 +1234,8 @@ class TestMassiveAgentPaths:
                             noise_scale=0.0, seed=1)
         frame = render_frame(oracle, domain, 0)
         agent.step(0, frame)           # warmup frame, no adaptation
-        agent._optimize(1, frame, None, oracle.entropy_map(frame))  # seed an active prompt
+        agent._optimize(1, frame, None, oracle.entropy_map(frame),  # seed an active prompt
+                        oracle.query_embedding(frame))
         assert agent.current_svp.size > 0
         # Huge motion expels most prompt pixels: refresh fires.
         rec = agent.step(2, np.roll(frame, 28, axis=1), motion=(0, 28))
@@ -1235,7 +1249,7 @@ class TestMassiveAgentPaths:
                         noise_scale=0.0, seed=2)
         f1, f2 = render_frame(oracle, d1, 0), render_frame(oracle, d2, 0)
         agent.step(0, f1)
-        agent._optimize(1, f1, None, oracle.entropy_map(f1))
+        agent._optimize(1, f1, None, oracle.entropy_map(f1), oracle.query_embedding(f1))
         rec = agent.step(2, f2, motion=(0, 0))  # detector silenced; map moved
         assert rec.adaptation_event == "optimize"
 
@@ -1245,18 +1259,20 @@ class TestMassiveAgentPaths:
                             noise_scale=0.0, seed=1)
         frame = render_frame(oracle, domain, 0)
         agent.step(0, frame)
-        agent._optimize(1, frame, None, oracle.entropy_map(frame))
+        agent._optimize(1, frame, None, oracle.entropy_map(frame), oracle.query_embedding(frame))
         rec = agent.step(2, frame, motion=(0, 0))
         assert rec.adaptation_event == "warp"
         assert rec.bytes_sent == 0
 
 
     def test_each_frame_runs_one_unprompted_forward_and_records_its_entropy(self, monkeypatch):
-        # The recorded entropy (the search's best fitness, or the warped
-        # prompt re-scored on the trigger map) equals the full prompted
-        # entropy map bit for bit, and a step runs the unprompted pass
-        # (the entropy map, predict or the deterministic trigger map)
-        # exactly once.
+        # The recorded entropy (the search's best fitness, the warped
+        # prompt re-scored on the trigger map, or the adopted assembly's
+        # prompted map) equals the full prompted entropy map bit for bit.
+        # A step runs the unprompted pass (an entropy map or predict
+        # without a token prompt, or the deterministic trigger map) exactly
+        # once, except a quiet step that keeps an adopted assembly: it runs
+        # the prompted map alone.
         from adaptfly.oracle import ToyOracle
         from adaptfly.prompts import apply_svp
 
@@ -1264,25 +1280,35 @@ class TestMassiveAgentPaths:
         entropy_map = ToyOracle.entropy_map
         predict, umap = ToyOracle.predict, ToyOracle.uncertainty_map
 
+        def count(tp):
+            passes[-1][0 if tp is None or tp.rows == 0 else 1] += 1
+
         def counted_entropy_map(self, x, tp=None):
-            passes[-1] += 1
+            count(tp)
             return entropy_map(self, x, tp)
 
         def counted_predict(self, x, tp=None):
-            passes[-1] += 1
+            count(tp)
             return predict(self, x, tp)
 
         def counted_umap(self, x, n, rate, seed):
-            passes[-1] += (n, rate) == (1, 0.0)
+            passes[-1][0] += (n, rate) == (1, 0.0)
             return umap(self, x, n, rate, seed)
 
         step = MassiveAgent.step
 
         def checked_step(agent, t, frame, *args, **kwargs):
-            passes.append(0)
+            passes.append([0, 0])
+            held = agent.cached.rows > 0
             rec = step(agent, t, frame, *args, **kwargs)
-            full = float(entropy_map(agent.oracle, apply_svp(frame, agent.current_svp)).mean())
-            checked.append((rec.adaptation_event, rec.mean_entropy, full, passes[-1]))
+            assert not (agent.cached.rows and agent.current_svp.size)
+            if agent.cached.rows:
+                full = float(entropy_map(agent.oracle, frame, agent.cached).mean())
+            else:
+                full = float(entropy_map(agent.oracle, apply_svp(frame, agent.current_svp)).mean())
+            cached_step = held and not rec.shift_flag
+            checked.append((rec.adaptation_event, rec.mean_entropy, full, tuple(passes[-1]),
+                            cached_step))
             return rec
 
         monkeypatch.setattr(ToyOracle, "entropy_map", counted_entropy_map)
@@ -1290,12 +1316,88 @@ class TestMassiveAgentPaths:
         monkeypatch.setattr(ToyOracle, "uncertainty_map", counted_umap)
         monkeypatch.setattr(MassiveAgent, "step", checked_step)
         run_scenario(reference_config(0))
-        assert {event for event, *_ in checked} == {"none", "optimize", "warp"}
+        assert {event for event, *_ in checked} == {"none", "optimize", "warp", "retrieve"}
         assert len(checked) == 80
-        for event, recorded, full, forwards in checked:
+        assert any(cached_step for *_, cached_step in checked)
+        for event, recorded, full, (unprompted, prompted), cached_step in checked:
             assert type(recorded) is float
             assert recorded == full, event
-            assert forwards == 1, event
+            if cached_step:
+                assert (event, unprompted, prompted) == ("none", 0, 1)
+            else:
+                assert unprompted == 1, event
+            if event == "retrieve":
+                assert prompted == 1
+
+    @staticmethod
+    def _pooled(drop=(False,)):
+        """A massive agent whose pool already holds a prompt that lowers the
+        frame's entropy, keyed at the frame's own query embedding."""
+        from adaptfly.distill import closed_form_solution
+        from adaptfly.prompts import sparsity_budget
+
+        oracle, agent = _agent_fixture(threshold=1e9)
+        domain = DomainSpec(id="dusk", gain=(0.75, 0.8, 0.72), bias=(-0.15, 0.12, -0.1),
+                            noise_scale=0.01, seed=4)
+        frame = render_frame(oracle, domain, 0)
+        coords = place_mask(oracle.uncertainty_map(frame, 1, 0.0, 0),
+                            sparsity_budget(0.05, *oracle.frame_shape))
+        correction = planted_correction(oracle, domain, 0, coords)
+        pool = agent.client._server.pool
+        pool.insert(oracle.query_embedding(frame),
+                    TokenPrompt(closed_form_solution(oracle, [frame], correction, 4)),
+                    timestamp=0, agent_id="uav-h0")
+        pool.refine()
+        agent.client = InprocClient(agent.client._server,
+                                    lambda msg: drop[0])
+        return oracle, agent, frame
+
+    def test_adopted_prompt_replaces_search_and_upload(self, monkeypatch):
+        import adaptfly.fleet.agents as agents_mod
+
+        oracle, agent, frame = self._pooled()
+        shift = [True]
+        monkeypatch.setattr(agents_mod, "detect",
+                            lambda tracker, stats: (shift[0], 1.0, None))
+        monkeypatch.setattr(agents_mod, "optimize_svp", None)  # a search would fail
+        rec = agent.step(1, frame)
+        assert rec.adaptation_event == "retrieve" and rec.retrieved == 1
+        assert not rec.degraded
+        query = Query(query=tuple(oracle.query_embedding(frame)), n=agent.spec.retrieval_n,
+                      request_id=1)
+        assert rec.bytes_sent == len(encode_message(query))
+        assert agent.client._server.pool.size == 1 and not agent._retry_queue
+        assert agent.cached.rows and agent.current_svp.size == 0
+        assert rec.mean_entropy == float(oracle.entropy_map(frame, agent.cached).mean())
+        assert rec.mean_entropy < float(oracle.entropy_map(frame).mean())
+        shift[0] = False                            # a quiet step keeps the assembly
+        rec = agent.step(2, frame)
+        assert (rec.adaptation_event, rec.bytes_sent, rec.bytes_received) == ("none", 0, 0)
+        assert rec.mean_entropy == float(oracle.entropy_map(frame, agent.cached).mean())
+
+    def test_dropped_query_falls_back_to_search_and_queues_the_upload(self, monkeypatch):
+        import adaptfly.fleet.agents as agents_mod
+
+        drop = [True]                               # uav-h1 sends nothing at step 1
+        oracle, agent, frame = self._pooled(drop)
+        monkeypatch.setattr(agents_mod, "detect", lambda tracker, stats: (True, 1.0, None))
+        rec = agent.step(1, frame)
+        assert rec.adaptation_event == "optimize" and rec.degraded
+        assert rec.bytes_sent == 0 and rec.retrieved == 0
+        assert agent.current_svp.size and not agent.cached.rows
+        (upload,) = agent._retry_queue
+        assert isinstance(upload, UploadPrompt) and upload.timestamp == 1
+        drop[0] = False
+        rec = agent.step(2, frame)                  # the queued upload goes first
+        assert not rec.degraded and not agent._retry_queue
+        assert rec.bytes_sent >= len(encode_message(upload))
+        assert any(e.agent_id == "uav-h1" for e in agent.client._server.pool.entries())
+
+    def test_both_kinds_adopt_through_one_method(self):
+        from adaptfly.fleet.agents import _Agent
+
+        assert "_try_adopt" in vars(_Agent)
+        assert all("_try_adopt" not in vars(kind) for kind in (LimitedAgent, MassiveAgent))
 
 
 class TestLimitedAgentPaths:
