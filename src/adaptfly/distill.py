@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompositionError, ConfigError, DistillError, check_fields
-from .prompts import SparseVisualPrompt, TokenPrompt, apply_svp, compose_tokens
+from .prompts import _DTYPES, SparseVisualPrompt, TokenPrompt, apply_svp, compose_tokens
 
 __all__ = [
     "DistillConfig",
@@ -41,7 +41,12 @@ TIKHONOV_DAMPING = 1e-8
 # and flags (4 bytes each).
 METADATA_OVERHEAD_BYTES = 40
 
-_BYTES_PER_VALUE = {"f32": 4, "f16": 2}
+
+def _bytes_per_value(precision: str) -> int:
+    """Item size of a token prompt storage precision; ConfigError for another name."""
+    if precision not in _DTYPES:
+        raise ConfigError(f"precision must be one of {sorted(_DTYPES)}")
+    return np.dtype(_DTYPES[precision]).itemsize
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,7 @@ class DistillConfig:
             raise ConfigError("distillation needs at least one step")
         if self.frames < 1:
             raise ConfigError("distillation needs at least one frame")
-        if self.precision not in _BYTES_PER_VALUE:
-            raise ConfigError(f"precision must be one of {sorted(_BYTES_PER_VALUE)}")
+        _bytes_per_value(self.precision)
 
 
 def teacher_features(oracle, x: np.ndarray, svp: SparseVisualPrompt) -> np.ndarray:
@@ -175,10 +179,7 @@ def distill_closed_form(
 
 def prompt_data_bytes(prompt: TokenPrompt, precision: str | None = None) -> int:
     """Raw matrix payload size at the given (or stored) precision."""
-    precision = precision or prompt.dtype
-    if precision not in _BYTES_PER_VALUE:
-        raise ConfigError(f"precision must be one of {sorted(_BYTES_PER_VALUE)}")
-    return prompt.rows * prompt.dim * _BYTES_PER_VALUE[precision]
+    return prompt.rows * prompt.dim * _bytes_per_value(precision or prompt.dtype)
 
 
 def entry_size_bytes(prompt: TokenPrompt, precision: str | None = None) -> int:

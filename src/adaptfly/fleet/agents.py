@@ -243,8 +243,8 @@ class MassiveAgent(_Agent):
         self.ref_umap = umap
         self.cached = TokenPrompt(np.zeros((0, 0)))
 
-        self.provenance.record(self.spec.id, t, self._domain_window, result.prompt)
-        if self.spec.defer_distill:
+        if self.spec.defer_distill:  # the server distills on demand, from this record
+            self.provenance.record(self.spec.id, t, self._domain_window, result.prompt)
             msg = RegisterDeferred(
                 query=tuple(key), agent_id=self.spec.id, timestamp=t,
                 domain_tag=domain_tag,

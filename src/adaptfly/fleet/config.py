@@ -16,7 +16,6 @@ from JSON. See README for the full schema.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
 
@@ -25,7 +24,7 @@ from ..distill import DistillConfig
 from ..drift import KL_VARIANTS, MIN_CALIBRATION_SCORES, DriftTracker, check_quantile
 from ..errors import ConfigError, check_fields, check_keys
 from ..memory import PoolConfig
-from ..oracle import DomainSpec, check_toy_oracle, check_uncertainty, make_toy_oracle, patch_count
+from ..oracle import DomainSpec, OracleSpec, check_uncertainty, patch_count
 from ..prompts import sparsity_budget
 
 __all__ = [
@@ -43,9 +42,6 @@ KINDS = ("limited", "massive")
 # factorization.
 MASSIVE_SEARCH_MODE = "sep-cma"
 
-# make_toy_oracle's arguments, with the scenario's default seed.
-_ORACLE_DEFAULTS = {name: arg.default for name, arg
-                    in inspect.signature(make_toy_oracle).parameters.items()} | {"seed": 7}
 # An id is a metrics.csv field and, in a merged pool entry, one of a
 # comma-joined list of contributors: no comma, and none of the line breaks
 # str.splitlines splits on.
@@ -183,17 +179,17 @@ class AgentSpec:
 class ScenarioConfig:
     """Validated scenario description; run with fleet.run_scenario.
 
-    ``oracle`` holds the arguments of ``make_toy_oracle``, all of them
-    once constructed. ``distill`` is the run's DistillConfig; as a dict of
-    options, its rows default to one per patch token of the oracle. The
-    settings read from nested JSON objects (``pool.refine_period``,
-    ``calibration.*``) and the ids and faults are named by their JSON path.
+    ``oracle`` holds the settings of the run's toy oracle. ``distill`` is
+    the run's DistillConfig; as a dict of options, its rows default to one
+    per patch token of the oracle. The settings read from nested JSON
+    objects (``pool.refine_period``, ``calibration.*``) and the ids and
+    faults are named by their JSON path.
     """
 
     agents: tuple[AgentSpec, ...] = ()
     domains: tuple[DomainSpec, ...] = ()
     seed: int = 0
-    oracle: dict = field(default_factory=dict)
+    oracle: OracleSpec = field(default_factory=OracleSpec)
     pool: PoolConfig = field(default_factory=PoolConfig)
     refine_period: int = 2
     transport: Literal["inproc", "stream"] = "inproc"
@@ -206,13 +202,10 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_fields(self)
-        check_keys(self.oracle, _ORACLE_DEFAULTS, "oracle")
-        oracle = _build("oracle", check_toy_oracle, **{**_ORACLE_DEFAULTS, **self.oracle})
-        object.__setattr__(self, "oracle", oracle)
-        h, w = self.oracle["height"], self.oracle["width"]
+        h, w = self.oracle.height, self.oracle.width
         if isinstance(self.distill, dict):
             check_keys(self.distill, DistillConfig.__dataclass_fields__, "distill")
-            rows = patch_count(h, w, self.oracle["patch"])
+            rows = patch_count(h, w, self.oracle.patch)
             distill = _build("distill", DistillConfig, **{"rows": rows, **self.distill})
             object.__setattr__(self, "distill", distill)
         if self.kl_variant not in KL_VARIANTS:
@@ -298,7 +291,7 @@ def _agent(value, name):
 
 _SCENARIO = _keys(
     "seed transport kl_variant provenance_window",
-    oracle=_object(_keys("seed classes height width stem_channels patch temperature")),
+    oracle=_object(_keys(" ".join(OracleSpec.__dataclass_fields__)), OracleSpec),
     domains=_list_of(_object(_keys("id gain bias noise_scale seed"), DomainSpec, "id")),
     agents=_list_of(_agent),
     pool=_object(_keys("capacity tau_merge:merge_threshold eta:merge_weight refine_period")),

@@ -127,7 +127,7 @@ def _thresholds(cfg: ScenarioConfig, oracle: ToyOracle, domains: dict) -> tuple[
 def run_scenario(config: dict | ScenarioConfig) -> ScenarioResult:
     """Run a scenario to completion; deterministic given the config."""
     cfg = ScenarioConfig.from_dict(config) if isinstance(config, dict) else config
-    oracle = make_toy_oracle(**cfg.oracle)
+    oracle = make_toy_oracle(**vars(cfg.oracle))
     domains = {d.id: d for d in cfg.domains}
     pool = PromptPool(cfg.pool)
     provenance = ProvenanceLog(window=cfg.provenance_window)
@@ -307,7 +307,7 @@ def calibrate_scenario(config: dict | ScenarioConfig, quantile: float | None = N
     """
     cfg = ScenarioConfig.from_dict(config) if isinstance(config, dict) else config
     quantile = cfg.calibration_quantile if quantile is None else quantile
-    oracle = make_toy_oracle(**cfg.oracle)
+    oracle = make_toy_oracle(**vars(cfg.oracle))
     domains = {d.id: d for d in cfg.domains}
     scores: list[float] = []
     for idx, spec in enumerate(cfg.agents):

@@ -21,9 +21,10 @@ has a measurable, plantable effect:
 
 All oracles are immutable after construction and all operations are pure
 functions of their explicit arguments (including seeds), so they may be
-called from any number of concurrent workers. ``make_toy_oracle`` returns
-one shared oracle per argument set; every array an oracle holds or caches
-is read-only.
+called from any number of concurrent workers. ``OracleSpec`` declares an
+oracle's settings, their defaults and their ranges; ``make_toy_oracle``
+returns one shared oracle per spec, and every array an oracle holds or
+caches is read-only.
 """
 
 from __future__ import annotations
@@ -35,14 +36,14 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .drift import ActivationStats
-from .errors import ConfigError, OracleError, check, check_fields
+from .errors import ConfigError, OracleError, check_fields
 from .prompts import SparseVisualPrompt, TokenPrompt
 
 __all__ = [
     "DomainSpec",
+    "OracleSpec",
     "ToyOracle",
     "make_toy_oracle",
-    "check_toy_oracle",
     "check_uncertainty",
     "patch_count",
     "render_frame",
@@ -61,6 +62,8 @@ MIN_SHIFT_BIAS = 0.08
 # oracle (each about 24 KB on a 32x32 frame).
 ORACLE_CACHE_SIZE = 8
 DELTA_CACHE_PROMPTS = 8
+# Weight ratio between successive blocks of N prompt rows (see prompt_mix).
+POSITION_DECAY = 0.25
 
 
 @dataclass(frozen=True)
@@ -117,17 +120,41 @@ def _spread_prototypes(rng: np.random.Generator, classes: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ToyOracle:
-    """Deterministic synthetic segmentation oracle. Build via make_toy_oracle."""
+class OracleSpec:
+    """The settings of a toy oracle, with their defaults and ranges.
 
-    seed: int
-    classes: int
-    height: int
-    width: int
-    stem_channels: int
-    patch: int
-    temperature: float
-    position_decay: float
+    The frame must tile exactly into ``patch`` x ``patch`` patches; the
+    token dimension is 3 * patch**2 so the patch-token basis is invertible.
+    """
+
+    seed: int = 7
+    classes: int = 5
+    height: int = 32
+    width: int = 32
+    stem_channels: int = 8
+    patch: int = 4
+    temperature: float = 0.08
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.classes < 2:
+            raise ConfigError("need at least two classes")
+        if min(self.height, self.width, self.stem_channels, self.patch) < 1:
+            raise ConfigError("height, width, stem_channels and patch must be at least 1")
+        if self.height % self.patch or self.width % self.patch:
+            raise ConfigError(f"frame {self.height}x{self.width} must tile into "
+                              f"{self.patch}x{self.patch} patches")
+        if not self.temperature > 0.0:
+            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class ToyOracle(OracleSpec):
+    """Deterministic synthetic segmentation oracle: its spec and the arrays
+    built from it. Build via make_toy_oracle; equal specs give equal oracles."""
+
     layout: np.ndarray = field(repr=False)
     prototypes: np.ndarray = field(repr=False)
     stem_weight: np.ndarray = field(repr=False)
@@ -136,8 +163,7 @@ class ToyOracle:
     feature_projection: np.ndarray = field(repr=False)  # (d, d) orthogonal
     prompt_mix_base: np.ndarray = field(repr=False)     # (N, N) orthogonal
     # id(prompt) -> (prompt, its read-only pixel delta), least recent first
-    _deltas: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False,
-                                 compare=False)
+    _deltas: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False)
 
     # -- geometry ------------------------------------------------------
 
@@ -188,7 +214,7 @@ class ToyOracle:
         """
         n = self.num_patches
         cols = np.arange(rows)
-        weights = self.position_decay ** (cols // n)
+        weights = POSITION_DECAY ** (cols // n)
         return self.prompt_mix_base[:, cols % n] * weights[None, :]
 
     def encode_tokens(self, z: np.ndarray) -> np.ndarray:
@@ -474,57 +500,19 @@ def patch_count(height: int, width: int, patch: int) -> int:
     return (height // patch) * (width // patch)
 
 
-def check_toy_oracle(seed: int, classes: int, height: int, width: int, stem_channels: int,
-                     patch: int, temperature: float, position_decay: float) -> dict:
-    """The argument checks of ``make_toy_oracle``, without building anything.
+def make_toy_oracle(seed: int, **settings) -> ToyOracle:
+    """The reference synthetic oracle of ``OracleSpec(seed, **settings)``.
 
-    Returns the checked arguments by name, the two reals as floats.
+    Oracles are memoized: equal specs return the same read-only oracle,
+    from a cache of the ``ORACLE_CACHE_SIZE`` most recent ones.
     """
-    sizes = {"seed": seed, "classes": classes, "height": height, "width": width,
-             "stem_channels": stem_channels, "patch": patch}
-    reals = {"temperature": temperature, "position_decay": position_decay}
-    arguments = ({name: check(value, name, int) for name, value in sizes.items()}
-                 | {name: check(value, name, float) for name, value in reals.items()})
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    if classes < 2:
-        raise ConfigError("need at least two classes")
-    if min(height, width, stem_channels, patch) < 1:
-        raise ConfigError("height, width, stem_channels and patch must be at least 1")
-    if height % patch or width % patch:
-        raise ConfigError(f"frame {height}x{width} must tile into {patch}x{patch} patches")
-    if not temperature > 0.0:
-        raise ConfigError(f"temperature must be positive, got {temperature}")
-    if not (0.0 < position_decay <= 1.0):
-        raise ConfigError("position decay must lie in (0, 1]")
-    return arguments
+    return _build_toy_oracle(OracleSpec(seed, **settings))
 
 
-def make_toy_oracle(
-    seed: int,
-    classes: int = 5,
-    height: int = 32,
-    width: int = 32,
-    stem_channels: int = 8,
-    patch: int = 4,
-    temperature: float = 0.08,
-    position_decay: float = 0.25,
-) -> ToyOracle:
-    """Construct the reference synthetic oracle.
-
-    The frame must tile exactly into `patch` x `patch` patches; the token
-    dimension is 3 * patch**2 so the patch-token basis is invertible.
-    Oracles are memoized: equal arguments return the same read-only
-    oracle, from a cache of the ``ORACLE_CACHE_SIZE`` most recent ones.
-    """
-    return _build_toy_oracle(**check_toy_oracle(seed, classes, height, width, stem_channels,
-                                                 patch, temperature, position_decay))
-
-
-@lru_cache(maxsize=ORACLE_CACHE_SIZE, typed=True)
-def _build_toy_oracle(seed: int, classes: int, height: int, width: int, stem_channels: int,
-                      patch: int, temperature: float, position_decay: float) -> ToyOracle:
-    rng = np.random.default_rng(seed)
+@lru_cache(maxsize=ORACLE_CACHE_SIZE)
+def _build_toy_oracle(spec: OracleSpec) -> ToyOracle:
+    rng = np.random.default_rng(spec.seed)
+    classes, height, width, patch = spec.classes, spec.height, spec.width, spec.patch
 
     # Planted layout: Voronoi cells of one anchor pixel per class.
     anchors = np.stack(
@@ -537,27 +525,19 @@ def _build_toy_oracle(seed: int, classes: int, height: int, width: int, stem_cha
     layout = np.argmin(d2, axis=-1).astype(np.int64)
 
     prototypes = _spread_prototypes(rng, classes)
-    stem_weight = rng.standard_normal((stem_channels, 3))
-    stem_bias = rng.standard_normal(stem_channels) * 0.1
+    stem_weight = rng.standard_normal((spec.stem_channels, 3))
+    stem_bias = rng.standard_normal(spec.stem_channels) * 0.1
 
     d = 3 * patch * patch
-    n = (height // patch) * (width // patch)
     token_basis = _orthogonal(rng, d)
     feature_projection = _orthogonal(rng, d)
-    prompt_mix_base = _orthogonal(rng, n)
+    prompt_mix_base = _orthogonal(rng, patch_count(height, width, patch))
 
     layout.setflags(write=False)
     for a in (prototypes, stem_weight, stem_bias, token_basis, feature_projection, prompt_mix_base):
         a.setflags(write=False)
     return ToyOracle(
-        seed=seed,
-        classes=classes,
-        height=height,
-        width=width,
-        stem_channels=stem_channels,
-        patch=patch,
-        temperature=temperature,
-        position_decay=position_decay,
+        **vars(spec),
         layout=layout,
         prototypes=prototypes,
         stem_weight=stem_weight,

@@ -13,6 +13,7 @@ from adaptfly.cli import _parse_value, main
 from adaptfly.errors import ConfigError
 from adaptfly.fleet import ScenarioConfig, clean_config, parse_metrics_csv, reference_config
 from adaptfly.memory import PoolConfig
+from adaptfly.oracle import OracleSpec
 
 
 def mini_config(seed=0):
@@ -509,7 +510,6 @@ PROBED = [
     pytest.param({**clean_config(0), "calibration": {"frames": 60}}, ("calibration", "frames"),
                  0, id="calibration-frames-numeric-z"),
     pytest.param(mini_config(), ("pool", "capacity"), 2.5, id="pool-capacity"),
-    pytest.param(mini_config(), ("oracle", "flavor"), 1, id="oracle-key"),
     pytest.param(mini_config(), ("agents", 0, "cma", "flavor"), 1, id="cma-key"),
     pytest.param(mini_config(), ("agents", 0, "cma", "dimension"), 3, id="cma-dimension"),
 ]
@@ -526,10 +526,30 @@ class TestOneRuleSet:
         pytest.param(lambda c: dataclasses.replace(c, agents=({"id": "x"},)), id="agent-dict"),
         pytest.param(lambda c: dataclasses.replace(c, distill={"step_size": 0.1}),
                      id="distill-key"),
+        pytest.param(lambda c: dataclasses.replace(c, oracle={"seed": 7}), id="oracle-dict"),
+        pytest.param(lambda c: dataclasses.replace(c.oracle, temperature=0.0),
+                     id="oracle-temperature"),
     ])
     def test_value_built_in_code_raises_config_error(self, edit):
         with pytest.raises(ConfigError):
             edit(ScenarioConfig.from_dict(mini_config()))
+
+    def test_json_oracle_takes_every_spec_field_and_no_other_key(self):
+        """The keys JSON reads under ``oracle`` are the fields a spec built in
+        code takes: each is read at its value, and any other key is refused
+        from JSON as it is in code."""
+        values = {"seed": 3, "classes": 4, "height": 16, "width": 16, "stem_channels": 6,
+                  "patch": 2, "temperature": 0.1}
+        assert set(values) == {f.name for f in dataclasses.fields(OracleSpec)}
+        config = mini_config()
+        config["oracle"] = values
+        assert ScenarioConfig.from_dict(config).oracle == OracleSpec(**values)
+        for key in ("position_decay", "flavor", "Seed"):
+            config["oracle"] = {key: 0.5}
+            with pytest.raises(ConfigError, match=rf"^unknown key\(s\) \['{key}'\] in oracle$"):
+                ScenarioConfig.from_dict(config)
+            with pytest.raises(TypeError):
+                OracleSpec(**{key: 0.5})
 
     @given(path=st.sampled_from(MINI_LEAVES), value=BAD_VALUES.filter(lambda v: v is not None))
     @example(path=("agents", 0, "id"), value="uav,h1")

@@ -50,7 +50,13 @@ from adaptfly.fleet.messages import (
     encode_message,
 )
 from adaptfly.memory import PoolConfig, PoolEntry, PromptPool
-from adaptfly.oracle import DomainSpec, make_toy_oracle, planted_correction, render_frame
+from adaptfly.oracle import (
+    DomainSpec,
+    OracleSpec,
+    make_toy_oracle,
+    planted_correction,
+    render_frame,
+)
 from adaptfly.prompts import TokenPrompt, number_vector, place_mask
 
 
@@ -346,9 +352,8 @@ class TestRejectedAtParse:
         cfg = ScenarioConfig.from_dict(reference_config(seed=0))
         assert cfg.pool == PoolConfig(capacity=64, merge_threshold=0.95, merge_weight=0.3)
         assert cfg.refine_period == 2
-        assert cfg.oracle == {"seed": 7, "classes": 5, "height": 32, "width": 32,
-                              "stem_channels": 8, "patch": 4, "temperature": 0.08,
-                              "position_decay": 0.25}
+        assert cfg.oracle == OracleSpec(seed=7, classes=5, height=32, width=32,
+                                        stem_channels=8, patch=4, temperature=0.08)
         assert cfg.domains[1] == DomainSpec(id="dusk", gain=(0.834, 0.765, 0.798),
                                             bias=(-0.248, 0.22, 0.202), noise_scale=0.01,
                                             seed=202)
@@ -371,7 +376,7 @@ class TestRejectedAtParse:
             del cfg[key]
         parsed = ScenarioConfig.from_dict(cfg)
         assert parsed.pool == PoolConfig()
-        assert repr(make_toy_oracle(**parsed.oracle)) == repr(make_toy_oracle(seed=7))
+        assert repr(make_toy_oracle(**vars(parsed.oracle))) == repr(make_toy_oracle(seed=7))
         assert parsed.distill == DistillConfig(rows=64)
 
 
@@ -483,7 +488,7 @@ class TestAgentKeys:
 
 class TestCalibration:
     def _plain_loop(self, cfg, idx, stats_of):
-        spec, oracle = cfg.agents[idx], make_toy_oracle(**cfg.oracle)
+        spec, oracle = cfg.agents[idx], make_toy_oracle(**vars(cfg.oracle))
         domain = next(d for d in cfg.domains if d.id == spec.schedule[0].domain)
         tracker = DriftTracker(smoothing=spec.smoothing, warmup=spec.warmup,
                                kl_variant=cfg.kl_variant)
@@ -496,7 +501,7 @@ class TestCalibration:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_threshold_equals_a_plain_per_frame_loop(self, seed):
         cfg = ScenarioConfig.from_dict(reference_config(seed=seed))
-        oracle = make_toy_oracle(**cfg.oracle)
+        oracle = make_toy_oracle(**vars(cfg.oracle))
         domains = {d.id: d for d in cfg.domains}
         for idx, spec in enumerate(cfg.agents):
             got = _calibrated_threshold(cfg, spec, oracle, domains)
@@ -1533,3 +1538,34 @@ class TestDeferredEndToEnd:
         assert any(not e.is_deferred for e in result.pool.entries())
         h1 = result.summary["agents"]["uav-h1"]
         assert h1["adaptation_counts"].get("optimize", 0) >= 1
+
+    @pytest.mark.parametrize("defer", [False, True])
+    def test_only_deferred_registrations_record_provenance(self, monkeypatch, defer):
+        """The server reads the log only to resolve a deferred entry, so an
+        agent that uploads its prompts records nothing; one that defers
+        records each search and its entries still resolve."""
+        recorded, resolved = [], []
+        record, distill = ProvenanceLog.record, MecServer._distill
+
+        def recording(log, agent_id, step, frames, svp):
+            recorded.append((agent_id, step))
+            record(log, agent_id, step, frames, svp)
+
+        def resolving(server, entry):
+            prompt = distill(server, entry)
+            resolved.append((entry.agent_id, entry.timestamp))
+            return prompt
+
+        monkeypatch.setattr(ProvenanceLog, "record", recording)
+        monkeypatch.setattr(MecServer, "_distill", resolving)
+        cfg = reference_config(0)
+        cfg["agents"][0]["defer_distill"] = defer
+        result = run_scenario(cfg)
+        searches = [(r.agent_id, r.step) for r in result.records
+                    if r.adaptation_event == "optimize"]
+        assert len(searches) >= 3
+        if defer:
+            assert recorded == searches
+            assert resolved and set(resolved) <= set(searches)
+        else:
+            assert recorded == [] and resolved == []

@@ -10,6 +10,7 @@ from adaptfly.drift import SIGMA_FLOOR, compute_stats
 from adaptfly.errors import ConfigError, OracleError, StatsError
 from adaptfly.oracle import (
     DomainSpec,
+    OracleSpec,
     ToyOracle,
     make_toy_oracle,
     mean_entropy,
@@ -404,6 +405,32 @@ class TestConstructionValidation:
         with pytest.raises(ConfigError):
             make_toy_oracle(seed=0, classes=1)
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+        ({"classes": 1}, "need at least two classes"),
+        ({"stem_channels": 0}, "height, width, stem_channels and patch must be at least 1"),
+        ({"height": 30}, "frame 30x32 must tile into 4x4 patches"),
+        ({"temperature": -0.5}, "temperature must be positive, got -0.5"),
+    ])
+    def test_out_of_range_settings_name_their_range(self, settings, message):
+        with pytest.raises(ConfigError) as err:
+            OracleSpec(**settings)
+        assert str(err.value) == message
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            make_toy_oracle(**{"seed": 0, **settings})
+
+    def test_position_decay_is_a_constant_not_a_setting(self, oracle):
+        """Prompt rows behind the first N mix in at POSITION_DECAY per block of N."""
+        n = oracle.num_patches
+        mix = oracle.prompt_mix(3 * n)
+        for block in range(3):
+            np.testing.assert_array_equal(
+                mix[:, block * n:(block + 1) * n],
+                oracle.prompt_mix_base * oracle_mod.POSITION_DECAY ** block,
+            )
+        with pytest.raises(TypeError):
+            OracleSpec(position_decay=0.25)
+
     def test_domain_gain_positive(self):
         with pytest.raises(ConfigError):
             DomainSpec(id="bad", gain=(0.0, 1.0, 1.0))
@@ -424,14 +451,14 @@ class TestConstructionValidation:
     @pytest.mark.parametrize("argument, value", [
         ("seed", 7.0), ("seed", True), ("seed", "7"), ("classes", 5.0), ("height", 32.0),
         ("width", np.float64(32.0)), ("stem_channels", 8.5), ("patch", False),
-        ("temperature", "x"), ("temperature", None), ("position_decay", [0.25]),
-        ("position_decay", True),
+        ("temperature", "x"), ("temperature", None), ("temperature", [0.08]),
+        ("temperature", True),
     ])
     def test_mistyped_arguments_raise_config_error(self, argument, value):
         arguments = {"seed": 0, "classes": 5, "height": 32, "width": 32, "stem_channels": 8,
-                     "patch": 4, "temperature": 0.08, "position_decay": 0.25, argument: value}
+                     "patch": 4, "temperature": 0.08, argument: value}
         with pytest.raises(ConfigError, match=argument):
-            oracle_mod.check_toy_oracle(**arguments)
+            OracleSpec(**arguments)
         with pytest.raises(ConfigError, match=argument):
             make_toy_oracle(**arguments)
 
@@ -592,7 +619,9 @@ class TestMemoizedOracle:
         a = make_toy_oracle(7)
         assert make_toy_oracle(seed=7) is a
         assert make_toy_oracle(7, classes=5, height=32, width=32, stem_channels=8, patch=4,
-                               temperature=0.08, position_decay=0.25) is a
+                               temperature=0.08) is a
+        # the spec holds a real setting as a float, so 1 and 1.0 are one oracle
+        assert make_toy_oracle(7, temperature=1) is make_toy_oracle(7, temperature=1.0)
         assert make_toy_oracle(7, classes=4) is not a
         assert make_toy_oracle(8) is not a
 

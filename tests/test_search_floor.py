@@ -51,7 +51,7 @@ def floor(base: np.ndarray, coords: np.ndarray, h_star: float) -> float:
 
 @pytest.fixture(scope="module")
 def oracle():
-    return make_toy_oracle(**ScenarioConfig.from_dict(reference_config(0)).oracle)
+    return make_toy_oracle(**vars(ScenarioConfig.from_dict(reference_config(0)).oracle))
 
 
 @pytest.fixture(scope="module")
