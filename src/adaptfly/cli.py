@@ -131,10 +131,7 @@ def _apply_override(config: dict, assignment: str) -> None:
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    scenario = ScenarioConfig.from_dict(config)  # a rejected config leaves no directory
+    scenario = ScenarioConfig.from_dict(_load_config(args))  # a rejected config leaves no directory
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -183,7 +180,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    result = calibrate_scenario(_load_config(args), quantile=args.quantile)
+    result = calibrate_scenario(_load_config(args))
     _emit(json.dumps(result, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -227,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="dotted-path config override (repeatable)")
-    p_run.add_argument("--seed", type=int, default=None, help="override scenario seed")
     p_run.set_defaults(fn=_cmd_run)
 
     p_bench = sub.add_parser("bench", help="optimizer regression benchmarks")
@@ -243,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", help="threshold from a clean scenario")
     p_cal.add_argument("--config", required=True, help="clean scenario JSON path")
-    p_cal.add_argument("--quantile", type=float, default=None,
-                       help="default: the scenario's calibration.quantile")
     p_cal.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_cal.add_argument("--out", default=None, help="JSON path (default stdout)")
     p_cal.set_defaults(fn=_cmd_calibrate)

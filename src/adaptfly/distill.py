@@ -166,15 +166,10 @@ def closed_form_solution(
     return solution
 
 
-def distill_closed_form(
-    oracle,
-    frames: list[np.ndarray],
-    svp: SparseVisualPrompt,
-    rows: int,
-    precision: str = "f32",
-) -> TokenPrompt:
-    """Closed-form counterpart of distill_iterative (verification oracle)."""
-    return TokenPrompt(closed_form_solution(oracle, frames, svp, rows), dtype=precision)
+def distill_closed_form(oracle, frames: list[np.ndarray], svp: SparseVisualPrompt,
+                        rows: int) -> TokenPrompt:
+    """Closed-form counterpart of distill_iterative (verification oracle), in f32."""
+    return TokenPrompt(closed_form_solution(oracle, frames, svp, rows))
 
 
 def prompt_data_bytes(prompt: TokenPrompt, precision: str | None = None) -> int:

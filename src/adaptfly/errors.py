@@ -5,6 +5,7 @@ import json
 import numbers
 import sys
 import typing
+from dataclasses import fields
 from functools import cache
 from types import NoneType, UnionType
 
@@ -156,10 +157,12 @@ def check_fields(obj) -> None:
     """Check each field of the dataclass ``obj`` against its annotation.
 
     Each field then holds its checked value: a float field a float, a
-    tuple field a tuple. The owning type checks ranges after this.
+    tuple field a tuple. Class variables are not fields. The owning type
+    checks ranges after this.
     """
-    for name, kind in _hints(type(obj)).items():
-        object.__setattr__(obj, name, check(getattr(obj, name), name, kind))
+    hints = _hints(type(obj))
+    for f in fields(obj):
+        object.__setattr__(obj, f.name, check(getattr(obj, f.name), f.name, hints[f.name]))
 
 
 def check_keys(options: dict, known, where: str) -> None:

@@ -3,6 +3,8 @@
 from .agents import RECORD_COLUMNS, LimitedAgent, MassiveAgent, StepRecord
 from .config import (
     AgentSpec,
+    LimitedSpec,
+    MassiveSpec,
     ScenarioConfig,
     SegmentSpec,
     clean_config,
@@ -35,6 +37,8 @@ __all__ = [
     "MassiveAgent",
     "StepRecord",
     "AgentSpec",
+    "LimitedSpec",
+    "MassiveSpec",
     "ScenarioConfig",
     "SegmentSpec",
     "clean_config",

@@ -24,7 +24,7 @@ from ..distill import DistillConfig, distill_iterative
 from ..drift import DriftTracker, detect, reset_reference
 from ..memory import PoolEntry, assemble
 from ..prompts import SparseVisualPrompt, TokenPrompt, place_mask, warp_svp
-from .config import AgentSpec
+from .config import AgentSpec, LimitedSpec, MassiveSpec
 from .mec import ProvenanceLog
 from .messages import Query, RegisterDeferred, UploadPrompt
 from .transport import TransportFailure
@@ -96,13 +96,11 @@ class _Agent:
         shift, score, _ = detect(self.tracker, stats)
         return stats, shift, score
 
-    def _query(self, q: np.ndarray) -> list[PoolEntry]:
-        """The pool's ``retrieval_n`` entries nearest ``q``; raises
-        TransportFailure if the query is dropped."""
+    def _query(self, q: np.ndarray, n: int) -> list[PoolEntry]:
+        """The pool's ``n`` entries nearest ``q``; raises TransportFailure if
+        the query is dropped."""
         self._request_id += 1
-        response = self.client.request(
-            Query(query=tuple(q), n=self.spec.retrieval_n, request_id=self._request_id)
-        )
+        response = self.client.request(Query(query=tuple(q), n=n, request_id=self._request_id))
         return [d.entry for d in response.entries]
 
     def _try_adopt(self, frame: np.ndarray, q: np.ndarray, entries: list[PoolEntry],
@@ -139,9 +137,9 @@ class _Agent:
 
 
 class LimitedAgent(_Agent):
-    """Forward-only retrieval adaptation, run from a limited ``AgentSpec``."""
+    """Forward-only retrieval adaptation, run from a LimitedSpec."""
 
-    def __init__(self, spec: AgentSpec, oracle, client, tracker: DriftTracker):
+    def __init__(self, spec: LimitedSpec, oracle, client, tracker: DriftTracker):
         super().__init__(spec, oracle, client, tracker)
         self._adopted_ids: tuple[int, ...] = ()
 
@@ -156,7 +154,7 @@ class LimitedAgent(_Agent):
             event = "retrieve"
             q = self.oracle.query_embedding(frame)
             try:
-                entries = self._query(q)
+                entries = self._query(q, self.spec.retrieval_n)
                 adopted, entropy = self._try_adopt(frame, q, entries)
                 if adopted is not None:
                     self.cached = adopted
@@ -187,9 +185,12 @@ class LimitedAgent(_Agent):
 
 class MassiveAgent(_Agent):
     """Pool reuse, else sparse-prompt search, warp propagation and uploads,
-    run from a massive ``AgentSpec``."""
+    run from a MassiveSpec."""
 
-    def __init__(self, spec: AgentSpec, oracle, client, tracker: DriftTracker,
+    # A pool query asks for as many entries as a limited agent's by default.
+    RETRIEVAL_N = LimitedSpec.retrieval_n
+
+    def __init__(self, spec: MassiveSpec, oracle, client, tracker: DriftTracker,
                  distill_config: DistillConfig, provenance: ProvenanceLog, seed: int):
         super().__init__(spec, oracle, client, tracker)
         self.search = spec.search_config(*oracle.frame_shape)  # each search sets its seed
@@ -307,7 +308,7 @@ class MassiveAgent(_Agent):
             # its distillation and its upload.
             key = self.oracle.query_embedding(frame)
             try:
-                entries = self._query(key)
+                entries = self._query(key, self.RETRIEVAL_N)
                 adopted, entropy = self._try_adopt(frame, key, entries, float(umap.mean()))
             except TransportFailure:
                 adopted, degraded = None, True

@@ -16,8 +16,8 @@ from JSON. See README for the full schema.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Literal, NamedTuple
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Literal, NamedTuple
 
 from ..cmaes import CmaConfig
 from ..distill import DistillConfig
@@ -30,12 +30,13 @@ from ..prompts import sparsity_budget
 __all__ = [
     "SegmentSpec",
     "AgentSpec",
+    "LimitedSpec",
+    "MassiveSpec",
     "ScenarioConfig",
     "reference_config",
     "clean_config",
 ]
 
-KINDS = ("limited", "massive")
 # A massive agent's search mode unless its cma object names one. At a
 # search's dimension (3 offsets per prompt pixel) a dense covariance learns
 # almost nothing in a few dozen generations; the diagonal model needs no
@@ -125,20 +126,55 @@ class Fault(NamedTuple):
 
 @dataclass(frozen=True)
 class AgentSpec:
-    """Static description of one agent, which runs from it: the one default
-    of each setting. Each range is checked once, by the code that uses the
-    setting: DriftTracker (smoothing, threshold, warmup), check_uncertainty
-    (mc_passes, dropout_rate), ``search_config`` (rho, cma) and this class.
+    """What both agent kinds take: an id, a stream schedule and the drift
+    detector's settings. Each range is checked once, by the code that uses
+    the setting: DriftTracker (smoothing, threshold, warmup) and the spec
+    classes. A scenario holds the spec of a kind, LimitedSpec or
+    MassiveSpec, which adds the settings of that kind's adaptation mode.
     """
 
     id: str
-    kind: str
     schedule: tuple[SegmentSpec, ...]
     smoothing: float = 0.1
     threshold: float | Literal["auto"] = "auto"   # positive number, or "auto" to calibrate
     warmup: int = 10
-    retrieval_n: int = 2              # both kinds query with it; JSON "n" sets it, limited only
-    rho: float = 0.05                 # massive only, from here on
+
+    def __post_init__(self):
+        check_fields(self)
+        if not self.schedule:
+            raise ConfigError(f"agent {self.id} needs a schedule")
+        threshold = 1.0 if self.threshold == "auto" else self.threshold  # auto: calibrated
+        DriftTracker(smoothing=self.smoothing, warmup=self.warmup, threshold=threshold)
+
+    @property
+    def total_frames(self) -> int:
+        return sum(s.frames for s in self.schedule)
+
+
+@dataclass(frozen=True)
+class LimitedSpec(AgentSpec):
+    """A limited agent: it retrieves and assembles ``retrieval_n`` pooled
+    token prompts on drift (JSON ``n``)."""
+
+    kind: ClassVar[str] = "limited"
+    retrieval_n: int = 2
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.retrieval_n < 1:
+            raise ConfigError(f"retrieval count n must be at least 1, got {self.retrieval_n!r}")
+
+
+@dataclass(frozen=True)
+class MassiveSpec(AgentSpec):
+    """A massive agent: its sparse-prompt search, the uncertainty map that
+    places the prompt's mask, its refresh trigger and how it publishes. Its
+    ranges are checked by check_uncertainty (mc_passes, dropout_rate),
+    ``search_config`` (rho, cma) and this class.
+    """
+
+    kind: ClassVar[str] = "massive"
+    rho: float = 0.05
     mc_passes: int = 4
     dropout_rate: float = 0.1
     delta_refresh: float = 0.1
@@ -146,15 +182,7 @@ class AgentSpec:
     cma: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        check_fields(self)
-        if self.kind not in KINDS:
-            raise ConfigError(f"agent kind must be one of {KINDS}, got {self.kind!r}")
-        if not self.schedule:
-            raise ConfigError(f"agent {self.id} needs a schedule")
-        threshold = 1.0 if self.threshold == "auto" else self.threshold  # auto: calibrated
-        DriftTracker(smoothing=self.smoothing, warmup=self.warmup, threshold=threshold)
-        if self.retrieval_n < 1:
-            raise ConfigError(f"retrieval count n must be at least 1, got {self.retrieval_n!r}")
+        super().__post_init__()
         check_uncertainty(self.mc_passes, self.dropout_rate)
         if self.delta_refresh < 0:
             raise ConfigError(f"delta_refresh must be non-negative, got {self.delta_refresh!r}")
@@ -170,10 +198,6 @@ class AgentSpec:
         return _build("cma", CmaConfig, dimension=dimension,
                       **{"mode": MASSIVE_SEARCH_MODE, **self.cma})
 
-    @property
-    def total_frames(self) -> int:
-        return sum(s.frames for s in self.schedule)
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -186,7 +210,7 @@ class ScenarioConfig:
     faults are named by their JSON path.
     """
 
-    agents: tuple[AgentSpec, ...] = ()
+    agents: tuple[LimitedSpec | MassiveSpec, ...] = ()
     domains: tuple[DomainSpec, ...] = ()
     seed: int = 0
     oracle: OracleSpec = field(default_factory=OracleSpec)
@@ -243,7 +267,7 @@ class ScenarioConfig:
         if len(known) != len(self.domains):
             raise ConfigError("domain ids must be unique")
         for i, a in enumerate(self.agents):
-            if a.kind == "massive":
+            if isinstance(a, MassiveSpec):
                 _build(f"agents[{i}]", a.search_config, height=h, width=w)
             for seg in a.schedule:
                 if seg.domain not in known:
@@ -272,21 +296,31 @@ class ScenarioConfig:
 
 # The JSON tables: key names, renames and the readers of nested values.
 _SEGMENT = _keys("domain frames motion")
-_AGENT = _keys("id kind warmup lambda:smoothing z:threshold",
-               schedule=_list_of(_object(_SEGMENT, SegmentSpec, "domain", "frames")))
-_AGENT_KINDS = {
-    "limited": _AGENT | _keys("n:retrieval_n"),
-    "massive": _AGENT | _keys("rho mc_passes dropout_rate delta_refresh defer_distill",
-                              cma=_object(None)),
-}
-_ANY_AGENT = _AGENT_KINDS["limited"] | _AGENT_KINDS["massive"]
+_SCHEDULE = _list_of(_object(_SEGMENT, SegmentSpec, "domain", "frames"))
+_AGENT_RENAMES = {"smoothing": "lambda", "threshold": "z", "retrieval_n": "n"}
+
+
+def _agent_keys(spec: type, **readers) -> dict:
+    """The table of an agent spec: its fields under their JSON names, and its kind."""
+    names = " ".join(f"{_AGENT_RENAMES.get(f.name, f.name)}:{f.name}" for f in fields(spec))
+    return _keys("kind " + names, schedule=_SCHEDULE, **readers)
+
+
+_AGENTS = {spec.kind: (spec, _agent_keys(spec, **readers))
+           for spec, readers in [(LimitedSpec, {}), (MassiveSpec, {"cma": _object(None)})]}
 
 
 def _agent(value, name):
-    """An AgentSpec read through its kind's table; an unknown kind takes any key."""
+    """The spec of the agent's kind, read through that kind's table."""
     kind = value.get("kind") if isinstance(value, dict) else None
-    table = _AGENT_KINDS[kind] if kind in KINDS else _ANY_AGENT
-    return _build(name, AgentSpec, **_read(value, table, name, ("id", "kind", "schedule")))
+    if kind is None:
+        _read(value, None, name, ("kind",))  # not an object, or no kind
+    if not (isinstance(kind, str) and kind in _AGENTS):
+        raise ConfigError(f"{name}: agent kind must be one of {tuple(_AGENTS)}, got {kind!r}")
+    spec, table = _AGENTS[kind]
+    values = _read(value, table, name, ("id", "schedule"))
+    del values["kind"]
+    return _build(name, spec, **values)
 
 
 _SCENARIO = _keys(

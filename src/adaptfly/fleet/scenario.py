@@ -24,7 +24,7 @@ from ..errors import MetricsFormatError
 from ..memory import PromptPool
 from ..oracle import ToyOracle, make_toy_oracle, render_frame
 from .agents import ADAPTATION_EVENTS, RECORD_COLUMNS, LimitedAgent, MassiveAgent, StepRecord
-from .config import AgentSpec, ScenarioConfig
+from .config import AgentSpec, LimitedSpec, ScenarioConfig
 from .mec import MecServer, ProvenanceLog
 from .messages import RefineTick
 from .transport import InprocClient, StreamClient
@@ -152,7 +152,7 @@ def run_scenario(config: dict | ScenarioConfig) -> ScenarioResult:
         tracker = _tracker(cfg, spec, thresholds[spec.id])
         client = client_for(spec.id)
         reply_counts[spec.id] = client.reply_counts
-        if spec.kind == "limited":
+        if isinstance(spec, LimitedSpec):
             agent = LimitedAgent(spec, oracle, client, tracker)
         else:
             agent = MassiveAgent(spec, oracle, client, tracker, cfg.distill, provenance,
@@ -298,15 +298,14 @@ def parse_metrics_csv(text: str, source: str = "metrics.csv") -> list[StepRecord
     return records
 
 
-def calibrate_scenario(config: dict | ScenarioConfig, quantile: float | None = None) -> dict:
+def calibrate_scenario(config: dict | ScenarioConfig) -> dict:
     """Drift scores of a clean scenario, reduced to one threshold.
 
-    Pools post-warmup scores across all agents' streams and returns the
-    empirical quantile (by default the scenario's ``calibration.quantile``),
-    ready to paste into a scenario config as ``z``.
+    Pools post-warmup scores across all agents' streams and returns their
+    empirical ``calibration.quantile``, ready to paste into a scenario
+    config as ``z``.
     """
     cfg = ScenarioConfig.from_dict(config) if isinstance(config, dict) else config
-    quantile = cfg.calibration_quantile if quantile is None else quantile
     oracle = make_toy_oracle(**vars(cfg.oracle))
     domains = {d.id: d for d in cfg.domains}
     scores: list[float] = []
@@ -314,7 +313,7 @@ def calibrate_scenario(config: dict | ScenarioConfig, quantile: float | None = N
         frames = (frame for _, frame in _frame_stream(oracle, domains, spec, idx))
         scores += _clean_scores(cfg, spec, oracle, frames)
     return {
-        "z": calibrate_threshold(scores, quantile),
+        "z": calibrate_threshold(scores, cfg.calibration_quantile),
         "variant": cfg.kl_variant,
-        "quantile": quantile,
+        "quantile": cfg.calibration_quantile,
     }

@@ -590,23 +590,16 @@ def planted_correction(
     return SparseVisualPrompt(coords, base[r, c, :] - frame[r, c, :], oracle.frame_shape)
 
 
-def random_domain_spec(
-    rng: np.random.Generator,
-    domain_id: str,
-    bias_floor: float = MIN_SHIFT_BIAS,
-    bias_ceil: float = 0.3,
-    noise_scale: float = 0.01,
-) -> DomainSpec:
-    """Sample a shift whose bias magnitude stays above the documented floor."""
-    if bias_floor < MIN_SHIFT_BIAS:
-        raise ConfigError(f"bias floor below the documented minimum {MIN_SHIFT_BIAS}")
+def random_domain_spec(rng: np.random.Generator, domain_id: str) -> DomainSpec:
+    """Sample a shift whose bias magnitude lies in [MIN_SHIFT_BIAS, 0.3],
+    with noise scale 0.01."""
     gain = rng.uniform(0.6, 0.95, size=3)
-    bias = rng.uniform(bias_floor, bias_ceil, size=3) * rng.choice([-1.0, 1.0], size=3)
+    bias = rng.uniform(MIN_SHIFT_BIAS, 0.3, size=3) * rng.choice([-1.0, 1.0], size=3)
     return DomainSpec(
         id=domain_id,
         gain=tuple(gain),
         bias=tuple(bias),
-        noise_scale=noise_scale,
+        noise_scale=0.01,
         seed=int(rng.integers(0, 2**31)),
     )
 

@@ -33,7 +33,7 @@ __all__ = [
 
 # Fraction of coordinates that may leave the frame during a warp before a
 # re-optimization is recommended.
-DEFAULT_DROP_THRESHOLD = 0.25
+DROP_THRESHOLD = 0.25
 
 _DTYPES = {"f32": np.float32, "f16": np.float16}
 # Significant digits that round-trip every value of each stored precision.
@@ -125,9 +125,6 @@ class TokenPrompt:
     @classmethod
     def empty(cls, dim: int) -> "TokenPrompt":
         return cls(np.zeros((0, dim)))
-
-    def astype(self, dtype: str) -> "TokenPrompt":
-        return TokenPrompt(self.values, dtype=dtype)
 
     def _values_text(self) -> str:
         """The values, row-major and comma-separated, at stored precision.
@@ -369,15 +366,11 @@ def place_mask(u: np.ndarray, k: int) -> np.ndarray:
     return np.stack(np.unravel_index(order, (h, w)), axis=1).astype(np.int64)
 
 
-def warp_svp(
-    p: SparseVisualPrompt,
-    motion: tuple[int, int],
-    drop_threshold: float = DEFAULT_DROP_THRESHOLD,
-) -> tuple[SparseVisualPrompt, bool]:
+def warp_svp(p: SparseVisualPrompt, motion: tuple[int, int]) -> tuple[SparseVisualPrompt, bool]:
     """Translate prompt coordinates by (dy, dx), dropping those that exit.
 
     Surviving coordinates keep their offsets exactly. The refresh flag is
-    true when strictly more than ``drop_threshold`` of the coordinates were
+    true when strictly more than DROP_THRESHOLD of the coordinates were
     dropped, signalling that the prompt should be re-optimized.
     """
     dy, dx = int(motion[0]), int(motion[1])
@@ -393,4 +386,4 @@ def warp_svp(
     )
     dropped_frac = 1.0 - keep.sum() / p.size
     warped = SparseVisualPrompt(shifted[keep], p.offsets[keep], p.frame_shape)
-    return warped, bool(dropped_frac > drop_threshold)
+    return warped, bool(dropped_frac > DROP_THRESHOLD)

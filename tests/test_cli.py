@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 
 from adaptfly.cli import _parse_value, main
 from adaptfly.errors import ConfigError
-from adaptfly.fleet import ScenarioConfig, clean_config, parse_metrics_csv, reference_config
+from adaptfly.fleet import (
+    AgentSpec,
+    LimitedSpec,
+    MassiveSpec,
+    ScenarioConfig,
+    clean_config,
+    parse_metrics_csv,
+    reference_config,
+)
 from adaptfly.memory import PoolConfig
 from adaptfly.oracle import OracleSpec
 
@@ -60,10 +68,10 @@ class TestRun:
         assert (out1 / "summary.json").read_text() == (out2 / "summary.json").read_text()
         assert (out1 / "metrics.csv").read_text() == (out2 / "metrics.csv").read_text()
 
-    def test_seed_flag_changes_run(self, tmp_path, config_path):
+    def test_seed_override_changes_run(self, tmp_path, config_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["run", "--config", str(config_path), "--out", str(out1), "--seed", "5"])
-        main(["run", "--config", str(config_path), "--out", str(out2), "--seed", "6"])
+        main(["run", "--config", str(config_path), "--out", str(out1), "--set", "seed=5"])
+        main(["run", "--config", str(config_path), "--out", str(out2), "--set", "seed=6"])
         s1 = json.loads((out1 / "summary.json").read_text())
         s2 = json.loads((out2 / "summary.json").read_text())
         assert s1["seed"] == 5 and s2["seed"] == 6
@@ -75,6 +83,17 @@ class TestRun:
             "--set", "pool.capacity=17", "--set", "agents.0.mc_passes=2",
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "c.json", "--out", "o", "--seed", "5"],
+        ["calibrate", "--config", "c.json", "--quantile", "0.99"],
+    ], ids=["run-seed", "calibrate-quantile"])
+    def test_a_removed_flag_is_an_unrecognized_argument(self, capsys, argv):
+        """``--set seed=N`` and ``--set calibration.quantile=q`` set these."""
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, config_path):
         out = tmp_path / "o"
@@ -158,7 +177,8 @@ class TestCalibrate:
     def test_clean_scenario_emits_threshold_json(self, tmp_path, capsys):
         path = tmp_path / "clean.json"
         path.write_text(json.dumps(clean_config(seed=0, frames=50)))
-        assert main(["calibrate", "--config", str(path), "--quantile", "0.99"]) == 0
+        assert main(["calibrate", "--config", str(path),
+                     "--set", "calibration.quantile=0.99"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"z", "variant", "quantile"}
         assert payload["z"] > 0
@@ -168,7 +188,7 @@ class TestCalibrate:
     def test_quantile_defaults_to_the_scenario_quantile(self, tmp_path, capsys):
         path = tmp_path / "clean.json"
         path.write_text(json.dumps(clean_config(seed=0, frames=50)))
-        main(["calibrate", "--config", str(path), "--quantile", "0.99"])
+        main(["calibrate", "--config", str(path), "--set", "calibration.quantile=0.99"])
         explicit = capsys.readouterr().out
         assert main(["calibrate", "--config", str(path)]) == 0
         assert capsys.readouterr().out == explicit
@@ -457,10 +477,26 @@ _SCENARIO_FIELDS = {("pool", "refine_period"): "refine_period",
                     ("calibration", "quantile"): "calibration_quantile"}
 
 
+def _retyped(spec, kind):
+    """``spec`` rebuilt as the spec type of the JSON ``kind`` from all its
+    settings, so a setting that type does not take is refused, as from JSON.
+    A value that names no kind gives a bare AgentSpec, which no scenario takes."""
+    make = next((t for t in (LimitedSpec, MassiveSpec) if t.kind == kind), None)
+    if make is None:
+        return AgentSpec(**{f.name: getattr(spec, f.name) for f in dataclasses.fields(AgentSpec)})
+    try:
+        return make(**{f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)})
+    except TypeError as exc:  # a setting of the other kind
+        raise ConfigError(str(exc)) from exc
+
+
 def _replaced(node, path, value):
     """``node`` with ``value`` at the field path of a JSON path, rebuilt by
-    dataclasses.replace (NamedTuple._replace for a fault) level by level."""
+    dataclasses.replace (NamedTuple._replace for a fault) level by level. An
+    agent's kind is its spec type."""
     key, *rest = path
+    if path == ["kind"]:
+        return _retyped(node, value)
     key = _FIELD_NAMES.get(key, key)
     if rest:
         inner = node[key] if isinstance(node, dict) or isinstance(key, int) else getattr(node, key)
@@ -557,9 +593,14 @@ class TestOneRuleSet:
     @example(path=("agents", 0, "warmup"), value=2.5)
     @example(path=("seed",), value=1.5)
     @example(path=("pool", "capacity"), value=2.5)
+    @example(path=("agents", 0, "kind"), value="hybrid")
+    @example(path=("agents", 0, "kind"), value="limited")
+    @example(path=("agents", 1, "kind"), value="massive")
+    @example(path=("agents", 1, "kind"), value="limited")
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_json_and_code_reject_the_same_values(self, path, value):
-        """null is left out: JSON reads it as an absent key."""
+        """null is left out: JSON reads it as an absent key. A kind is the
+        spec's type: another kind's spec refuses the agent's settings."""
         json_rejects, code_rejects = _rejected_from_json_and_in_code(mini_config(), path, value)
         assert json_rejects == code_rejects
 

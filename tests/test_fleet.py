@@ -38,7 +38,7 @@ from adaptfly.fleet.agents import (
     MassiveAgent,
     StepRecord,
 )
-from adaptfly.fleet.config import AgentSpec, SegmentSpec
+from adaptfly.fleet.config import AgentSpec, LimitedSpec, MassiveSpec, SegmentSpec
 from adaptfly.fleet.scenario import _calibrated_threshold
 from adaptfly.fleet import scenario as scenario_mod
 from adaptfly.fleet import transport as transport_mod
@@ -384,12 +384,11 @@ class TestAgentKeys:
     def test_each_agent_parses_to_its_spec(self):
         schedule = tuple(SegmentSpec(d, 20, (0, 0)) for d in ("base", "dusk", "fog", "rain"))
         common = {"schedule": schedule, "smoothing": 0.1, "threshold": "auto", "warmup": 6}
-        massive = AgentSpec(id="uav-h1", kind="massive", rho=0.05, mc_passes=4,
-                            dropout_rate=0.1, delta_refresh=0.5,
-                            cma={"population": 16, "elite": 8, "generations": 30,
-                                 "sigma0": 0.25}, **common)
-        limited = [AgentSpec(id=f"uav-l{i}", kind="limited", retrieval_n=2, **common)
-                   for i in (1, 2)]
+        massive = MassiveSpec(id="uav-h1", rho=0.05, mc_passes=4, dropout_rate=0.1,
+                              delta_refresh=0.5, cma={"population": 16, "elite": 8,
+                                                      "generations": 30, "sigma0": 0.25},
+                              **common)
+        limited = [LimitedSpec(id=f"uav-l{i}", retrieval_n=2, **common) for i in (1, 2)]
         assert ScenarioConfig.from_dict(reference_config(0)).agents == (massive, *limited)
         clean = ScenarioConfig.from_dict(clean_config(0, frames=60)).agents
         assert [(a.kind, a.threshold, a.warmup) for a in clean] == [
@@ -413,6 +412,43 @@ class TestAgentKeys:
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict(cfg)
         assert str(err.value).startswith("agents[0]: agent kind must be one of")
+
+    @pytest.mark.parametrize("kind", ["hybrid", 3, ["limited"]])
+    def test_a_kind_is_checked_before_any_key_is_read(self, kind):
+        cfg = reference_config(seed=0)
+        cfg["agents"][0].update(kind=kind, flavor=1)
+        del cfg["agents"][0]["id"]
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(cfg)
+        assert str(err.value) == (
+            f"agents[0]: agent kind must be one of ('limited', 'massive'), got {kind!r}")
+
+    @pytest.mark.parametrize("make, key, value", [
+        (LimitedSpec, "rho", 0.1), (LimitedSpec, "mc_passes", 2),
+        (LimitedSpec, "dropout_rate", 0.2), (LimitedSpec, "delta_refresh", 0.3),
+        (LimitedSpec, "defer_distill", True), (LimitedSpec, "cma", {"population": 2}),
+        (MassiveSpec, "retrieval_n", 2), (LimitedSpec, "kind", "limited"),
+        (MassiveSpec, "kind", "massive"),
+    ])
+    def test_a_setting_of_the_other_kind_is_refused_in_code(self, make, key, value):
+        """As from JSON: each spec takes only its own kind's settings, and
+        the kind is its type, not a setting."""
+        with pytest.raises(TypeError):
+            make(id="a", schedule=(SegmentSpec("base", 1),), **{key: value})
+
+    def test_each_spec_names_its_kind(self):
+        agents = ScenarioConfig.from_dict(reference_config(0)).agents
+        assert [a.kind for a in agents] == ["massive", "limited", "limited"]
+        assert (LimitedSpec.kind, MassiveSpec.kind) == ("limited", "massive")
+        for spec in (LimitedSpec, MassiveSpec):
+            assert "kind" not in {f.name for f in dataclasses.fields(spec)}
+
+    def test_a_bare_agent_spec_is_not_a_scenario_agent(self):
+        cfg = ScenarioConfig.from_dict(reference_config(0))
+        bare = AgentSpec(id="uav-l3", schedule=cfg.agents[1].schedule)
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(cfg, agents=(*cfg.agents, bare))
+        assert str(err.value).startswith("agents[3] must be a LimitedSpec or a MassiveSpec, got")
 
     def test_absent_keys_run_with_the_spec_defaults(self, monkeypatch):
         import adaptfly.fleet.agents as agents_mod
@@ -438,10 +474,11 @@ class TestAgentKeys:
             monkeypatch.setattr(cls, "__init__", recording(cls.__init__))
         run_scenario(cfg)
         massive, limited = made
-        default = {f.name: f.default for f in fields(AgentSpec)}  # cma: MISSING, i.e. {}
-        for agent in made:
+        default = {f.name: f.default for f in fields(MassiveSpec)}  # cma: MISSING, i.e. {}
+        limited_default = {f.name: f.default for f in fields(LimitedSpec)}
+        for agent, defaults in [(massive, default), (limited, limited_default)]:
             assert (agent.tracker.smoothing, agent.tracker.warmup) == (
-                default["smoothing"], default["warmup"])
+                defaults["smoothing"], defaults["warmup"])
         budget = sparsity_budget(default["rho"], 32, 32)
         assert massive.search == CmaConfig(dimension=3 * budget, mode="sep-cma")
         # A config that names a mode keeps it: a dense search stays available.
@@ -483,7 +520,7 @@ class TestAgentKeys:
         monkeypatch.setattr(agents_mod, "detect", lambda tracker, stats: (True, 1.0, None))
         with pytest.raises(Recorded):
             limited.step(5, frame)
-        assert seen["query"][0].n == default["retrieval_n"]
+        assert seen["query"][0].n == limited_default["retrieval_n"]
 
 
 class TestCalibration:
@@ -1210,8 +1247,8 @@ class TestByteEconomy:
         assert all(r.bytes_sent <= budget for r in uploads)
 
 
-def _spec(kind, agent_id, **settings):
-    return AgentSpec(id=agent_id, kind=kind, schedule=(SegmentSpec("d", 1),), **settings)
+def _spec(make, agent_id, **settings):
+    return make(id=agent_id, schedule=(SegmentSpec("d", 1),), **settings)
 
 
 def _agent_fixture(threshold, delta_refresh=0.5):
@@ -1221,7 +1258,7 @@ def _agent_fixture(threshold, delta_refresh=0.5):
     server = MecServer(pool, oracle, DistillConfig(rows=oracle.num_patches,
                                                    precision="f32"), provenance)
     tracker = DriftTracker(smoothing=0.1, threshold=threshold, warmup=1)
-    spec = _spec("massive", "uav-h1", rho=0.02, mc_passes=2, dropout_rate=0.1,
+    spec = _spec(MassiveSpec, "uav-h1", rho=0.02, mc_passes=2, dropout_rate=0.1,
                  delta_refresh=delta_refresh,
                  cma={"population": 8, "elite": 2, "generations": 5, "sigma0": 0.25})
     agent = MassiveAgent(
@@ -1368,7 +1405,7 @@ class TestMassiveAgentPaths:
         rec = agent.step(1, frame)
         assert rec.adaptation_event == "retrieve" and rec.retrieved == 1
         assert not rec.degraded
-        query = Query(query=tuple(oracle.query_embedding(frame)), n=agent.spec.retrieval_n,
+        query = Query(query=tuple(oracle.query_embedding(frame)), n=MassiveAgent.RETRIEVAL_N,
                       request_id=1)
         assert rec.bytes_sent == len(encode_message(query))
         assert agent.client._server.pool.size == 1 and not agent._retry_queue
@@ -1411,7 +1448,7 @@ class TestLimitedAgentPaths:
         pool = PromptPool(PoolConfig())
         server = MecServer(pool, oracle, DistillConfig(rows=4), ProvenanceLog())
         tracker = DriftTracker(smoothing=0.1, threshold=1e9, warmup=1)
-        agent = LimitedAgent(_spec("limited", "uav-l1"), oracle, InprocClient(server), tracker)
+        agent = LimitedAgent(_spec(LimitedSpec, "uav-l1"), oracle, InprocClient(server), tracker)
         frame = oracle.base_image()
         from adaptfly.oracle import mean_entropy
         rec = agent.step(0, frame)
@@ -1446,7 +1483,7 @@ class TestLimitedAgentPaths:
         pool.refine()
         server = MecServer(pool, oracle, DistillConfig(rows=4), ProvenanceLog())
         tracker = DriftTracker(smoothing=0.1, threshold=1e9, warmup=1)
-        agent = LimitedAgent(_spec("limited", "uav-l1"), oracle, InprocClient(server), tracker)
+        agent = LimitedAgent(_spec(LimitedSpec, "uav-l1"), oracle, InprocClient(server), tracker)
         monkeypatch.setattr(agents_mod, "detect", lambda tracker, stats: (True, 1.0, None))
         calls = []
         entropy_map = ToyOracle.entropy_map
@@ -1481,7 +1518,7 @@ class TestLimitedAgentPaths:
             uploader.send(RefineTick())
 
         tracker = DriftTracker(smoothing=0.1, threshold=1e9, warmup=1)
-        agent = LimitedAgent(_spec("limited", "uav-l1", retrieval_n=1), oracle,
+        agent = LimitedAgent(_spec(LimitedSpec, "uav-l1", retrieval_n=1), oracle,
                              InprocClient(server), tracker)
         monkeypatch.setattr(agents_mod, "detect", lambda tracker, stats: (True, 1.0, None))
         parsed = []

@@ -122,7 +122,7 @@ class TestSvpEntropies:
         h, w = shape
         oracle = make_toy_oracle(seed=3, height=h, width=w)
         rng = np.random.default_rng([population, h, w])
-        domain = random_domain_spec(rng, "d", noise_scale=0.02)
+        domain = dataclasses.replace(random_domain_spec(rng, "d"), noise_scale=0.02)
         x = render_frame(oracle, domain, population)
         k = int(rng.integers(1, h * w // 4))
         coords = place_mask(rng.random(shape), k)
@@ -141,7 +141,8 @@ class TestSvpEntropies:
         # must still equal a fresh per-candidate pass, whatever came before,
         # and a returned array is the caller's to change.
         rng = np.random.default_rng(11)
-        x = render_frame(oracle, random_domain_spec(rng, "d", noise_scale=0.02), 3)
+        domain = dataclasses.replace(random_domain_spec(rng, "d"), noise_scale=0.02)
+        x = render_frame(oracle, domain, 3)
         coords = place_mask(rng.random(oracle.frame_shape), 30)
         score = oracle.svp_scorer(x, coords)
         for population in (16, 1, 16, 3):
@@ -189,9 +190,12 @@ class TestPlantedShiftMonotonicity:
             h_shift = mean_entropy(oracle.predict(render_frame(oracle, spec, 0)))
             assert h_shift > h_src
 
-    def test_floor_is_enforced(self):
-        with pytest.raises(ConfigError):
-            random_domain_spec(np.random.default_rng(0), "x", bias_floor=0.01)
+    def test_drawn_biases_lie_between_the_floor_and_0_3(self):
+        rng = np.random.default_rng(0)
+        specs = [random_domain_spec(rng, f"d{i}") for i in range(200)]
+        magnitudes = np.abs([s.bias for s in specs])
+        assert magnitudes.min() >= oracle_mod.MIN_SHIFT_BIAS and magnitudes.max() <= 0.3
+        assert {s.noise_scale for s in specs} == {0.01}
 
 
 class TestStochasticForward:
