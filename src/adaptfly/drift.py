@@ -49,8 +49,8 @@ class ActivationStats:
     stds: np.ndarray
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=np.float64).ravel()
-        stds = np.asarray(self.stds, dtype=np.float64).ravel()
+        means = np.array(self.means, dtype=np.float64).ravel()
+        stds = np.array(self.stds, dtype=np.float64).ravel()
         if means.shape != stds.shape:
             raise StatsError("means and stds must have equal length")
         if not (np.all(np.isfinite(means)) and np.all(np.isfinite(stds))):
@@ -58,8 +58,9 @@ class ActivationStats:
         self._store(means, stds)
 
     def _store(self, means: np.ndarray, stds: np.ndarray) -> None:
-        """Hold the vectors read-only, the stds floored at SIGMA_FLOOR."""
-        stds = np.maximum(stds, SIGMA_FLOOR)
+        """Hold the vectors, which this object now owns, read-only; the
+        stds floored at SIGMA_FLOOR in place."""
+        np.maximum(stds, SIGMA_FLOOR, out=stds)
         means.setflags(write=False)
         stds.setflags(write=False)
         object.__setattr__(self, "means", means)
@@ -72,9 +73,9 @@ class ActivationStats:
     def _of_checked(cls, means: np.ndarray, stds: np.ndarray) -> "ActivationStats":
         """Stats from fresh float64 vectors of equal length, known to be finite.
 
-        Skips the conversions and checks of the constructor and applies only
-        its floor, so a moving average of checked stats is built as the
-        constructor would build it.
+        Skips the copies and checks of the constructor and applies only its
+        floor, in place, so stats are built as the constructor would build
+        them. The vectors must belong to no one else.
         """
         stats = object.__new__(cls)
         stats._store(means, stds)
@@ -165,22 +166,28 @@ def divergence(a: ActivationStats, b: ActivationStats, variant: str = "standard"
 
     with sa^2 - sb^2 taken as (sa - sb)(sa + sb). Every term is then
     non-negative, so a score of 1e-8 keeps all its digits instead of being
-    the small difference of two numbers near 1.
+    the small difference of two numbers near 1. The simplified variant is,
+    per channel,
+
+        (sa^2 + (ma - mb)^2) / (2 sb^2) + (sb^2 + (mb - ma)^2) / (2 sa^2).
+
+    Both are evaluated in the order written, sharing (ma - mb)^2: it is
+    (mb - ma)^2 bit for bit, as rounding is symmetric. The channel mean is
+    the one ``ndarray.mean`` computes, without its overhead.
     """
-    if len(a) != len(b):
-        raise StatsError(f"stat lengths differ: {len(a)} vs {len(b)}")
+    n = len(a)
+    if n != len(b):
+        raise StatsError(f"stat lengths differ: {n} vs {len(b)}")
+    va, vb = a.stds**2, b.stds**2
+    dm2 = (a.means - b.means) ** 2
     if variant == "standard":
-        va, vb = a.stds**2, b.stds**2
         dv = (a.stds - b.stds) * (a.stds + b.stds)
-        dm = a.means - b.means
-        total = (dv * dv + dm * dm * (va + vb)) / (2.0 * va * vb)
+        total = (dv * dv + dm2 * (va + vb)) / (2.0 * va * vb)
     elif variant == "simplified":
-        core_ab = (a.stds**2 + (a.means - b.means) ** 2) / (2.0 * b.stds**2)
-        core_ba = (b.stds**2 + (b.means - a.means) ** 2) / (2.0 * a.stds**2)
-        total = core_ab + core_ba
+        total = (va + dm2) / (2.0 * vb) + (vb + dm2) / (2.0 * va)
     else:
         raise StatsError(f"kl variant must be one of {KL_VARIANTS}")
-    return float(total.mean())
+    return float(np.add.reduce(total) / n)
 
 
 def detect(

@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .drift import ActivationStats
-from .errors import ConfigError, OracleError, check_fields
+from .errors import ConfigError, OracleError, StatsError, check_fields
 from .prompts import SparseVisualPrompt, TokenPrompt
 
 __all__ = [
@@ -58,10 +58,11 @@ __all__ = [
 # source frame, given gains in [0.6, 0.95].
 MIN_SHIFT_BIAS = 0.08
 
-# Oracles kept by make_toy_oracle, and token-prompt pixel deltas kept per
-# oracle (each about 24 KB on a 32x32 frame).
+# Oracles kept by make_toy_oracle, and token-prompt pixel deltas and shifted
+# scenes kept per oracle (each about 24 KB on a 32x32 frame).
 ORACLE_CACHE_SIZE = 8
 DELTA_CACHE_PROMPTS = 8
+SCENE_CACHE_SHIFTS = 8
 # Weight ratio between successive blocks of N prompt rows (see prompt_mix).
 POSITION_DECAY = 0.25
 
@@ -164,6 +165,8 @@ class ToyOracle(OracleSpec):
     prompt_mix_base: np.ndarray = field(repr=False)     # (N, N) orthogonal
     # id(prompt) -> (prompt, its read-only pixel delta), least recent first
     _deltas: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False)
+    # (gain, bias) -> the read-only shifted scene, least recent first
+    _scenes: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False)
 
     # -- geometry ------------------------------------------------------
 
@@ -252,8 +255,7 @@ class ToyOracle(OracleSpec):
         Kept in a small LRU keyed by ``id(tp)`` that holds the prompt
         itself, so no other prompt can take that id while it is held.
         """
-        held = self._deltas.pop(id(tp), None)
-        if held is None:
+        def build():
             if tp.dim != self.token_dim:
                 raise OracleError(
                     f"token prompt dim {tp.dim} does not match oracle dim {self.token_dim}"
@@ -261,11 +263,9 @@ class ToyOracle(OracleSpec):
             delta_tokens = self.prompt_mix(tp.rows) @ np.asarray(tp.values, np.float64)
             delta = self._unpatch(delta_tokens @ self.token_basis.T)
             delta.setflags(write=False)
-            held = (tp, delta)
-        self._deltas[id(tp)] = held
-        if len(self._deltas) > DELTA_CACHE_PROMPTS:
-            self._deltas.popitem(last=False)
-        return held[1]
+            return tp, delta
+
+        return _recent(self._deltas, id(tp), DELTA_CACHE_PROMPTS, build)[1]
 
     @cached_property
     def _affine(self) -> tuple[np.ndarray, np.ndarray]:
@@ -426,16 +426,23 @@ class ToyOracle(OracleSpec):
         mean is w_k . mu + b_k and its population variance w_k' Sigma w_k,
         where mu and Sigma are the frame's 3-vector pixel mean and centred
         3x3 covariance. Equals ``compute_stats(stem_features(x))`` up to
-        rounding, without building the (stem_channels, H, W) tensor.
+        rounding, without building the (stem_channels, H, W) tensor. Raises
+        StatsError, as the ``ActivationStats`` constructor does, unless both
+        vectors are finite, also for a NaN, infinite or overflowing frame.
         """
         channels = np.ascontiguousarray(self._check_image(x).reshape(-1, 3).T)
         pixels = channels.shape[1]
-        mu = channels.sum(axis=1) / pixels
-        centred = channels - mu[:, None]
-        cov = np.einsum("ip,jp->ij", centred, centred) / pixels
         w = self.stem_weight
-        var = np.einsum("ki,ij,kj->k", w, cov, w)
-        return ActivationStats(w @ mu + self.stem_bias, np.sqrt(np.maximum(var, 0.0)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            mu = channels.sum(axis=1) / pixels
+            centred = channels - mu[:, None]
+            cov = np.einsum("ip,jp->ij", centred, centred) / pixels
+            var = np.einsum("ki,ij,kj->k", w, cov, w)
+            means = w @ mu + self.stem_bias
+            stds = np.sqrt(np.maximum(var, 0.0))
+        if not (np.isfinite(means).all() and np.isfinite(stds).all()):
+            raise StatsError("activation statistics must be finite")
+        return ActivationStats._of_checked(means, stds)
 
     def query_embedding(self, x: np.ndarray) -> np.ndarray:
         """Unit-normalized domain embedding, used as pool key and query.
@@ -485,6 +492,29 @@ class ToyOracle(OracleSpec):
         base = self.prototypes[self.layout]
         base.setflags(write=False)
         return base
+
+    def _shifted_scene(self, domain: DomainSpec) -> np.ndarray:
+        """``gain * base + bias`` of a domain, read-only: the noiseless frame
+        at offset (0, 0), computed once per shift."""
+        def build():
+            scene = self._base * np.asarray(domain.gain)
+            scene += np.asarray(domain.bias)
+            scene.setflags(write=False)
+            return scene
+
+        return _recent(self._scenes, (domain.gain, domain.bias), SCENE_CACHE_SHIFTS, build)
+
+
+def _recent(cache: OrderedDict, key, limit: int, build):
+    """``cache[key]``, from ``build()`` on a miss; the cache keeps its
+    ``limit`` most recently used keys."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = build()
+    cache[key] = value
+    if len(cache) > limit:
+        cache.popitem(last=False)
+    return value
 
 
 def check_uncertainty(passes: int, dropout_rate: float) -> None:
@@ -558,16 +588,23 @@ def render_frame(
 
     Deterministic given (oracle, domain, frame_index, offset); the result
     is ``clip(gain * base + bias + noise_scale * z, 0, 1)`` with z standard
-    normal, computed in place in that order.
+    normal from ``default_rng([domain.seed, frame_index])``, bit for bit.
+    The oracle keeps each shift's scene s = gain * base + bias; an offset
+    rolls s, which commutes with the per-channel map. The frame is then
+    built in the noise array: z *= noise_scale; z += s; clip in place.
+    IEEE addition commutes, so noise_scale * z + s is s + noise_scale * z
+    in every bit. The returned array is new and writeable.
     """
-    x = oracle.base_image(offset) * np.asarray(domain.gain)
-    x += np.asarray(domain.bias)
+    scene = oracle._shifted_scene(domain)
+    if offset != (0, 0):
+        scene = np.roll(scene, shift=(int(offset[0]), int(offset[1])), axis=(0, 1))
     if domain.noise_scale > 0:
         rng = np.random.default_rng([domain.seed, int(frame_index) % (2**63)])
-        z = rng.standard_normal(x.shape)
+        z = rng.standard_normal(scene.shape)
         z *= domain.noise_scale
-        x += z
-    return np.clip(x, 0.0, 1.0, out=x)
+        z += scene
+        return np.clip(z, 0.0, 1.0, out=z)
+    return np.clip(scene, 0.0, 1.0)
 
 
 def planted_correction(

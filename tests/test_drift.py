@@ -186,6 +186,71 @@ class TestDivergence:
             )
 
 
+def _stats_pairs():
+    """Two stat summaries of one length, means in +-1e6 and stds from the
+    floor to 1e6, with the floored ones kept."""
+    def summary(n):
+        means = st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)
+        stds = st.lists(st.one_of(st.just(SIGMA_FLOOR), st.floats(0.0, 1e6)),
+                        min_size=n, max_size=n)
+        return st.builds(ActivationStats, means, stds)
+
+    return st.integers(1, 16).flatmap(lambda n: st.tuples(summary(n), summary(n)))
+
+
+class TestFastPathFormulas:
+    """divergence and ema_update equal their docstring formulas bit for bit."""
+
+    @given(_stats_pairs())
+    @settings(deadline=None)
+    def test_divergence_equals_the_formulas(self, pair):
+        a, b = pair
+        sa, sb, ma, mb = a.stds, b.stds, a.means, b.means
+        va, vb = sa**2, sb**2
+        dv = (sa - sb) * (sa + sb)
+        dm = ma - mb
+        standard = (dv * dv + dm * dm * (va + vb)) / (2.0 * va * vb)
+        simplified = ((sa**2 + (ma - mb) ** 2) / (2.0 * sb**2)
+                      + (sb**2 + (mb - ma) ** 2) / (2.0 * sa**2))
+        assert divergence(a, b, "standard") == float(standard.mean())
+        assert divergence(a, b, "simplified") == float(simplified.mean())
+        assert not (a.means.flags.writeable or a.stds.flags.writeable)
+
+    @given(_stats_pairs(), st.floats(0.0, 1.0))
+    @settings(deadline=None)
+    def test_ema_update_equals_the_formula(self, pair, lam):
+        old, new = pair
+        tracker = DriftTracker(smoothing=lam, warmup=0, ema=old)
+        ema_update(tracker, new)
+        expected = ActivationStats(lam * new.means + (1.0 - lam) * old.means,
+                                   lam * new.stds + (1.0 - lam) * old.stds)
+        assert np.array_equal(tracker.ema.means, expected.means)
+        assert np.array_equal(tracker.ema.stds, expected.stds)
+        assert not (tracker.ema.means.flags.writeable or tracker.ema.stds.flags.writeable)
+
+
+class TestStatsOwnTheirVectors:
+    def test_constructor_copies_the_callers_arrays(self):
+        m, s = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.0, 2.0])
+        stats = ActivationStats(m, s)
+        m[0], s[0] = 99.0, 99.0
+        assert stats.means.tolist() == [1.0, 2.0, 3.0]
+        assert stats.stds.tolist() == [0.5, SIGMA_FLOOR, 2.0]
+        assert not (stats.means.flags.writeable or stats.stds.flags.writeable)
+
+    def test_the_floor_never_writes_into_the_callers_arrays(self):
+        s = np.array([[0.0, 1e-9], [3.0, -1.0]])
+        grid = np.zeros((2, 2))
+        stats = ActivationStats(grid, s)
+        assert s.tolist() == [[0.0, 1e-9], [3.0, -1.0]] and grid.flags.writeable
+        assert stats.stds.tolist() == [SIGMA_FLOOR, SIGMA_FLOOR, 3.0, SIGMA_FLOOR]
+        tracker = DriftTracker(smoothing=0.5, warmup=0)
+        ema_update(tracker, stats)
+        ema_update(tracker, ActivationStats(np.ones(4), np.zeros(4)))
+        assert stats.stds.tolist() == [SIGMA_FLOOR, SIGMA_FLOOR, 3.0, SIGMA_FLOOR]
+        assert s.tolist() == [[0.0, 1e-9], [3.0, -1.0]]
+
+
 def synthetic_stream(n_frames, channels=8, seed=0, shift_at=None, shift_size=0.0):
     """Per-frame activation stats with optional mean shift injection."""
     rng = np.random.default_rng(seed)

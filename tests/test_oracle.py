@@ -6,7 +6,7 @@ import pytest
 
 import adaptfly.oracle as oracle_mod
 
-from adaptfly.drift import SIGMA_FLOOR, compute_stats
+from adaptfly.drift import SIGMA_FLOOR, ActivationStats, compute_stats
 from adaptfly.errors import ConfigError, OracleError, StatsError
 from adaptfly.oracle import (
     DomainSpec,
@@ -350,6 +350,49 @@ class TestSceneRendering:
         assert np.array_equal(base, before)
         assert np.array_equal(base, oracle.prototypes[oracle.layout])
 
+    @staticmethod
+    def _brute_force(oracle, domain, index, offset):
+        """clip(gain * base + bias + noise_scale * z) from a fresh noise stream."""
+        base = np.roll(oracle.prototypes[oracle.layout], offset, axis=(0, 1))
+        z = np.random.default_rng([domain.seed, index % 2**63]).standard_normal(base.shape)
+        x = np.asarray(domain.gain) * base + np.asarray(domain.bias)
+        if domain.noise_scale > 0:
+            x = x + domain.noise_scale * z
+        return np.clip(x, 0.0, 1.0)
+
+    def test_cached_scenes_render_as_the_brute_force_formula(self):
+        oracle = make_toy_oracle(seed=11)
+        rng = np.random.default_rng(5)
+        # More shifts than the cache holds, revisited in turn, so scenes are
+        # evicted and rebuilt; the noiseless twin of each shift shares its scene.
+        domains = [random_domain_spec(rng, f"d{i}")
+                   for i in range(oracle_mod.SCENE_CACHE_SHIFTS + 3)]
+        domains += [dataclasses.replace(d, id=d.id + "-still", noise_scale=0.0)
+                    for d in domains[:3]]
+        for sweep in range(3):
+            for i, domain in enumerate(domains):
+                for index, offset in ((sweep, (0, 0)), (-(i + 1), (0, 0)),
+                                      (7 - i, (i - 4, 3 * sweep - 2)), (2**64 + i, (32, -33))):
+                    x = render_frame(oracle, domain, index, offset)
+                    assert np.array_equal(x, self._brute_force(oracle, domain, index, offset))
+                    assert x.flags.writeable and x.flags.owndata
+                assert len(oracle._scenes) <= oracle_mod.SCENE_CACHE_SHIFTS
+        assert all(not s.flags.writeable for s in oracle._scenes.values())
+
+    @pytest.mark.parametrize("noise_scale", [0.0, 0.05])
+    @pytest.mark.parametrize("offset", [(0, 0), (2, -3)])
+    def test_mutating_a_frame_does_not_reach_the_cache(self, oracle, noise_scale, offset):
+        domain = DomainSpec(id="d", gain=(0.8, 0.7, 0.9), bias=(0.1, -0.05, 0.02),
+                            noise_scale=noise_scale, seed=4)
+        expected = self._brute_force(oracle, domain, 3, offset)
+        for _ in range(2):
+            x = render_frame(oracle, domain, 3, offset)
+            assert np.array_equal(x, expected)
+            x[...] = 123.0
+            x += 1.0
+        assert np.array_equal(render_frame(oracle, domain, 3, (0, 0)),
+                              self._brute_force(oracle, domain, 3, (0, 0)))
+
     def test_token_prompt_moves_effective_pixels(self, oracle, source):
         rng = np.random.default_rng(13)
         tp = TokenPrompt(rng.normal(scale=0.05, size=(8, oracle.token_dim)))
@@ -389,11 +432,31 @@ class TestStemStats:
         stats = self._assert_matches(oracle, np.full((16, 24, 3), value))
         assert np.all(stats.stds == SIGMA_FLOOR)
 
-    def test_non_finite_frame_rejected(self, oracle, source):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, (np.inf, -np.inf), 1e308])
+    def test_non_finite_frame_rejected(self, oracle, source, bad):
         x = source.copy()
-        x[3, 4, 1] = np.nan
+        x[3, 4, 1], x[5, 6, 1] = np.broadcast_to(bad, 2)
         with pytest.raises(StatsError):
             oracle.stem_stats(x)
+
+    def test_equals_the_constructor_on_the_same_moments(self, oracle):
+        """Bit for bit, the stats the public constructor builds from the
+        closed-form moments, floor included."""
+        rng = np.random.default_rng(8)
+        frames = [render_frame(oracle, random_domain_spec(rng, "d"), i) for i in range(20)]
+        frames += [oracle.base_image(), np.full((oracle.height, oracle.width, 3), 0.3)]
+        w, b = oracle.stem_weight, oracle.stem_bias
+        for x in frames:
+            channels = np.ascontiguousarray(x.reshape(-1, 3).T)
+            mu = channels.sum(axis=1) / channels.shape[1]
+            centred = channels - mu[:, None]
+            cov = np.einsum("ip,jp->ij", centred, centred) / channels.shape[1]
+            var = np.einsum("ki,ij,kj->k", w, cov, w)
+            expected = ActivationStats(w @ mu + b, np.sqrt(np.maximum(var, 0.0)))
+            stats = oracle.stem_stats(x)
+            assert np.array_equal(stats.means, expected.means)
+            assert np.array_equal(stats.stds, expected.stds)
+            assert not (stats.means.flags.writeable or stats.stds.flags.writeable)
 
     def test_shape_check(self, oracle):
         with pytest.raises(OracleError):
