@@ -1,8 +1,12 @@
 """Per-agent adaptation loops.
 
+Each agent applies at most one prompt on a frame, held in ``prompt``: an
+adopted token-prompt assembly, a searched sparse visual prompt, or None
+for an unprompted model.
+
 Limited agents are forward-only: on detected drift they fetch the most
 similar token prompts from the server, assemble them, and keep predicting
-with the cached assembly until the next drift. They never optimize.
+with the adopted assembly until the next drift. They never optimize.
 
 Massive agents, on drift or on a refresh, first query the pool the same
 way and adopt a relevant assembly that lowers the frame's entropy; only
@@ -69,7 +73,8 @@ class _Agent:
     through ``_query`` and ``_try_adopt``; ``_record`` builds the step's
     metrics row with the bytes moved since ``_sense``. ``step`` stays in
     each kind's own body, so the two kinds' steps can be wrapped and timed
-    apart.
+    apart. ``prompt`` is the prompt in use, None when unprompted, and
+    ``_entropy`` the frame's mean entropy under it.
     """
 
     # A retrieved assembly is adopted only when the best hit's key actually
@@ -85,7 +90,7 @@ class _Agent:
         self.oracle = oracle
         self.client = client
         self.tracker = tracker
-        self.cached = TokenPrompt(np.zeros((0, 0)))  # the adopted assembly, if any
+        self.prompt: TokenPrompt | SparseVisualPrompt | None = None
         self._request_id = 0
 
     def _sense(self, frame: np.ndarray):
@@ -119,6 +124,18 @@ class _Agent:
         if adapted < baseline - 1e-9 * (1.0 + baseline):
             return candidate, adapted
         return None, baseline
+
+    def _entropy(self, frame: np.ndarray, base: np.ndarray | None = None) -> float:
+        """Mean entropy of ``frame`` under ``self.prompt``. ``base`` is the
+        frame's unprompted entropy map when the caller already has it; a
+        sparse prompt re-scores only its pixels on it, which equals the full
+        prompted map bit for bit."""
+        p = self.prompt
+        if isinstance(p, TokenPrompt):
+            return float(self.oracle.entropy_map(frame, p).mean())
+        if p is not None:
+            return float(self.oracle.svp_scorer(frame, p.coords, base)(p.offsets[None])[0])
+        return float((self.oracle.entropy_map(frame) if base is None else base).mean())
 
     def _record(self, t: int, domain_tag: str | None, shift: bool, score: float,
                 event: str, entropy: float, **outcome) -> StepRecord:
@@ -156,29 +173,22 @@ class LimitedAgent(_Agent):
             try:
                 entries = self._query(q, self.spec.retrieval_n)
                 adopted, entropy = self._try_adopt(frame, q, entries)
-                if adopted is not None:
-                    self.cached = adopted
-                    retrieved = len(entries)
-                    ids = tuple(e.entry_id for e in entries)
-                    if ids != self._adopted_ids:
-                        # Genuinely new content: re-arm detection for the
-                        # next shift. Re-pulling the same entries (a tail
-                        # score on a quiet stream) must not re-anchor, or
-                        # the settling window could blind the detector
-                        # across a real boundary.
-                        self._adopted_ids = ids
-                        reset_reference(self.tracker, stats)
-                else:
-                    # A detected shift expires the stale assembly: it was
-                    # selected for the previous domain. The agent predicts
-                    # unprompted until a relevant prompt can be adopted.
-                    self.cached = TokenPrompt(np.zeros((0, 0)))
-                    self._adopted_ids = ()
+                # A detected shift expires the stale assembly: it was selected
+                # for the previous domain. Without an adoption the agent
+                # predicts unprompted until a relevant prompt can be adopted.
+                ids = () if adopted is None else tuple(e.entry_id for e in entries)
+                if ids and ids != self._adopted_ids:
+                    # Genuinely new content: re-arm detection for the next
+                    # shift. Re-pulling the same entries (a tail score on a
+                    # quiet stream) must not re-anchor, or the settling
+                    # window could blind the detector across a real boundary.
+                    reset_reference(self.tracker, stats)
+                self.prompt, self._adopted_ids, retrieved = adopted, ids, len(ids)
             except TransportFailure:
                 degraded = True  # previous assembly stays in use
 
         if entropy is None:
-            entropy = float(self.oracle.entropy_map(frame, self.cached).mean())
+            entropy = self._entropy(frame)
         return self._record(t, domain_tag, shift, score, event, entropy,
                             retrieved=retrieved, degraded=degraded)
 
@@ -197,9 +207,6 @@ class MassiveAgent(_Agent):
         self.distill_config = distill_config
         self.provenance = provenance
         self.seed = seed
-        self._no_svp = SparseVisualPrompt.zeros(np.zeros((0, 2), dtype=np.int64),
-                                                oracle.frame_shape)
-        self.current_svp = self._no_svp
         self.ref_umap: np.ndarray | None = None
         self._domain_window: list[np.ndarray] = []
         self._retry_queue: list = []
@@ -240,9 +247,7 @@ class MassiveAgent(_Agent):
         coords = place_mask(mc_map, self.search.dimension // 3)  # three offsets per pixel
         config = replace(self.search, seed=self._cma_seed(t))
         result = optimize_svp(self.oracle, frame, coords, config, base=umap)
-        self.current_svp = result.prompt
-        self.ref_umap = umap
-        self.cached = TokenPrompt(np.zeros((0, 0)))
+        self.prompt, self.ref_umap = result.prompt, umap
 
         if self.spec.defer_distill:  # the server distills on demand, from this record
             self.provenance.record(self.spec.id, t, self._domain_window, result.prompt)
@@ -277,11 +282,11 @@ class MassiveAgent(_Agent):
             self._domain_window.append(frame)
             self._domain_window = self._domain_window[-self.distill_config.frames :]
 
-        if self.cached.rows and not shift:
+        if isinstance(self.prompt, TokenPrompt) and not shift:
             # An adopted assembly has no sparse prompt to warp: the prompted
             # map is the step's one forward pass.
-            entropy = float(self.oracle.entropy_map(frame, self.cached).mean())
-            return self._record(t, domain_tag, shift, score, "none", entropy, degraded=degraded)
+            return self._record(t, domain_tag, shift, score, "none", self._entropy(frame),
+                                degraded=degraded)
 
         # The frame's one unprompted forward pass, noise-free so the refresh
         # trigger compares scene change rather than Monte-Carlo jitter. It is
@@ -292,14 +297,13 @@ class MassiveAgent(_Agent):
         if shift:
             event = "optimize"
             reset_reference(self.tracker, stats)  # re-arm detection for the next shift
-        elif self.current_svp.size:
-            warped, refresh = warp_svp(self.current_svp, motion)
+        elif self.prompt is not None:
+            warped, refresh = warp_svp(self.prompt, motion)
             ref = self.ref_umap
             moved = float(np.abs(umap - ref).sum()) / max(float(np.abs(ref).sum()), 1e-12)
             event = "optimize" if refresh or moved > self.spec.delta_refresh else "warp"
         else:
             event = "none"
-            entropy = float(umap.mean())
 
         retrieved = 0
         if event == "optimize":
@@ -313,14 +317,13 @@ class MassiveAgent(_Agent):
             except TransportFailure:
                 adopted, degraded = None, True
             if adopted is not None:
-                event, retrieved = "retrieve", len(entries)
-                self.cached, self.current_svp = adopted, self._no_svp
+                event, retrieved, self.prompt = "retrieve", len(entries), adopted
             else:
                 entropy, dropped = self._optimize(t, frame, domain_tag, umap, key)
                 degraded |= dropped
-        elif event == "warp":
-            self.current_svp = warped
-            score_warped = self.oracle.svp_scorer(frame, warped.coords, umap)
-            entropy = float(score_warped(warped.offsets[None])[0])
+        else:
+            if event == "warp":
+                self.prompt = warped
+            entropy = self._entropy(frame, umap)
         return self._record(t, domain_tag, shift, score, event, entropy,
                             retrieved=retrieved, degraded=degraded)

@@ -1,4 +1,5 @@
-"""Golden outputs of ``reference_config(0..4)``: metrics.csv and summary.json.
+"""Golden outputs of ``reference_config(0..4)``: metrics.csv, summary.json
+and pool.jsonl.
 
     PYTHONPATH=src python tests/golden.py
 
@@ -12,20 +13,27 @@ moved in CHANGES.md.
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 SEEDS = range(5)
 DATA = Path(__file__).resolve().parent / "data" / "reference"
 
 
-def outputs(seed: int, transport: str = "inproc") -> tuple[str, str]:
-    """metrics.csv and summary.json of ``reference_config(seed)``, as
-    ``adaptfly run`` writes them."""
+NAMES = ("metrics.csv", "summary.json", "pool.jsonl")
+
+
+def outputs(seed: int, transport: str = "inproc") -> tuple[str, str, str]:
+    """metrics.csv, summary.json and pool.jsonl of ``reference_config(seed)``,
+    as ``adaptfly run`` writes them."""
     from adaptfly.fleet import metrics_csv, reference_config, run_scenario
 
     result = run_scenario(reference_config(seed, transport=transport))
     summary = json.dumps(result.summary, indent=2, sort_keys=True) + "\n"
-    return metrics_csv(result.records), summary
+    with tempfile.TemporaryDirectory() as tmp:
+        result.pool.save(Path(tmp) / "pool.jsonl")
+        pool = (Path(tmp) / "pool.jsonl").read_text("utf-8")
+    return metrics_csv(result.records), summary, pool
 
 
 def path(seed: int, name: str) -> Path:
@@ -34,10 +42,9 @@ def path(seed: int, name: str) -> Path:
 
 def main() -> int:
     for seed in SEEDS:
-        metrics, summary = outputs(seed)
-        path(seed, "metrics.csv").parent.mkdir(parents=True, exist_ok=True)
-        path(seed, "metrics.csv").write_text(metrics, encoding="utf-8")
-        path(seed, "summary.json").write_text(summary, encoding="utf-8")
+        path(seed, "").mkdir(parents=True, exist_ok=True)
+        for name, text in zip(NAMES, outputs(seed)):
+            path(seed, name).write_text(text, encoding="utf-8")
         print(f"wrote {path(seed, '')}")
     return 0
 

@@ -57,7 +57,7 @@ from adaptfly.oracle import (
     planted_correction,
     render_frame,
 )
-from adaptfly.prompts import TokenPrompt, number_vector, place_mask
+from adaptfly.prompts import SparseVisualPrompt, TokenPrompt, number_vector, place_mask
 
 
 def mini_config(seed=0, transport="inproc", frames=10):
@@ -1278,7 +1278,7 @@ class TestMassiveAgentPaths:
         agent.step(0, frame)           # warmup frame, no adaptation
         agent._optimize(1, frame, None, oracle.entropy_map(frame),  # seed an active prompt
                         oracle.query_embedding(frame))
-        assert agent.current_svp.size > 0
+        assert agent.prompt.size > 0
         # Huge motion expels most prompt pixels: refresh fires.
         rec = agent.step(2, np.roll(frame, 28, axis=1), motion=(0, 28))
         assert rec.adaptation_event == "optimize"
@@ -1314,7 +1314,13 @@ class TestMassiveAgentPaths:
         # A step runs the unprompted pass (an entropy map or predict
         # without a token prompt, or the deterministic trigger map) exactly
         # once, except a quiet step that keeps an adopted assembly: it runs
-        # the prompted map alone.
+        # the prompted map alone. After every step of every agent, the prompt
+        # in use is None, an assembly with rows or a non-empty sparse prompt
+        # (never one on a limited agent), and a new one comes only from the
+        # step that makes it: an assembly from an adoption, a sparse prompt
+        # from a search or a warp. A non-degraded limited retrieval that
+        # adopts nothing leaves no prompt; every other step keeps the one
+        # held before it.
         from adaptfly.oracle import ToyOracle
         from adaptfly.prompts import apply_svp
 
@@ -1337,17 +1343,47 @@ class TestMassiveAgentPaths:
             passes[-1][0] += (n, rate) == (1, 0.0)
             return umap(self, x, n, rate, seed)
 
-        step = MassiveAgent.step
+        def check_prompt(agent, before, rec):
+            p, event = agent.prompt, rec.adaptation_event
+            kinds = TokenPrompt if isinstance(agent, LimitedAgent) else (TokenPrompt,
+                                                                         SparseVisualPrompt)
+            assert p is None or (isinstance(p, kinds)
+                                 and (p.rows if isinstance(p, TokenPrompt) else p.size) > 0)
+            if event == "retrieve" and rec.retrieved:
+                assert isinstance(p, TokenPrompt) and p is not before
+            elif event == "retrieve" and not rec.degraded:
+                assert p is None
+            elif event in ("optimize", "warp"):
+                assert isinstance(p, SparseVisualPrompt) and p is not before
+            else:
+                assert p is before, event
+
+        def prompted_entropy(agent, frame):
+            p = agent.prompt
+            if isinstance(p, TokenPrompt):
+                return float(entropy_map(agent.oracle, frame, p).mean())
+            x = frame if p is None else apply_svp(frame, p)
+            return float(entropy_map(agent.oracle, x).mean())
+
+        limited_step, step = LimitedAgent.step, MassiveAgent.step
+        limited = []
+
+        def checked_limited_step(agent, t, frame, *args, **kwargs):
+            passes.append([0, 0])
+            before = agent.prompt
+            rec = limited_step(agent, t, frame, *args, **kwargs)
+            check_prompt(agent, before, rec)
+            assert rec.mean_entropy == prompted_entropy(agent, frame)
+            limited.append(rec.adaptation_event)
+            return rec
 
         def checked_step(agent, t, frame, *args, **kwargs):
             passes.append([0, 0])
-            held = agent.cached.rows > 0
+            before = agent.prompt
+            held = isinstance(before, TokenPrompt)
             rec = step(agent, t, frame, *args, **kwargs)
-            assert not (agent.cached.rows and agent.current_svp.size)
-            if agent.cached.rows:
-                full = float(entropy_map(agent.oracle, frame, agent.cached).mean())
-            else:
-                full = float(entropy_map(agent.oracle, apply_svp(frame, agent.current_svp)).mean())
+            check_prompt(agent, before, rec)
+            full = prompted_entropy(agent, frame)
             cached_step = held and not rec.shift_flag
             checked.append((rec.adaptation_event, rec.mean_entropy, full, tuple(passes[-1]),
                             cached_step))
@@ -1357,7 +1393,9 @@ class TestMassiveAgentPaths:
         monkeypatch.setattr(ToyOracle, "predict", counted_predict)
         monkeypatch.setattr(ToyOracle, "uncertainty_map", counted_umap)
         monkeypatch.setattr(MassiveAgent, "step", checked_step)
+        monkeypatch.setattr(LimitedAgent, "step", checked_limited_step)
         run_scenario(reference_config(0))
+        assert len(limited) == 160 and {"none", "retrieve"} == set(limited)
         assert {event for event, *_ in checked} == {"none", "optimize", "warp", "retrieve"}
         assert len(checked) == 80
         assert any(cached_step for *_, cached_step in checked)
@@ -1409,13 +1447,13 @@ class TestMassiveAgentPaths:
                       request_id=1)
         assert rec.bytes_sent == len(encode_message(query))
         assert agent.client._server.pool.size == 1 and not agent._retry_queue
-        assert agent.cached.rows and agent.current_svp.size == 0
-        assert rec.mean_entropy == float(oracle.entropy_map(frame, agent.cached).mean())
+        assert isinstance(agent.prompt, TokenPrompt) and agent.prompt.rows
+        assert rec.mean_entropy == float(oracle.entropy_map(frame, agent.prompt).mean())
         assert rec.mean_entropy < float(oracle.entropy_map(frame).mean())
         shift[0] = False                            # a quiet step keeps the assembly
         rec = agent.step(2, frame)
         assert (rec.adaptation_event, rec.bytes_sent, rec.bytes_received) == ("none", 0, 0)
-        assert rec.mean_entropy == float(oracle.entropy_map(frame, agent.cached).mean())
+        assert rec.mean_entropy == float(oracle.entropy_map(frame, agent.prompt).mean())
 
     def test_dropped_query_falls_back_to_search_and_queues_the_upload(self, monkeypatch):
         import adaptfly.fleet.agents as agents_mod
@@ -1426,7 +1464,7 @@ class TestMassiveAgentPaths:
         rec = agent.step(1, frame)
         assert rec.adaptation_event == "optimize" and rec.degraded
         assert rec.bytes_sent == 0 and rec.retrieved == 0
-        assert agent.current_svp.size and not agent.cached.rows
+        assert isinstance(agent.prompt, SparseVisualPrompt) and agent.prompt.size
         (upload,) = agent._retry_queue
         assert isinstance(upload, UploadPrompt) and upload.timestamp == 1
         drop[0] = False
@@ -1440,6 +1478,61 @@ class TestMassiveAgentPaths:
 
         assert "_try_adopt" in vars(_Agent)
         assert all("_try_adopt" not in vars(kind) for kind in (LimitedAgent, MassiveAgent))
+
+    def test_warp_step_holds_the_warped_prompt(self):
+        oracle, agent = _agent_fixture(threshold=1e9)
+        domain = DomainSpec(id="d", gain=(0.8, 0.78, 0.85), bias=(-0.2, 0.15, 0.1),
+                            noise_scale=0.0, seed=1)
+        frame = render_frame(oracle, domain, 0)
+        agent.step(0, frame)
+        agent._optimize(1, frame, None, oracle.entropy_map(frame), oracle.query_embedding(frame))
+        searched = agent.prompt
+        rec = agent.step(2, np.roll(frame, 1, axis=1), motion=(0, 1))
+        assert rec.adaptation_event == "warp"
+        inside = searched.coords[:, 1] + 1 < oracle.frame_shape[1]
+        np.testing.assert_array_equal(agent.prompt.coords, searched.coords[inside] + (0, 1))
+        np.testing.assert_array_equal(agent.prompt.offsets, searched.offsets[inside])
+
+
+class _FixedEntropy:
+    """An oracle stub with fixed entropy maps: ``base`` unprompted,
+    ``prompted`` under any token prompt with rows."""
+
+    def __init__(self, base: float, prompted: float):
+        self.base, self.prompted = np.full((2, 2), base), np.full((2, 2), prompted)
+
+    def entropy_map(self, x, tp=None):
+        return self.prompted if tp is not None and tp.rows else self.base
+
+
+class TestTryAdopt:
+    """The adoption check's two thresholds, each at its edge."""
+
+    KEY = np.array([1.0, 0.0])
+    AT_FLOOR = np.array([0.9, np.sqrt(0.19)])  # similarity exactly 0.9 with KEY
+
+    def _adopt(self, base, prompted, q=AT_FLOOR):
+        from adaptfly.fleet.agents import _Agent
+
+        agent = _Agent(_spec(LimitedSpec, "uav-l1"), _FixedEntropy(base, prompted), None, None)
+        entry = PoolEntry(entry_id=0, key=self.KEY, value=TokenPrompt(np.ones((1, 2))),
+                          timestamp=0, agent_id="uav-h1")
+        return agent._try_adopt(np.zeros((2, 2, 3)), q, [entry])
+
+    def test_a_hit_exactly_at_the_similarity_floor_is_assembled_and_checked(self):
+        from adaptfly.fleet.agents import _Agent
+
+        assert float(self.AT_FLOOR @ self.KEY) == _Agent.ADOPT_SIMILARITY_FLOOR == 0.9
+        adopted, entropy = self._adopt(0.5, 0.25)
+        assert adopted is not None and adopted.rows == 1 and entropy == 0.25
+        below = np.array([np.nextafter(0.9, 0.0), np.sqrt(0.19)])
+        assert self._adopt(0.5, 0.25, below) == (None, None)  # neither assembled nor checked
+
+    def test_a_drop_within_the_margin_is_not_adopted(self):
+        # The margin is 1e-9 * (1 + baseline) = 1.5e-9 at a baseline of 0.5.
+        assert self._adopt(0.5, 0.5 - 1e-9) == (None, 0.5)
+        adopted, entropy = self._adopt(0.5, 0.5 - 2e-9)
+        assert adopted is not None and entropy == 0.5 - 2e-9
 
 
 class TestLimitedAgentPaths:
@@ -1495,7 +1588,7 @@ class TestLimitedAgentPaths:
         assert rec.adaptation_event == "retrieve"
         assert (rec.retrieved > 0) == adopted
         assert len(calls) == 2
-        prompt = agent.cached if agent.cached.rows else None
+        prompt = agent.prompt
         assert rec.mean_entropy == float(entropy_map(oracle, frame, prompt).mean())
 
     def test_reply_entries_are_parsed_once_per_held_dict(self, monkeypatch):
