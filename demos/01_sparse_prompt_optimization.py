@@ -1,11 +1,12 @@
 """Walk through gradient-free sparse-prompt adaptation on a single frame.
 
 A synthetic scene is rendered under a channel-wise appearance shift, the
-most uncertain pixels are located with Monte-Carlo dropout, and the
-additive RGB offsets at those pixels are optimized to minimize mean
-prediction entropy -- once with each update mode: full covariance
-matrix adaptation, its diagonal (separable) form that massive agents run,
-and the literal elite estimation-of-distribution update.
+most uncertain pixels are located on the frame's entropy map, as a massive
+agent places its mask, and the additive RGB offsets at those pixels are
+optimized to minimize mean prediction entropy -- once with each update
+mode: full covariance matrix adaptation, its diagonal (separable) form
+that massive agents run, and the literal elite estimation-of-distribution
+update.
 """
 
 from adaptfly.cmaes import MODES, CmaConfig, masked_mean_entropy, optimize_svp
@@ -33,7 +34,7 @@ print(f"source-domain mean entropy : {mean_entropy(oracle.predict(source)):.4f} 
 print(f"shifted-domain mean entropy: {mean_entropy(oracle.predict(frame)):.4f} nats")
 
 # Step 1: uncertainty-aware placement.
-umap = oracle.uncertainty_map(frame, passes=4, dropout_rate=0.1, seed=9)
+umap = oracle.entropy_map(frame)
 budget = sparsity_budget(0.05, *oracle.frame_shape)
 coords = place_mask(umap, budget)
 print(f"\nprompt budget: {budget} pixels ({100 * budget / umap.size:.1f}% of the frame)")

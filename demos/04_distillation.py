@@ -28,7 +28,7 @@ frames = [render_frame(oracle, domain, i) for i in range(5)]
 
 # The sparse prompt being distilled: the planted correction at the most
 # uncertain pixels of the first frame.
-umap = oracle.uncertainty_map(frames[0], passes=4, dropout_rate=0.1, seed=2)
+umap = oracle.entropy_map(frames[0])
 coords = place_mask(umap, 51)
 svp = planted_correction(oracle, domain, 0, coords)
 

@@ -10,11 +10,12 @@ with the adopted assembly until the next drift. They never optimize.
 
 Massive agents, on drift or on a refresh, first query the pool the same
 way and adopt a relevant assembly that lowers the frame's entropy; only
-when none is adopted do they optimize a sparse visual prompt, distill it
-into a token prompt (or register a deferred marker) and upload it. On
-quiet frames they keep predicting with an adopted assembly, or warp the
-searched prompt along the known camera motion, refreshing when the warp
-sheds too many pixels or the uncertainty map moves materially.
+when none is adopted do they optimize a sparse visual prompt, masked on
+the frame's most uncertain pixels, distill it into a token prompt (or
+register a deferred marker) and upload it. On quiet frames they keep
+predicting with an adopted assembly, or warp the searched prompt along
+the known camera motion, refreshing when the warp sheds too many pixels
+or the frame's entropy map moves materially.
 """
 
 from __future__ import annotations
@@ -211,10 +212,7 @@ class MassiveAgent(_Agent):
         self._domain_window: list[np.ndarray] = []
         self._retry_queue: list = []
 
-    # Per-step deterministic seed streams.
-    def _mc_seed(self, t: int) -> int:
-        return (self.seed * 1_000_003 + t) % (2**31)
-
+    # The search's per-step deterministic seed stream.
     def _cma_seed(self, t: int) -> int:
         return (self.seed * 7_777_777 + t + 1) % (2**31)
 
@@ -234,17 +232,14 @@ class MassiveAgent(_Agent):
                   umap: np.ndarray, key: np.ndarray) -> tuple[float, bool]:
         """Full adaptation: place mask, search offsets, publish.
 
-        ``umap`` is the frame's entropy map; it becomes the refresh
-        reference and the search's unprompted base. ``key``, the frame's
-        query embedding, keys the upload.
-        The searched prompt replaces any adopted assembly. Returns the
+        ``umap`` is the frame's entropy map; it places the mask on the most
+        uncertain pixels and becomes the refresh reference and the search's
+        unprompted base. ``key``, the frame's query embedding, keys the
+        upload. The searched prompt replaces any adopted assembly. Returns the
         search's best entropy and whether the upload was dropped (and
         queued for retry).
         """
-        mc_map = self.oracle.uncertainty_map(
-            frame, self.spec.mc_passes, self.spec.dropout_rate, self._mc_seed(t)
-        )
-        coords = place_mask(mc_map, self.search.dimension // 3)  # three offsets per pixel
+        coords = place_mask(umap, self.search.dimension // 3)  # three offsets per pixel
         config = replace(self.search, seed=self._cma_seed(t))
         result = optimize_svp(self.oracle, frame, coords, config, base=umap)
         self.prompt, self.ref_umap = result.prompt, umap
@@ -288,11 +283,10 @@ class MassiveAgent(_Agent):
             return self._record(t, domain_tag, shift, score, "none", self._entropy(frame),
                                 degraded=degraded)
 
-        # The frame's one unprompted forward pass, noise-free so the refresh
-        # trigger compares scene change rather than Monte-Carlo jitter. It is
-        # also the adoption check's baseline, the search's base, the entropy
-        # of every pixel a warped prompt leaves alone, and the step's entropy
-        # when nothing adapts.
+        # The frame's one unprompted forward pass: the refresh trigger's map,
+        # the adoption check's baseline, the map a search places its mask on
+        # and its base, the entropy of every pixel a warped prompt leaves
+        # alone, and the step's entropy when nothing adapts.
         umap = self.oracle.entropy_map(frame)
         if shift:
             event = "optimize"

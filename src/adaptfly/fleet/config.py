@@ -24,7 +24,7 @@ from ..distill import DistillConfig
 from ..drift import KL_VARIANTS, MIN_CALIBRATION_SCORES, DriftTracker, check_quantile
 from ..errors import ConfigError, check_fields, check_keys
 from ..memory import PoolConfig
-from ..oracle import DomainSpec, OracleSpec, check_uncertainty, patch_count
+from ..oracle import DomainSpec, OracleSpec, patch_count
 from ..prompts import sparsity_budget
 
 __all__ = [
@@ -167,23 +167,20 @@ class LimitedSpec(AgentSpec):
 
 @dataclass(frozen=True)
 class MassiveSpec(AgentSpec):
-    """A massive agent: its sparse-prompt search, the uncertainty map that
-    places the prompt's mask, its refresh trigger and how it publishes. Its
-    ranges are checked by check_uncertainty (mc_passes, dropout_rate),
-    ``search_config`` (rho, cma) and this class.
+    """A massive agent: its sparse-prompt search, its refresh trigger and
+    how it publishes. The search masks the frame's most uncertain pixels on
+    its entropy map. Its ranges are checked by ``search_config`` (rho, cma)
+    and this class.
     """
 
     kind: ClassVar[str] = "massive"
     rho: float = 0.05
-    mc_passes: int = 4
-    dropout_rate: float = 0.1
     delta_refresh: float = 0.1
     defer_distill: bool = False
     cma: dict = field(default_factory=dict)
 
     def __post_init__(self):
         super().__post_init__()
-        check_uncertainty(self.mc_passes, self.dropout_rate)
         if self.delta_refresh < 0:
             raise ConfigError(f"delta_refresh must be non-negative, got {self.delta_refresh!r}")
         # a search sets its own dimension and seed
@@ -370,8 +367,7 @@ def reference_config(seed: int = 0, transport: str = "inproc") -> dict:
              "noise_scale": 0.01, "seed": 404 + seed},
         ],
         "agents": [
-            {"id": "uav-h1", "kind": "massive", "rho": 0.05, "mc_passes": 4,
-             "dropout_rate": 0.1, "delta_refresh": 0.5,
+            {"id": "uav-h1", "kind": "massive", "rho": 0.05, "delta_refresh": 0.5,
              "cma": {"population": 16, "elite": 8, "generations": 30, "sigma0": 0.25},
              **agent_common()},
             {"id": "uav-l1", "kind": "limited", "n": 2, **agent_common()},

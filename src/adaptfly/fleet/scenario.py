@@ -136,15 +136,17 @@ def run_scenario(config: dict | ScenarioConfig) -> ScenarioResult:
     clock = {"t": -1}
     fault_set = set(cfg.faults)
 
-    def client_for(agent_id: str):
+    def client_for(agent_id: str | None):
+        """An agent's client, which drops what it sends at the steps its
+        faults name; with None, the refine-tick controller's, which no fault
+        names, even when an agent's id is "__controller__"."""
         def fault_hook(_msg):
             return (agent_id, clock["t"]) in fault_set
 
-        if cfg.transport == "stream":
-            return StreamClient(server, fault_hook)
-        return InprocClient(server, fault_hook)
+        client = StreamClient if cfg.transport == "stream" else InprocClient
+        return client(server, None if agent_id is None else fault_hook)
 
-    controller = client_for("__controller__")
+    controller = client_for(None)
 
     thresholds, streams = _thresholds(cfg, oracle, domains)
     agents, reply_counts = [], {}

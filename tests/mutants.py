@@ -65,6 +65,11 @@ MUTANTS = (
     Mutant("quiet step keeps any prompt unwarped", AGENTS,
            "if isinstance(self.prompt, TokenPrompt) and not shift:",
            "if self.prompt is not None and not shift:"),
+    Mutant("mask on the negated map", AGENTS, "place_mask(umap,", "place_mask(-umap,"),
+    Mutant("stale served text", "src/adaptfly/fleet/mec.py",
+           "text = self._texts.get(entry)",
+           "text = next((t for e, t in self._texts.items() "
+           "if e.entry_id == entry.entry_id), None)"),
 )
 
 # Survivors that no test can kill, by name, with the reason they change

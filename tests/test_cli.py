@@ -80,7 +80,7 @@ class TestRun:
         out = tmp_path / "o"
         code = main([
             "run", "--config", str(config_path), "--out", str(out),
-            "--set", "pool.capacity=17", "--set", "agents.0.mc_passes=2",
+            "--set", "pool.capacity=17", "--set", "agents.0.delta_refresh=0.4",
         ])
         assert code == 0
 
@@ -95,13 +95,21 @@ class TestRun:
         assert exit_.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
-    def test_unknown_config_key_rejected(self, tmp_path, config_path):
+    @pytest.mark.parametrize("dotted, named", [
+        ("pool.flavor=3", "unknown key(s) ['flavor'] in pool"),
+        # The mask is placed on the step's entropy map: neither kind takes
+        # the removed Monte-Carlo dropout settings.
+        ("agents.0.mc_passes=4", "unknown key(s) ['mc_passes'] in agents[0]"),
+        ("agents.1.dropout_rate=0.1", "unknown key(s) ['dropout_rate'] in agents[1]"),
+    ])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, config_path, dotted, named):
         out = tmp_path / "o"
         code = main([
             "run", "--config", str(config_path), "--out", str(out),
-            "--set", "pool.flavor=3",
+            "--set", dotted,
         ])
         assert code == 2
+        assert named in capsys.readouterr().err
 
 
 class TestMalformedArguments:
@@ -380,7 +388,7 @@ class TestMalformedConfigs:
         ("faults", [{"agent": "uav-h1", "step": -1}], "faults[0]: step -1"),
         ("oracle.height", 30, "oracle: "),
         ("agents.0.rho", 0, "agents[0]: "),
-        ("agents.0.dropout_rate", 1.0, "agents[0]: "),
+        ("agents.0.delta_refresh", -1, "agents[0]: "),
         ("provenance_window", 0, "provenance_window "),
         # An id is a metrics.csv field: report could not read the run's own table.
         ("agents.1.id", "uav,l1", "agents[1].id "),

@@ -276,12 +276,12 @@ OUT_OF_RANGE = [
     ("calibration.quantile", 0, "calibration: quantile must lie in (0, 1], got 0.0"),
     ("oracle.height", 30, "oracle: frame 30x32"),
     ("agents.0.rho", 0, "agents[0]: a massive agent's rho"),
-    ("agents.0.dropout_rate", 1.0, "agents[0]: dropout rate"),
+    ("agents.0.cma.sigma0", 0, "agents[0]: cma: initial std"),
     ("agents.0.lambda", 2, "agents[0]: smoothing factor"),
     ("agents.0.warmup", -1, "agents[0]: warmup"),
     ("agents.0.z", 0, "agents[0]: threshold"),
     ("agents.1.n", 0, "agents[1]: retrieval count n"),
-    ("agents.0.mc_passes", 0, "agents[0]: uncertainty estimation"),
+    ("agents.0.cma.generations", 0, "agents[0]: cma: generations"),
     ("agents.0.delta_refresh", -0.1, "agents[0]: delta_refresh"),
     ("agents.0.rho", 1.5, "agents[0]: sparsity ratio"),
     # A fault must name an agent: the controller's ticks and typos are rejected.
@@ -384,9 +384,9 @@ class TestAgentKeys:
     def test_each_agent_parses_to_its_spec(self):
         schedule = tuple(SegmentSpec(d, 20, (0, 0)) for d in ("base", "dusk", "fog", "rain"))
         common = {"schedule": schedule, "smoothing": 0.1, "threshold": "auto", "warmup": 6}
-        massive = MassiveSpec(id="uav-h1", rho=0.05, mc_passes=4, dropout_rate=0.1,
-                              delta_refresh=0.5, cma={"population": 16, "elite": 8,
-                                                      "generations": 30, "sigma0": 0.25},
+        massive = MassiveSpec(id="uav-h1", rho=0.05, delta_refresh=0.5,
+                              cma={"population": 16, "elite": 8, "generations": 30,
+                                   "sigma0": 0.25},
                               **common)
         limited = [LimitedSpec(id=f"uav-l{i}", retrieval_n=2, **common) for i in (1, 2)]
         assert ScenarioConfig.from_dict(reference_config(0)).agents == (massive, *limited)
@@ -398,6 +398,9 @@ class TestAgentKeys:
         (1, "rho", 0.1), (1, "mc_passes", 2), (1, "dropout_rate", 0.2),
         (1, "delta_refresh", 0.3), (1, "defer_distill", True),
         (1, "cma", {"population": 2, "elite": 8}), (0, "n", 2),
+        # The mask is placed on the step's entropy map: no kind takes the
+        # Monte-Carlo dropout map's settings.
+        (0, "mc_passes", 2), (0, "dropout_rate", 0.2),
     ])
     def test_a_key_of_the_other_kind_is_unknown(self, index, key, value):
         cfg = reference_config(seed=0)
@@ -405,6 +408,11 @@ class TestAgentKeys:
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict(cfg)
         assert str(err.value) == f"unknown key(s) ['{key}'] in agents[{index}]"
+
+    def test_a_massive_spec_holds_nine_settings(self):
+        assert [f.name for f in dataclasses.fields(MassiveSpec)] == [
+            "id", "schedule", "smoothing", "threshold", "warmup",
+            "rho", "delta_refresh", "defer_distill", "cma"]
 
     def test_an_unknown_kind_is_named_before_its_keys(self):
         cfg = reference_config(seed=0)
@@ -428,7 +436,8 @@ class TestAgentKeys:
         (LimitedSpec, "dropout_rate", 0.2), (LimitedSpec, "delta_refresh", 0.3),
         (LimitedSpec, "defer_distill", True), (LimitedSpec, "cma", {"population": 2}),
         (MassiveSpec, "retrieval_n", 2), (LimitedSpec, "kind", "limited"),
-        (MassiveSpec, "kind", "massive"),
+        (MassiveSpec, "kind", "massive"), (MassiveSpec, "mc_passes", 2),
+        (MassiveSpec, "dropout_rate", 0.2),
     ])
     def test_a_setting_of_the_other_kind_is_refused_in_code(self, make, key, value):
         """As from JSON: each spec takes only its own kind's settings, and
@@ -455,7 +464,6 @@ class TestAgentKeys:
         from dataclasses import fields, replace
 
         from adaptfly.cmaes import CmaConfig
-        from adaptfly.oracle import ToyOracle
         from adaptfly.prompts import sparsity_budget
 
         cfg = mini_config(seed=0, frames=2)
@@ -498,20 +506,12 @@ class TestAgentKeys:
                 raise Recorded
             return capture
 
-        uncertainty_map = ToyOracle.uncertainty_map
-
-        def uncertainty(self, x, passes, rate, seed):
-            seen["passes"] = (passes, rate)
-            return uncertainty_map(self, x, passes, rate, seed)
-
-        monkeypatch.setattr(ToyOracle, "uncertainty_map", uncertainty)
         monkeypatch.setattr(agents_mod, "optimize_svp", record("search"))
         frame = massive.oracle.base_image()
         with pytest.raises(Recorded):
             massive._optimize(5, frame, None, massive.oracle.entropy_map(frame),
                               massive.oracle.query_embedding(frame))
         _, _, coords, search = seen["search"]
-        assert seen["passes"] == (default["mc_passes"], default["dropout_rate"])
         assert coords.shape == (budget, 2)
         assert search == replace(massive.search, seed=massive._cma_seed(5))
 
@@ -1223,6 +1223,20 @@ class TestFaultInjection:
         assert any(r.degraded for r in l1)
         assert all(r.retrieved == 0 for r in l1)
 
+    def test_a_fault_on_an_agent_named_like_the_controller_spares_refine_ticks(self):
+        """Faults name agents, and any id is an agent's: a fault on an agent
+        called "__controller__" drops only what that agent sends. Here it
+        sends nothing at step 1, where the controller sends a refine tick."""
+        cfg = reference_config(0)
+        cfg["agents"][2]["id"] = "__controller__"
+        tables = []
+        for transport in ("inproc", "stream"):
+            cfg["transport"] = transport
+            tables.append(metrics_csv(run_scenario({**cfg, "faults": []}).records))
+            tables.append(metrics_csv(run_scenario(
+                {**cfg, "faults": [{"agent": "__controller__", "step": 1}]}).records))
+        assert len(set(tables)) == 1
+
 
 class TestByteEconomy:
     def test_query_cost_independent_of_image_size(self):
@@ -1258,8 +1272,7 @@ def _agent_fixture(threshold, delta_refresh=0.5):
     server = MecServer(pool, oracle, DistillConfig(rows=oracle.num_patches,
                                                    precision="f32"), provenance)
     tracker = DriftTracker(smoothing=0.1, threshold=threshold, warmup=1)
-    spec = _spec(MassiveSpec, "uav-h1", rho=0.02, mc_passes=2, dropout_rate=0.1,
-                 delta_refresh=delta_refresh,
+    spec = _spec(MassiveSpec, "uav-h1", rho=0.02, delta_refresh=delta_refresh,
                  cma={"population": 8, "elite": 2, "generations": 5, "sigma0": 0.25})
     agent = MassiveAgent(
         spec, oracle, InprocClient(server), tracker,
@@ -1312,7 +1325,7 @@ class TestMassiveAgentPaths:
         # prompt re-scored on the trigger map, or the adopted assembly's
         # prompted map) equals the full prompted entropy map bit for bit.
         # A step runs the unprompted pass (an entropy map or predict
-        # without a token prompt, or the deterministic trigger map) exactly
+        # without a token prompt, or any pass of uncertainty_map) exactly
         # once, except a quiet step that keeps an adopted assembly: it runs
         # the prompted map alone. After every step of every agent, the prompt
         # in use is None, an assembly with rows or a non-empty sparse prompt
@@ -1340,7 +1353,7 @@ class TestMassiveAgentPaths:
             return predict(self, x, tp)
 
         def counted_umap(self, x, n, rate, seed):
-            passes[-1][0] += (n, rate) == (1, 0.0)
+            passes[-1][0] += n
             return umap(self, x, n, rate, seed)
 
         def check_prompt(agent, before, rec):
@@ -1408,6 +1421,24 @@ class TestMassiveAgentPaths:
                 assert unprompted == 1, event
             if event == "retrieve":
                 assert prompted == 1
+
+    def test_every_search_masks_the_step_entropy_map(self, monkeypatch):
+        """The mask takes the most uncertain pixels of the map the step
+        already has: the frame's unprompted entropy map."""
+        import adaptfly.fleet.agents as agents_mod
+        from adaptfly.cmaes import optimize_svp
+
+        searches = []
+
+        def recording(oracle, frame, coords, config, **kwargs):
+            searches.append((oracle, frame, coords, config.dimension // 3))
+            return optimize_svp(oracle, frame, coords, config, **kwargs)
+
+        monkeypatch.setattr(agents_mod, "optimize_svp", recording)
+        result = run_scenario(reference_config(0))
+        assert len(searches) == sum(r.adaptation_event == "optimize" for r in result.records) > 0
+        for oracle, frame, coords, k in searches:
+            assert np.array_equal(coords, place_mask(oracle.entropy_map(frame), k))
 
     @staticmethod
     def _pooled(drop=(False,)):

@@ -190,7 +190,7 @@ def test_malformed_boundary_inputs_raise_only_adaptfly_errors(tmp_path):
     # --set values: a mutated value at each of these paths.
     overrides = {
         "seed": b"11", "transport": b"stream", "pool.capacity": b"64", "pool.eta": b"0.5",
-        "agents.0.rho": b"0.05", "agents.0.mc_passes": b"4", "agents.0.cma.sigma0": b"0.3",
+        "agents.0.rho": b"0.05", "agents.0.delta_refresh": b"0.5", "agents.0.cma.sigma0": b"0.3",
         "agents.1.n": b"2",
         "domains.1.gain": b"[0.8, 0.7, 0.9]", "domains.2.noise_scale": b"0.01",
         "faults": b'[{"agent": "uav-l2", "step": 4}]', "oracle.temperature": b"0.08",
