@@ -32,7 +32,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import ConfigError, FitnessError, check_fields
-from .prompts import SparseVisualPrompt, apply_svp
+from .prompts import SparseVisualPrompt
 
 __all__ = [
     "CmaConfig",
@@ -410,13 +410,6 @@ def optimize_svp(
         history=tuple(history),
         evaluations=1 + config.population * len(history),
     )
-
-
-def masked_mean_entropy(oracle, x: np.ndarray, p: SparseVisualPrompt) -> float:
-    """Mean per-pixel entropy restricted to the prompt's coordinates."""
-    ent = oracle.entropy_map(apply_svp(x, p))
-    r, c = p.coords[:, 0], p.coords[:, 1]
-    return float(ent[r, c].mean())
 
 
 # -- benchmark harness ----------------------------------------------------

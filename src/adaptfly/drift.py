@@ -5,11 +5,11 @@ features. A tracker keeps an exponential moving average of these
 statistics and flags a shift whenever the symmetric Gaussian KL divergence
 between the incoming frame and the average exceeds a threshold.
 
-Two KL variants are available. "standard" is the full closed form for
-univariate Gaussians and scores identical distributions as 0; it is the
-default for detection. "simplified" drops the log-variance and constant
-terms, scoring identical distributions as 0.5 per direction, and is kept
-for bit-faithful comparison against detectors specified that way.
+Two KL variants are available. The detector uses "standard", the full
+closed form for univariate Gaussians, which scores identical distributions
+as 0. "simplified" drops the log-variance and constant terms, scoring
+identical distributions as 0.5 per direction; it is kept as a library
+reference for bit-faithful comparison against detectors specified that way.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ class DriftTracker:
     smoothing: float
     warmup: int
     threshold: float = 1.0
-    kl_variant: str = "standard"
     ema: ActivationStats | None = None
     frames_seen: int = 0
 
@@ -119,8 +118,6 @@ class DriftTracker:
             raise ConfigError(f"threshold must be positive, got {self.threshold!r}")
         if self.warmup < 0:
             raise ConfigError(f"warmup must be non-negative, got {self.warmup!r}")
-        if self.kl_variant not in KL_VARIANTS:
-            raise ConfigError(f"kl variant must be one of {KL_VARIANTS}")
 
 
 def ema_update(tracker: DriftTracker, stats: ActivationStats) -> DriftTracker:
@@ -203,7 +200,7 @@ def detect(
     if tracker.ema is None or tracker.frames_seen < tracker.warmup:
         score, shift = 0.0, False
     else:
-        score = divergence(tracker.ema, stats, tracker.kl_variant)
+        score = divergence(tracker.ema, stats)
         shift = score > tracker.threshold
     ema_update(tracker, stats)
     tracker.frames_seen += 1

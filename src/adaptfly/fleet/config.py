@@ -21,7 +21,7 @@ from typing import ClassVar, Literal, NamedTuple
 
 from ..cmaes import CmaConfig
 from ..distill import DistillConfig
-from ..drift import KL_VARIANTS, MIN_CALIBRATION_SCORES, DriftTracker, check_quantile
+from ..drift import MIN_CALIBRATION_SCORES, DriftTracker, check_quantile
 from ..errors import ConfigError, check_fields, check_keys
 from ..memory import PoolConfig
 from ..oracle import DomainSpec, OracleSpec, patch_count
@@ -37,10 +37,10 @@ __all__ = [
     "clean_config",
 ]
 
-# A massive agent's search mode unless its cma object names one. At a
-# search's dimension (3 offsets per prompt pixel) a dense covariance learns
-# almost nothing in a few dozen generations; the diagonal model needs no
-# factorization.
+# A massive agent's search mode. At a search's dimension (3 offsets per
+# prompt pixel) a dense covariance learns almost nothing in a few dozen
+# generations; the diagonal model needs no factorization, so a run's
+# results do not depend on the BLAS thread count.
 MASSIVE_SEARCH_MODE = "sep-cma"
 
 # An id is a metrics.csv field and, in a merged pool entry, one of a
@@ -183,17 +183,17 @@ class MassiveSpec(AgentSpec):
         super().__post_init__()
         if self.delta_refresh < 0:
             raise ConfigError(f"delta_refresh must be non-negative, got {self.delta_refresh!r}")
-        # a search sets its own dimension and seed
-        check_keys(self.cma, set(CmaConfig.__dataclass_fields__) - {"dimension", "seed"}, "cma")
+        # a search sets its own dimension, seed and mode, and keeps sep-CMA's
+        # default covariance floor
+        check_keys(self.cma, ("population", "elite", "generations", "sigma0"), "cma")
 
     def search_config(self, height: int, width: int) -> CmaConfig:
         """``cma`` at three offsets per sparsity_budget(rho, height, width)
-        pixel, in MASSIVE_SEARCH_MODE unless ``cma`` names a mode."""
+        pixel, in MASSIVE_SEARCH_MODE."""
         if not self.rho > 0:
             raise ConfigError(f"a massive agent's rho must be positive, got {self.rho!r}")
         dimension = 3 * sparsity_budget(self.rho, height, width)
-        return _build("cma", CmaConfig, dimension=dimension,
-                      **{"mode": MASSIVE_SEARCH_MODE, **self.cma})
+        return _build("cma", CmaConfig, dimension=dimension, mode=MASSIVE_SEARCH_MODE, **self.cma)
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,6 @@ class ScenarioConfig:
     pool: PoolConfig = field(default_factory=PoolConfig)
     refine_period: int = 2
     transport: Literal["inproc", "stream"] = "inproc"
-    kl_variant: str = "standard"
     distill: DistillConfig | dict = field(default_factory=dict)
     calibration_frames: int = 120
     calibration_quantile: float = 0.99
@@ -229,8 +228,6 @@ class ScenarioConfig:
             rows = patch_count(h, w, self.oracle.patch)
             distill = _build("distill", DistillConfig, **{"rows": rows, **self.distill})
             object.__setattr__(self, "distill", distill)
-        if self.kl_variant not in KL_VARIANTS:
-            raise ConfigError(f"kl_variant must be one of {KL_VARIANTS}")
         for name, value in [("pool.refine_period", self.refine_period),
                             ("provenance_window", self.provenance_window),
                             ("calibration.frames", self.calibration_frames)]:
@@ -321,7 +318,7 @@ def _agent(value, name):
 
 
 _SCENARIO = _keys(
-    "seed transport kl_variant provenance_window",
+    "seed transport provenance_window",
     oracle=_object(_keys(" ".join(OracleSpec.__dataclass_fields__)), OracleSpec),
     domains=_list_of(_object(_keys("id gain bias noise_scale seed"), DomainSpec, "id")),
     agents=_list_of(_agent),
@@ -376,7 +373,6 @@ def reference_config(seed: int = 0, transport: str = "inproc") -> dict:
         "pool": {"capacity": 64, "tau_merge": 0.95, "eta": 0.3, "refine_period": 2},
         "distill": {"rows": None, "steps": 8, "frames": 5, "precision": "f32"},
         "transport": transport,
-        "kl_variant": "standard",
     }
 
 
@@ -394,5 +390,4 @@ def clean_config(seed: int = 0, frames: int = 60) -> dict:
             for agent_id, kind in [("uav-h1", "massive"), ("uav-l1", "limited")]
         ],
         "transport": "inproc",
-        "kl_variant": "standard",
     }

@@ -49,11 +49,8 @@ class ScenarioResult:
     summary: dict
 
 
-def _tracker(cfg: ScenarioConfig, spec: AgentSpec, threshold: float = 1.0) -> DriftTracker:
-    return DriftTracker(
-        smoothing=spec.smoothing, threshold=threshold, warmup=spec.warmup,
-        kl_variant=cfg.kl_variant,
-    )
+def _tracker(spec: AgentSpec, threshold: float = 1.0) -> DriftTracker:
+    return DriftTracker(smoothing=spec.smoothing, threshold=threshold, warmup=spec.warmup)
 
 
 def _frame_stream(oracle: ToyOracle, domains: dict, spec: AgentSpec, agent_index: int):
@@ -75,9 +72,9 @@ def _frame_stream(oracle: ToyOracle, domains: dict, spec: AgentSpec, agent_index
             t += 1
 
 
-def _clean_scores(cfg: ScenarioConfig, spec: AgentSpec, oracle: ToyOracle, frames) -> list[float]:
+def _clean_scores(spec: AgentSpec, oracle: ToyOracle, frames) -> list[float]:
     """Drift scores of a frame stream against a fresh tracker, after warmup."""
-    tracker = _tracker(cfg, spec)
+    tracker = _tracker(spec)
     scores = [detect(tracker, oracle.stem_stats(f))[1] for f in frames]
     return scores[spec.warmup :]
 
@@ -95,17 +92,17 @@ def _calibrated_threshold(
         render_frame(oracle, domain, frame_index=-(i + 1))
         for i in range(cfg.calibration_frames)
     )
-    return calibrate_threshold(_clean_scores(cfg, spec, oracle, frames), cfg.calibration_quantile)
+    return calibrate_threshold(_clean_scores(spec, oracle, frames), cfg.calibration_quantile)
 
 
 def _thresholds(cfg: ScenarioConfig, oracle: ToyOracle, domains: dict) -> tuple[dict, int]:
     """Each agent's detection threshold by id, and the number of clean
     streams rendered; a numeric ``z`` is used as given.
 
-    Besides the run's own settings (KL variant, calibration frames and
-    quantile, oracle), a calibrated threshold depends only on the first
-    domain, the smoothing and the warmup, so agents with ``z: "auto"``
-    that share all three share one stream.
+    Besides the run's own settings (calibration frames and quantile,
+    oracle), a calibrated threshold depends only on the first domain, the
+    smoothing and the warmup, so agents with ``z: "auto"`` that share all
+    three share one stream.
     """
     sharing: dict[tuple[str, float, int], list[AgentSpec]] = {}
     thresholds = {}
@@ -151,7 +148,7 @@ def run_scenario(config: dict | ScenarioConfig) -> ScenarioResult:
     thresholds, streams = _thresholds(cfg, oracle, domains)
     agents, reply_counts = [], {}
     for idx, spec in enumerate(cfg.agents):
-        tracker = _tracker(cfg, spec, thresholds[spec.id])
+        tracker = _tracker(spec, thresholds[spec.id])
         client = client_for(spec.id)
         reply_counts[spec.id] = client.reply_counts
         if isinstance(spec, LimitedSpec):
@@ -313,9 +310,8 @@ def calibrate_scenario(config: dict | ScenarioConfig) -> dict:
     scores: list[float] = []
     for idx, spec in enumerate(cfg.agents):
         frames = (frame for _, frame in _frame_stream(oracle, domains, spec, idx))
-        scores += _clean_scores(cfg, spec, oracle, frames)
+        scores += _clean_scores(spec, oracle, frames)
     return {
         "z": calibrate_threshold(scores, cfg.calibration_quantile),
-        "variant": cfg.kl_variant,
         "quantile": cfg.calibration_quantile,
     }

@@ -521,7 +521,7 @@ class PromptPool:
         mark at or below a stored id is malformed, and so is an entry_id
         that a line before already holds. Keys written as decimal
         number lists, as before they travelled as base64, load bit for bit
-        too.
+        too. Blank lines are skipped, before the mark too.
         """
         pool = cls(config)
         entries = []
@@ -534,7 +534,8 @@ class PromptPool:
                     continue
                 obj = parse_json(line, PoolFormatError, f"{path} line {lineno}", line=lineno)
                 try:
-                    if lineno == 1 and isinstance(obj, dict) and set(obj) == {"next_id"}:
+                    if (mark is None and not entries  # the first non-blank line
+                            and isinstance(obj, dict) and set(obj) == {"next_id"}):
                         mark = obj["next_id"]
                         if type(mark) is not int or not 0 <= mark < 2**63:
                             raise PoolFormatError("next_id must be a non-negative 64-bit integer")

@@ -61,6 +61,14 @@ class TestRun:
         assert str(missing) in err
         assert err.count("\n") == 1  # single-line diagnostic
 
+    def test_out_under_a_regular_file_exits_2_in_one_line(self, tmp_path, capsys, config_path):
+        """The output directory cannot be made: the OSError is named, not raised."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["run", "--config", str(config_path), "--out", str(blocker / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("adaptfly: [Errno 20] Not a directory") and err.count("\n") == 1
+
     def test_same_config_and_seed_identical_summary(self, tmp_path, config_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["run", "--config", str(config_path), "--out", str(out1)])
@@ -101,6 +109,10 @@ class TestRun:
         # the removed Monte-Carlo dropout settings.
         ("agents.0.mc_passes=4", "unknown key(s) ['mc_passes'] in agents[0]"),
         ("agents.1.dropout_rate=0.1", "unknown key(s) ['dropout_rate'] in agents[1]"),
+        # The detector's divergence and the massive search's mode and
+        # covariance floor are fixed, not settings.
+        ('kl_variant="simplified"', "unknown key(s) ['kl_variant'] in the scenario"),
+        ("agents.0.cma.cov_floor=1e-9", "agents[0]: unknown key(s) ['cov_floor'] in cma"),
     ])
     def test_unknown_config_key_rejected(self, tmp_path, capsys, config_path, dotted, named):
         out = tmp_path / "o"
@@ -188,9 +200,8 @@ class TestCalibrate:
         assert main(["calibrate", "--config", str(path),
                      "--set", "calibration.quantile=0.99"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"z", "variant", "quantile"}
+        assert set(payload) == {"z", "quantile"}
         assert payload["z"] > 0
-        assert payload["variant"] == "standard"
         assert payload["quantile"] == 0.99
 
     def test_quantile_defaults_to_the_scenario_quantile(self, tmp_path, capsys):
@@ -380,7 +391,7 @@ class TestMalformedConfigs:
         ("pool.eta", 0, "pool: "),
         ("pool.tau_merge", -0.5, "pool: "),
         ("agents.0.cma.elite", 40, "agents[0]: cma: "),
-        ("agents.0.cma.mode", "x", "agents[0]: cma: "),
+        ("agents.0.cma.mode", "full-cma", "agents[0]: unknown key(s) ['mode'] in cma"),
         ("distill.precision", "f64", "distill: "),
         ("calibration.frames", 35, "calibration.frames "),
         ("calibration.quantile", 0, "calibration: quantile "),

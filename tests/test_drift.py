@@ -284,11 +284,15 @@ class TestTrackerSettings:
         ({"threshold": None}, "threshold"),
         ({"warmup": 2.5}, "warmup"),
         ({"warmup": True}, "warmup"),
-        ({"kl_variant": ["standard"]}, "kl_variant"),
     ])
     def test_setting_of_another_kind_is_a_config_error(self, settings, named):
         with pytest.raises(ConfigError, match=named):
             DriftTracker(**{"smoothing": 0.1, "warmup": 3, **settings})
+
+    def test_the_divergence_is_not_a_setting(self):
+        """The detector scores with the standard symmetric KL."""
+        with pytest.raises(TypeError, match="kl_variant"):
+            DriftTracker(smoothing=0.1, warmup=3, kl_variant="standard")
 
 
 class TestDetect:

@@ -270,7 +270,7 @@ OUT_OF_RANGE = [
     ("pool.eta", 0, "pool: merge weight"),
     ("pool.tau_merge", -0.5, "pool: merge threshold"),
     ("agents.0.cma.elite", 40, "agents[0]: cma: elite"),
-    ("agents.0.cma.mode", "x", "agents[0]: cma: mode"),
+    ("agents.0.cma.mode", "full-cma", "agents[0]: unknown key(s) ['mode'] in cma"),
     ("distill.precision", "f64", "distill: precision"),
     ("calibration.frames", 35, "calibration.frames"),
     ("calibration.quantile", 0, "calibration: quantile must lie in (0, 1], got 0.0"),
@@ -409,6 +409,14 @@ class TestAgentKeys:
             ScenarioConfig.from_dict(cfg)
         assert str(err.value) == f"unknown key(s) ['{key}'] in agents[{index}]"
 
+    @pytest.mark.parametrize("key, value", [("mode", "full-cma"), ("cov_floor", 1e-9)])
+    def test_a_massive_search_takes_only_its_size_and_step(self, key, value):
+        """Every massive search is sep-CMA with the default covariance floor."""
+        with pytest.raises(ConfigError) as err:
+            MassiveSpec(id="a", schedule=(SegmentSpec("base", 1),),
+                        cma={"population": 16, key: value})
+        assert str(err.value) == f"unknown key(s) ['{key}'] in cma"
+
     def test_a_massive_spec_holds_nine_settings(self):
         assert [f.name for f in dataclasses.fields(MassiveSpec)] == [
             "id", "schedule", "smoothing", "threshold", "warmup",
@@ -489,11 +497,12 @@ class TestAgentKeys:
                 defaults["smoothing"], defaults["warmup"])
         budget = sparsity_budget(default["rho"], 32, 32)
         assert massive.search == CmaConfig(dimension=3 * budget, mode="sep-cma")
-        # A config that names a mode keeps it: a dense search stays available.
+        # The search mode is fixed: a config that names one, even a dense one, is refused.
         dense = copy.deepcopy(cfg)
         dense["agents"][0]["cma"] = {"mode": "full-cma"}
-        spec = ScenarioConfig.from_dict(dense).agents[0]
-        assert spec.search_config(32, 32) == CmaConfig(dimension=3 * budget, mode="full-cma")
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(dense)
+        assert str(err.value) == "agents[0]: unknown key(s) ['mode'] in cma"
 
         class Recorded(Exception):
             pass
@@ -527,8 +536,7 @@ class TestCalibration:
     def _plain_loop(self, cfg, idx, stats_of):
         spec, oracle = cfg.agents[idx], make_toy_oracle(**vars(cfg.oracle))
         domain = next(d for d in cfg.domains if d.id == spec.schedule[0].domain)
-        tracker = DriftTracker(smoothing=spec.smoothing, warmup=spec.warmup,
-                               kl_variant=cfg.kl_variant)
+        tracker = DriftTracker(smoothing=spec.smoothing, warmup=spec.warmup)
         scores = []
         for i in range(cfg.calibration_frames):
             frame = render_frame(oracle, domain, frame_index=-(i + 1))
@@ -1213,6 +1221,24 @@ class TestFaultInjection:
         # and the prompt is eventually retrievable
         final_agents = {e.agent_id for e in result.pool.entries()}
         assert any("uav-h1" in a for a in final_agents)
+
+    def test_an_upload_dropped_again_on_its_retry_is_retried_once_more(self):
+        """uav-h1 searches at step 35; that upload is dropped, and so is its
+        retry at step 36, a quiet warp step that sends nothing else. The
+        queued upload lands at step 37, the same under both transports."""
+        tables = []
+        for transport in ("inproc", "stream"):
+            cfg = reference_config(0, transport=transport)
+            cfg["faults"] = [{"agent": "uav-h1", "step": 35}, {"agent": "uav-h1", "step": 36}]
+            records = run_scenario(cfg).records
+            h1 = {r.step: r for r in records if r.agent_id == "uav-h1"}
+            assert (h1[35].adaptation_event, h1[35].degraded, h1[35].bytes_sent) == (
+                "optimize", True, 0)
+            assert (h1[36].adaptation_event, h1[36].degraded, h1[36].bytes_sent) == (
+                "warp", True, 0)
+            assert (h1[37].degraded, h1[37].bytes_sent, h1[37].pool_size) == (False, 41_372, 3)
+            tables.append(metrics_csv(records))
+        assert tables[0] == tables[1]
 
     def test_limited_query_fault_sets_degraded_and_keeps_cache(self):
         cfg = mini_config(seed=0, frames=8)

@@ -522,6 +522,25 @@ class TestPersistence:
         pool.save(path)
         assert PromptPool.load(path).insert(unit([1.0, 0.0]), prompt(), 1, "a").entry_id == 1
 
+    def test_blank_lines_anywhere_load_to_the_same_snapshot(self, tmp_path):
+        # The mark is read from the first non-blank line; id 2 is dropped, so
+        # only the mark keeps it from being reissued.
+        pool = make_pool()
+        for i, key in enumerate(([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])):
+            pool.insert(unit(key), prompt(), timestamp=i, agent_id="a")
+        pool.drop(2)
+        path = tmp_path / "pool.jsonl"
+        pool.save(path)
+        saved = path.read_bytes()
+        mark, *entries = saved.decode().splitlines()
+        assert mark == '{"next_id":3}' and len(entries) == 2
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_text("\n" + mark + "\n \n" + entries[0] + "\n\n\t\n" + entries[1] + "\n\n")
+        loaded = PromptPool.load(spaced)
+        loaded.save(tmp_path / "resaved.jsonl")
+        assert (tmp_path / "resaved.jsonl").read_bytes() == saved
+        assert loaded.insert(unit([0.0, 1.0]), prompt(), 3, "a").entry_id == 3
+
     @pytest.mark.parametrize("mark, message", [
         ('{"next_id":0}', "not below next_id 0"),
         ('{"next_id":-1}', "non-negative"),

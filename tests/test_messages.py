@@ -184,6 +184,14 @@ class TestPayloadFields:
             decode_message(frame_of(payload))
         assert err.value.offset == 4
 
+    def test_a_numeric_domain_tag_is_named(self):
+        payload = {"type": "register_deferred", "query": [1.0], "agent_id": "a",
+                   "timestamp": 0, "domain_tag": 3}
+        with pytest.raises(ProtocolError) as err:
+            decode_message(frame_of(payload))
+        assert str(err.value) == "field 'domain_tag' must be a string or null (at byte 4)"
+        assert decode_message(frame_of({**payload, "domain_tag": None})).domain_tag is None
+
     @given(json_payloads)
     @settings(max_examples=120, deadline=None)
     def test_arbitrary_json_object_decodes_or_raises_protocol_error(self, payload):
