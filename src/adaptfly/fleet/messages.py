@@ -1,12 +1,15 @@
 """Wire protocol between agents and the consolidation server.
 
 Every message travels as a frame: a 4-byte big-endian unsigned payload
-length followed by a UTF-8 JSON payload. ``compact_json`` writes the
-payload: its "type" name, then the message dataclass's fields in
-declaration order. Float64 vectors are the base64 of their little-endian
-bytes, token prompts are written at their stored precision (9 significant
-digits for f32, 5 for f16), and every other value as ``json.dumps`` writes
-it. A vector may also arrive as a JSON list of numbers, as frames carried
+length followed by a UTF-8 JSON payload: its "type" name, then the
+message dataclass's fields in declaration order. A frame is written from
+its class's field table, built at import: the pre-encoded head and field
+names around each value, which ``compact_json`` writes, so the payload
+is exactly the bytes ``compact_json`` writes for the payload object.
+Float64 vectors are the base64 of their little-endian bytes, token
+prompts are written at their stored precision (9 significant digits for
+f32, 5 for f16), and every other value as ``json.dumps`` writes it. A
+vector may also arrive as a JSON list of numbers, as frames carried
 it before. Each field is read and checked in declaration order.
 
 Every vector and prompt value decodes to the array it was encoded from,
@@ -193,22 +196,18 @@ _CODECS = {
 }
 _TYPES = {"upload_prompt": UploadPrompt, "register_deferred": RegisterDeferred, "query": Query,
           "query_response": QueryResponse, "refine_tick": RefineTick}
-_TYPE_NAMES = {cls: kind for kind, cls in _TYPES.items()}
 # (name, writer, reader) of each message class's fields, in declaration order.
 _FIELDS = {
     cls: tuple((f.name, *_CODECS[typing.get_type_hints(cls)[f.name]]) for f in fields(cls))
     for cls in _TYPES.values()
 }
-
-
-def _payload(msg: FleetMessage) -> dict:
-    kind = _TYPE_NAMES.get(type(msg))
-    if kind is None:
-        raise ProtocolError(f"cannot encode {type(msg).__name__}")
-    payload = {"type": kind}
-    for name, write, _ in _FIELDS[type(msg)]:
-        payload[name] = write(getattr(msg, name))
-    return payload
+# Each message class's frame text around its field values: the payload's
+# '{"type":"<kind>"' head, then each field's (name, ',"<name>":', writer).
+_FRAMES = {
+    cls: (compact_json({"type": kind})[:-1],
+          tuple((name, f",{compact_json(name)}:", write) for name, write, _ in _FIELDS[cls]))
+    for kind, cls in _TYPES.items()
+}
 
 
 def _touch(table: OrderedDict, entry_id: int, entry: dict) -> None:
@@ -238,13 +237,23 @@ def _sent_entries(entries: tuple[dict, ...], sent: OrderedDict) -> list[dict]:
 def encode_message(msg: FleetMessage, sent: OrderedDict | None = None) -> bytes:
     """Frame a message: length header plus compact JSON payload.
 
-    ``sent`` is the sending end's table of a connection (see the module
-    docstring); without one, every reply entry is written in full.
+    The payload is written from the class's field table, each value by
+    ``compact_json``, so it is the text ``compact_json`` writes for the
+    payload object. ``sent`` is the sending end's table of a connection
+    (see the module docstring); without one, every reply entry is written
+    in full.
     """
-    payload = _payload(msg)
-    if sent is not None and isinstance(msg, QueryResponse):
-        payload["entries"] = _sent_entries(msg.entries, sent)
-    body = compact_json(payload).encode("utf-8")
+    frame = _FRAMES.get(type(msg))
+    if frame is None:
+        raise ProtocolError(f"cannot encode {type(msg).__name__}")
+    head, table = frame
+    parts = [head]
+    for name, prefix, write in table:
+        value = getattr(msg, name)
+        value = _sent_entries(value, sent) if sent is not None and write is list else write(value)
+        parts += (prefix, compact_json(value))
+    parts.append("}")
+    body = "".join(parts).encode("utf-8")
     return struct.pack(">I", len(body)) + body
 
 

@@ -248,11 +248,14 @@ def assemble(entries: list[PoolEntry]) -> TokenPrompt:
 class PromptPool:
     """Grow-and-refine prompt memory. One writer at a time; readers free.
 
-    The refined keys are mirrored, in list order, in one (R, d) matrix with
-    matching int64 vectors of entry ids, recency stamps and timestamps, so
-    ranking is one matrix-vector product and eviction one sort. Every
-    change to the refined set updates the mirror in place. The stamps are
-    the only record of recency: ``_clock`` is the last stamp handed out.
+    The refined keys are mirrored, in list order, in one (R, d) float32
+    matrix with matching int64 vectors of entry ids, recency stamps and
+    timestamps. Ranking screens with one float32 matrix-vector product and
+    rescores the few rows near the cut with the entries' float64 keys (see
+    ``_near_best``); eviction sorts only the rows that can be victims.
+    Every change to the refined set updates the mirror in place, and a
+    removal compacts only the rows after the first one removed. The stamps
+    are the only record of recency: ``_clock`` is the last stamp handed out.
     """
 
     def __init__(self, config: PoolConfig | None = None):
@@ -264,7 +267,7 @@ class PromptPool:
         self._clock = 0
         # Rows [0, refined_size) mirror the refined entries; the rest is
         # growth room, doubled when full. The first key fixes the width.
-        self._keys = np.empty((0, 0))
+        self._keys = np.empty((0, 0), dtype=np.float32)
         self._ids = np.empty(0, dtype=np.int64)
         self._last = np.empty(0, dtype=np.int64)
         self._times = np.empty(0, dtype=np.int64)
@@ -302,7 +305,7 @@ class PromptPool:
     def _check_dim(self, key: np.ndarray, what: str) -> None:
         dim = self._keys.shape[1]
         if dim == 0:
-            self._keys = np.empty((0, key.size))
+            self._keys = np.empty((0, key.size), dtype=np.float32)
         elif key.size != dim:
             raise CompositionError(
                 f"{what} has dimension {key.size}, pool keys have dimension {dim}"
@@ -312,7 +315,7 @@ class PromptPool:
         n = len(self._refined)
         if n == len(self._ids):
             size = max(2 * n, 4)
-            keys = np.empty((size, self._keys.shape[1]))
+            keys = np.empty((size, self._keys.shape[1]), dtype=np.float32)
             keys[:n] = self._keys[:n]
             stamps = np.empty((3, size), dtype=np.int64)
             stamps[:, :n] = self._ids[:n], self._last[:n], self._times[:n]
@@ -324,28 +327,37 @@ class PromptPool:
         self._times[n] = entry.timestamp
         self._refined.append(entry)
 
-    def _keep_refined(self, keep: np.ndarray) -> None:
-        """Drop the refined entries where ``keep`` is False, keeping order."""
-        n, m = len(self._refined), int(keep.sum())
+    def _drop_refined(self, rows: np.ndarray) -> None:
+        """Drop the refined entries at ``rows`` (distinct), keeping order.
+
+        Rows before the first dropped one stay where they are: only the
+        tail of each mirror and of the entry list is compacted.
+        """
+        if not rows.size:
+            return
+        n, first = len(self._refined), int(rows.min())
+        keep = np.ones(n - first, dtype=bool)
+        keep[rows - first] = False
         for mirror in (self._keys, self._ids, self._last, self._times):
-            mirror[:m] = mirror[:n][keep]
-        self._refined = list(compress(self._refined, keep.tolist()))
+            mirror[first:n - rows.size] = mirror[first:n][keep]
+        self._refined[first:] = compress(self._refined[first:], keep.tolist())
 
     def _near_best(self, key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows that can rank among the top n by ``float(key @ e.key)``.
 
-        A BLAS matrix-vector product rounds differently from a per-row dot
-        product, even for two identical rows, so it only screens. For unit
-        vectors the two differ by at most d * eps, so a row of the true top
-        n lies within 2 * d * eps of the screened n-th largest value; rows
-        within twice that are rescored with the per-row dot. Exact ties stay
-        exact and every ranking matches the per-entry definition. Returns
-        the row indices (ascending) and their per-row scores.
+        The float32 key mirror only screens: rounding a unit key and the
+        unit query to float32 and summing d products in float32 moves a dot
+        product by at most (d + 2) * eps32 / 2. So a row of the true top n
+        lies within (d + 2) * eps32 of the screened n-th largest value, and
+        rows within 4 * d * eps32 of it are rescored with the per-row
+        float64 dot. Exact ties stay exact and every ranking matches the
+        per-entry definition. Returns the row indices (ascending) and their
+        per-row scores.
         """
         count = len(self._refined)
-        sims = self._keys[:count] @ key
+        sims = self._keys[:count] @ key.astype(np.float32)
         floor = np.partition(sims, count - n)[count - n] if n < count else sims.min()
-        rows = np.flatnonzero(sims >= floor - 4.0 * key.size * np.finfo(np.float64).eps)
+        rows = np.flatnonzero(sims >= floor - 4 * key.size * np.finfo(np.float32).eps)
         return rows, np.array([float(key @ self._refined[i].key) for i in rows])
 
     # -- grow -----------------------------------------------------------
@@ -453,9 +465,12 @@ class PromptPool:
         n = len(self._refined)
         excess = n - self.config.capacity
         if excess > 0:
-            keep = np.ones(n, dtype=bool)
-            keep[np.lexsort((self._ids[:n], self._times[:n], self._last[:n]))[:excess]] = False
-            self._keep_refined(keep)
+            # The stamp is the sort's primary key, so every victim's stamp is
+            # at most the excess-th smallest: only those rows are sorted.
+            last = self._last[:n]
+            rows = np.flatnonzero(last <= np.partition(last, excess - 1)[excess - 1])
+            order = np.lexsort((self._ids[rows], self._times[rows], last[rows]))
+            self._drop_refined(rows[order[:excess]])
 
     # -- deferred resolution ----------------------------------------------
 
@@ -487,7 +502,7 @@ class PromptPool:
         return resolved
 
     def drop(self, entry_id: int) -> None:
-        self._keep_refined(self._ids[: len(self._refined)] != entry_id)
+        self._drop_refined(np.flatnonzero(self._ids[: len(self._refined)] == entry_id))
         self._pending.pop(entry_id, None)
 
     # -- persistence --------------------------------------------------------

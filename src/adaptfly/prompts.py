@@ -371,11 +371,12 @@ def warp_svp(p: SparseVisualPrompt, motion: tuple[int, int]) -> tuple[SparseVisu
 
     Surviving coordinates keep their offsets exactly. The refresh flag is
     true when strictly more than DROP_THRESHOLD of the coordinates were
-    dropped, signalling that the prompt should be re-optimized.
+    dropped, signalling that the prompt should be re-optimized. An empty
+    prompt or a zero motion returns ``p`` itself.
     """
     dy, dx = int(motion[0]), int(motion[1])
     h, w = p.frame_shape
-    if p.size == 0:
+    if p.size == 0 or dy == dx == 0:
         return p, False
     shifted = p.coords + np.array([dy, dx], dtype=np.int64)
     keep = (

@@ -10,9 +10,10 @@ thread, one mutant at a time. The copy's own ``tests/test_mutants.py`` is
 left out, and the unmutated copy is run first and must pass, so a kill is
 always a real test failing on the mutant. It prints each mutant as killed
 or survived, and exits 1 if a survivor is not listed in EQUIVALENT with the
-reason no test can catch it. Standard library only; it runs on demand, not
-in CI. A kill stops at the first failing test; a survivor and the
-unmutated copy each run the whole suite.
+reason no test can catch it. Standard library only. The full list runs on
+demand; CI runs the last three, the pool's fast paths, by name. A kill
+stops at the first failing test; a survivor and the unmutated copy each
+run the whole suite.
 """
 
 import os
@@ -36,6 +37,7 @@ class Mutant(NamedTuple):
 
 
 AGENTS, CMAES = "src/adaptfly/fleet/agents.py", "src/adaptfly/cmaes.py"
+MEMORY = "src/adaptfly/memory.py"
 
 MUTANTS = (
     Mutant("detector fires at its threshold", "src/adaptfly/drift.py",
@@ -55,7 +57,7 @@ MUTANTS = (
            "if adapted < baseline - 1e-9 * (1.0 + baseline):", "if adapted < baseline:"),
     Mutant("scorer without its clip", "src/adaptfly/oracle.py",
            "np.clip(prompted, 0.0, 1.0, out=prompted)", "pass"),
-    Mutant("reload ignores the next_id line", "src/adaptfly/memory.py",
+    Mutant("reload ignores the next_id line", MEMORY,
            "pool._next_id = max(pool._next_id, mark or 0)", "pass"),
     Mutant("warp step keeps the unwarped prompt", AGENTS, "self.prompt = warped", "pass"),
     Mutant("limited agent keeps a stale assembly", AGENTS,
@@ -70,6 +72,13 @@ MUTANTS = (
            "text = self._texts.get(entry)",
            "text = next((t for e, t in self._texts.items() "
            "if e.entry_id == entry.entry_id), None)"),
+    # The pool's fast paths and its one clock; CI runs these three by name.
+    Mutant("screen tolerance of float64 eps", MEMORY,
+           "4 * key.size * np.finfo(np.float32).eps", "4 * key.size * np.finfo(np.float64).eps"),
+    Mutant("eviction cut at the smallest stamp", MEMORY, "[excess - 1]", "[0]"),
+    Mutant("pending insert stamped with its timestamp", MEMORY,
+           "self._pending[entry.entry_id] = (entry, self._clock)",
+           "self._pending[entry.entry_id] = (entry, entry.timestamp)"),
 )
 
 # Survivors that no test can kill, by name, with the reason they change

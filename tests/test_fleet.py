@@ -1357,7 +1357,8 @@ class TestMassiveAgentPaths:
         # in use is None, an assembly with rows or a non-empty sparse prompt
         # (never one on a limited agent), and a new one comes only from the
         # step that makes it: an assembly from an adoption, a sparse prompt
-        # from a search or a warp. A non-degraded limited retrieval that
+        # from a search. The reference camera never pans, so a warp keeps
+        # the very prompt it held. A non-degraded limited retrieval that
         # adopts nothing leaves no prompt; every other step keeps the one
         # held before it.
         from adaptfly.oracle import ToyOracle
@@ -1392,8 +1393,10 @@ class TestMassiveAgentPaths:
                 assert isinstance(p, TokenPrompt) and p is not before
             elif event == "retrieve" and not rec.degraded:
                 assert p is None
-            elif event in ("optimize", "warp"):
+            elif event == "optimize":
                 assert isinstance(p, SparseVisualPrompt) and p is not before
+            elif event == "warp":
+                assert isinstance(p, SparseVisualPrompt) and p is before
             else:
                 assert p is before, event
 

@@ -17,7 +17,7 @@ from adaptfly.errors import (
 )
 import adaptfly.memory as memory_mod
 from adaptfly.memory import DeferredMarker, PoolConfig, PoolEntry, PromptPool, assemble
-from adaptfly.prompts import TokenPrompt, vector_text
+from adaptfly.prompts import TokenPrompt, compact_json, vector_text
 
 
 def unit(v):
@@ -870,10 +870,11 @@ class TestMatrixEquivalence:
                 ref.reload()
             assert_same_pool(pool, ref)
             assert all(pool.get(e.entry_id) is e for e in pool.entries())
-            # The key matrix mirrors the refined entries row for row.
+            # The key matrix mirrors the refined entries row for row, in float32.
             refined = pool.entries()[: pool.refined_size]
             assert np.array_equal(pool._keys[: len(refined)].reshape(-1, dim),
-                                  np.array([e.key for e in refined]).reshape(-1, dim))
+                                  np.array([e.key for e in refined],
+                                           dtype=np.float32).reshape(-1, dim))
 
 
 class TestStampMirrors:
@@ -916,3 +917,147 @@ class TestStampMirrors:
             assert all(pool._last[i] == pool._clock for i in range(n)
                        if pool._ids[i] in stamped)
         assert min(seen.values()) > 0, seen
+
+
+def assert_mirrors(pool: PromptPool, stamps: list[int]):
+    """Every mirror row matches the refined entry at the same list index."""
+    refined = pool.entries()[: pool.refined_size]
+    n = len(refined)
+    assert pool._ids[:n].tolist() == [e.entry_id for e in refined]
+    assert pool._times[:n].tolist() == [e.timestamp for e in refined]
+    assert pool._last[:n].tolist() == stamps
+    assert np.array_equal(pool._keys[:n],
+                          np.array([e.key for e in refined], dtype=np.float32).reshape(n, -1))
+
+
+def near_tie_pool(rng, dim: int, size: int, gap: float):
+    """A refined pool whose keys' float64 similarities to a unit query lie a
+    few multiples of ``gap`` apart, with exact duplicate keys; the query."""
+    q = memory_mod._unit(rng.normal(size=dim))
+    c = rng.uniform(0.2, 0.9)
+    keys = []
+    for _ in range(size):
+        if keys and rng.random() < 0.2:
+            keys.append(keys[rng.integers(len(keys))])
+            continue
+        r = rng.normal(size=dim)
+        r -= (r @ q) * q
+        r /= np.linalg.norm(r)
+        ci = c + gap * rng.integers(-3, 4)
+        keys.append(ci * q + np.sqrt(1.0 - ci * ci) * r)
+    pool = make_pool(capacity=64)  # deferred entries never merge
+    for key in keys:
+        pool.insert(key, DeferredMarker("a"), timestamp=int(rng.integers(0, 3)), agent_id="a")
+    pool.refine()
+    return pool, q
+
+
+class TestFloat32Screen:
+    """The float32 key mirror only screens: rankings and merge targets are
+    the per-row float64 dot's, ties by entry id (or list order)."""
+
+    def test_near_ties_rank_as_the_per_row_dot(self):
+        # Similarities 1e-12 to 1e-6 apart, below float32 resolution, reorder
+        # in the float32 screen; a tolerance of 4 * d * eps64 drops a true
+        # top-n row in many of these cases, 4 * d * eps32 in none.
+        rng = np.random.default_rng(11)
+        tight = 4 * np.finfo(np.float64).eps
+        missed = 0
+        for dim in (3, 16, 48):
+            for size in range(2, 41, 3):
+                for gap in (1e-12, 1e-9, 1e-8, 1e-7, 1e-6):
+                    pool, q = near_tie_pool(rng, dim, size, gap)
+                    refined, qn = pool.entries(), memory_mod._unit(q)  # as query_topn scales q
+                    exact = [float(qn @ e.key) for e in refined]
+                    screened = (np.array([e.key for e in refined], dtype=np.float32)
+                                @ qn.astype(np.float32))
+                    best = int(np.argmax(exact))  # first max: earliest in list order
+                    assert pool._merge_target(PoolEntry(-1, qn, DeferredMarker("b"), 0, "b")) \
+                        == (best, exact[best]), (dim, size, gap)
+                    for n in range(1, 6):
+                        want = sorted(range(len(refined)),
+                                      key=lambda i: (-exact[i], refined[i].entry_id))[:n]
+                        got = [e.entry_id for e in pool.query_topn(q, n)]
+                        assert got == [refined[i].entry_id for i in want], (dim, size, gap, n)
+                        floor = np.sort(screened)[-len(want)]
+                        missed += any(screened[i] < floor - tight * dim for i in want)
+        assert missed > 0  # the data holds cases that a float64 tolerance gets wrong
+
+    def test_a_large_pool_rescores_a_handful_of_rows(self):
+        # Shaped like the benchmark's pool service: 2,000 random unit keys
+        # and 8 clusters of 4. A tolerance that rescans the pool would cost
+        # a per-row dot for many rows on every query.
+        rng = np.random.default_rng(3)
+        pool = make_pool(capacity=4096)
+        centres = rng.normal(size=(8, 48))
+        keys = [*rng.normal(size=(2000, 48)),
+                *(c + rng.normal(scale=0.05, size=48) for c in centres for _ in range(4))]
+        for key in keys:
+            pool.insert(key, DeferredMarker("a"), timestamp=0, agent_id="a")
+        pool.refine()
+        assert pool.refined_size == 2032
+        for t in range(64):
+            q = centres[t % 8] + rng.normal(scale=0.05, size=48) if t % 2 else rng.normal(size=48)
+            for n in (1, 2, 5):
+                rows, _ = pool._near_best(memory_mod._unit(q), n)
+                assert n <= len(rows) <= n + 2, (t, n, len(rows))
+
+
+class TestPartialEviction:
+    """Eviction sorts only the rows that can be victims and compacts only the
+    tail: victims, list order and mirrors are those of a full sort."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_victims_match_a_full_sort(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        capacity, excess, dim = int(rng.integers(1, 30)), int(rng.integers(1, 5)), 4
+        # Restored entries with tied recency stamps and tied timestamps.
+        path = tmp_path / "pool.jsonl"
+        with open(path, "w", encoding="utf-8") as f:
+            for i in range(capacity):
+                e = PoolEntry(i, memory_mod._unit(rng.normal(size=dim)), DeferredMarker("a"),
+                              int(rng.integers(0, 3)), "a")
+                f.write(compact_json({**e.wire_dict(), "last_retrieved": int(rng.integers(0, 4))})
+                        + "\n")
+        pool = PromptPool.load(path, PoolConfig(capacity=capacity))
+        for _ in range(excess):
+            pool.insert(rng.normal(size=dim), DeferredMarker("a"),
+                        timestamp=int(rng.integers(0, 3)), agent_id="a")
+        for _ in range(int(rng.integers(0, 4))):  # newer stamps, tied among each query's hits
+            pool.query_topn(rng.normal(size=dim), int(rng.integers(1, 6)))
+        r = pool.refined_size
+        before = list(zip(pool.entries()[:r], pool._last[:r].tolist()))
+        before += sorted(pool._pending.values(), key=lambda p: (p[0].timestamp, p[0].entry_id))
+        victims = sorted(before, key=lambda p: (p[1], p[0].timestamp, p[0].entry_id))[:excess]
+        kept = [p for p in before if p not in victims]
+        pool.refine()
+        assert pool.entries() == [e for e, _ in kept]
+        assert_mirrors(pool, [stamp for _, stamp in kept])
+
+    def test_ties_on_stamp_and_timestamp_evict_the_lower_id_first(self):
+        # Rows fold in (timestamp, id) order, so id 1 precedes id 0 in the
+        # list; a merge then ties their timestamps and a query their stamps.
+        pool = make_pool(capacity=2)
+        e0, e1, e2 = np.eye(3)
+        pool.insert(e1, prompt(dim=3), timestamp=2, agent_id="a")  # id 0
+        pool.insert(e0, prompt(dim=3), timestamp=1, agent_id="a")  # id 1
+        pool.refine()
+        assert [e.entry_id for e in pool.entries()] == [1, 0]
+        pool.insert(e0, prompt(dim=3), timestamp=2, agent_id="b")  # merges into id 1
+        pool.query_topn(e0 + e1, 2)
+        pool.insert(e2, DeferredMarker("a"), timestamp=5, agent_id="a")
+        pool.refine()
+        assert [e.entry_id for e in pool.entries()] == [1, 3]
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_drop_keeps_order_and_mirrors(self, where):
+        rng = np.random.default_rng(2)
+        pool = make_pool(capacity=16)
+        for i in range(9):
+            pool.insert(rng.normal(size=4), DeferredMarker("a"), timestamp=i, agent_id="a")
+        pool.refine()
+        entries, stamps = pool.entries(), pool._last[:9].tolist()
+        row = {"first": 0, "middle": 4, "last": 8}[where]
+        pool.drop(entries[row].entry_id)
+        assert pool.entries() == entries[:row] + entries[row + 1:]
+        assert_mirrors(pool, stamps[:row] + stamps[row + 1:])

@@ -791,3 +791,63 @@ class TestVectorCodec:
             with pytest.raises(PoolFormatError) as err:
                 PromptPool.load(path)
             assert err.value.line == 2
+
+
+# -- frame writer -----------------------------------------------------------------
+
+
+def payload_frame(msg, sent: OrderedDict | None = None) -> bytes:
+    """The frame as a payload dict written whole by ``compact_json``: the
+    reference for ``encode_message``, which writes from the field table."""
+    payload = {"type": {cls: kind for kind, cls in messages._TYPES.items()}[type(msg)]}
+    for name, write, _ in messages._FIELDS[type(msg)]:
+        payload[name] = write(getattr(msg, name))
+    if sent is not None and isinstance(msg, QueryResponse):
+        payload["entries"] = messages._sent_entries(msg.entries, sent)
+    body = compact_json(payload).encode("utf-8")
+    return struct.pack(">I", len(body)) + body
+
+
+# Served entries: the same EncodedDict objects recur, so a table sends them
+# again as back-references. Non-ASCII ids and tags, and null tags.
+SERVED = [EncodedDict(PoolEntry(i, np.array([0.6, -0.8]), value, i, agent, tag).wire_dict())
+          for i, (value, agent, tag) in enumerate([
+              (TokenPrompt(np.array([[0.5, -0.25]])), "uav-1", None),
+              (TokenPrompt(np.array([[1e-7, 3.0]]), dtype="f16"), "ドローン", "雾"),
+              (DeferredMarker("uav-ß"), "uav-ß", None)])]
+texts = st.text(max_size=6)  # any non-surrogate code point
+vectors = st.lists(st.floats(), max_size=4).map(tuple)
+token_prompts = st.builds(lambda v, dtype: TokenPrompt(np.array(v).reshape(1, -1), dtype=dtype),
+                          st.lists(st.floats(-6e4, 6e4), max_size=4),
+                          st.sampled_from(["f32", "f16"]))
+fleet_messages = st.one_of(
+    st.builds(UploadPrompt, vectors, token_prompts, st.integers(), texts, st.none() | texts),
+    st.builds(RegisterDeferred, vectors, texts, st.integers(), st.none() | texts),
+    st.builds(Query, vectors, st.integers(), st.integers()),
+    st.builds(QueryResponse, st.integers(),
+              st.lists(st.sampled_from(SERVED) | entry_dicts, max_size=4).map(tuple)),
+    st.just(RefineTick()),
+)
+
+
+class TestFrameWriter:
+    @given(st.lists(fleet_messages, min_size=1, max_size=6), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_frames_are_compact_json_of_the_payload(self, msgs, with_table):
+        # Each end of the comparison keeps its own table; both must touch
+        # the same entries in the same order.
+        sent, ref = (OrderedDict(), OrderedDict()) if with_table else (None, None)
+        for msg in msgs:
+            assert encode_message(msg, sent=sent) == payload_frame(msg, ref)
+        if with_table:
+            assert list(sent) == list(ref)
+            assert all(a is b for a, b in zip(sent.values(), ref.values()))
+
+    def test_back_references_and_empty_replies(self):
+        sent, ref = OrderedDict(), OrderedDict()
+        for entries in [tuple(SERVED), (), (SERVED[1], SERVED[0]), (SERVED[2],)]:
+            msg = QueryResponse(3, entries)
+            assert encode_message(msg, sent=sent) == payload_frame(msg, ref)
+        assert json.loads(encode_message(QueryResponse(3, tuple(SERVED)), sent=sent)[4:]) == {
+            "type": "query_response", "request_id": 3,
+            "entries": [{"entry_id": 0}, {"entry_id": 1}, {"entry_id": 2}]}

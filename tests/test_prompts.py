@@ -155,8 +155,16 @@ class TestWarpSvp:
     def test_zero_motion_identity(self):
         p = self._prompt([[1, 1], [2, 3]])
         warped, flag = warp_svp(p, (0, 0))
-        assert warped == p
+        assert warped is p
         assert flag is False
+
+    def test_a_pan_shifts_and_drops_what_leaves_the_frame(self):
+        p = self._prompt([[0, 6], [3, 7], [5, 2], [7, 0]])
+        warped, flag = warp_svp(p, (1, 1))
+        assert warped is not p
+        np.testing.assert_array_equal(warped.coords, [[1, 7], [6, 3]])
+        np.testing.assert_array_equal(warped.offsets, p.offsets[[0, 2]])
+        assert flag is True  # 2 of 4 dropped
 
     def test_translation(self):
         p = self._prompt([[1, 1], [2, 3]])
