@@ -6,7 +6,8 @@ Subcommands:
               and summary.json into the output directory.
 * bench     — optimizer regression harness on standard test functions,
               emitting one CSV row per seed.
-* calibrate — derive a drift threshold from a clean (shift-free) scenario.
+* calibrate — print, for each agent of a scenario, the drift threshold
+              ``z: "auto"`` calibrates for it, as JSON.
 * report    — per-agent, per-domain entropy before and after the first
               adaptation, as in summary.json, from a metrics file.
 
@@ -237,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", default=None, help="CSV path (default stdout)")
     p_bench.set_defaults(fn=_cmd_bench)
 
-    p_cal = sub.add_parser("calibrate", help="threshold from a clean scenario")
-    p_cal.add_argument("--config", required=True, help="clean scenario JSON path")
+    p_cal = sub.add_parser("calibrate", help="the threshold z: \"auto\" calibrates, per agent")
+    p_cal.add_argument("--config", required=True, help="scenario JSON path")
     p_cal.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_cal.add_argument("--out", default=None, help="JSON path (default stdout)")
     p_cal.set_defaults(fn=_cmd_calibrate)

@@ -26,6 +26,7 @@ array pass of the oracle's ``svp_scorer``.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -185,7 +186,7 @@ def cma_init(config: CmaConfig) -> CmaState:
     n = config.dimension
     if config.mode == "elite-eda":
         # The covariance itself carries the scale; sigma stays 1.
-        cov = np.eye(n) * config.sigma0**2
+        cov = np.eye(n) * np.square(config.sigma0)  # numpy overflow, not OverflowError
         sigma = 1.0
     else:
         cov = np.ones(n) if config.mode == "sep-cma" else np.eye(n)
@@ -343,6 +344,22 @@ def _search(state: CmaState, rng: np.random.Generator, fitness):
         yield state
 
 
+@contextmanager
+def _finite_search():
+    """Raise FitnessError, instead of a numpy warning, where a step of the
+    enclosed search overflows float64 or makes an invalid value (inf - inf).
+
+    Callers enter it around ``cma_init`` and their loop over ``_search``:
+    an errstate entered inside the generator would stay set in the caller
+    between yields.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise FitnessError(f"search is non-finite: {exc}") from None
+
+
 @dataclass(frozen=True)
 class OptimizeResult:
     """Outcome of one sparse-prompt search."""
@@ -389,19 +406,19 @@ def optimize_svp(
             raise FitnessError("entropy fitness is non-finite")
         return values
 
-    state = cma_init(config)
-    state.best_vector = np.zeros(config.dimension)
-    baseline = state.best_fitness = float(fitness(state.best_vector[None, :])[0])
-
     history: list[float] = []
-    search = _search(state, np.random.default_rng(config.seed), fitness)
-    for state in islice(search, config.generations):
-        history.append(state.best_fitness)
-        if (
-            len(history) > STALL_WINDOW
-            and history[-STALL_WINDOW - 1] - history[-1] < TOL_F
-        ):
-            break
+    with _finite_search():
+        state = cma_init(config)
+        state.best_vector = np.zeros(config.dimension)
+        baseline = state.best_fitness = float(fitness(state.best_vector[None, :])[0])
+        search = _search(state, np.random.default_rng(config.seed), fitness)
+        for state in islice(search, config.generations):
+            history.append(state.best_fitness)
+            if (
+                len(history) > STALL_WINDOW
+                and history[-STALL_WINDOW - 1] - history[-1] < TOL_F
+            ):
+                break
 
     return OptimizeResult(
         prompt=project_mask(state.best_vector, coords, frame_shape),
@@ -476,10 +493,12 @@ def run_benchmark(
             f"evaluation budget {max_evaluations} is below one population "
             f"({config.population} evaluations)"
         )
-    search = _search(cma_init(config), np.random.default_rng(seed), fn)
-    for generations, state in enumerate(islice(search, max_evaluations // config.population), 1):
-        if state.best_fitness < target:
-            break
+    with _finite_search():
+        search = _search(cma_init(config), np.random.default_rng(seed), fn)
+        for generations, state in enumerate(
+                islice(search, max_evaluations // config.population), 1):
+            if state.best_fitness < target:
+                break
     return BenchResult(
         function=function,
         dimension=dimension,

@@ -7,7 +7,6 @@ from .config import (
     MassiveSpec,
     ScenarioConfig,
     SegmentSpec,
-    clean_config,
     reference_config,
 )
 from .mec import MecServer, ProvenanceLog
@@ -41,7 +40,6 @@ __all__ = [
     "MassiveSpec",
     "ScenarioConfig",
     "SegmentSpec",
-    "clean_config",
     "reference_config",
     "MecServer",
     "ProvenanceLog",

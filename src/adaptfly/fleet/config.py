@@ -34,7 +34,6 @@ __all__ = [
     "MassiveSpec",
     "ScenarioConfig",
     "reference_config",
-    "clean_config",
 ]
 
 # A massive agent's search mode. At a search's dimension (3 offsets per
@@ -375,19 +374,3 @@ def reference_config(seed: int = 0, transport: str = "inproc") -> dict:
         "transport": transport,
     }
 
-
-def clean_config(seed: int = 0, frames: int = 60) -> dict:
-    """Single-domain scenario with no shifts, for threshold calibration:
-    the reference oracle and base domain, one massive and one limited agent."""
-    reference = reference_config(seed)
-    return {
-        "seed": seed,
-        "oracle": reference["oracle"],
-        "domains": reference["domains"][:1],
-        "agents": [
-            {"id": agent_id, "kind": kind, "z": 1e9, "warmup": 6,
-             "schedule": [{"domain": "base", "frames": frames, "motion": [0, 0]}]}
-            for agent_id, kind in [("uav-h1", "massive"), ("uav-l1", "limited")]
-        ],
-        "transport": "inproc",
-    }

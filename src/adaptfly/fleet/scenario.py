@@ -72,52 +72,33 @@ def _frame_stream(oracle: ToyOracle, domains: dict, spec: AgentSpec, agent_index
             t += 1
 
 
-def _clean_scores(spec: AgentSpec, oracle: ToyOracle, frames) -> list[float]:
-    """Drift scores of a frame stream against a fresh tracker, after warmup."""
-    tracker = _tracker(spec)
-    scores = [detect(tracker, oracle.stem_stats(f))[1] for f in frames]
-    return scores[spec.warmup :]
-
-
-def _calibrated_threshold(
-    cfg: ScenarioConfig, spec: AgentSpec, oracle: ToyOracle, domains: dict
-) -> float:
-    """Quantile threshold from a clean stream of the agent's first domain.
-
-    The stream is the same for every agent: negative frame indices keep it
-    disjoint from the scenario's own frames.
-    """
-    domain = domains[spec.schedule[0].domain]
-    frames = (
-        render_frame(oracle, domain, frame_index=-(i + 1))
-        for i in range(cfg.calibration_frames)
-    )
-    return calibrate_threshold(_clean_scores(spec, oracle, frames), cfg.calibration_quantile)
-
-
-def _thresholds(cfg: ScenarioConfig, oracle: ToyOracle, domains: dict) -> tuple[dict, int]:
-    """Each agent's detection threshold by id, and the number of clean
-    streams rendered; a numeric ``z`` is used as given.
+def _thresholds(cfg: ScenarioConfig, oracle: ToyOracle, domains: dict,
+                specs: typing.Iterable[AgentSpec]) -> tuple[dict, int]:
+    """The threshold ``z: "auto"`` calibrates for each of ``specs``, by id,
+    and the number of clean streams rendered.
 
     Besides the run's own settings (calibration frames and quantile,
     oracle), a calibrated threshold depends only on the first domain, the
-    smoothing and the warmup, so agents with ``z: "auto"`` that share all
-    three share one stream.
+    smoothing and the warmup, so specs that share all three share one
+    stream: frames -1 ... -``calibration.frames`` of that domain, whose
+    negative indices keep it disjoint from the scenario's own frames. Its
+    scores after warmup, against a fresh tracker, give the threshold at
+    ``calibration.quantile``.
     """
     sharing: dict[tuple[str, float, int], list[AgentSpec]] = {}
+    for spec in specs:
+        sharing.setdefault((spec.schedule[0].domain, spec.smoothing, spec.warmup), []).append(spec)
     thresholds = {}
-    for spec in cfg.agents:
-        if isinstance(spec.threshold, str):
-            key = (spec.schedule[0].domain, spec.smoothing, spec.warmup)
-            sharing.setdefault(key, []).append(spec)
-        else:
-            thresholds[spec.id] = float(spec.threshold)
-    for (domain, smoothing, warmup), specs in sharing.items():
-        z = _calibrated_threshold(cfg, specs[0], oracle, domains)
+    for (domain, smoothing, warmup), group in sharing.items():
+        tracker, scores = _tracker(group[0]), []
+        for i in range(cfg.calibration_frames):
+            frame = render_frame(oracle, domains[domain], frame_index=-(i + 1))
+            scores.append(detect(tracker, oracle.stem_stats(frame))[1])
+        z = calibrate_threshold(scores[warmup:], cfg.calibration_quantile)
         log.info("calibrated z=%r on domain %s (lambda=%r, warmup=%d, %d frames) for %s",
                  z, domain, smoothing, warmup, cfg.calibration_frames,
-                 ", ".join(s.id for s in specs))
-        thresholds.update((s.id, z) for s in specs)
+                 ", ".join(s.id for s in group))
+        thresholds.update((s.id, z) for s in group)
     return thresholds, len(sharing)
 
 
@@ -145,7 +126,9 @@ def run_scenario(config: dict | ScenarioConfig) -> ScenarioResult:
 
     controller = client_for(None)
 
-    thresholds, streams = _thresholds(cfg, oracle, domains)
+    auto = [spec for spec in cfg.agents if spec.threshold == "auto"]
+    thresholds, streams = _thresholds(cfg, oracle, domains, auto)
+    thresholds = {spec.id: thresholds.get(spec.id, spec.threshold) for spec in cfg.agents}
     agents, reply_counts = [], {}
     for idx, spec in enumerate(cfg.agents):
         tracker = _tracker(spec, thresholds[spec.id])
@@ -298,20 +281,12 @@ def parse_metrics_csv(text: str, source: str = "metrics.csv") -> list[StepRecord
 
 
 def calibrate_scenario(config: dict | ScenarioConfig) -> dict:
-    """Drift scores of a clean scenario, reduced to one threshold.
-
-    Pools post-warmup scores across all agents' streams and returns their
-    empirical ``calibration.quantile``, ready to paste into a scenario
-    config as ``z``.
+    """The threshold ``z: "auto"`` calibrates for each agent, whatever its
+    own ``z``, and the quantile it is taken at: ``{"z": {agent_id: z},
+    "quantile": q}``. Each value, set as that agent's ``z``, runs the
+    detector ``"auto"`` runs.
     """
     cfg = ScenarioConfig.from_dict(config) if isinstance(config, dict) else config
     oracle = make_toy_oracle(**vars(cfg.oracle))
-    domains = {d.id: d for d in cfg.domains}
-    scores: list[float] = []
-    for idx, spec in enumerate(cfg.agents):
-        frames = (frame for _, frame in _frame_stream(oracle, domains, spec, idx))
-        scores += _clean_scores(spec, oracle, frames)
-    return {
-        "z": calibrate_threshold(scores, cfg.calibration_quantile),
-        "quantile": cfg.calibration_quantile,
-    }
+    thresholds = _thresholds(cfg, oracle, {d.id: d for d in cfg.domains}, cfg.agents)[0]
+    return {"z": thresholds, "quantile": cfg.calibration_quantile}

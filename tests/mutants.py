@@ -72,6 +72,8 @@ MUTANTS = (
            "text = self._texts.get(entry)",
            "text = next((t for e, t in self._texts.items() "
            "if e.entry_id == entry.entry_id), None)"),
+    Mutant("calibration keeps the warmup scores", "src/adaptfly/fleet/scenario.py",
+           "calibrate_threshold(scores[warmup:],", "calibrate_threshold(scores,"),
     # The pool's fast paths and its one clock; CI runs these three by name.
     Mutant("screen tolerance of float64 eps", MEMORY,
            "4 * key.size * np.finfo(np.float32).eps", "4 * key.size * np.finfo(np.float64).eps"),

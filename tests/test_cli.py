@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import warnings
 from functools import reduce
 from pathlib import Path
 
@@ -16,7 +17,6 @@ from adaptfly.fleet import (
     LimitedSpec,
     MassiveSpec,
     ScenarioConfig,
-    clean_config,
     parse_metrics_csv,
     reference_config,
 )
@@ -34,6 +34,17 @@ def mini_config(seed=0):
         agent["warmup"] = 4
     cfg["agents"] = cfg["agents"][:2]
     cfg["domains"] = cfg["domains"][:2]
+    return cfg
+
+
+def zero_shift_config(seed=0, frames=60):
+    """mini_config's two agents on the base domain alone, with a numeric z:
+    a scenario without shifts that calibrates nothing when it runs."""
+    cfg = mini_config(seed=seed)
+    for agent in cfg["agents"]:
+        agent["schedule"] = [{"domain": "base", "frames": frames, "motion": [0, 0]}]
+        agent["z"] = 1e9
+    cfg["domains"] = cfg["domains"][:1]
     return cfg
 
 
@@ -194,30 +205,38 @@ class TestBench:
 
 
 class TestCalibrate:
-    def test_clean_scenario_emits_threshold_json(self, tmp_path, capsys):
-        path = tmp_path / "clean.json"
-        path.write_text(json.dumps(clean_config(seed=0, frames=50)))
-        assert main(["calibrate", "--config", str(path),
-                     "--set", "calibration.quantile=0.99"]) == 0
+    def test_prints_the_threshold_auto_runs_with_for_every_agent(self, tmp_path, capsys,
+                                                                 config_path):
+        argv = ["--config", str(config_path), "--set", "calibration.quantile=0.9"]
+        assert main(["calibrate", *argv]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"z", "quantile"}
-        assert payload["z"] > 0
-        assert payload["quantile"] == 0.99
+        assert main(["run", *argv, "--out", str(tmp_path / "run")]) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert payload == {"z": {a: s["threshold"] for a, s in summary["agents"].items()},
+                           "quantile": 0.9}
+        assert set(payload["z"]) == {"uav-h1", "uav-l1"}
 
-    def test_quantile_defaults_to_the_scenario_quantile(self, tmp_path, capsys):
-        path = tmp_path / "clean.json"
-        path.write_text(json.dumps(clean_config(seed=0, frames=50)))
-        main(["calibrate", "--config", str(path), "--set", "calibration.quantile=0.99"])
-        explicit = capsys.readouterr().out
+    def test_a_numeric_z_agent_gets_the_threshold_auto_would_calibrate(self, tmp_path, capsys):
+        path = tmp_path / "numeric.json"
+        path.write_text(json.dumps(zero_shift_config(frames=10)))
         assert main(["calibrate", "--config", str(path)]) == 0
+        printed = json.loads(capsys.readouterr().out)["z"]
+        auto = ["--set", "agents.0.z=auto", "--set", "agents.1.z=auto"]
+        assert main(["run", "--config", str(path), *auto, "--out", str(tmp_path / "run")]) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert printed == {a: s["threshold"] for a, s in summary["agents"].items()}
+        assert 0 < printed["uav-h1"] < 1e9
+
+    def test_quantile_defaults_to_the_scenario_quantile(self, capsys, config_path):
+        main(["calibrate", "--config", str(config_path), "--set", "calibration.quantile=0.99"])
+        explicit = capsys.readouterr().out
+        assert main(["calibrate", "--config", str(config_path)]) == 0
         assert capsys.readouterr().out == explicit
-        main(["calibrate", "--config", str(path), "--set", "calibration.quantile=0.9"])
+        main(["calibrate", "--config", str(config_path), "--set", "calibration.quantile=0.9"])
         assert json.loads(capsys.readouterr().out)["quantile"] == 0.9
 
-    def test_out_file_holds_the_bytes_printed_to_stdout(self, tmp_path, capsys):
-        path = tmp_path / "clean.json"
-        path.write_text(json.dumps(clean_config(seed=0, frames=50)))
-        argv = ["calibrate", "--config", str(path), "--set", "calibration.quantile=0.9"]
+    def test_out_file_holds_the_bytes_printed_to_stdout(self, tmp_path, capsys, config_path):
+        argv = ["calibrate", "--config", str(config_path), "--set", "calibration.quantile=0.9"]
         assert main(argv) == 0
         printed = capsys.readouterr().out
         out = tmp_path / "z.json"
@@ -225,10 +244,14 @@ class TestCalibrate:
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == printed.encode()
 
-    def test_too_short_stream_fails(self, tmp_path, capsys):
-        path = tmp_path / "clean.json"
-        path.write_text(json.dumps(clean_config(seed=0, frames=12)))
-        assert main(["calibrate", "--config", str(path)]) == 2
+    def test_too_short_stream_exits_2_naming_the_minimum(self, tmp_path, capsys):
+        """A numeric z passes the config's check on calibration.frames, so
+        the calibration itself refuses 20 frames less a warmup of 4."""
+        path = tmp_path / "numeric.json"
+        path.write_text(json.dumps(zero_shift_config()))
+        assert main(["calibrate", "--config", str(path), "--set", "calibration.frames=20"]) == 2
+        assert capsys.readouterr().err == (
+            "adaptfly: need at least 30 clean scores to calibrate, got 16\n")
 
 
 class TestReport:
@@ -330,11 +353,6 @@ class TestShippedConfigs:
         path = Path(__file__).resolve().parent.parent / "configs" / "three_domain.json"
         assert json.loads(path.read_text()) == reference_config(seed=0)
 
-    def test_clean_base_matches_builder(self):
-        from pathlib import Path
-        path = Path(__file__).resolve().parent.parent / "configs" / "clean_base.json"
-        assert json.loads(path.read_text()) == clean_config(seed=0, frames=60)
-
 
 # -- malformed configs ---------------------------------------------------------
 SHIPPED = Path(__file__).resolve().parent.parent / "configs"
@@ -367,6 +385,28 @@ BAD_VALUES = st.one_of(
 )
 
 
+
+class TestOverflowingSearch:
+    """A search whose step size overflows float64 exits 2 with one line and
+    no numpy warning, from the scenario and from the benchmark harness."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", str(SHIPPED / "three_domain.json"),
+         "--set", "agents.0.cma.sigma0=1e308"],
+        ["bench", "--function", "sphere", "--n", "5", "--seeds", "0", "--sigma0", "1e308"],
+        # elite-eda carries the step size in its initial covariance, sigma0 ** 2
+        ["bench", "--function", "sphere", "--n", "3", "--seeds", "0", "--sigma0", "1e200",
+         "--mode", "elite-eda"],
+    ], ids=["run", "bench", "bench-elite-eda-init"])
+    def test_exits_2_in_one_line(self, tmp_path, capsys, argv):
+        out = ["--out", str(tmp_path / "out")] if argv[0] == "run" else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + out) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("adaptfly: search is non-finite: overflow encountered in ")
+        assert err.count("\n") == 1
 class TestMalformedConfigs:
     @pytest.mark.parametrize("edit, message", [
         (lambda c: c["domains"][1].update(gian=c["domains"][1].pop("gain")), "gian"),
@@ -559,10 +599,10 @@ PROBED = [
     pytest.param(mini_config(), ("agents", 0, "schedule", 0, "motion", 0), 2**70, id="motion"),
     pytest.param({**mini_config(), "faults": [{"agent": "uav-h1", "step": 3}]},
                  ("faults", 0, "step"), 3.0, id="fault-step"),
-    pytest.param(clean_config(0), ("seed",), 1.5, id="seed-clean"),
+    pytest.param(zero_shift_config(), ("seed",), 1.5, id="seed-clean"),
     pytest.param(reference_config(0), ("seed",), 1.5, id="seed-reference"),
     pytest.param(mini_config(), ("agents", 0, "warmup"), 2.5, id="warmup"),
-    pytest.param({**clean_config(0), "calibration": {"frames": 60}}, ("calibration", "frames"),
+    pytest.param({**zero_shift_config(), "calibration": {"frames": 60}}, ("calibration", "frames"),
                  0, id="calibration-frames-numeric-z"),
     pytest.param(mini_config(), ("pool", "capacity"), 2.5, id="pool-capacity"),
     pytest.param(mini_config(), ("agents", 0, "cma", "flavor"), 1, id="cma-key"),

@@ -539,3 +539,23 @@ class TestOptimizeSvp:
         cfg = CmaConfig(dimension=5, population=4, elite=2, seed=0)
         with pytest.raises(ConfigError):
             optimize_svp(oracle, frame, coords, cfg)
+
+
+class TestOverflowingSearch:
+    """A step size that overflows float64 raises FitnessError where numpy
+    would warn, and numpy's error handling is left as it was."""
+
+    def test_benchmark_raises_fitness_error(self):
+        before = np.geterr()
+        with pytest.raises(FitnessError, match="search is non-finite: overflow"):
+            run_benchmark("sphere", 5, "full-cma", 0, max_evaluations=1000, sigma0=1e308)
+        assert np.geterr() == before
+
+    def test_prompt_search_raises_fitness_error(self, shifted_problem):
+        oracle, frame, coords = shifted_problem
+        cfg = CmaConfig(dimension=3 * coords.shape[0], population=6, elite=2,
+                        generations=4, sigma0=1e308, mode="sep-cma", seed=4)
+        before = np.geterr()
+        with pytest.raises(FitnessError, match="search is non-finite: overflow"):
+            optimize_svp(oracle, frame, coords, cfg)
+        assert np.geterr() == before

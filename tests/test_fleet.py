@@ -25,7 +25,7 @@ from adaptfly.fleet import (
     ScenarioConfig,
     StreamClient,
     UploadPrompt,
-    clean_config,
+    calibrate_scenario,
     metrics_csv,
     parse_metrics_csv,
     reference_config,
@@ -39,7 +39,6 @@ from adaptfly.fleet.agents import (
     StepRecord,
 )
 from adaptfly.fleet.config import AgentSpec, LimitedSpec, MassiveSpec, SegmentSpec
-from adaptfly.fleet.scenario import _calibrated_threshold
 from adaptfly.fleet import scenario as scenario_mod
 from adaptfly.fleet import transport as transport_mod
 from adaptfly.fleet import messages as messages_mod
@@ -76,9 +75,19 @@ def mini_config(seed=0, transport="inproc", frames=10):
     return cfg
 
 
+def zero_shift_config(seed=0, frames=40):
+    """mini_config's two agents on the base domain alone, with a numeric z."""
+    cfg = mini_config(seed=seed)
+    for agent in cfg["agents"]:
+        agent["schedule"] = [{"domain": "base", "frames": frames, "motion": [0, 0]}]
+        agent["z"] = 1e9
+    cfg["domains"] = cfg["domains"][:1]
+    return cfg
+
+
 class TestScenarioBasics:
     def test_zero_shift_scenario_has_zero_adaptation_events(self):
-        result = run_scenario(clean_config(seed=0, frames=40))
+        result = run_scenario(zero_shift_config())
         events = {r.adaptation_event for r in result.records}
         assert events == {"none"}
         assert all(r.bytes_sent == 0 for r in result.records)
@@ -390,9 +399,9 @@ class TestAgentKeys:
                               **common)
         limited = [LimitedSpec(id=f"uav-l{i}", retrieval_n=2, **common) for i in (1, 2)]
         assert ScenarioConfig.from_dict(reference_config(0)).agents == (massive, *limited)
-        clean = ScenarioConfig.from_dict(clean_config(0, frames=60)).agents
+        clean = ScenarioConfig.from_dict(zero_shift_config()).agents
         assert [(a.kind, a.threshold, a.warmup) for a in clean] == [
-            ("massive", 1e9, 6), ("limited", 1e9, 6)]
+            ("massive", 1e9, 4), ("limited", 1e9, 4)]
 
     @pytest.mark.parametrize("index, key, value", [
         (1, "rho", 0.1), (1, "mc_passes", 2), (1, "dropout_rate", 0.2),
@@ -546,10 +555,9 @@ class TestCalibration:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_threshold_equals_a_plain_per_frame_loop(self, seed):
         cfg = ScenarioConfig.from_dict(reference_config(seed=seed))
-        oracle = make_toy_oracle(**vars(cfg.oracle))
-        domains = {d.id: d for d in cfg.domains}
+        thresholds = calibrate_scenario(cfg)["z"]
         for idx, spec in enumerate(cfg.agents):
-            got = _calibrated_threshold(cfg, spec, oracle, domains)
+            got = thresholds[spec.id]
             assert got == self._plain_loop(cfg, idx, lambda o, f: o.stem_stats(f))
             brute = self._plain_loop(cfg, idx, lambda o, f: compute_stats(o.stem_features(f)))
             assert got == pytest.approx(brute, rel=1e-9)
@@ -643,6 +651,43 @@ class TestSharedCalibration:
             f"calibrated z={result.summary['agents']['uav-l2']['threshold']!r} on domain base"
             " (lambda=0.2, warmup=4, 120 frames) for uav-l2",
         ]
+
+
+
+def two_group_config():
+    """three_agent_config with a second detector, uav-l2's warmup of 5, and a
+    fourth agent, uav-l3, with a numeric z on uav-h1's detector settings."""
+    cfg = three_agent_config()
+    cfg["agents"][2]["warmup"] = 5
+    cfg["agents"].append({**copy.deepcopy(cfg["agents"][1]), "id": "uav-l3", "z": 2.0})
+    return cfg
+
+
+class TestCalibrateScenario:
+    """calibrate_scenario reports the thresholds a run calibrates for
+    ``z: "auto"``: set as each such agent's z, they run the same detectors."""
+
+    @pytest.mark.parametrize("config", [
+        pytest.param(lambda: reference_config(seed=0), id="reference"),
+        pytest.param(two_group_config, id="two-groups-and-a-numeric-z"),
+    ])
+    def test_pinning_the_reported_thresholds_reproduces_the_auto_run(self, config):
+        cfg = config()
+        reported = calibrate_scenario(cfg)["z"]
+        auto = run_scenario(cfg)
+        pinned = copy.deepcopy(cfg)
+        for agent in pinned["agents"]:
+            if agent["z"] == "auto":
+                assert reported[agent["id"]] == auto.summary["agents"][agent["id"]]["threshold"]
+                agent["z"] = reported[agent["id"]]
+        assert metrics_csv(run_scenario(pinned).records) == metrics_csv(auto.records)
+
+    def test_a_numeric_z_agent_gets_its_detector_s_calibration(self):
+        result = calibrate_scenario(two_group_config())
+        z = result["z"]
+        assert set(z) == {"uav-h1", "uav-l1", "uav-l2", "uav-l3"}
+        assert z["uav-l3"] == z["uav-h1"] == z["uav-l1"] != z["uav-l2"]
+        assert result["quantile"] == 0.99
 
 
 @pytest.fixture()
